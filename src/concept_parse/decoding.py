@@ -9,11 +9,11 @@ length normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .model import CompiledDomain, ConceptBank, ConceptModel, DecoderState, SourceEncoding
+from .model import CompiledDomain, ConceptBank, ConceptModel
 from .parse import Concept, Pointer, TargetSequence, TargetToken, Utterance
 
 
@@ -31,68 +31,66 @@ class Hypothesis:
         return TargetSequence(tokens=self.tokens)
 
 
-@dataclass(frozen=True)
-class _Beam:
-    tokens: tuple[TargetToken, ...]
-    log_prob: float
-    state: DecoderState
-    prev_embed: np.ndarray
-    depth: int
-
-
 def _token_at(index: int, bank: ConceptBank) -> TargetToken:
     if index < bank.m:
         return Concept(bank.tags[index])
     return Pointer(index - bank.m)
 
 
-def _advance(depth: int, token: TargetToken) -> tuple[int, bool]:
-    """New bracket depth and whether the sequence just finished structurally."""
-    if isinstance(token, Pointer):
-        return depth, False
-    if token.tag.boundary == "begin":
-        return depth + 1, False
-    if depth <= 1:
-        # closes the root, or an end tag with nothing open
-        return 0, True
-    return depth - 1, False
+def _bracket_steps(bank: ConceptBank, n: int) -> np.ndarray:
+    """Depth change of every output index: +1 begin tag, -1 end tag, 0 pointer."""
+    steps = np.zeros(bank.m + n, dtype=np.int64)
+    steps[:bank.m] = [1 if t.boundary == "begin" else -1 for t in bank.tags]
+    return steps
 
 
 def beam_decode(model: ConceptModel, utterance: Utterance,
                 domain: Union[CompiledDomain, ConceptBank], beam_width: int = 4,
                 max_len: Optional[int] = None) -> list[Hypothesis]:
-    """Length-unnormalized beam search; returns finished hypotheses, best first."""
+    """Length-unnormalized beam search; returns finished hypotheses, best first.
+
+    Every target position runs one `decode_step` over all live beams. The
+    candidates are the beams' cumulative log-probabilities (float64) plus each
+    step log-probability, flattened beam-major. A stable sort picks the best
+    ``beam_width``, so ties break by beam order, then by output index. A pick
+    that closes the root bracket, or reaches ``max_len`` tokens, joins the
+    pool of finished hypotheses; the rest live on, and the decoder caches are
+    reordered so that each keeps its parent's.
+    """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
     bank = domain.bank if isinstance(domain, CompiledDomain) else domain
     max_len = max_len or model.config.max_target_len
     src = model.encode_source(utterance.tokens)
-    active = [_Beam(tokens=(), log_prob=0.0, state=model.initial_state(src),
-                    prev_embed=model.bos_embedding(), depth=0)]
+    width = bank.m + src.n
+    inputs = model.input_table(bank, src)
+    steps = _bracket_steps(bank, src.n)
+    state = model.initial_state(src)
+    prev = model.bos_embedding()
+    scores = np.zeros(1)                            # per live beam, float64
+    depths = np.zeros(1, dtype=np.int64)
+    history = np.zeros((1, 0), dtype=np.int64)      # output indices so far
     pool: list[Hypothesis] = []
-    while active:
-        candidates: list[tuple[float, _Beam, int, DecoderState, np.ndarray]] = []
-        for item in active:
-            dist, state = model.decode_step(item.state, item.prev_embed, src, bank)
-            for index, lp in enumerate(dist.log_probabilities):
-                candidates.append((item.log_prob + float(lp), item, index, state,
-                                   dist.log_probabilities))
-        candidates.sort(key=lambda c: -c[0])
-        active = []
-        for log_prob, item, index, state, _ in candidates[:beam_width]:
-            token = _token_at(index, bank)
-            tokens = item.tokens + (token,)
-            depth, finished = _advance(item.depth, token)
-            if finished:
-                pool.append(Hypothesis(tokens=tokens, log_prob=log_prob,
-                                       finished=True))
-            elif len(tokens) >= max_len:
-                pool.append(Hypothesis(tokens=tokens, log_prob=log_prob,
-                                       finished=True, truncated=True))
-            else:
-                active.append(_Beam(tokens=tokens, log_prob=log_prob, state=state,
-                                    prev_embed=model.target_embed(token, bank),
-                                    depth=depth))
+    while scores.size:
+        dist, state = model.decode_step(state, prev, src, bank)
+        totals = (scores[:, None] + dist.log_probabilities).ravel()
+        picked = np.argsort(-totals, kind="stable")[:beam_width]
+        parents, indices = np.divmod(picked, width)
+        depths = depths[parents] + steps[indices]
+        finished = (steps[indices] < 0) & (depths <= 0)
+        done = finished | (state.t >= max_len)
+        for beam in np.flatnonzero(done):
+            path = [*history[parents[beam]], indices[beam]]
+            pool.append(Hypothesis(
+                tokens=tuple(_token_at(int(i), bank) for i in path),
+                log_prob=float(totals[picked[beam]]), finished=True,
+                truncated=not finished[beam]))
+        live = ~done
+        parents, indices = parents[live], indices[live]
+        scores, depths = totals[picked[live]], depths[live]
+        history = np.concatenate([history[parents], indices[:, None]], axis=1)
+        state = state.reorder(parents)
+        prev = inputs[indices]
     pool.sort(key=lambda h: -h.log_prob)
     return pool
 
@@ -100,25 +98,5 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
 def greedy_decode(model: ConceptModel, utterance: Utterance,
                   domain: Union[CompiledDomain, ConceptBank],
                   max_len: Optional[int] = None) -> Hypothesis:
-    """Argmax decoding; agrees with beam_decode at width one."""
-    bank = domain.bank if isinstance(domain, CompiledDomain) else domain
-    max_len = max_len or model.config.max_target_len
-    src = model.encode_source(utterance.tokens)
-    state = model.initial_state(src)
-    prev = model.bos_embedding()
-    tokens: tuple[TargetToken, ...] = ()
-    log_prob = 0.0
-    depth = 0
-    while True:
-        dist, state = model.decode_step(state, prev, src, bank)
-        index = dist.argmax()
-        token = _token_at(index, bank)
-        tokens = tokens + (token,)
-        log_prob += float(dist.log_probabilities[index])
-        depth, finished = _advance(depth, token)
-        if finished:
-            return Hypothesis(tokens=tokens, log_prob=log_prob, finished=True)
-        if len(tokens) >= max_len:
-            return Hypothesis(tokens=tokens, log_prob=log_prob, finished=True,
-                              truncated=True)
-        prev = model.target_embed(token, bank)
+    """Argmax decoding: the best hypothesis of a width-one beam."""
+    return beam_decode(model, utterance, domain, beam_width=1, max_len=max_len)[0]

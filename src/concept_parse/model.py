@@ -7,7 +7,9 @@ concept tokens plus the n source-pointer positions.
 
 The batched teacher-forced forward used for training records gradients; the
 stepwise decoding path (`decode_step` and everything built on it) is
-inference-only and does not record a graph.
+inference-only and does not record a graph. `decode_step` advances a group of
+beams together: every array it reads or returns carries a leading beam axis,
+and the search reorders the self-attention caches by parent between steps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -115,17 +118,22 @@ class ConceptBank:
 
     tags: tuple[ConceptTag, ...]
     vectors: np.ndarray  # (m, width)
+    _rows: Mapping[tuple[str, str], int] = field(init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tags) != self.vectors.shape[0]:
             raise ShapeError("bank tag count does not match vector rows")
+        object.__setattr__(self, "_rows", MappingProxyType(
+            {(t.name, t.boundary): i for i, t in enumerate(self.tags)}))
 
     @property
     def m(self) -> int:
         return len(self.tags)
 
-    def row_index(self) -> dict[tuple[str, str], int]:
-        return {(t.name, t.boundary): i for i, t in enumerate(self.tags)}
+    def row_index(self) -> Mapping[tuple[str, str], int]:
+        """Row of each (name, boundary) key; built once per bank."""
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -133,11 +141,6 @@ class CompiledDomain:
     """A frozen bank ready for decoding without the concept encoder."""
 
     bank: ConceptBank
-    tag_rows: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.tag_rows:
-            object.__setattr__(self, "tag_rows", self.bank.row_index())
 
     @property
     def m(self) -> int:
@@ -146,22 +149,54 @@ class CompiledDomain:
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Per-layer attention caches plus the step counter; values never mutate."""
+    """Per-layer attention caches of a group of beams at target position t.
 
-    self_keys: tuple[np.ndarray, ...]    # per layer (heads, t, head_dim)
+    The self-attention caches are preallocated to ``max_target_len`` with a
+    leading beam axis, (beams, heads, max_target_len, head_dim); positions
+    below t are filled. `ConceptModel.decode_step` writes position t in place
+    and returns the state at t + 1 over the same arrays, so stepping one state
+    twice overwrites what the first step wrote. `reorder` gives the beams of
+    the next step their own caches. The cross-attention caches, (heads, n,
+    head_dim) per layer, are shared by every beam.
+    """
+
+    self_keys: tuple[np.ndarray, ...]
     self_values: tuple[np.ndarray, ...]
-    cross_keys: tuple[np.ndarray, ...]   # per layer (heads, n, head_dim)
+    cross_keys: tuple[np.ndarray, ...]
     cross_values: tuple[np.ndarray, ...]
     t: int
-    last_state: Optional[np.ndarray] = None  # d_t after the step that built this
+    beams: int = 1
+
+    def reorder(self, parents: np.ndarray) -> "DecoderState":
+        """State whose beam b continues beam ``parents[b]`` of this one.
+
+        Only the filled prefix is copied. The identity order returns this
+        state itself.
+        """
+        if len(parents) == self.beams and \
+                np.array_equal(parents, np.arange(self.beams)):
+            return self
+        t = self.t
+
+        def gather(cache: np.ndarray) -> np.ndarray:
+            out = np.empty((len(parents),) + cache.shape[1:], dtype=cache.dtype)
+            out[:, :, :t] = cache[parents, :, :t]
+            return out
+
+        return DecoderState(
+            self_keys=tuple(gather(k) for k in self.self_keys),
+            self_values=tuple(gather(v) for v in self.self_values),
+            cross_keys=self.cross_keys, cross_values=self.cross_values, t=t,
+            beams=len(parents))
 
 
 @dataclass(frozen=True)
 class StepDistribution:
     """One decoding step's scores and normalized probabilities.
 
-    Index layout: the first m entries follow the bank's tag order, the last
-    n entries are pointers in source order.
+    Index layout of the last axis: the first m entries follow the bank's tag
+    order, the last n entries are pointers in source order. `decode_step`
+    returns arrays with a leading beam axis, (beams, m + n).
     """
 
     concept_scores: np.ndarray
@@ -171,14 +206,15 @@ class StepDistribution:
 
     @property
     def m(self) -> int:
-        return self.concept_scores.shape[0]
+        return self.concept_scores.shape[-1]
 
     @property
     def n(self) -> int:
-        return self.pointer_scores.shape[0]
+        return self.pointer_scores.shape[-1]
 
-    def argmax(self) -> int:
-        return int(np.argmax(self.log_probabilities))
+    def argmax(self) -> np.ndarray:
+        """Best index along the m + n axis, per beam."""
+        return np.argmax(self.log_probabilities, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -444,7 +480,7 @@ class ConceptModel:
         return bank.vectors[row]
 
     def initial_state(self, src: SourceEncoding) -> DecoderState:
-        """Fresh decoder state with precomputed cross-attention caches."""
+        """One-beam decoder state with precomputed cross-attention caches."""
         cfg = self.config
         heads, hd = cfg.decoder_heads, cfg.width // cfg.decoder_heads
         self_k, self_v, cross_k, cross_v = [], [], [], []
@@ -455,8 +491,9 @@ class ConceptModel:
             v = src.states @ self._arr(f"{prefix}.wv") + self._arr(f"{prefix}.bv")
             cross_k.append(k.reshape(n, heads, hd).transpose(1, 0, 2))
             cross_v.append(v.reshape(n, heads, hd).transpose(1, 0, 2))
-            self_k.append(np.zeros((heads, 0, hd), dtype=self.dtype))
-            self_v.append(np.zeros((heads, 0, hd), dtype=self.dtype))
+            shape = (1, heads, cfg.max_target_len, hd)
+            self_k.append(np.zeros(shape, dtype=self.dtype))
+            self_v.append(np.zeros(shape, dtype=self.dtype))
         return DecoderState(
             self_keys=tuple(self_k), self_values=tuple(self_v),
             cross_keys=tuple(cross_k), cross_values=tuple(cross_v), t=0)
@@ -464,49 +501,65 @@ class ConceptModel:
     def bos_embedding(self) -> np.ndarray:
         return self._arr("decoder.bos")
 
+    def input_table(self, bank: ConceptBank, src: SourceEncoding) -> np.ndarray:
+        """Decoder input embedding of every output index, (m + n, width).
+
+        Row i < m is concept vector i of the bank; row m + j is the embedding
+        of pointer j.
+        """
+        return np.concatenate([bank.vectors, self._arr("decoder.ptr_embed")[:src.n]])
+
     def _step_attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # q (heads, 1, hd); k, v (heads, t, hd)
+        # q (beams, heads, 1, hd); k, v (beams, heads, t, hd) or (heads, t, hd)
         hd = q.shape[-1]
-        logits = q @ k.transpose(0, 2, 1) / math.sqrt(hd)
+        logits = q @ np.swapaxes(k, -1, -2) / math.sqrt(hd)
         return _softmax_np(logits) @ v
 
     def decode_step(self, state: DecoderState, prev_embed: np.ndarray,
                     src: SourceEncoding, bank: Union[ConceptBank, CompiledDomain]
                     ) -> tuple[StepDistribution, DecoderState]:
-        """One autoregressive step; returns the m+n distribution and new state."""
+        """One autoregressive step of every beam in ``state``.
+
+        ``prev_embed`` holds each beam's decoder input, (beams, width); a
+        single (width,) row is taken as one beam. The new self-attention key
+        and value of each beam are written in place at position ``state.t``
+        of the caches, which the returned state at t + 1 shares. The
+        distribution's arrays are (beams, m + n).
+        """
         if isinstance(bank, CompiledDomain):
             bank = bank.bank
         cfg = self.config
-        if state.t >= cfg.max_target_len:
+        t = state.t
+        if t >= cfg.max_target_len:
             raise LengthExceededError(
-                f"decoding step {state.t} exceeds maximum target length "
+                f"decoding step {t} exceeds maximum target length "
                 f"{cfg.max_target_len}")
         d = cfg.width
         heads, hd = cfg.decoder_heads, d // cfg.decoder_heads
-        x = (prev_embed + self._arr("decoder.pos")[state.t]).reshape(1, d)
-        new_self_k, new_self_v = [], []
+        x = prev_embed.reshape(-1, d) + self._arr("decoder.pos")[t]
+        beams = x.shape[0]
+        if beams != state.beams:
+            raise ShapeError(f"{beams} decoder inputs for {state.beams} beams")
         for i in range(cfg.decoder_layers):
             prefix = f"decoder.{i}"
+            keys, values = state.self_keys[i], state.self_values[i]
             h = _ln_np(x, self._arr(f"{prefix}.ln1.gain"), self._arr(f"{prefix}.ln1.bias"))
             q = (h @ self._arr(f"{prefix}.self.wq") + self._arr(f"{prefix}.self.bq"))
             k = (h @ self._arr(f"{prefix}.self.wk") + self._arr(f"{prefix}.self.bk"))
             v = (h @ self._arr(f"{prefix}.self.wv") + self._arr(f"{prefix}.self.bv"))
-            q = q.reshape(1, heads, hd).transpose(1, 0, 2)
-            k = np.concatenate(
-                [state.self_keys[i], k.reshape(1, heads, hd).transpose(1, 0, 2)], axis=1)
-            v = np.concatenate(
-                [state.self_values[i], v.reshape(1, heads, hd).transpose(1, 0, 2)], axis=1)
-            new_self_k.append(k)
-            new_self_v.append(v)
-            mix = self._step_attention(q, k, v).transpose(1, 0, 2).reshape(1, d)
-            x = x + mix @ self._arr(f"{prefix}.self.wo") + self._arr(f"{prefix}.self.bo")
+            keys[:, :, t] = k.reshape(beams, heads, hd)
+            values[:, :, t] = v.reshape(beams, heads, hd)
+            mix = self._step_attention(q.reshape(beams, heads, 1, hd),
+                                       keys[:, :, :t + 1], values[:, :, :t + 1])
+            x = x + mix.reshape(beams, d) @ self._arr(f"{prefix}.self.wo") \
+                + self._arr(f"{prefix}.self.bo")
 
             h = _ln_np(x, self._arr(f"{prefix}.ln2.gain"), self._arr(f"{prefix}.ln2.bias"))
             q = (h @ self._arr(f"{prefix}.cross.wq") + self._arr(f"{prefix}.cross.bq"))
-            q = q.reshape(1, heads, hd).transpose(1, 0, 2)
-            mix = self._step_attention(q, state.cross_keys[i], state.cross_values[i])
-            mix = mix.transpose(1, 0, 2).reshape(1, d)
-            x = x + mix @ self._arr(f"{prefix}.cross.wo") + self._arr(f"{prefix}.cross.bo")
+            mix = self._step_attention(q.reshape(beams, heads, 1, hd),
+                                       state.cross_keys[i], state.cross_values[i])
+            x = x + mix.reshape(beams, d) @ self._arr(f"{prefix}.cross.wo") \
+                + self._arr(f"{prefix}.cross.bo")
 
             h = _ln_np(x, self._arr(f"{prefix}.ln3.gain"), self._arr(f"{prefix}.ln3.bias"))
             hidden = _gelu_np(h @ self._arr(f"{prefix}.ff.w1") + self._arr(f"{prefix}.ff.b1"))
@@ -515,14 +568,13 @@ class ConceptModel:
         d_t = _ln_np(x, self._arr("decoder.final_ln.gain"), self._arr("decoder.final_ln.bias"))
         concept_q = d_t @ self._arr("head.concept.w") + self._arr("head.concept.b")
         pointer_q = d_t @ self._arr("head.pointer.w") + self._arr("head.pointer.b")
-        s = (concept_q @ bank.vectors.T / math.sqrt(d)).reshape(-1)
-        a = (pointer_q @ src.states.T / math.sqrt(d)).reshape(-1)
-        logits = np.concatenate([s, a])
-        log_probs = _log_softmax_np(logits)
+        s = concept_q @ bank.vectors.T / math.sqrt(d)
+        a = pointer_q @ src.states.T / math.sqrt(d)
+        log_probs = _log_softmax_np(np.concatenate([s, a], axis=1))
         new_state = DecoderState(
-            self_keys=tuple(new_self_k), self_values=tuple(new_self_v),
-            cross_keys=state.cross_keys, cross_values=state.cross_values,
-            t=state.t + 1, last_state=d_t.reshape(-1))
+            self_keys=state.self_keys, self_values=state.self_values,
+            cross_keys=state.cross_keys, cross_values=state.cross_values, t=t + 1,
+            beams=beams)
         return StepDistribution(
             concept_scores=s, pointer_scores=a,
             probabilities=np.exp(log_probs), log_probabilities=log_probs), new_state
@@ -533,7 +585,7 @@ class ConceptModel:
         """Per-position distributions conditioned on the gold prefix.
 
         This is literally the stepwise decode loop fed gold tokens, so its
-        outputs match `decode_step` bit for bit.
+        outputs match `decode_step` bit for bit; each has a beam axis of one.
         """
         if isinstance(bank, CompiledDomain):
             bank = bank.bank

@@ -1,16 +1,20 @@
-"""Beam search against exhaustive enumeration, plus greedy agreement."""
+"""Beam search against exhaustive enumeration and the per-beam oracle, plus
+greedy agreement."""
 
 import math
 
 import numpy as np
 import pytest
 
-from concept_parse.decoding import _advance, _token_at, beam_decode, greedy_decode
+from concept_parse.data import tags_from_records
+from concept_parse.decoding import _token_at, beam_decode, greedy_decode
+from concept_parse.errors import LengthExceededError
 from concept_parse.model import ConceptBank
 from concept_parse.parse import tags_for_label, tokenize_utterance
-from concept_parse.synthetic import two_domain_rows
+from concept_parse.synthetic import transfer_pair_rows, two_domain_rows
 
-from helpers import build_model, records_from_rows
+from helpers import (TINY, advance, build_model, records_from_rows,
+                     reference_beam_decode)
 
 MICRO = dict(width=16, encoder_layers=1, encoder_heads=2, decoder_layers=1,
              decoder_heads=2, concept_layers=1, concept_heads=2,
@@ -40,8 +44,8 @@ def enumerate_best(model, utterance, bank, max_len):
         for index in range(m + n):
             token = _token_at(index, bank)
             seq = tokens + (token,)
-            total = lp + float(dist.log_probabilities[index])
-            new_depth, finished = _advance(depth, token)
+            total = lp + float(dist.log_probabilities[0][index])
+            new_depth, finished = advance(depth, token)
             if finished or len(seq) >= max_len:
                 if total > best["lp"]:
                     best["lp"] = total
@@ -120,7 +124,7 @@ class TestBeamOracle:
                 index = bank.m + token.index
             else:
                 index = rows[(token.tag.name, token.tag.boundary)]
-            total += float(dist.log_probabilities[index])
+            total += float(dist.log_probabilities[0][index])
             prev = model.target_embed(token, bank)
         assert abs(total - top.log_prob) < 1e-9
 
@@ -138,3 +142,71 @@ class TestBeamOracle:
         with pytest.raises(ValueError):
             beam_decode(model, tokenize_utterance("x"), micro_bank(model),
                         beam_width=0)
+
+
+class TestBatchedBeamOracle:
+    """The batched search against the per-beam one, in double precision."""
+
+    @pytest.fixture(scope="class", params=["two_domain", "transfer_pair"])
+    def case(self, request):
+        rows = (two_domain_rows(6, seed=4) if request.param == "two_domain"
+                else transfer_pair_rows(6, seed=4))
+        records = records_from_rows(rows)
+        model = build_model(records, seed=5, precision="double", **TINY)
+        bank = model.encode_concepts(tags_from_records(records))
+        return model, bank, [r.utterance for r in records[::2]]
+
+    @staticmethod
+    def assert_same(batched, reference):
+        assert [h.tokens for h in batched] == [h.tokens for h in reference]
+        assert [(h.finished, h.truncated) for h in batched] == \
+            [(h.finished, h.truncated) for h in reference]
+        for b, r in zip(batched, reference):
+            assert abs(b.log_prob - r.log_prob) <= 1e-9
+
+    @pytest.mark.parametrize("max_len", [None, 3])
+    def test_matches_per_beam_search(self, case, max_len):
+        model, bank, utterances = case
+        outcomes = set()
+        for utterance in utterances:
+            for width in (1, 2, 4, 8):
+                batched = beam_decode(model, utterance, bank, beam_width=width,
+                                      max_len=max_len)
+                reference = reference_beam_decode(model, utterance, bank, width,
+                                                  max_len=max_len)
+                self.assert_same(batched, reference)
+                outcomes.update(h.truncated for h in batched)
+        # both stopping rules are exercised, with and without the small cap
+        assert outcomes == {True, False}
+
+    def test_ties_break_beam_major_then_by_index(self, case):
+        model, bank, utterances = case
+        saved = model.snapshot()
+        try:
+            # a zero output head scores every index alike, so only ties decide
+            for name in ("head.concept.w", "head.concept.b", "head.pointer.w",
+                         "head.pointer.b"):
+                model.params[name].data = np.zeros_like(model.params[name].data)
+            for width in (1, 3, 8):
+                batched = beam_decode(model, utterances[0], bank,
+                                      beam_width=width, max_len=5)
+                reference = reference_beam_decode(model, utterances[0], bank,
+                                                  width, max_len=5)
+                self.assert_same(batched, reference)
+        finally:
+            model.restore(saved)
+
+
+class TestLengthCap:
+    """Past the model's target length the search fails with a typed error."""
+
+    def test_unclosed_brackets_raise_length_exceeded(self):
+        model = micro_model(3)
+        opening = [t for t in micro_bank(model).tags if t.boundary == "begin"]
+        bank = model.encode_concepts(opening)  # no tag can close a bracket
+        utterance = tokenize_utterance("near the")
+        too_long = model.config.max_target_len + 4
+        with pytest.raises(LengthExceededError):
+            beam_decode(model, utterance, bank, beam_width=3, max_len=too_long)
+        with pytest.raises(LengthExceededError):
+            greedy_decode(model, utterance, bank, max_len=too_long)

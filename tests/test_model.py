@@ -9,6 +9,7 @@ from concept_parse.data import record_from_row, tags_from_records
 from concept_parse.errors import (
     EmptyDescriptionError,
     LengthExceededError,
+    ShapeError,
     UnknownConceptError,
 )
 from concept_parse.model import ConceptBank, SourceEncoding, Vocabulary
@@ -120,9 +121,9 @@ class TestDecodeStep:
 
     def test_distribution_contract(self, model, bank):
         dist, state = self.decode_once(model, bank)
-        assert dist.probabilities.shape == (bank.m + 3,)
-        assert abs(dist.probabilities.sum() - 1.0) < 1e-5
-        assert np.all(dist.probabilities > 0)
+        assert dist.probabilities[0].shape == (bank.m + 3,)
+        assert abs(dist.probabilities[0].sum() - 1.0) < 1e-5
+        assert np.all(dist.probabilities[0] > 0)
         assert state.t == 1
 
     def test_bank_permutation_equivariance(self, model, bank):
@@ -132,13 +133,13 @@ class TestDecodeStep:
                                     vectors=bank.vectors[perm])
         base, _ = self.decode_once(model, bank)
         swapped, _ = self.decode_once(model, permuted_bank)
-        assert np.abs(swapped.probabilities[:bank.m]
-                      - base.probabilities[perm]).max() <= 1e-6
-        assert np.array_equal(swapped.pointer_scores, base.pointer_scores)
+        assert np.abs(swapped.probabilities[0][:bank.m]
+                      - base.probabilities[0][perm]).max() <= 1e-6
+        assert np.array_equal(swapped.pointer_scores[0], base.pointer_scores[0])
         # the argmax denotes the same token through either layout
         m = bank.m
-        base_arg = base.argmax()
-        swap_arg = swapped.argmax()
+        base_arg = base.argmax()[0]
+        swap_arg = swapped.argmax()[0]
         if base_arg < m:
             assert bank.tags[base_arg] == permuted_bank.tags[swap_arg]
         else:
@@ -150,17 +151,17 @@ class TestDecodeStep:
         src = model.encode_source(("how",))
         dist, _ = model.decode_step(model.initial_state(src),
                                     model.bos_embedding(), src, bank)
-        logits = np.array([dist.concept_scores[0], dist.pointer_scores[0]],
+        logits = np.array([dist.concept_scores[0][0], dist.pointer_scores[0][0]],
                           dtype=np.float64)
         expected = np.exp(logits) / np.exp(logits).sum()
-        assert np.allclose(dist.probabilities, expected, atol=1e-6)
+        assert np.allclose(dist.probabilities[0], expected, atol=1e-6)
 
     def test_masking_a_source_position_shrinks_support(self, model, bank):
         src = model.encode_source(("how", "far", "is"))
         masked = SourceEncoding(states=np.delete(src.states, 1, axis=0))
         dist, _ = model.decode_step(model.initial_state(masked),
                                     model.bos_embedding(), masked, bank)
-        assert dist.probabilities.shape == (bank.m + 2,)
+        assert dist.probabilities[0].shape == (bank.m + 2,)
 
     def test_step_cap(self, model, bank):
         src = model.encode_source(("how",))
@@ -171,12 +172,29 @@ class TestDecodeStep:
         with pytest.raises(LengthExceededError):
             model.decode_step(state, prev, src, bank)
 
+    def test_beam_rows_match_single_beam_steps(self, corpus):
+        model = build_model(corpus, seed=3, precision="double", **TINY)
+        bank = model.encode_concepts(tags_from_records(corpus))
+        src = model.encode_source(("how", "far", "is"))
+        _, first = model.decode_step(model.initial_state(src),
+                                     model.bos_embedding(), src, bank)
+        inputs = np.stack([model.target_embed(Pointer(j), bank) for j in (0, 2)])
+        batched, state = model.decode_step(first.reorder(np.array([0, 0])),
+                                           inputs, src, bank)
+        assert state.beams == 2 and state.t == 2
+        for row, prev in enumerate(inputs):
+            alone, _ = model.decode_step(first, prev, src, bank)
+            np.testing.assert_allclose(batched.log_probabilities[row],
+                                       alone.log_probabilities[0], atol=1e-12)
+        with pytest.raises(ShapeError):
+            model.decode_step(first, inputs, src, bank)
+
     def test_unseen_tag_still_supported(self, model, bank):
         novel = list(bank.tags) + list(tags_for_label("IN:NEVER_TRAINED", "intent"))
         wider = model.encode_concepts(novel)
         dist, _ = self.decode_once(model, wider)
-        assert dist.probabilities.shape == (bank.m + 2 + 3,)
-        assert abs(dist.probabilities.sum() - 1.0) < 1e-5
+        assert dist.probabilities[0].shape == (bank.m + 2 + 3,)
+        assert abs(dist.probabilities[0].sum() - 1.0) < 1e-5
 
 
 class TestTeacherForced:
@@ -200,7 +218,7 @@ class TestTeacherForced:
         bank = model.encode_concepts(tags_from_records([record]))
         assert bank.m == 8
         dists = model.forward_teacher_forced(record.utterance, record.target, bank)
-        assert all(d.probabilities.shape == (14,) for d in dists)
+        assert all(d.probabilities[0].shape == (14,) for d in dists)
 
     def test_unknown_concept_propagates(self, model, corpus):
         thin_bank = model.encode_concepts(
@@ -249,9 +267,9 @@ class TestBatchedForward:
             for t, dist in enumerate(dists):
                 batched = np.concatenate([log_probs[i, t, :m],
                                           log_probs[i, t, m:m + n]])
-                np.testing.assert_allclose(batched, dist.log_probabilities,
+                np.testing.assert_allclose(batched, dist.log_probabilities[0],
                                            atol=1e-9)
-                assert int(np.argmax(batched)) == dist.argmax()
+                assert int(np.argmax(batched)) == dist.argmax()[0]
 
     def test_padded_positions_get_zero_probability(self, model, corpus, bank):
         short = [r for r in corpus if len(r.utterance.tokens) == 5][:1]
