@@ -24,7 +24,6 @@ _PRECISION_CODE = {"single": 0, "double": 1}
 _PRECISION_NAME = {code: name for name, code in _PRECISION_CODE.items()}
 
 _grad_enabled = True
-_finite_checks = True
 
 
 class no_grad:
@@ -40,12 +39,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._saved
         return False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf guard applied to every forward op result."""
-    global _finite_checks
-    _finite_checks = enabled
 
 
 class Tensor:
@@ -107,7 +100,7 @@ def constant(data: np.ndarray) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    if _finite_checks and not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError("forward op produced NaN or Inf values")
     if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, parents=tuple(parents), vjp=vjp, requires_grad=True)
@@ -157,11 +150,28 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes.
+
+    A 2-D ``b`` (a weight) is applied as one GEMM: the leading axes of ``a``
+    are flattened into rows, so the forward is one (rows, d) @ (d, e) product
+    and the weight gradient one (d, rows) @ (rows, e) product, with no
+    per-batch partial gradients to sum. Otherwise both operands are stacks of
+    matrices broadcast against each other, as in attention's q . k^T.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
+    if b.data.ndim == 2:
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+
+        def vjp_2d(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
+
+        return _node(out, (a, b), vjp_2d)
     out = a.data @ b.data
 
     def vjp(g):
@@ -306,11 +316,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximate GELU of an array; returns the result and the tanh term.
+
+    The one GELU forward: the graph op and the stepwise decoder both call it,
+    so the two paths agree bit for bit. The cube is ``x * x * x`` because
+    float32 ``x ** 3`` takes numpy's slow power loop, about 100x slower.
+    """
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
-    u = _GELU_C * (x.data + 0.044715 * x.data ** 3)
-    t = np.tanh(u)
-    out = 0.5 * x.data * (1.0 + t)
+    out, t = gelu_kernel(x.data)
 
     def vjp(g):
         du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
@@ -431,11 +450,6 @@ def adam_step(params: Iterable[Parameter], lr: float,
         p.zero_grad()
 
 
-def zero_grads(params: Iterable[Parameter]) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 # initialization
 
 
@@ -483,29 +497,41 @@ def save_parameters(params: dict[str, Parameter], path: Union[str, Path],
 
 
 def load_parameters(path: Union[str, Path]) -> tuple[dict[str, np.ndarray], str]:
-    """Read a checkpoint back as named arrays plus its precision name."""
+    """Read a checkpoint back as named arrays plus its precision name.
+
+    A file that is not a checkpoint, or that ends inside a field, raises
+    ``ValueError`` naming the path.
+    """
     with open(path, "rb") as handle:
         blob = handle.read()
     if blob[:8] != _MAGIC:
         raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
-    version, code = struct.unpack_from("<IB", blob, 8)
+    offset = 8
+
+    def take(size: int) -> bytes:
+        nonlocal offset
+        end = offset + size
+        if end > len(blob):
+            raise ValueError(
+                f"{path}: truncated checkpoint ({len(blob)} bytes, a field needs {end})")
+        chunk = blob[offset:end]
+        offset = end
+        return chunk
+
+    version, code = struct.unpack("<IB", take(5))
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if code not in _PRECISION_NAME:
+        raise ValueError(f"{path}: unknown precision code {code}")
     precision = _PRECISION_NAME[code]
     dtype = np.dtype("<f4" if precision == "single" else "<f8")
     arrays: dict[str, np.ndarray] = {}
-    offset = 13
     while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, offset)
-        offset += 8 * rank
+        (name_len,) = struct.unpack("<I", take(4))
+        name = take(name_len).decode("utf-8")
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
         count = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-        offset += count * dtype.itemsize
+        values = np.frombuffer(take(count * dtype.itemsize), dtype=dtype)
         arrays[name] = values.reshape(dims).astype(DTYPES[precision])
     return arrays, precision

@@ -27,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import (
+    CheckpointMismatchError,
     EmptyDescriptionError,
     LengthExceededError,
     PointerRangeError,
@@ -255,10 +256,6 @@ def _ln_np(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered / np.sqrt(var + eps) * gain + bias
-
-
-def _gelu_np(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
 
 
 class ConceptModel:
@@ -562,7 +559,8 @@ class ConceptModel:
                 + self._arr(f"{prefix}.cross.bo")
 
             h = _ln_np(x, self._arr(f"{prefix}.ln3.gain"), self._arr(f"{prefix}.ln3.bias"))
-            hidden = _gelu_np(h @ self._arr(f"{prefix}.ff.w1") + self._arr(f"{prefix}.ff.b1"))
+            hidden, _ = ad.gelu_kernel(
+                h @ self._arr(f"{prefix}.ff.w1") + self._arr(f"{prefix}.ff.b1"))
             x = x + hidden @ self._arr(f"{prefix}.ff.w2") + self._arr(f"{prefix}.ff.b2")
 
         d_t = _ln_np(x, self._arr("decoder.final_ln.gain"), self._arr("decoder.final_ln.bias"))
@@ -686,8 +684,7 @@ class ConceptModel:
         concept_q = ad.affine(d_t, self._p("head.concept.w"), self._p("head.concept.b"))
         pointer_q = ad.affine(d_t, self._p("head.pointer.w"), self._p("head.pointer.b"))
         scale = 1.0 / math.sqrt(cfg.width)
-        s = ad.scale(ad.matmul(concept_q, ad.transpose(
-            ad.reshape(bank_vectors, (1, batch.m, cfg.width)), (0, 2, 1))), scale)
+        s = ad.scale(ad.matmul(concept_q, ad.transpose(bank_vectors, (1, 0))), scale)
         a = ad.scale(ad.matmul(pointer_q, ad.transpose(enc, (0, 2, 1))), scale)
         pointer_pad = ((1.0 - batch.src_mask) * _NEG).astype(self.dtype)[:, None, :]
         a = ad.add(a, ad.constant(pointer_pad))
@@ -737,11 +734,16 @@ class ConceptModel:
         if precision != config.precision:
             raise ValueError(
                 f"{path}: precision {precision} does not match config {config.precision}")
+        missing = sorted(set(model.params) - set(arrays))
+        if missing:
+            raise CheckpointMismatchError(f"{path}: missing parameters {missing}")
         for name, data in arrays.items():
             if name not in model.params:
-                raise ValueError(f"{path}: unexpected parameter {name!r}")
+                raise CheckpointMismatchError(f"{path}: unexpected parameter {name!r}")
             if model.params[name].data.shape != data.shape:
-                raise ValueError(f"{path}: shape mismatch for parameter {name!r}")
+                raise CheckpointMismatchError(
+                    f"{path}: shape {data.shape} for parameter {name!r}, "
+                    f"model has {model.params[name].data.shape}")
             model.params[name].data = data
         tags = [ConceptTag(name=t["name"], kind=t["kind"], boundary=t["boundary"],
                            description=t["description"])

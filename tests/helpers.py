@@ -29,6 +29,11 @@ TINY = dict(width=32, encoder_layers=1, encoder_heads=2, decoder_layers=1,
             max_source_len=32, max_target_len=48, ff_width=64)
 
 
+def zero_grads(params):
+    for p in params:
+        p.zero_grad()
+
+
 def advance(depth, token):
     """New bracket depth and whether the sequence just finished structurally."""
     if isinstance(token, Pointer):

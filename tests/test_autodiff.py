@@ -9,6 +9,8 @@ import concept_parse.autodiff as ad
 from concept_parse.autodiff import Parameter, Schedule, Tensor
 from concept_parse.errors import NonFiniteError, NotScalarError, ShapeError
 
+from helpers import zero_grads
+
 
 def make_param(rng, shape, name="p"):
     return Parameter(name, rng.standard_normal(shape))
@@ -32,7 +34,7 @@ def numeric_grad(loss_fn, param, h=1e-6):
 
 def check_op(build_loss, params, tolerance=1e-7):
     """Backprop gradients must match central differences on every parameter."""
-    ad.zero_grads(params)
+    zero_grads(params)
     loss = build_loss()
     ad.backward(loss)
     for p in params:
@@ -274,6 +276,53 @@ class TestOpGradients:
         check_op(loss, [q, k, v], tolerance=1e-6)
 
 
+class TestKernels:
+    """The shared GELU kernel and the one-GEMM path of `matmul` against references."""
+
+    def test_gelu_single_matches_double_reference(self):
+        x = np.linspace(-10.0, 10.0, 200001, dtype=np.float32)
+        got, _ = ad.gelu_kernel(x)
+        assert got.dtype == np.float32
+        x64 = x.astype(np.float64)
+        ref = 0.5 * x64 * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                         * (x64 + 0.044715 * x64 ** 3)))
+        # float32 epsilon scaled by 1 + |x|; the worst case measured is 0.76 of it
+        tolerance = np.finfo(np.float32).eps * (1.0 + np.abs(x64))
+        assert np.all(np.abs(got - ref) <= tolerance)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_graph_gelu_equals_decode_gelu(self, dtype):
+        x = (np.random.default_rng(3).standard_normal((4, 3, 16)) * 4).astype(dtype)
+        assert ad.gelu(ad.constant(x)).data.tobytes() == ad.gelu_kernel(x)[0].tobytes()
+
+    @pytest.mark.parametrize("case", ["3d", "transposed", "4d"])
+    def test_weight_product_matches_einsum(self, case):
+        rng = np.random.default_rng(9)
+        shapes = {"3d": (4, 6, 8), "transposed": (6, 4, 8), "4d": (2, 3, 4, 8)}
+        # quarter-integers: every product and partial sum is exact in double,
+        # so any summation order gives the same forward
+        x = Parameter("x", rng.integers(-8, 9, size=shapes[case]) / 4.0)
+        w = Parameter("w", rng.integers(-8, 9, size=(8, 5)) / 4.0)
+
+        def operand():
+            return ad.transpose(x.leaf(), (1, 0, 2)) if case == "transposed" else x.leaf()
+
+        a = operand().data
+        assert a.flags.c_contiguous == (case != "transposed")
+        out = ad.matmul(operand(), w.leaf())
+        np.testing.assert_array_equal(out.data, np.einsum("...d,de->...e", a, w.data))
+
+        g = rng.standard_normal(out.shape)
+        ad.backward(weighted_sum(out, g))
+        ga = np.einsum("...e,de->...d", g, w.data)
+        if case == "transposed":
+            ga = np.transpose(ga, (1, 0, 2))
+        np.testing.assert_allclose(x.grad, ga, rtol=0, atol=1e-12)
+        lead = "abc"[:a.ndim - 1]
+        np.testing.assert_allclose(w.grad, np.einsum(f"{lead}d,{lead}e->de", a, g),
+                                   rtol=0, atol=1e-12)
+
+
 class TestAdam:
     def test_decay_only_step(self):
         p = Parameter("p", np.full(4, 2.0))
@@ -370,6 +419,38 @@ class TestCheckpoint:
         path.write_bytes(b"NOTCKPT0" + b"\x00" * 16)
         with pytest.raises(ValueError):
             ad.load_parameters(path)
+
+    def test_unknown_precision_code(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ad.save_parameters({"w": Parameter("w", np.ones(2))}, path, "double")
+        blob = bytearray(path.read_bytes())
+        blob[12] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="precision code 7"):
+            ad.load_parameters(path)
+
+    def test_truncation_raises_with_path(self, tmp_path):
+        rng = np.random.default_rng(7)
+        params = {
+            "a.weight": Parameter("a.weight", rng.standard_normal((3, 4)).astype(np.float32)),
+            "b.bias": Parameter("b.bias", rng.standard_normal(5).astype(np.float32)),
+        }
+        full = tmp_path / "model.ckpt"
+        ad.save_parameters(params, full, "single")
+        blob = full.read_bytes()
+        path = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            try:
+                arrays, _ = ad.load_parameters(path)
+            except ValueError as exc:
+                assert str(path) in str(exc), size
+            else:
+                # a cut between two parameters leaves a shorter well-formed file;
+                # the model loader rejects the missing names
+                assert list(arrays) == list(params)[:len(arrays)], size
+                for name, data in arrays.items():
+                    assert np.array_equal(data, params[name].data)
 
 
 class TestFiniteGuard:

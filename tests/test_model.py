@@ -1,12 +1,15 @@
 """Network contract tests: shapes, the m+n head, permutation equivariance,
 compiled-domain equivalence, and batched/stepwise agreement."""
 
+import re
+
 import numpy as np
 import pytest
 
 import concept_parse.autodiff as ad
 from concept_parse.data import record_from_row, tags_from_records
 from concept_parse.errors import (
+    CheckpointMismatchError,
     EmptyDescriptionError,
     LengthExceededError,
     ShapeError,
@@ -20,7 +23,7 @@ from concept_parse.synthetic import (
     two_domain_rows,
 )
 
-from helpers import TINY, build_model, records_from_rows
+from helpers import TINY, build_model, records_from_rows, zero_grads
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +289,7 @@ class TestBatchedForward:
     def test_gradients_reach_concept_encoder(self, model, corpus):
         tags = tags_from_records(corpus)
         batch = model.build_batch(corpus[:4], tags)
-        ad.zero_grads(model.parameters().values())
+        zero_grads(model.parameters().values())
         bank_tensor = model.encode_concepts_tensor(tags)
         log_probs = model.teacher_log_probs(batch, bank_tensor)
         picked = ad.take_along_last(log_probs, batch.gold)
@@ -296,7 +299,7 @@ class TestBatchedForward:
                    if name.startswith("concept.") and np.abs(p.grad).max() > 0]
         assert any("adapter" in name for name in touched)
         assert any(".self.wq" in name for name in touched)
-        ad.zero_grads(model.parameters().values())
+        zero_grads(model.parameters().values())
 
 
 class TestPersistence:
@@ -314,6 +317,30 @@ class TestPersistence:
                                           reloaded_bank)
         for x, y in zip(a, b):
             assert x.probabilities.tobytes() == y.probabilities.tobytes()
+
+    @pytest.mark.parametrize("edit, name", [
+        ("drop", "head.pointer.w"),
+        ("add", "head.extra.w"),
+        ("reshape", "decoder.bos"),
+    ])
+    def test_parameter_set_must_match_exactly(self, tmp_path, model, edit, name):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        params = dict(model.parameters())
+        if edit == "drop":
+            del params[name]
+        else:
+            params[name] = ad.Parameter(name, np.zeros((2, 3), dtype=model.dtype))
+        ad.save_parameters(params, path, model.config.precision)
+        with pytest.raises(CheckpointMismatchError, match=re.escape(name)):
+            type(model).load(path)
+
+    def test_truncated_checkpoint_names_path(self, tmp_path, model):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError, match="model.ckpt"):
+            type(model).load(path)
 
     def test_identity_digest_tracks_vocabulary(self, model, corpus):
         other = build_model(corpus + [record_from_row("nav", "brandnewword",
