@@ -3,8 +3,10 @@
 A forward op builds a :class:`Tensor` node holding its result and a closure
 that maps the output gradient to input gradients. ``backward`` walks the
 recorded graph in reverse topological order and accumulates gradients into
-:class:`Parameter` slots. Also home to the Adam optimizer, the warmup/decay
-learning-rate schedule, and the binary parameter checkpoint format.
+:class:`Parameter` slots. The forwards of layer norm, softmax, log-softmax
+and GELU are plain-array ``*_kernel`` functions, which the stepwise decoder
+calls too. Also home to the Adam optimizer, the warmup/decay learning-rate
+schedule, and the binary parameter checkpoint format.
 """
 
 from __future__ import annotations
@@ -124,10 +126,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _node(out, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -264,11 +262,16 @@ def sum_all(a: Tensor) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def softmax(z: Tensor) -> Tensor:
+def softmax_kernel(x: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax over the last axis (max-subtraction form)."""
-    shifted = z.data - z.data.max(axis=-1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax(z: Tensor) -> Tensor:
+    """Softmax over the last axis; the forward is `softmax_kernel`."""
+    y = softmax_kernel(z.data)
 
     def vjp(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -277,10 +280,15 @@ def softmax(z: Tensor) -> Tensor:
     return _node(y, (z,), vjp)
 
 
+def log_softmax_kernel(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis: shifted logits minus their log-sum-exp."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(z: Tensor) -> Tensor:
-    shifted = z.data - z.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
+    """Log-softmax over the last axis; the forward is `log_softmax_kernel`."""
+    out = log_softmax_kernel(z.data)
     y = np.exp(out)
 
     def vjp(g):
@@ -289,16 +297,26 @@ def log_softmax(z: Tensor) -> Tensor:
     return _node(out, (z,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-vector normalization over the last axis, then gain and bias."""
-    if x.data.shape[-1] < 2:
-        raise ShapeError("layer_norm needs a last dimension of at least 2")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize over the last axis, then apply gain and bias.
+
+    Returns the result, the normalized input and the inverse deviation; the
+    graph op's vjp reuses the last two.
+    """
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Layer norm over the last axis; the forward is `layer_norm_kernel`."""
+    if x.data.shape[-1] < 2:
+        raise ShapeError("layer_norm needs a last dimension of at least 2")
+    out, xhat, inv = layer_norm_kernel(x.data, gain.data, bias.data, eps)
 
     def vjp(g):
         gy = g * gain.data
@@ -337,23 +355,6 @@ def gelu(x: Tensor) -> Tensor:
         return (g * dx,)
 
     return _node(out, (x,), vjp)
-
-
-def scaled_dot_attention(query: Tensor, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-    """Single-query attention: weights = softmax(q . K / sqrt(d)); mix = weights . V."""
-    if keys.data.ndim != 2 or values.data.ndim != 2:
-        raise ShapeError("keys and values must be 2-d (k, d)")
-    if query.data.shape[-1] != keys.data.shape[-1]:
-        raise ShapeError(
-            f"query width {query.data.shape} does not match keys {keys.data.shape}")
-    if keys.data.shape[0] != values.data.shape[0]:
-        raise ShapeError("keys and values must agree on the first dimension")
-    d = keys.data.shape[-1]
-    q2 = reshape(query, (1, d)) if query.data.ndim == 1 else query
-    logits = scale(matmul(q2, transpose(keys, (1, 0))), 1.0 / math.sqrt(d))
-    weights = softmax(logits)
-    mix = matmul(weights, values)
-    return reshape(weights, (keys.data.shape[0],)), reshape(mix, (values.data.shape[-1],))
 
 
 def backward(loss: Tensor) -> None:
@@ -499,8 +500,8 @@ def save_parameters(params: dict[str, Parameter], path: Union[str, Path],
 def load_parameters(path: Union[str, Path]) -> tuple[dict[str, np.ndarray], str]:
     """Read a checkpoint back as named arrays plus its precision name.
 
-    A file that is not a checkpoint, or that ends inside a field, raises
-    ``ValueError`` naming the path.
+    A file that is not a checkpoint, that ends inside a field, or that holds
+    a parameter name that is not UTF-8 raises ``ValueError`` naming the path.
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -528,7 +529,10 @@ def load_parameters(path: Union[str, Path]) -> tuple[dict[str, np.ndarray], str]
     arrays: dict[str, np.ndarray] = {}
     while offset < len(blob):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank))
         count = int(np.prod(dims)) if rank else 1

@@ -20,7 +20,13 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import ConceptParseError, DataError, DomainNotFoundError, SpanAlignmentError
+from .errors import (
+    ConceptParseError,
+    DataError,
+    DomainNotFoundError,
+    NeedTwoDomainsError,
+    SpanAlignmentError,
+)
 from .parse import (
     Concept,
     ConceptTag,
@@ -191,12 +197,16 @@ def build_leave_one_out(train_records: Sequence[DatasetRecord],
 
     Known-domain training data comes from every other domain, with a seeded
     per-domain fraction held back for validation. The held-out domain's train
-    and test records are passed through untouched.
+    and test records are passed through untouched. A corpus with no domain
+    besides ``held_out`` raises `NeedTwoDomainsError`.
     """
     domains = sorted({r.domain for r in train_records})
     if held_out not in domains:
         raise DomainNotFoundError(
             f"domain {held_out!r} not in corpus (available: {', '.join(domains)})")
+    if len(domains) < 2:
+        raise NeedTwoDomainsError(
+            f"leave-one-out needs a domain besides {held_out!r}; the corpus has no other")
     known_train: list[DatasetRecord] = []
     known_valid: list[DatasetRecord] = []
     for index, domain in enumerate(domains):
@@ -392,7 +402,7 @@ def tags_from_records(records: Sequence[DatasetRecord]) -> list[ConceptTag]:
     return build_concept_tags(labels)
 
 
-# content fingerprints, used by run manifests to prove split hygiene
+# content fingerprints: record identities that show splits are disjoint
 
 def record_canonical_json(record: DatasetRecord) -> str:
     """Stable one-line JSON identity of a record."""

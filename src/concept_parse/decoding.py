@@ -9,11 +9,11 @@ length normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .model import CompiledDomain, ConceptBank, ConceptModel
+from .model import ConceptBank, ConceptModel
 from .parse import Concept, Pointer, TargetSequence, TargetToken, Utterance
 
 
@@ -45,7 +45,7 @@ def _bracket_steps(bank: ConceptBank, n: int) -> np.ndarray:
 
 
 def beam_decode(model: ConceptModel, utterance: Utterance,
-                domain: Union[CompiledDomain, ConceptBank], beam_width: int = 4,
+                bank: ConceptBank, beam_width: int = 4,
                 max_len: Optional[int] = None) -> list[Hypothesis]:
     """Length-unnormalized beam search; returns finished hypotheses, best first.
 
@@ -59,7 +59,6 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
-    bank = domain.bank if isinstance(domain, CompiledDomain) else domain
     max_len = max_len or model.config.max_target_len
     src = model.encode_source(utterance.tokens)
     width = bank.m + src.n
@@ -96,7 +95,6 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
 
 
 def greedy_decode(model: ConceptModel, utterance: Utterance,
-                  domain: Union[CompiledDomain, ConceptBank],
-                  max_len: Optional[int] = None) -> Hypothesis:
+                  bank: ConceptBank, max_len: Optional[int] = None) -> Hypothesis:
     """Argmax decoding: the best hypothesis of a width-one beam."""
-    return beam_decode(model, utterance, domain, beam_width=1, max_len=max_len)[0]
+    return beam_decode(model, utterance, bank, beam_width=1, max_len=max_len)[0]

@@ -80,10 +80,6 @@ class UnknownConceptError(ConceptParseError):
 # training and evaluation
 
 
-class SupportError(ConceptParseError):
-    """Raised when a gold index lies outside the distribution support."""
-
-
 class EmptyFewShotError(ConceptParseError):
     """Raised when fine-tuning is requested with no examples."""
 
@@ -94,10 +90,6 @@ class EmptyEvalSetError(ConceptParseError):
 
 class NeedTwoDomainsError(ConceptParseError):
     """Raised when a leave-one-out run is requested on a single-domain corpus."""
-
-
-class MetricMismatchError(ConceptParseError):
-    """Raised when one table would mix incompatible metric kinds."""
 
 
 class CheckpointMismatchError(ConceptParseError):

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .data import DatasetRecord
 from .decoding import beam_decode
 from .errors import EmptyEvalSetError, MalformedTargetError
-from .model import CompiledDomain, ConceptBank, ConceptModel
+from .model import ConceptBank, ConceptModel
 from .parse import (
     ConceptTag,
     ParseTree,
@@ -59,36 +59,29 @@ def labeled_span_f1(pairs: Sequence[tuple[Optional[ParseTree], ParseTree]]
         matched += counts.matched
         predicted += counts.predicted
         gold += counts.gold
+    return _precision_recall_f1(matched, predicted, gold)
+
+
+def _precision_recall_f1(matched: int, predicted: int, gold: int
+                         ) -> tuple[float, float, float]:
+    """Precision, recall and F1 (percent) of summed span counts; 0 where undefined."""
     precision = matched / predicted if predicted else 0.0
     recall = matched / gold if gold else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision * 100.0, recall * 100.0, f1 * 100.0
 
 
-def _resolve_bank(model: ConceptModel,
-                  bank: Union[Sequence[ConceptTag], ConceptBank, CompiledDomain]
-                  ) -> ConceptBank:
-    if isinstance(bank, CompiledDomain):
-        return bank.bank
-    if isinstance(bank, ConceptBank):
-        return bank
-    return model.encode_concepts(list(bank))
-
-
 def teacher_forced_accuracy(model: ConceptModel, records: Sequence[DatasetRecord],
-                            bank: Union[Sequence[ConceptTag], ConceptBank, CompiledDomain],
-                            chunk_size: int = 64) -> float:
+                            tags: Sequence[ConceptTag], chunk_size: int = 64) -> float:
     """Percent of records whose argmax equals gold at every teacher-forced step.
 
     Runs the batched forward only; no search of any kind is involved.
     """
     if not records:
         raise EmptyEvalSetError("teacher-forced accuracy over an empty record set")
-    resolved = _resolve_bank(model, bank)
-    tags = list(resolved.tags)
     correct = 0
     with ad.no_grad():
-        bank_tensor = ad.constant(resolved.vectors)
+        bank_tensor = model.encode_concepts_tensor(tags)
         for start in range(0, len(records), chunk_size):
             chunk = records[start:start + chunk_size]
             batch = model.build_batch(chunk, tags)
@@ -128,7 +121,7 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def evaluate_domain(model: ConceptModel, domain: CompiledDomain,
+def evaluate_domain(model: ConceptModel, bank: ConceptBank,
                     records: Sequence[DatasetRecord], beam_width: int = 4
                     ) -> EvalReport:
     """Beam-decode every record and aggregate EM, micro-F1, and validity."""
@@ -139,7 +132,7 @@ def evaluate_domain(model: ConceptModel, domain: CompiledDomain,
     matched = predicted = gold = 0
     outcomes: list[dict] = []
     for record in records:
-        hypotheses = beam_decode(model, record.utterance, domain,
+        hypotheses = beam_decode(model, record.utterance, bank,
                                  beam_width=beam_width)
         pred = hypotheses[0].sequence
         em = exact_match(pred, record.target)
@@ -161,14 +154,12 @@ def evaluate_domain(model: ConceptModel, domain: CompiledDomain,
             "f1_counts": [counts.matched, counts.predicted, counts.gold],
             "valid": pred_tree is not None,
         })
-    precision = matched / predicted if predicted else 0.0
-    recall = matched / gold if gold else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    precision, recall, f1 = _precision_recall_f1(matched, predicted, gold)
     report = EvalReport(
         em=100.0 * em_total / len(records),
-        f1=f1 * 100.0,
-        precision=precision * 100.0,
-        recall=recall * 100.0,
+        f1=f1,
+        precision=precision,
+        recall=recall,
         validity=100.0 * valid_total / len(records),
         count=len(records),
         matched_spans=matched,

@@ -7,9 +7,11 @@ concept tokens plus the n source-pointer positions.
 
 The batched teacher-forced forward used for training records gradients; the
 stepwise decoding path (`decode_step` and everything built on it) is
-inference-only and does not record a graph. `decode_step` advances a group of
-beams together: every array it reads or returns carries a leading beam axis,
-and the search reorders the self-attention caches by parent between steps.
+inference-only and does not record a graph. Both paths compute layer norm,
+softmax, log-softmax and GELU with the same ``autodiff.*_kernel`` functions.
+`decode_step` advances a group of beams together: every array it reads or
+returns carries a leading beam axis, and the search reorders the
+self-attention caches by parent between steps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -34,7 +36,7 @@ from .errors import (
     ShapeError,
     UnknownConceptError,
 )
-from .parse import Concept, ConceptTag, Pointer, TargetSequence, TargetToken, Utterance
+from .parse import ConceptTag, Pointer, TargetToken
 
 PAD, UNK, SUMMARY = "<pad>", "<unk>", "<sum>"
 _SPECIALS = (PAD, UNK, SUMMARY)
@@ -138,17 +140,6 @@ class ConceptBank:
 
 
 @dataclass(frozen=True)
-class CompiledDomain:
-    """A frozen bank ready for decoding without the concept encoder."""
-
-    bank: ConceptBank
-
-    @property
-    def m(self) -> int:
-        return self.bank.m
-
-
-@dataclass(frozen=True)
 class DecoderState:
     """Per-layer attention caches of a group of beams at target position t.
 
@@ -193,7 +184,7 @@ class DecoderState:
 
 @dataclass(frozen=True)
 class StepDistribution:
-    """One decoding step's scores and normalized probabilities.
+    """One decoding step's scores and normalized log-probabilities.
 
     Index layout of the last axis: the first m entries follow the bank's tag
     order, the last n entries are pointers in source order. `decode_step`
@@ -202,7 +193,6 @@ class StepDistribution:
 
     concept_scores: np.ndarray
     pointer_scores: np.ndarray
-    probabilities: np.ndarray
     log_probabilities: np.ndarray
 
     @property
@@ -237,25 +227,6 @@ class PaddedBatch:
     @property
     def size(self) -> int:
         return self.src_ids.shape[0]
-
-
-# plain-numpy pieces for the stepwise decoding path
-
-def _softmax_np(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def _ln_np(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(var + eps) * gain + bias
 
 
 class ConceptModel:
@@ -452,13 +423,9 @@ class ConceptModel:
             vectors = self.encode_concepts_tensor(tags)
         return ConceptBank(tags=tuple(tags), vectors=vectors.data)
 
-    def compile_domain(self, tags_or_bank: Union[Sequence[ConceptTag], ConceptBank]) -> CompiledDomain:
-        """Freeze a bank as the static output space for a (new) domain."""
-        if isinstance(tags_or_bank, ConceptBank):
-            bank = tags_or_bank
-        else:
-            bank = self.encode_concepts(tags_or_bank)
-        return CompiledDomain(bank=bank)
+    def compile_domain(self, tags: Sequence[ConceptTag]) -> ConceptBank:
+        """The bank of a (new) domain's tags: `encode_concepts` under this name."""
+        return self.encode_concepts(tags)
 
     # stepwise decoding (inference only)
 
@@ -510,10 +477,15 @@ class ConceptModel:
         # q (beams, heads, 1, hd); k, v (beams, heads, t, hd) or (heads, t, hd)
         hd = q.shape[-1]
         logits = q @ np.swapaxes(k, -1, -2) / math.sqrt(hd)
-        return _softmax_np(logits) @ v
+        return ad.softmax_kernel(logits) @ v
+
+    def _step_ln(self, prefix: str, x: np.ndarray) -> np.ndarray:
+        out, _, _ = ad.layer_norm_kernel(x, self._arr(f"{prefix}.gain"),
+                                         self._arr(f"{prefix}.bias"))
+        return out
 
     def decode_step(self, state: DecoderState, prev_embed: np.ndarray,
-                    src: SourceEncoding, bank: Union[ConceptBank, CompiledDomain]
+                    src: SourceEncoding, bank: ConceptBank
                     ) -> tuple[StepDistribution, DecoderState]:
         """One autoregressive step of every beam in ``state``.
 
@@ -523,8 +495,6 @@ class ConceptModel:
         of the caches, which the returned state at t + 1 shares. The
         distribution's arrays are (beams, m + n).
         """
-        if isinstance(bank, CompiledDomain):
-            bank = bank.bank
         cfg = self.config
         t = state.t
         if t >= cfg.max_target_len:
@@ -540,7 +510,7 @@ class ConceptModel:
         for i in range(cfg.decoder_layers):
             prefix = f"decoder.{i}"
             keys, values = state.self_keys[i], state.self_values[i]
-            h = _ln_np(x, self._arr(f"{prefix}.ln1.gain"), self._arr(f"{prefix}.ln1.bias"))
+            h = self._step_ln(f"{prefix}.ln1", x)
             q = (h @ self._arr(f"{prefix}.self.wq") + self._arr(f"{prefix}.self.bq"))
             k = (h @ self._arr(f"{prefix}.self.wk") + self._arr(f"{prefix}.self.bk"))
             v = (h @ self._arr(f"{prefix}.self.wv") + self._arr(f"{prefix}.self.bv"))
@@ -551,51 +521,29 @@ class ConceptModel:
             x = x + mix.reshape(beams, d) @ self._arr(f"{prefix}.self.wo") \
                 + self._arr(f"{prefix}.self.bo")
 
-            h = _ln_np(x, self._arr(f"{prefix}.ln2.gain"), self._arr(f"{prefix}.ln2.bias"))
+            h = self._step_ln(f"{prefix}.ln2", x)
             q = (h @ self._arr(f"{prefix}.cross.wq") + self._arr(f"{prefix}.cross.bq"))
             mix = self._step_attention(q.reshape(beams, heads, 1, hd),
                                        state.cross_keys[i], state.cross_values[i])
             x = x + mix.reshape(beams, d) @ self._arr(f"{prefix}.cross.wo") \
                 + self._arr(f"{prefix}.cross.bo")
 
-            h = _ln_np(x, self._arr(f"{prefix}.ln3.gain"), self._arr(f"{prefix}.ln3.bias"))
+            h = self._step_ln(f"{prefix}.ln3", x)
             hidden, _ = ad.gelu_kernel(
                 h @ self._arr(f"{prefix}.ff.w1") + self._arr(f"{prefix}.ff.b1"))
             x = x + hidden @ self._arr(f"{prefix}.ff.w2") + self._arr(f"{prefix}.ff.b2")
 
-        d_t = _ln_np(x, self._arr("decoder.final_ln.gain"), self._arr("decoder.final_ln.bias"))
+        d_t = self._step_ln("decoder.final_ln", x)
         concept_q = d_t @ self._arr("head.concept.w") + self._arr("head.concept.b")
         pointer_q = d_t @ self._arr("head.pointer.w") + self._arr("head.pointer.b")
         s = concept_q @ bank.vectors.T / math.sqrt(d)
         a = pointer_q @ src.states.T / math.sqrt(d)
-        log_probs = _log_softmax_np(np.concatenate([s, a], axis=1))
+        log_probs = ad.log_softmax_kernel(np.concatenate([s, a], axis=1))
         new_state = DecoderState(
             self_keys=state.self_keys, self_values=state.self_values,
             cross_keys=state.cross_keys, cross_values=state.cross_values, t=t + 1,
             beams=beams)
-        return StepDistribution(
-            concept_scores=s, pointer_scores=a,
-            probabilities=np.exp(log_probs), log_probabilities=log_probs), new_state
-
-    def forward_teacher_forced(self, utterance: Utterance, target: TargetSequence,
-                               bank: Union[ConceptBank, CompiledDomain]
-                               ) -> list[StepDistribution]:
-        """Per-position distributions conditioned on the gold prefix.
-
-        This is literally the stepwise decode loop fed gold tokens, so its
-        outputs match `decode_step` bit for bit; each has a beam axis of one.
-        """
-        if isinstance(bank, CompiledDomain):
-            bank = bank.bank
-        src = self.encode_source(utterance.tokens)
-        state = self.initial_state(src)
-        prev = self.bos_embedding()
-        out: list[StepDistribution] = []
-        for token in target.tokens:
-            dist, state = self.decode_step(state, prev, src, bank)
-            out.append(dist)
-            prev = self.target_embed(token, bank)
-        return out
+        return StepDistribution(s, a, log_probs), new_state
 
     # batched teacher-forced forward (training)
 
@@ -724,12 +672,26 @@ class ConceptModel:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> tuple["ConceptModel", list[ConceptTag]]:
-        """Rebuild a model (and its training-time tag list) from a checkpoint."""
+        """Rebuild a model (and its training-time tag list) from a checkpoint.
+
+        The sidecar's config must name exactly the `ModelConfig` fields, and
+        its digest must equal the rebuilt model's `identity_digest`.
+        """
         path = Path(path)
         sidecar = json.loads(path.with_name(path.name + ".json").read_text(encoding="utf-8"))
+        keys = set(sidecar["config"])
+        expected = {f.name for f in fields(ModelConfig)}
+        if keys != expected:
+            raise CheckpointMismatchError(
+                f"{path}: sidecar config has unknown keys {sorted(keys - expected)} "
+                f"and lacks {sorted(expected - keys)}")
         config = ModelConfig(**sidecar["config"])
         model = cls(config, Vocabulary(sidecar["source_vocab"]),
                     Vocabulary(sidecar["concept_vocab"]), seed=0)
+        if sidecar.get("digest") != model.identity_digest():
+            raise CheckpointMismatchError(
+                f"{path}: sidecar digest does not match the rebuilt model's config "
+                f"and vocabularies")
         arrays, precision = ad.load_parameters(path)
         if precision != config.precision:
             raise ValueError(

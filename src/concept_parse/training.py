@@ -28,10 +28,10 @@ from .data import (
     record_fingerprint,
     tags_from_records,
 )
-from .errors import EmptyFewShotError, SupportError
+from .errors import EmptyFewShotError
 from .evaluation import teacher_forced_accuracy
-from .model import ConceptModel, ConceptBank, StepDistribution
-from .parse import Concept, ConceptTag, Pointer, TargetSequence
+from .model import ConceptModel
+from .parse import Concept, ConceptTag
 
 log = logging.getLogger(__name__)
 
@@ -132,30 +132,6 @@ class TrainResult:
 
 # losses
 
-def sequence_ce_loss(distributions: Sequence[StepDistribution],
-                     target: TargetSequence,
-                     bank: ConceptBank) -> float:
-    """Mean negative log-probability of the gold tokens under per-step distributions."""
-    if len(distributions) != len(target.tokens):
-        raise SupportError(
-            f"{len(distributions)} distributions for {len(target.tokens)} gold tokens")
-    rows = bank.row_index()
-    total = 0.0
-    for dist, token in zip(distributions, target.tokens):
-        if isinstance(token, Pointer):
-            index = dist.m + token.index
-        else:
-            row = rows.get((token.tag.name, token.tag.boundary))
-            if row is None:
-                raise SupportError(
-                    f"gold concept {token.tag.token_string!r} outside the bank")
-            index = row
-        if not 0 <= index < dist.log_probabilities.shape[0]:
-            raise SupportError(f"gold index {index} outside the distribution support")
-        total -= float(dist.log_probabilities[index])
-    return total / max(len(target.tokens), 1)
-
-
 def batch_nll_tensor(model: ConceptModel, records: Sequence,
                      tags: Sequence[ConceptTag], bank_vectors: Tensor) -> Tensor:
     """Graph scalar: mean CE over the non-pad positions of a record batch."""
@@ -164,14 +140,6 @@ def batch_nll_tensor(model: ConceptModel, records: Sequence,
     picked = ad.take_along_last(log_probs, batch.gold)
     masked = ad.mul(picked, ad.constant(batch.tgt_mask))
     return ad.scale(ad.sum_all(masked), -1.0 / float(batch.tgt_mask.sum()))
-
-
-def batch_cross_entropy(model: ConceptModel, records: Sequence,
-                        tags: Sequence[ConceptTag]) -> float:
-    """Teacher-forced CE of a batch under the bank spanned by ``tags``."""
-    with ad.no_grad():
-        bank_vectors = model.encode_concepts_tensor(tags)
-        return batch_nll_tensor(model, records, tags, bank_vectors).item()
 
 
 @dataclass(frozen=True)

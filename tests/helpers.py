@@ -1,11 +1,17 @@
-"""Shared fixtures for model-level tests, and the per-beam search oracle."""
+"""Shared fixtures for model-level tests, and the oracles they compare against:
+the per-beam search, the stepwise teacher-forced forward, single-query
+attention through graph ops, and a no-grad batch cross-entropy."""
 
+import math
 from dataclasses import replace
 
+import concept_parse.autodiff as ad
 from concept_parse.data import record_from_row, tags_from_records
 from concept_parse.decoding import Hypothesis, _token_at
+from concept_parse.errors import ShapeError
 from concept_parse.model import ConceptModel, ModelConfig, build_vocabularies
 from concept_parse.parse import Pointer
+from concept_parse.training import batch_nll_tensor
 
 
 def records_from_rows(rows):
@@ -86,3 +92,45 @@ def reference_beam_decode(model, utterance, bank, beam_width, max_len=None):
                                model.target_embed(token, bank), depth))
     pool.sort(key=lambda h: -h.log_prob)
     return pool
+
+
+def forward_teacher_forced(model, utterance, target, bank):
+    """Per-position distributions conditioned on the gold prefix.
+
+    This is the stepwise decode loop fed gold tokens, so its outputs match
+    `decode_step` bit for bit; each has a beam axis of one.
+    """
+    src = model.encode_source(utterance.tokens)
+    state = model.initial_state(src)
+    prev = model.bos_embedding()
+    out = []
+    for token in target.tokens:
+        dist, state = model.decode_step(state, prev, src, bank)
+        out.append(dist)
+        prev = model.target_embed(token, bank)
+    return out
+
+
+def batch_cross_entropy(model, records, tags):
+    """Teacher-forced CE of a batch under the bank spanned by ``tags``."""
+    with ad.no_grad():
+        bank_vectors = model.encode_concepts_tensor(tags)
+        return batch_nll_tensor(model, records, tags, bank_vectors).item()
+
+
+def scaled_dot_attention(query, keys, values):
+    """Single-query attention: weights = softmax(q . K / sqrt(d)); mix = weights . V."""
+    if keys.data.ndim != 2 or values.data.ndim != 2:
+        raise ShapeError("keys and values must be 2-d (k, d)")
+    if query.data.shape[-1] != keys.data.shape[-1]:
+        raise ShapeError(
+            f"query width {query.data.shape} does not match keys {keys.data.shape}")
+    if keys.data.shape[0] != values.data.shape[0]:
+        raise ShapeError("keys and values must agree on the first dimension")
+    d = keys.data.shape[-1]
+    q2 = ad.reshape(query, (1, d)) if query.data.ndim == 1 else query
+    logits = ad.scale(ad.matmul(q2, ad.transpose(keys, (1, 0))), 1.0 / math.sqrt(d))
+    weights = ad.softmax(logits)
+    mix = ad.matmul(weights, values)
+    return (ad.reshape(weights, (keys.data.shape[0],)),
+            ad.reshape(mix, (values.data.shape[-1],)))

@@ -9,7 +9,7 @@ import concept_parse.autodiff as ad
 from concept_parse.autodiff import Parameter, Schedule, Tensor
 from concept_parse.errors import NonFiniteError, NotScalarError, ShapeError
 
-from helpers import zero_grads
+from helpers import scaled_dot_attention, zero_grads
 
 
 def make_param(rng, shape, name="p"):
@@ -104,14 +104,14 @@ class TestAttention:
         q = ad.constant(rng.standard_normal(8))
         keys = ad.constant(np.tile(rng.standard_normal(8), (5, 1)))
         values = ad.constant(rng.standard_normal((5, 8)))
-        weights, _ = ad.scaled_dot_attention(q, keys, values)
+        weights, _ = scaled_dot_attention(q, keys, values)
         assert np.allclose(weights.data, 0.2)
 
     def test_single_key(self):
         q = ad.constant(np.ones(4))
         k = ad.constant(np.ones((1, 4)))
         v = ad.constant(np.arange(4.0).reshape(1, 4))
-        weights, mix = ad.scaled_dot_attention(q, k, v)
+        weights, mix = scaled_dot_attention(q, k, v)
         assert np.allclose(weights.data, [1.0])
         assert np.allclose(mix.data, np.arange(4.0))
 
@@ -121,7 +121,7 @@ class TestAttention:
         q = ad.constant(key0 * (20 * math.sqrt(d) / d))  # logit gap 20 vs zero keys
         keys = ad.constant(np.stack([key0, np.zeros(d), np.zeros(d)]))
         values = ad.constant(np.eye(3, d))
-        weights, _ = ad.scaled_dot_attention(q, keys, values)
+        weights, _ = scaled_dot_attention(q, keys, values)
         assert weights.data[0] > 0.999
 
 
@@ -271,13 +271,13 @@ class TestOpGradients:
         w = self.rng.standard_normal(6)
 
         def loss():
-            _, mix = ad.scaled_dot_attention(q.leaf(), k.leaf(), v.leaf())
+            _, mix = scaled_dot_attention(q.leaf(), k.leaf(), v.leaf())
             return weighted_sum(mix, w)
         check_op(loss, [q, k, v], tolerance=1e-6)
 
 
 class TestKernels:
-    """The shared GELU kernel and the one-GEMM path of `matmul` against references."""
+    """The shared forward kernels and the one-GEMM path of `matmul` against references."""
 
     def test_gelu_single_matches_double_reference(self):
         x = np.linspace(-10.0, 10.0, 200001, dtype=np.float32)
@@ -294,6 +294,21 @@ class TestKernels:
     def test_graph_gelu_equals_decode_gelu(self, dtype):
         x = (np.random.default_rng(3).standard_normal((4, 3, 16)) * 4).astype(dtype)
         assert ad.gelu(ad.constant(x)).data.tobytes() == ad.gelu_kernel(x)[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_graph_norms_equal_kernels(self, dtype):
+        rng = np.random.default_rng(4)
+        x = (rng.standard_normal((4, 3, 16)) * 4).astype(dtype)
+        gain = (rng.standard_normal(16) + 1).astype(dtype)
+        bias = rng.standard_normal(16).astype(dtype)
+        graph_ln = ad.layer_norm(ad.constant(x), ad.constant(gain), ad.constant(bias))
+        kernel_ln, _, _ = ad.layer_norm_kernel(x, gain, bias)
+        assert graph_ln.data.dtype == dtype
+        assert graph_ln.data.tobytes() == kernel_ln.tobytes()
+        assert ad.softmax(ad.constant(x)).data.tobytes() == \
+            ad.softmax_kernel(x).tobytes()
+        assert ad.log_softmax(ad.constant(x)).data.tobytes() == \
+            ad.log_softmax_kernel(x).tobytes()
 
     @pytest.mark.parametrize("case", ["3d", "transposed", "4d"])
     def test_weight_product_matches_einsum(self, case):
@@ -427,6 +442,14 @@ class TestCheckpoint:
         blob[12] = 7
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="precision code 7"):
+            ad.load_parameters(path)
+
+    def test_non_utf8_name_raises_with_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ad.save_parameters({"ab": Parameter("ab", np.ones(2))}, path, "double")
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"ab", b"\xff\xfe", 1))
+        with pytest.raises(ValueError, match="model.ckpt.*not UTF-8"):
             ad.load_parameters(path)
 
     def test_truncation_raises_with_path(self, tmp_path):

@@ -24,7 +24,12 @@ from concept_parse.data import (
     wikiwiki_to_parse_example,
     write_topv2_tsv,
 )
-from concept_parse.errors import DataError, DomainNotFoundError, SpanAlignmentError
+from concept_parse.errors import (
+    DataError,
+    DomainNotFoundError,
+    NeedTwoDomainsError,
+    SpanAlignmentError,
+)
 from concept_parse.parse import linearize, validate_target
 from concept_parse.synthetic import (
     COMPOSITIONAL_ANNOTATION,
@@ -130,6 +135,10 @@ class TestLeaveOneOut:
     def test_unknown_domain(self):
         with pytest.raises(DomainNotFoundError):
             build_leave_one_out(self.make_records(["a"]), [], "zzz")
+
+    def test_single_domain_corpus_rejected(self):
+        with pytest.raises(NeedTwoDomainsError, match="'a'"):
+            build_leave_one_out(self.make_records(["a"]), [], "a")
 
     def test_partition_is_disjoint_and_complete(self):
         records = self.make_records(["a", "b", "c"], per_domain=20)

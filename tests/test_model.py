@@ -1,6 +1,7 @@
 """Network contract tests: shapes, the m+n head, permutation equivariance,
-compiled-domain equivalence, and batched/stepwise agreement."""
+compiled-domain equivalence, batched/stepwise agreement, and persistence."""
 
+import json
 import re
 
 import numpy as np
@@ -23,7 +24,7 @@ from concept_parse.synthetic import (
     two_domain_rows,
 )
 
-from helpers import TINY, build_model, records_from_rows, zero_grads
+from helpers import TINY, build_model, forward_teacher_forced, records_from_rows, zero_grads
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +125,10 @@ class TestDecodeStep:
 
     def test_distribution_contract(self, model, bank):
         dist, state = self.decode_once(model, bank)
-        assert dist.probabilities[0].shape == (bank.m + 3,)
-        assert abs(dist.probabilities[0].sum() - 1.0) < 1e-5
-        assert np.all(dist.probabilities[0] > 0)
+        probabilities = np.exp(dist.log_probabilities[0])
+        assert probabilities.shape == (bank.m + 3,)
+        assert abs(probabilities.sum() - 1.0) < 1e-5
+        assert np.all(probabilities > 0)
         assert state.t == 1
 
     def test_bank_permutation_equivariance(self, model, bank):
@@ -136,8 +138,8 @@ class TestDecodeStep:
                                     vectors=bank.vectors[perm])
         base, _ = self.decode_once(model, bank)
         swapped, _ = self.decode_once(model, permuted_bank)
-        assert np.abs(swapped.probabilities[0][:bank.m]
-                      - base.probabilities[0][perm]).max() <= 1e-6
+        assert np.abs(np.exp(swapped.log_probabilities[0][:bank.m])
+                      - np.exp(base.log_probabilities[0][perm])).max() <= 1e-6
         assert np.array_equal(swapped.pointer_scores[0], base.pointer_scores[0])
         # the argmax denotes the same token through either layout
         m = bank.m
@@ -157,14 +159,14 @@ class TestDecodeStep:
         logits = np.array([dist.concept_scores[0][0], dist.pointer_scores[0][0]],
                           dtype=np.float64)
         expected = np.exp(logits) / np.exp(logits).sum()
-        assert np.allclose(dist.probabilities[0], expected, atol=1e-6)
+        assert np.allclose(np.exp(dist.log_probabilities[0]), expected, atol=1e-6)
 
     def test_masking_a_source_position_shrinks_support(self, model, bank):
         src = model.encode_source(("how", "far", "is"))
         masked = SourceEncoding(states=np.delete(src.states, 1, axis=0))
         dist, _ = model.decode_step(model.initial_state(masked),
                                     model.bos_embedding(), masked, bank)
-        assert dist.probabilities[0].shape == (bank.m + 2,)
+        assert dist.log_probabilities[0].shape == (bank.m + 2,)
 
     def test_step_cap(self, model, bank):
         src = model.encode_source(("how",))
@@ -196,14 +198,15 @@ class TestDecodeStep:
         novel = list(bank.tags) + list(tags_for_label("IN:NEVER_TRAINED", "intent"))
         wider = model.encode_concepts(novel)
         dist, _ = self.decode_once(model, wider)
-        assert dist.probabilities[0].shape == (bank.m + 2 + 3,)
-        assert abs(dist.probabilities[0].sum() - 1.0) < 1e-5
+        probabilities = np.exp(dist.log_probabilities[0])
+        assert probabilities.shape == (bank.m + 2 + 3,)
+        assert abs(probabilities.sum() - 1.0) < 1e-5
 
 
 class TestTeacherForced:
     def test_length_and_loop_equality(self, model, bank, corpus):
         record = corpus[0]
-        dists = model.forward_teacher_forced(record.utterance, record.target, bank)
+        dists = forward_teacher_forced(model, record.utterance, record.target, bank)
         assert len(dists) == len(record.target.tokens)
         # manual stepwise replay must agree bit for bit
         src = model.encode_source(record.utterance.tokens)
@@ -211,7 +214,7 @@ class TestTeacherForced:
         prev = model.bos_embedding()
         for token, dist in zip(record.target.tokens, dists):
             manual, state = model.decode_step(state, prev, src, bank)
-            assert manual.probabilities.tobytes() == dist.probabilities.tobytes()
+            assert manual.log_probabilities.tobytes() == dist.log_probabilities.tobytes()
             prev = model.target_embed(token, bank)
 
     def test_compositional_support_size(self):
@@ -220,28 +223,29 @@ class TestTeacherForced:
         model = build_model([record], seed=0, **TINY)
         bank = model.encode_concepts(tags_from_records([record]))
         assert bank.m == 8
-        dists = model.forward_teacher_forced(record.utterance, record.target, bank)
-        assert all(d.probabilities[0].shape == (14,) for d in dists)
+        dists = forward_teacher_forced(model, record.utterance, record.target, bank)
+        assert all(d.log_probabilities[0].shape == (14,) for d in dists)
 
     def test_unknown_concept_propagates(self, model, corpus):
         thin_bank = model.encode_concepts(
             tags_for_label("IN:GET_DISTANCE", "intent"))
         record = corpus[0]
         with pytest.raises(UnknownConceptError):
-            model.forward_teacher_forced(record.utterance, record.target, thin_bank)
+            forward_teacher_forced(model, record.utterance, record.target, thin_bank)
 
 
 class TestCompiledDomain:
     def test_identical_to_dynamic(self, model, bank, corpus):
         compiled = model.compile_domain(bank.tags)
-        assert compiled.bank.vectors.tobytes() == bank.vectors.tobytes()
+        assert compiled.tags == bank.tags
+        assert compiled.vectors.tobytes() == bank.vectors.tobytes()
         for record in corpus[:5]:
-            dynamic = model.forward_teacher_forced(record.utterance, record.target,
-                                                   bank)
-            static = model.forward_teacher_forced(record.utterance, record.target,
-                                                  compiled)
+            dynamic = forward_teacher_forced(model, record.utterance, record.target,
+                                             bank)
+            static = forward_teacher_forced(model, record.utterance, record.target,
+                                            compiled)
             for a, b in zip(dynamic, static):
-                assert a.probabilities.tobytes() == b.probabilities.tobytes()
+                assert a.log_probabilities.tobytes() == b.log_probabilities.tobytes()
 
     def test_support_grows_with_new_tag(self, model, bank):
         extended = model.compile_domain(
@@ -263,8 +267,8 @@ class TestBatchedForward:
             log_probs = model.teacher_log_probs(
                 batch, ad.constant(bank.vectors)).data
         for i, record in enumerate(corpus[:6]):
-            dists = model.forward_teacher_forced(record.utterance, record.target,
-                                                 bank)
+            dists = forward_teacher_forced(model, record.utterance, record.target,
+                                           bank)
             n = len(record.utterance.tokens)
             m = bank.m
             for t, dist in enumerate(dists):
@@ -312,11 +316,11 @@ class TestPersistence:
         record = corpus[0]
         reloaded_bank = loaded.encode_concepts(bank.tags)
         assert reloaded_bank.vectors.tobytes() == bank.vectors.tobytes()
-        a = model.forward_teacher_forced(record.utterance, record.target, bank)
-        b = loaded.forward_teacher_forced(record.utterance, record.target,
-                                          reloaded_bank)
+        a = forward_teacher_forced(model, record.utterance, record.target, bank)
+        b = forward_teacher_forced(loaded, record.utterance, record.target,
+                                   reloaded_bank)
         for x, y in zip(a, b):
-            assert x.probabilities.tobytes() == y.probabilities.tobytes()
+            assert x.log_probabilities.tobytes() == y.log_probabilities.tobytes()
 
     @pytest.mark.parametrize("edit, name", [
         ("drop", "head.pointer.w"),
@@ -340,6 +344,36 @@ class TestPersistence:
         model.save(path)
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(ValueError, match="model.ckpt"):
+            type(model).load(path)
+
+    @staticmethod
+    def edit_sidecar(path, edit):
+        sidecar_path = path.with_name(path.name + ".json")
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        edit(sidecar)
+        sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+
+    @pytest.mark.parametrize("edit", [
+        lambda sidecar: sidecar["config"].update(dropout=0.1),
+        # the default equals the saved value, so only the key check catches it
+        lambda sidecar: sidecar["config"].pop("precision"),
+    ], ids=["unknown_key", "missing_key"])
+    def test_sidecar_config_keys_must_match(self, tmp_path, model, edit):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        self.edit_sidecar(path, edit)
+        with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
+            type(model).load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda sidecar: sidecar.update(digest="0" * 64),
+        lambda sidecar: sidecar["source_vocab"].append("added_token"),
+    ], ids=["tampered_digest", "changed_vocabulary"])
+    def test_sidecar_digest_must_match_rebuilt_model(self, tmp_path, model, edit):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        self.edit_sidecar(path, edit)
+        with pytest.raises(CheckpointMismatchError, match="model.ckpt.*digest"):
             type(model).load(path)
 
     def test_identity_digest_tracks_vocabulary(self, model, corpus):

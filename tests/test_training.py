@@ -1,7 +1,5 @@
 """Loss oracles, in-batch negatives, rehearsal identity, and loop behavior."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,20 +13,11 @@ from concept_parse.data import (
     WikiExample,
     PretrainRecord,
 )
-from concept_parse.errors import EmptyFewShotError, SupportError
-from concept_parse.model import ConceptBank, StepDistribution
-from concept_parse.parse import (
-    Concept,
-    Pointer,
-    TargetSequence,
-    make_tag,
-    tags_for_label,
-)
+from concept_parse.errors import EmptyFewShotError
 from concept_parse.synthetic import transfer_pair_rows, two_domain_rows, wiki_payloads
 from concept_parse.training import (
     TrainConfig,
     batch_concept_union,
-    batch_cross_entropy,
     fewshot_finetune,
     fewshot_loss_values,
     make_batches,
@@ -36,62 +25,9 @@ from concept_parse.training import (
     pretrain_step,
     pretrain_wikiwiki,
     train_known_domains,
-    sequence_ce_loss,
 )
 
-from helpers import TINY, build_model, records_from_rows
-
-
-def dist_from_probs(probs, m):
-    probs = np.asarray(probs, dtype=np.float64)
-    return StepDistribution(
-        concept_scores=np.log(probs[:m]),
-        pointer_scores=np.log(probs[m:]),
-        probabilities=probs,
-        log_probabilities=np.log(probs),
-    )
-
-
-def one_tag_bank():
-    tag = make_tag("IN:A", "intent", "begin")
-    return tag, ConceptBank(tags=(tag,), vectors=np.zeros((1, 4), dtype=np.float32))
-
-
-class TestSequenceCeLoss:
-    def test_certain_model_zero_loss(self):
-        tag, bank = one_tag_bank()
-        dists = [dist_from_probs([1.0 - 1e-15, 1e-15], m=1)]
-        target = TargetSequence((Concept(tag),))
-        assert sequence_ce_loss(dists, target, bank) == pytest.approx(0.0, abs=1e-12)
-
-    def test_uniform_gives_log_v(self):
-        tag, bank = one_tag_bank()
-        for n in (1, 3, 7):
-            v = 1 + n
-            dists = [dist_from_probs([1.0 / v] * v, m=1)]
-            target = TargetSequence((Pointer(0),))
-            assert sequence_ce_loss(dists, target, bank) == pytest.approx(math.log(v))
-
-    def test_two_position_hand_value(self):
-        tag, bank = one_tag_bank()
-        dists = [dist_from_probs([0.5, 0.5], m=1),
-                 dist_from_probs([0.75, 0.25], m=1)]
-        target = TargetSequence((Concept(tag), Pointer(0)))
-        expected = (math.log(2) + math.log(4)) / 2
-        assert sequence_ce_loss(dists, target, bank) == pytest.approx(expected)
-        assert expected == pytest.approx(1.0397, abs=1e-4)
-
-    def test_count_mismatch(self):
-        tag, bank = one_tag_bank()
-        with pytest.raises(SupportError):
-            sequence_ce_loss([], TargetSequence((Concept(tag),)), bank)
-
-    def test_gold_outside_support(self):
-        tag, bank = one_tag_bank()
-        dists = [dist_from_probs([0.5, 0.5], m=1)]
-        stranger = make_tag("IN:OTHER", "intent", "begin")
-        with pytest.raises(SupportError):
-            sequence_ce_loss(dists, TargetSequence((Concept(stranger),)), bank)
+from helpers import TINY, batch_cross_entropy, build_model, records_from_rows
 
 
 def wiki_records(count=24, seed=0):
