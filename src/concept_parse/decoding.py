@@ -19,12 +19,11 @@ from .parse import Concept, Pointer, TargetSequence, TargetToken, Utterance
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A (possibly finished) decoded prefix with its cumulative log-probability."""
+    """A decoded sequence with its cumulative log-probability."""
 
     tokens: tuple[TargetToken, ...]
     log_prob: float
-    finished: bool
-    truncated: bool = False
+    truncated: bool = False  # cut by the length cap before the root bracket closed
 
     @property
     def sequence(self) -> TargetSequence:
@@ -82,7 +81,7 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
             path = [*history[parents[beam]], indices[beam]]
             pool.append(Hypothesis(
                 tokens=tuple(_token_at(int(i), bank) for i in path),
-                log_prob=float(totals[picked[beam]]), finished=True,
+                log_prob=float(totals[picked[beam]]),
                 truncated=not finished[beam]))
         live = ~done
         parents, indices = parents[live], indices[live]

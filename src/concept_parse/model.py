@@ -12,6 +12,8 @@ softmax, log-softmax and GELU with the same ``autodiff.*_kernel`` functions.
 `decode_step` advances a group of beams together: every array it reads or
 returns carries a leading beam axis, and the search reorders the
 self-attention caches by parent between steps.
+Both paths feed the decoder by output index into concept vectors then pointer
+embeddings: `input_table` when decoding, plus a BOS row via `PaddedBatch.inputs`.
 """
 
 from __future__ import annotations
@@ -212,21 +214,11 @@ class StepDistribution:
 class PaddedBatch:
     """Teacher-forcing arrays for a batch of records under one bank layout."""
 
-    src_ids: np.ndarray       # (B, n_max) int
-    src_mask: np.ndarray      # (B, n_max) model dtype, 1 real / 0 pad
-    gold: np.ndarray          # (B, L_max) int, indices into m + n_max layout
+    src_ids: np.ndarray       # (B, N) int, N the longest source in the batch
+    src_mask: np.ndarray      # (B, N) model dtype, 1 real / 0 pad
+    gold: np.ndarray          # (B, L_max) int, output index: concept i, pointer m + j
     tgt_mask: np.ndarray      # (B, L_max)
-    bos_sel: np.ndarray       # (B, L_max, 1)
-    ptr_sel: np.ndarray       # (B, L_max, 1)
-    ptr_ids: np.ndarray       # (B, L_max) int
-    con_sel: np.ndarray       # (B, L_max, 1)
-    con_ids: np.ndarray       # (B, L_max) int
-    n_max: int
-    m: int
-
-    @property
-    def size(self) -> int:
-        return self.src_ids.shape[0]
+    inputs: np.ndarray        # (B, L_max) int, decoder-input row: BOS, then gold shifted
 
 
 class ConceptModel:
@@ -552,27 +544,26 @@ class ConceptModel:
         cfg = self.config
         rows = {(t.name, t.boundary): i for i, t in enumerate(bank_tags)}
         m = len(bank_tags)
-        n_max = max(len(r.utterance.tokens) for r in records)
+        n_src = max(len(r.utterance.tokens) for r in records)
         l_max = max(len(r.target.tokens) for r in records)
-        if n_max > cfg.max_source_len:
+        if n_src > cfg.max_source_len:
             raise LengthExceededError(
-                f"source length {n_max} exceeds maximum {cfg.max_source_len}")
+                f"source length {n_src} exceeds maximum {cfg.max_source_len}")
         if l_max > cfg.max_target_len:
             raise LengthExceededError(
                 f"target length {l_max} exceeds maximum {cfg.max_target_len}")
         b = len(records)
-        src_ids = np.zeros((b, n_max), dtype=np.int64)
-        src_mask = np.zeros((b, n_max), dtype=self.dtype)
+        src_ids = np.zeros((b, n_src), dtype=np.int64)
+        src_mask = np.zeros((b, n_src), dtype=self.dtype)
         gold = np.zeros((b, l_max), dtype=np.int64)
         tgt_mask = np.zeros((b, l_max), dtype=self.dtype)
-        bos_sel = np.zeros((b, l_max, 1), dtype=self.dtype)
-        ptr_sel = np.zeros((b, l_max, 1), dtype=self.dtype)
-        ptr_ids = np.zeros((b, l_max), dtype=np.int64)
-        con_sel = np.zeros((b, l_max, 1), dtype=self.dtype)
-        con_ids = np.zeros((b, l_max), dtype=np.int64)
+        inputs = np.zeros((b, l_max), dtype=np.int64)
+        inputs[:, 0] = m + cfg.max_source_len
 
-        def token_row(token: TargetToken) -> int:
+        def token_row(token: TargetToken, n: int) -> int:
             if isinstance(token, Pointer):
+                if not 0 <= token.index < n:
+                    raise PointerRangeError(f"pointer {token.index} outside {n} source tokens")
                 return m + token.index
             row = rows.get((token.tag.name, token.tag.boundary))
             if row is None:
@@ -586,36 +577,22 @@ class ConceptModel:
             src_mask[i, :n] = 1.0
             length = len(record.target.tokens)
             tgt_mask[i, :length] = 1.0
-            bos_sel[i, 0, 0] = 1.0
             for t, token in enumerate(record.target.tokens):
-                gold[i, t] = token_row(token)
-            for t, token in enumerate(record.target.tokens[:-1]):
-                # decoder input at position t+1 is gold token t
-                if isinstance(token, Pointer):
-                    ptr_sel[i, t + 1, 0] = 1.0
-                    ptr_ids[i, t + 1] = token.index
-                else:
-                    con_sel[i, t + 1, 0] = 1.0
-                    con_ids[i, t + 1] = rows[(token.tag.name, token.tag.boundary)]
+                gold[i, t] = token_row(token, n)
+            inputs[i, 1:length] = gold[i, :length - 1]
         return PaddedBatch(src_ids=src_ids, src_mask=src_mask, gold=gold,
-                           tgt_mask=tgt_mask, bos_sel=bos_sel, ptr_sel=ptr_sel,
-                           ptr_ids=ptr_ids, con_sel=con_sel, con_ids=con_ids,
-                           n_max=n_max, m=m)
+                           tgt_mask=tgt_mask, inputs=inputs)
 
     def teacher_log_probs(self, batch: PaddedBatch, bank_vectors: Tensor) -> Tensor:
-        """Gradient-recording log-probabilities (B, L, m + n_max) for a batch."""
+        """Gradient-recording log-probabilities (B, L, m + N) for a batch."""
         cfg = self.config
         l_max = batch.gold.shape[1]
         enc = self.encode_source_batch(batch.src_ids, batch.src_mask)
 
-        bos = ad.reshape(self._p("decoder.bos"), (1, 1, cfg.width))
-        ptr = ad.gather_rows(self._p("decoder.ptr_embed"), batch.ptr_ids)
-        con = ad.gather_rows(bank_vectors, batch.con_ids)
-        x = ad.add(ad.add(ad.mul(ad.constant(batch.bos_sel), bos),
-                          ad.mul(ad.constant(batch.ptr_sel), ptr)),
-                   ad.mul(ad.constant(batch.con_sel), con))
+        bos = ad.reshape(self._p("decoder.bos"), (1, cfg.width))
+        table = ad.concat([bank_vectors, self._p("decoder.ptr_embed"), bos], axis=0)
         pos = ad.gather_rows(self._p("decoder.pos"), np.arange(l_max))
-        x = ad.add(x, pos)
+        x = ad.add(ad.gather_rows(table, batch.inputs), pos)
 
         causal = (np.triu(np.ones((l_max, l_max), dtype=self.dtype), k=1)
                   * _NEG)[None, None, :, :]
@@ -675,19 +652,28 @@ class ConceptModel:
         """Rebuild a model (and its training-time tag list) from a checkpoint.
 
         The sidecar's config must name exactly the `ModelConfig` fields, and
-        its digest must equal the rebuilt model's `identity_digest`.
+        its digest must equal the rebuilt model's `identity_digest`; any
+        malformed sidecar raises `CheckpointMismatchError` naming the path.
         """
         path = Path(path)
-        sidecar = json.loads(path.with_name(path.name + ".json").read_text(encoding="utf-8"))
-        keys = set(sidecar["config"])
-        expected = {f.name for f in fields(ModelConfig)}
-        if keys != expected:
+        text = path.with_name(path.name + ".json").read_text(encoding="utf-8")
+        try:
+            sidecar = json.loads(text)
+            keys = set(sidecar["config"])
+            expected = {f.name for f in fields(ModelConfig)}
+            if keys != expected:
+                raise CheckpointMismatchError(
+                    f"{path}: sidecar config has unknown keys {sorted(keys - expected)} "
+                    f"and lacks {sorted(expected - keys)}")
+            config = ModelConfig(**sidecar["config"])
+            model = cls(config, Vocabulary(sidecar["source_vocab"]),
+                        Vocabulary(sidecar["concept_vocab"]), seed=0)
+            tags = [ConceptTag(name=t["name"], kind=t["kind"], boundary=t["boundary"],
+                               description=t["description"])
+                    for t in sidecar["train_tags"]]
+        except (ValueError, TypeError, KeyError) as err:
             raise CheckpointMismatchError(
-                f"{path}: sidecar config has unknown keys {sorted(keys - expected)} "
-                f"and lacks {sorted(expected - keys)}")
-        config = ModelConfig(**sidecar["config"])
-        model = cls(config, Vocabulary(sidecar["source_vocab"]),
-                    Vocabulary(sidecar["concept_vocab"]), seed=0)
+                f"{path}: malformed sidecar ({type(err).__name__}: {err})") from err
         if sidecar.get("digest") != model.identity_digest():
             raise CheckpointMismatchError(
                 f"{path}: sidecar digest does not match the rebuilt model's config "
@@ -707,7 +693,4 @@ class ConceptModel:
                     f"{path}: shape {data.shape} for parameter {name!r}, "
                     f"model has {model.params[name].data.shape}")
             model.params[name].data = data
-        tags = [ConceptTag(name=t["name"], kind=t["kind"], boundary=t["boundary"],
-                           description=t["description"])
-                for t in sidecar["train_tags"]]
         return model, tags

@@ -53,7 +53,6 @@ class TrainConfig:
     fewshot_epochs: int = 1000
     fewshot_eval_every: int = 25
     seed: int = 1
-    precision: str = "single"
 
     def __post_init__(self) -> None:
         if self.rehearsal_multiplier < 0:
@@ -67,14 +66,12 @@ class EarlyStopState:
     """Best-so-far tracking for epoch-level validation."""
 
     best_score: float = -math.inf
-    best_epoch: int = -1
     best_snapshot: Optional[dict] = None
     epochs_since_improvement: int = 0
 
-    def update(self, score: float, epoch: int, model: ConceptModel) -> bool:
+    def update(self, score: float, model: ConceptModel) -> bool:
         if score > self.best_score:
             self.best_score = score
-            self.best_epoch = epoch
             self.best_snapshot = model.snapshot()
             self.epochs_since_improvement = 0
             return True
@@ -119,7 +116,6 @@ class TrainResult:
     """Outcome of one training loop, model already restored to its best state."""
 
     best_score: float
-    best_epoch: int
     stopped_early: bool
     log: list[dict] = field(default_factory=list)
     consumed_fingerprints: set[str] = field(default_factory=set)
@@ -191,7 +187,7 @@ def train_known_domains(model: ConceptModel, split: DomainSplit, cfg: TrainConfi
     steps_per_epoch = math.ceil(len(train_records) / cfg.batch_size)
     schedule = Schedule(cfg.learning_rate, cfg.warmup_proportion,
                         cfg.epochs * steps_per_epoch)
-    result = TrainResult(best_score=-math.inf, best_epoch=-1, stopped_early=False)
+    result = TrainResult(best_score=-math.inf, stopped_early=False)
     stopper = EarlyStopState()
     step = 0
     for epoch in range(cfg.epochs):
@@ -211,7 +207,7 @@ def train_known_domains(model: ConceptModel, split: DomainSplit, cfg: TrainConfi
                  "lr": lr_at(schedule, step), "val": val}
         result.log.append(entry)
         log.info("epoch %d loss %.4f val %.2f", epoch, entry["loss"], val)
-        improved = stopper.update(val, epoch, model)
+        improved = stopper.update(val, model)
         if improved and out_dir is not None:
             _write_checkpoint(model, tags, out_dir, epoch, val)
         if stopper.epochs_since_improvement >= cfg.patience:
@@ -220,7 +216,6 @@ def train_known_domains(model: ConceptModel, split: DomainSplit, cfg: TrainConfi
     if stopper.best_snapshot is not None:
         model.restore(stopper.best_snapshot)
     result.best_score = stopper.best_score
-    result.best_epoch = stopper.best_epoch
     if out_dir is not None:
         result.write_log(Path(out_dir) / "train_log.jsonl")
     return result
@@ -241,8 +236,7 @@ def pretrain_wikiwiki(model: ConceptModel, records: Sequence[PretrainRecord],
                       cfg: TrainConfig,
                       out_dir: Optional[Union[str, Path]] = None) -> TrainResult:
     """A fixed small number of epochs over the whole pretraining corpus."""
-    result = TrainResult(best_score=math.nan, best_epoch=cfg.pretrain_epochs - 1,
-                         stopped_early=False)
+    result = TrainResult(best_score=math.nan, stopped_early=False)
     if not records:
         return result
     steps_per_epoch = math.ceil(len(records) / cfg.batch_size)
@@ -285,7 +279,7 @@ def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
     steps_per_epoch = math.ceil(len(spi_records) / batch_size)
     schedule = Schedule(cfg.learning_rate, cfg.warmup_proportion,
                         cfg.fewshot_epochs * steps_per_epoch)
-    result = TrainResult(best_score=-math.inf, best_epoch=-1, stopped_early=False)
+    result = TrainResult(best_score=-math.inf, stopped_early=False)
     stopper = EarlyStopState()
     rehearsal_rng = np.random.default_rng([cfg.seed, 4_242])
     step = 0
@@ -323,7 +317,7 @@ def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
                 "loss": sum(v.total for v in epoch_losses) / len(epoch_losses),
                 "few_loss": sum(v.few for v in epoch_losses) / len(epoch_losses),
                 "lr": lr_at(schedule, step), "val": val})
-            improved = stopper.update(val, epoch, model)
+            improved = stopper.update(val, model)
             if improved and out_dir is not None:
                 _write_checkpoint(model, tags, out_dir, epoch, val)
             if val >= 100.0:
@@ -331,7 +325,6 @@ def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
     if stopper.best_snapshot is not None:
         model.restore(stopper.best_snapshot)
     result.best_score = stopper.best_score
-    result.best_epoch = stopper.best_epoch
     if out_dir is not None:
         result.write_log(Path(out_dir) / "finetune_log.jsonl")
     return result

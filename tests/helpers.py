@@ -82,11 +82,10 @@ def reference_beam_decode(model, utterance, bank, beam_width, max_len=None):
             tokens = tokens + (token,)
             depth, finished = advance(depth, token)
             if finished:
-                pool.append(Hypothesis(tokens=tokens, log_prob=log_prob,
-                                       finished=True))
+                pool.append(Hypothesis(tokens=tokens, log_prob=log_prob))
             elif len(tokens) >= max_len:
                 pool.append(Hypothesis(tokens=tokens, log_prob=log_prob,
-                                       finished=True, truncated=True))
+                                       truncated=True))
             else:
                 active.append((tokens, log_prob, state,
                                model.target_embed(token, bank), depth))

@@ -3,6 +3,7 @@ compiled-domain equivalence, batched/stepwise agreement, and persistence."""
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from concept_parse.errors import (
     CheckpointMismatchError,
     EmptyDescriptionError,
     LengthExceededError,
+    PointerRangeError,
     ShapeError,
     UnknownConceptError,
 )
 from concept_parse.model import ConceptBank, SourceEncoding, Vocabulary
-from concept_parse.parse import Concept, Pointer, make_tag, tags_for_label
+from concept_parse.parse import Concept, Pointer, TargetSequence, make_tag, tags_for_label
 from concept_parse.synthetic import (
     COMPOSITIONAL_ANNOTATION,
     COMPOSITIONAL_UTTERANCE,
@@ -278,6 +280,31 @@ class TestBatchedForward:
                                            atol=1e-9)
                 assert int(np.argmax(batched)) == dist.argmax()[0]
 
+    def test_inputs_index_the_decoder_input_table(self, model, corpus, bank):
+        records = corpus[:6]
+        batch = model.build_batch(records, list(bank.tags))
+        m = bank.m
+        assert np.all(batch.inputs[:, 0] == m + model.config.max_source_len)
+        table = np.concatenate([bank.vectors,
+                                model.parameters()["decoder.ptr_embed"].data,
+                                model.bos_embedding()[None, :]])
+        for i, record in enumerate(records):
+            length, n = len(record.target.tokens), len(record.utterance.tokens)
+            assert np.array_equal(batch.inputs[i, 1:length], batch.gold[i, :length - 1])
+            for t, token in enumerate(record.target.tokens[:-1]):
+                row = table[batch.inputs[i, t + 1]]
+                assert row.tobytes() == model.target_embed(token, bank).tobytes()
+            src = model.encode_source(record.utterance.tokens)
+            assert np.array_equal(model.input_table(bank, src), table[:m + n])
+
+    def test_pointer_outside_utterance_rejected(self, model, corpus, bank):
+        record = corpus[0]
+        n = len(record.utterance.tokens)
+        bad = replace(record, target=TargetSequence(
+            tokens=record.target.tokens[:1] + (Pointer(n),) + record.target.tokens[1:]))
+        with pytest.raises(PointerRangeError, match=f"pointer {n} outside"):
+            model.build_batch([bad], list(bank.tags))
+
     def test_padded_positions_get_zero_probability(self, model, corpus, bank):
         short = [r for r in corpus if len(r.utterance.tokens) == 5][:1]
         long = [r for r in corpus if len(r.utterance.tokens) >= 6][:1]
@@ -374,6 +401,34 @@ class TestPersistence:
         model.save(path)
         self.edit_sidecar(path, edit)
         with pytest.raises(CheckpointMismatchError, match="model.ckpt.*digest"):
+            type(model).load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace('"width": 32', '"width": "32"'),
+        lambda text: text.replace('"precision": "single"', '"precision": "half"'),
+        lambda text: text[:len(text) // 2],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "config"}),
+        lambda text: text.replace('"description": ', '"text": ', 1),
+        lambda text: json.dumps([json.loads(text)]),
+    ], ids=["wrong_value_type", "unknown_precision", "not_json", "no_config",
+            "tag_lacks_key", "top_level_array"])
+    def test_malformed_sidecar_raises_with_path(self, tmp_path, model, bank, edit):
+        path = tmp_path / "model.ckpt"
+        model.save(path, train_tags=bank.tags)
+        sidecar_path = path.with_name(path.name + ".json")
+        text = sidecar_path.read_text(encoding="utf-8")
+        edited = edit(text)
+        assert edited != text
+        sidecar_path.write_text(edited, encoding="utf-8")
+        with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
+            type(model).load(path)
+
+    def test_missing_sidecar_names_it(self, tmp_path, model):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        path.with_name(path.name + ".json").unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape("model.ckpt.json")):
             type(model).load(path)
 
     def test_identity_digest_tracks_vocabulary(self, model, corpus):
