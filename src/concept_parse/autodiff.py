@@ -2,20 +2,32 @@
 
 A forward op builds a :class:`Tensor` node holding its result and a closure
 that maps the output gradient to input gradients. ``backward`` walks the
-recorded graph in reverse topological order and accumulates gradients into
-:class:`Parameter` slots. The forwards of layer norm, softmax, log-softmax
-and GELU are plain-array ``*_kernel`` functions, which the stepwise decoder
-calls too. Also home to the Adam optimizer, the warmup/decay learning-rate
-schedule, and the binary parameter checkpoint format.
+recorded graph in reverse topological order and adds gradients in place into
+:class:`Parameter` slots. Graph recording is on unless the current thread (or
+context) is inside ``no_grad``. The forwards of layer norm, softmax,
+log-softmax and GELU are plain-array ``*_kernel`` functions, which the
+stepwise decoder calls too.
+
+Parameters live in an :class:`Arena`: one contiguous buffer per role (values,
+gradients, Adam's first and second moments) and one Adam step counter for a
+group of parameters. Each parameter's ``data`` and ``grad`` are views into the
+arena's buffers, and assigning to them copies into the views, so a view is
+never rebound. ``adam_step`` updates whole arenas in place, as one flat
+multi-tensor update. Graph leaves and ``vjp`` closures hold views of the
+values, so ``backward`` must finish before ``adam_step`` changes them.
+
+Also home to the warmup/decay learning-rate schedule and the binary parameter
+checkpoint format.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,21 +37,21 @@ DTYPES = {"single": np.float32, "double": np.float64}
 _PRECISION_CODE = {"single": 0, "double": 1}
 _PRECISION_NAME = {code: name for name, code in _PRECISION_CODE.items()}
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables graph recording for cheap inference."""
+    """Context manager that disables graph recording for cheap inference.
+
+    The flag is a context variable, so other threads keep recording.
+    """
 
     def __enter__(self):
-        global _grad_enabled
-        self._saved = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._saved
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -70,30 +82,81 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-class Parameter:
-    """A trainable array with its gradient accumulator and Adam state."""
+class Arena:
+    """Flat value, gradient and Adam moment buffers shared by a group of parameters.
 
-    __slots__ = ("name", "data", "grad", "m", "v", "step")
+    ``step`` is the group's one Adam step counter, and ``count`` the number
+    of parameters viewing the buffers, so that `adam_step` can check it was
+    given all of them. The arena holds no reference to its parameters:
+    dropping them frees it without waiting for the cycle collector.
+    """
 
-    def __init__(self, name: str, data: np.ndarray):
-        self.name = name
-        self.data = data
-        self.grad = np.zeros_like(data)
-        self.m = np.zeros_like(data)
-        self.v = np.zeros_like(data)
+    __slots__ = ("data", "grad", "m", "v", "step", "count")
+
+    def __init__(self, size: int, count: int, dtype):
+        self.data = np.zeros(size, dtype=dtype)
+        self.grad = np.zeros(size, dtype=dtype)
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
         self.step = 0
+        self.count = count
+
+
+class Parameter:
+    """A trainable array whose value and gradient are views into an `Arena`.
+
+    ``Parameter(name, data)`` is an arena of one; `arena_parameters` lays many
+    out in one arena. ``span`` is the parameter's slice of the flat buffers.
+    Assigning to ``data`` or ``grad`` copies into the view and needs the same
+    shape, so a parameter never detaches from its arena.
+    """
+
+    __slots__ = ("name", "arena", "span", "data", "grad")
+
+    def __init__(self, name: str, data: np.ndarray, arena: Optional[Arena] = None,
+                 offset: int = 0):
+        data = np.asarray(data)
+        if arena is None:
+            arena = Arena(data.size, 1, data.dtype)
+        self.name = name
+        self.arena = arena
+        self.span = slice(offset, offset + data.size)
+        self.data = arena.data[self.span].reshape(data.shape)
+        self.grad = arena.grad[self.span].reshape(data.shape)
+        self.data[...] = data
+
+    def __setattr__(self, attr: str, value) -> None:
+        # data and grad are bound once, then written through; plain slots keep
+        # reads fast, and decode_step reads every weight on every step
+        if attr in ("data", "grad") and hasattr(self, attr):
+            view, value = getattr(self, attr), np.asarray(value)
+            if value.shape != view.shape:
+                raise ShapeError(f"cannot assign shape {value.shape} to "
+                                 f"{self.name}.{attr} of shape {view.shape}")
+            np.copyto(view, value)
+        else:
+            object.__setattr__(self, attr, value)
 
     def leaf(self) -> Tensor:
         """Graph leaf view of this parameter's current value."""
-        if _grad_enabled:
+        if _grad_enabled.get():
             return Tensor(self.data, requires_grad=True, param=self)
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
+
+
+def arena_parameters(arrays: Mapping[str, np.ndarray]) -> dict[str, Parameter]:
+    """Parameters named and initialised by ``arrays``, laid out in order in one arena."""
+    arena = Arena(sum(a.size for a in arrays.values()), len(arrays),
+                  np.result_type(*arrays.values()))
+    params: dict[str, Parameter] = {}
+    offset = 0
+    for name, data in arrays.items():
+        params[name] = Parameter(name, data, arena, offset)
+        offset += data.size
+    return params
 
 
 def constant(data: np.ndarray) -> Tensor:
@@ -104,7 +167,7 @@ def constant(data: np.ndarray) -> Tensor:
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     if not np.isfinite(data).all():
         raise NonFiniteError("forward op produced NaN or Inf values")
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         return Tensor(data, parents=tuple(parents), vjp=vjp, requires_grad=True)
     return Tensor(data)
 
@@ -358,7 +421,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(parameter) into every reachable Parameter's grad slot.
+    """Add d(loss)/d(parameter) in place into every reachable Parameter's grad.
 
     Repeated calls without zeroing keep summing.
     """
@@ -389,7 +452,8 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node.param is not None:
-            node.param.grad = node.param.grad + g
+            grad = node.param.grad
+            np.add(grad, g, out=grad)
         if node.vjp is None:
             continue
         parent_grads = node.vjp(g)
@@ -430,25 +494,71 @@ def lr_at(schedule: Schedule, step: int) -> float:
     return schedule.base_lr * (total - step) / (total - warmup)
 
 
+# elements per pass of the flat update: its scratch stays small next to the arena
+_ADAM_CHUNK = 1 << 15
+
+
+def _whole_arenas(params: Iterable[Parameter]) -> list[Arena]:
+    """The arenas of ``params`` in first-seen order; raises unless each is given whole."""
+    members: dict[int, tuple[Arena, set[int]]] = {}
+    for p in params:
+        members.setdefault(id(p.arena), (p.arena, set()))[1].add(id(p))
+    for arena, ids in members.values():
+        if len(ids) != arena.count:
+            raise ValueError(f"adam_step was given {len(ids)} of an arena's "
+                             f"{arena.count} parameters; it updates whole arenas")
+    return [arena for arena, _ in members.values()]
+
+
 def adam_step(params: Iterable[Parameter], lr: float,
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
               weight_decay: float = 0.0) -> None:
-    """One bias-corrected Adam update with decoupled weight decay.
+    """One bias-corrected Adam update with decoupled weight decay, in place.
 
-    Weight decay is applied as a separate multiplicative shrink before the
-    gradient-driven update; gradients are zeroed afterwards.
+    ``params`` must hold every parameter of each arena it reaches. Each
+    arena's flat data, m and v buffers are updated with ``out=`` ufuncs, a
+    chunk at a time through two chunk-sized scratch arrays, under the arena's
+    one step counter (the multi-tensor Adam of apex and PyTorch). Weight decay
+    is a separate multiplicative shrink before the gradient-driven update
+    (Loshchilov & Hutter, 2019); gradients are zeroed afterwards. Each
+    expression keeps the operand order of the per-parameter update, so the
+    result is bit-equal to it.
     """
     b1, b2 = betas
-    for p in params:
-        p.step += 1
-        p.m = b1 * p.m + (1.0 - b1) * p.grad
-        p.v = b2 * p.v + (1.0 - b2) * (p.grad * p.grad)
-        m_hat = p.m / (1.0 - b1 ** p.step)
-        v_hat = p.v / (1.0 - b2 ** p.step)
-        if weight_decay:
-            p.data = p.data - lr * weight_decay * p.data
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-        p.zero_grad()
+    for arena in _whole_arenas(params):
+        arena.step += 1
+        c1 = 1.0 - b1 ** arena.step
+        c2 = 1.0 - b2 ** arena.step
+        size = arena.data.size
+        scratch_s = np.empty(min(size, _ADAM_CHUNK), dtype=arena.data.dtype)
+        scratch_t = np.empty_like(scratch_s)
+        for start in range(0, size, _ADAM_CHUNK):
+            chunk = slice(start, min(start + _ADAM_CHUNK, size))
+            data, g, m, v = (arena.data[chunk], arena.grad[chunk],
+                             arena.m[chunk], arena.v[chunk])
+            s, t = scratch_s[:data.size], scratch_t[:data.size]
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=s)
+            np.add(m, s, out=m)
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, g, out=s)
+            np.multiply(s, 1.0 - b2, out=s)
+            np.add(v, s, out=v)
+            if weight_decay:
+                # data = data - (lr * weight_decay) * data
+                np.multiply(data, lr * weight_decay, out=s)
+                np.subtract(data, s, out=data)
+            # data = data - (lr * m_hat) / (sqrt(v_hat) + eps)
+            np.divide(m, c1, out=s)
+            np.multiply(s, lr, out=s)
+            np.divide(v, c2, out=t)
+            np.sqrt(t, out=t)
+            np.add(t, eps, out=t)
+            np.divide(s, t, out=s)
+            np.subtract(data, s, out=data)
+        arena.grad.fill(0)
 
 
 # initialization

@@ -221,6 +221,10 @@ class PaddedBatch:
     inputs: np.ndarray        # (B, L_max) int, decoder-input row: BOS, then gold shifted
 
 
+def _file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class ConceptModel:
     """Encoder, concept encoder, decoder, and the dynamic m+n output head."""
 
@@ -232,7 +236,7 @@ class ConceptModel:
         self.source_vocab = source_vocab
         self.concept_vocab = concept_vocab
         self.dtype = ad.DTYPES[config.precision]
-        self.params: dict[str, Parameter] = {}
+        arrays: dict[str, np.ndarray] = {}
         rng = np.random.default_rng(seed)
         d, ff = config.width, config.ff_width
 
@@ -247,7 +251,7 @@ class ConceptModel:
                 data = np.eye(shape[0], dtype=self.dtype)
             else:
                 raise ValueError(init)
-            self.params[name] = Parameter(name, data)
+            arrays[name] = data
 
         def block(prefix: str, cross: bool) -> None:
             for ln in ("ln1", "ln2", "ln3")[: 3 if cross else 2]:
@@ -291,6 +295,7 @@ class ConceptModel:
         param("head.concept.b", (d,), "zeros")
         param("head.pointer.w", (d, d))
         param("head.pointer.b", (d,), "zeros")
+        self.params: dict[str, Parameter] = ad.arena_parameters(arrays)
 
     # parameter access
 
@@ -304,11 +309,15 @@ class ConceptModel:
         return self.params
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
+        """Every parameter's value by name: views of one copy of the arena's data buffer."""
+        flat = next(iter(self.params.values())).arena.data.copy()
+        return {name: flat[p.span].reshape(p.data.shape)
+                for name, p in self.params.items()}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
+        """Copy a snapshot's values back into the one data buffer, through each view."""
         for name, data in snapshot.items():
-            self.params[name].data = data.copy()
+            self.params[name].data = data
 
     # graph building blocks (gradient-recording)
 
@@ -632,6 +641,7 @@ class ConceptModel:
                  "description": t.description}
                 for t in train_tags],
             "digest": self.identity_digest(),
+            "params_sha256": _file_sha256(path),
         }
         tmp = path.with_name(path.name + ".json.tmp")
         tmp.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
@@ -651,9 +661,11 @@ class ConceptModel:
     def load(cls, path: Union[str, Path]) -> tuple["ConceptModel", list[ConceptTag]]:
         """Rebuild a model (and its training-time tag list) from a checkpoint.
 
-        The sidecar's config must name exactly the `ModelConfig` fields, and
-        its digest must equal the rebuilt model's `identity_digest`; any
-        malformed sidecar raises `CheckpointMismatchError` naming the path.
+        The sidecar's config must name exactly the `ModelConfig` fields, its
+        digest must equal the rebuilt model's `identity_digest`, and its
+        ``params_sha256`` the hash of the parameter file's bytes; any malformed
+        sidecar or mismatch raises `CheckpointMismatchError` naming the path.
+        Values are copied into the new model's parameter views.
         """
         path = Path(path)
         text = path.with_name(path.name + ".json").read_text(encoding="utf-8")
@@ -692,5 +704,9 @@ class ConceptModel:
                 raise CheckpointMismatchError(
                     f"{path}: shape {data.shape} for parameter {name!r}, "
                     f"model has {model.params[name].data.shape}")
+        if sidecar.get("params_sha256") != _file_sha256(path):
+            raise CheckpointMismatchError(
+                f"{path}: parameter file bytes do not match the sidecar's params_sha256")
+        for name, data in arrays.items():
             model.params[name].data = data
         return model, tags

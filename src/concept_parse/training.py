@@ -165,6 +165,8 @@ def make_batches(records: Sequence, batch_size: int,
 
 
 def _optimize(model: ConceptModel, loss: Tensor, lr: float, cfg: TrainConfig) -> None:
+    # backward must finish before adam_step: graph leaves and vjp closures hold
+    # views of the parameter values, which adam_step then updates in place
     ad.backward(loss)
     ad.adam_step(model.parameters().values(), lr=lr, betas=cfg.adam_betas,
                  eps=cfg.adam_eps, weight_decay=cfg.weight_decay)

@@ -1,9 +1,12 @@
 """Shared fixtures for model-level tests, and the oracles they compare against:
 the per-beam search, the stepwise teacher-forced forward, single-query
-attention through graph ops, and a no-grad batch cross-entropy."""
+attention through graph ops, a no-grad batch cross-entropy, and per-parameter
+Adam."""
 
 import math
 from dataclasses import replace
+
+import numpy as np
 
 import concept_parse.autodiff as ad
 from concept_parse.data import record_from_row, tags_from_records
@@ -37,7 +40,29 @@ TINY = dict(width=32, encoder_layers=1, encoder_heads=2, decoder_layers=1,
 
 def zero_grads(params):
     for p in params:
-        p.zero_grad()
+        p.grad.fill(0)
+
+
+def reference_adam_step(params, state, lr, betas=(0.9, 0.999), eps=1e-8,
+                        weight_decay=0.0):
+    """Adam one parameter at a time in fresh arrays, the form `adam_step` replaces.
+
+    ``state`` maps each parameter name to its (step, m, v) and is updated.
+    """
+    b1, b2 = betas
+    for p in params:
+        step, m, v = state.get(p.name, (0, np.zeros_like(p.data), np.zeros_like(p.data)))
+        step += 1
+        m = b1 * m + (1.0 - b1) * p.grad
+        v = b2 * v + (1.0 - b2) * (p.grad * p.grad)
+        m_hat = m / (1.0 - b1 ** step)
+        v_hat = v / (1.0 - b2 ** step)
+        data = p.data
+        if weight_decay:
+            data = data - lr * weight_decay * data
+        p.data = data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.grad.fill(0)
+        state[p.name] = (step, m, v)
 
 
 def advance(depth, token):

@@ -1,6 +1,7 @@
 """Gradient, optimizer, schedule, and checkpoint tests for the tensor substrate."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -172,6 +173,25 @@ class TestBackward:
         with ad.no_grad():
             out = ad.sum_all(p.leaf())
         assert not out.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with ad.no_grad():
+                entered.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=hold_no_grad)
+        thread.start()
+        try:
+            assert entered.wait(timeout=10)
+            p = Parameter("p", np.ones(3))
+            assert ad.sum_all(p.leaf()).requires_grad
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestOpGradients:

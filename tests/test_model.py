@@ -366,6 +366,15 @@ class TestPersistence:
         with pytest.raises(CheckpointMismatchError, match=re.escape(name)):
             type(model).load(path)
 
+    def test_flipped_value_byte_names_path(self, tmp_path, model):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01  # the sign/exponent byte of the last stored value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointMismatchError, match="model.ckpt.*sha256"):
+            type(model).load(path)
+
     def test_truncated_checkpoint_names_path(self, tmp_path, model):
         path = tmp_path / "model.ckpt"
         model.save(path)
