@@ -645,7 +645,7 @@ def load_parameters(path: Union[str, Path]) -> tuple[dict[str, np.ndarray], str]
             raise ValueError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank))
-        count = int(np.prod(dims)) if rank else 1
+        count = math.prod(dims)  # Python ints: a huge shape cannot wrap to 0
         values = np.frombuffer(take(count * dtype.itemsize), dtype=dtype)
         arrays[name] = values.reshape(dims).astype(DTYPES[precision])
     return arrays, precision

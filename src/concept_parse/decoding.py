@@ -58,7 +58,10 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
-    max_len = max_len or model.config.max_target_len
+    if max_len is None:
+        max_len = model.config.max_target_len
+    elif max_len < 1:
+        raise ValueError("max_len must be at least 1")
     src = model.encode_source(utterance.tokens)
     width = bank.m + src.n
     inputs = model.input_table(bank, src)

@@ -64,6 +64,10 @@ class ModelConfig:
     concept_vocab_size: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("width", "ff_width", "max_source_len", "max_target_len",
+                     "encoder_heads", "decoder_heads", "concept_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for heads in (self.encoder_heads, self.decoder_heads, self.concept_heads):
             if self.width % heads:
                 raise ValueError(
@@ -196,14 +200,6 @@ class StepDistribution:
     concept_scores: np.ndarray
     pointer_scores: np.ndarray
     log_probabilities: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.concept_scores.shape[-1]
-
-    @property
-    def n(self) -> int:
-        return self.pointer_scores.shape[-1]
 
     def argmax(self) -> np.ndarray:
         """Best index along the m + n axis, per beam."""
@@ -664,7 +660,8 @@ class ConceptModel:
         The sidecar's config must name exactly the `ModelConfig` fields, its
         digest must equal the rebuilt model's `identity_digest`, and its
         ``params_sha256`` the hash of the parameter file's bytes; any malformed
-        sidecar or mismatch raises `CheckpointMismatchError` naming the path.
+        sidecar or parameter file, or any mismatch, raises
+        `CheckpointMismatchError` naming the path.
         Values are copied into the new model's parameter views.
         """
         path = Path(path)
@@ -690,9 +687,12 @@ class ConceptModel:
             raise CheckpointMismatchError(
                 f"{path}: sidecar digest does not match the rebuilt model's config "
                 f"and vocabularies")
-        arrays, precision = ad.load_parameters(path)
+        try:
+            arrays, precision = ad.load_parameters(path)
+        except ValueError as err:
+            raise CheckpointMismatchError(str(err)) from err
         if precision != config.precision:
-            raise ValueError(
+            raise CheckpointMismatchError(
                 f"{path}: precision {precision} does not match config {config.precision}")
         missing = sorted(set(model.params) - set(arrays))
         if missing:

@@ -1,9 +1,10 @@
-"""Parse trees, pointer linearization, target validation, and tag naturalization.
+"""Parse trees, pointer linearization, and tag naturalization.
 
 A parse is represented two ways: as a :class:`ParseTree` over utterance token
 indices, and as a :class:`TargetSequence` of pointer tokens and begin/end
 concept tokens. ``linearize`` and ``delinearize`` convert between the two and
-are exact inverses on valid inputs.
+are exact inverses on valid inputs; a sequence is valid exactly when
+``delinearize`` accepts it.
 """
 
 from __future__ import annotations
@@ -124,20 +125,6 @@ class TargetSequence:
 
     def token_strings(self) -> list[str]:
         return [t.token_string for t in self.tokens]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Well-formedness verdict for a target sequence.
-
-    ``error`` is one of ``unbalanced``, ``name-mismatch``, ``pointer-range``
-    and ``position`` is the first offending token index (``len(seq)`` for a
-    sequence that ends with open tags).
-    """
-
-    valid: bool
-    error: Optional[str] = None
-    position: Optional[int] = None
 
 
 def tokenize_utterance(raw: str) -> Utterance:
@@ -304,7 +291,13 @@ def linearize(tree: ParseTree, utterance: Utterance) -> TargetSequence:
 
 
 def delinearize(seq: TargetSequence, utterance: Utterance) -> ParseTree:
-    """Rebuild the parse tree from a target sequence; inverse of linearize."""
+    """Rebuild the parse tree from a target sequence; inverse of linearize.
+
+    This is the one rule for a valid target: brackets close in order with
+    matching names, every pointer is in range and inside a tag, and the tags
+    form a single root with nothing after it. Anything else raises
+    `MalformedTargetError` at the first offending position.
+    """
     n = len(utterance.tokens)
     stack: list[tuple[ConceptTag, list[Union[ParseTree, int]]]] = []
     root: Optional[ParseTree] = None
@@ -343,31 +336,6 @@ def delinearize(seq: TargetSequence, utterance: Utterance) -> ParseTree:
     if root is None:
         raise MalformedTargetError("sequence contains no tags", 0)
     return root
-
-
-def validate_target(seq: TargetSequence, n: int) -> ValidationReport:
-    """Check bracket discipline and pointer ranges; never raises.
-
-    Accepts flat tagging sequences with top-level pointers as well as
-    single-root parses; ``delinearize`` is stricter and additionally requires
-    a single root region.
-    """
-    stack: list[str] = []
-    for pos, token in enumerate(seq.tokens):
-        if isinstance(token, Pointer):
-            if not 0 <= token.index < n:
-                return ValidationReport(False, "pointer-range", pos)
-        elif token.tag.boundary == "begin":
-            stack.append(token.tag.name)
-        else:
-            if not stack:
-                return ValidationReport(False, "unbalanced", pos)
-            if stack[-1] != token.tag.name:
-                return ValidationReport(False, "name-mismatch", pos)
-            stack.pop()
-    if stack:
-        return ValidationReport(False, "unbalanced", len(seq.tokens))
-    return ValidationReport(True)
 
 
 def to_seqlogical(tree: ParseTree, utterance: Utterance) -> str:
@@ -415,36 +383,6 @@ def extract_labeled_spans(tree: ParseTree) -> set[Span]:
 
     walk(tree)
     return spans
-
-
-def token_from_string(s: str, tags_by_token: Optional[dict[str, ConceptTag]] = None,
-                      type_texts: Optional[dict[str, str]] = None) -> TargetToken:
-    """Parse one serialized target token.
-
-    Known tags can be supplied via ``tags_by_token`` (keyed by token string)
-    to preserve their descriptions; otherwise the description is derived by
-    naturalization, using ``type_texts`` for open-type names.
-    """
-    if s.startswith("@ptr_"):
-        try:
-            return Pointer(int(s[5:]))
-        except ValueError as exc:
-            raise UnknownTagFormatError(f"malformed pointer token: {s!r}") from exc
-    if tags_by_token is not None and s in tags_by_token:
-        return Concept(tags_by_token[s])
-    name, kind, boundary = split_tag_token(s)
-    type_text = (type_texts or {}).get(name)
-    return Concept(make_tag(name, kind, boundary, type_text=type_text))
-
-
-def sequence_from_strings(strings: Iterable[str],
-                          tags_by_token: Optional[dict[str, ConceptTag]] = None,
-                          type_texts: Optional[dict[str, str]] = None) -> TargetSequence:
-    """Parse a list of serialized target tokens into a TargetSequence."""
-    return TargetSequence(tokens=tuple(
-        token_from_string(s, tags_by_token=tags_by_token, type_texts=type_texts)
-        for s in strings
-    ))
 
 
 def tree_labels(tree: ParseTree) -> set[tuple[str, Kind]]:

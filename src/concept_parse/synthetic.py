@@ -1,28 +1,23 @@
 """Synthetic corpora: grammar-generated parse domains and wiki-style tagging data.
 
-Everything here is deterministic in its seed. These generators back the test
-fixtures and give the command line something to run end to end without
-shipping any real corpus.
+Everything here is deterministic in its seed. These generators feed the test
+fixtures and the benchmark workloads without shipping any real corpus.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .parse import ParseTree, Utterance, to_seqlogical, tokenize_utterance
+from .parse import ParseTree, to_seqlogical, tokenize_utterance
 
 PLACES = ["airport", "mall", "station", "library", "museum", "harbor", "bakery", "gym"]
 FOODS = ["coffee", "pizza", "sushi", "bagel", "soup"]
 TIMES = ["tomorrow", "tonight", "today", "monday", "friday"]
 CITIES = ["boston", "austin", "denver", "seattle", "oslo"]
 ZONES = ["east coast", "west coast", "mountain area", "lake region"]
-
-FILLER_WORDS = PLACES + FOODS + TIMES + CITIES + [
-    "the", "a", "is", "near", "open", "every", "we", "visit", "famous",
-]
 
 Row = tuple[str, str, str]
 
@@ -137,50 +132,6 @@ def transfer_pair_rows(per_domain: int = 60, seed: int = 0) -> list[Row]:
                             _slot("SL:NEAR_ZONE", list(range(4, 4 + len(filler))))])
         rows.append(_row("beta", words, tree))
     return rows
-
-
-_INTENT_POOL = ["IN:ALPHA", "IN:BETA", "IN:GAMMA", "IN:DELTA"]
-_SLOT_POOL = ["SL:ONE", "SL:TWO", "SL:THREE"]
-
-
-def random_parse_example(rng: np.random.Generator, max_tokens: int = 12,
-                         max_depth: int = 4) -> tuple[Utterance, ParseTree]:
-    """A random utterance with a random nested tree covering all its tokens."""
-    n = int(rng.integers(1, max_tokens + 1))
-    words = [str(rng.choice(FILLER_WORDS)) for _ in range(n)]
-    utterance = tokenize_utterance(" ".join(words))
-
-    def build(indices: list[int], depth: int, kind: str) -> ParseTree:
-        pool = _INTENT_POOL if kind == "intent" else _SLOT_POOL
-        name = str(rng.choice(pool))
-        children: list[Union[ParseTree, int]] = []
-        i = 0
-        while i < len(indices):
-            run = int(rng.integers(1, min(4, len(indices) - i) + 1))
-            chunk = indices[i:i + run]
-            nest = depth < max_depth and len(chunk) >= 1 and rng.random() < 0.35
-            if nest:
-                other = "slot" if kind == "intent" else "intent"
-                children.append(build(chunk, depth + 1, other))
-            else:
-                children.extend(chunk)
-            i += run
-        if depth < max_depth and rng.random() < 0.08:
-            # occasional childless node, exercising empty-span handling
-            other = "slot" if kind == "intent" else "intent"
-            empty_pool = _SLOT_POOL if other == "slot" else _INTENT_POOL
-            children.insert(int(rng.integers(0, len(children) + 1)),
-                            ParseTree(name=str(rng.choice(empty_pool)),
-                                      kind=other, children=()))
-        return ParseTree(name=name, kind=kind, children=tuple(children))
-
-    return utterance, build(list(range(n)), 0, "intent")
-
-
-def random_roundtrip_corpus(count: int = 500, seed: int = 0
-                            ) -> list[tuple[Utterance, ParseTree]]:
-    rng = np.random.default_rng(seed)
-    return [random_parse_example(rng) for _ in range(count)]
 
 
 _WIKI_TYPES = [

@@ -57,8 +57,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.rehearsal_multiplier < 0:
             raise ValueError("rehearsal multiplier must be non-negative")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
+        for name in ("patience", "batch_size", "fewshot_eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass

@@ -1,7 +1,9 @@
-"""Shared fixtures for model-level tests, and the oracles they compare against:
-the per-beam search, the stepwise teacher-forced forward, single-query
-attention through graph ops, a no-grad batch cross-entropy, and per-parameter
-Adam."""
+"""Shared fixtures for the tests, and the oracles they compare against.
+
+Fixtures: model builders, a parser for target token strings, and a random
+parse-tree generator for round-trip property tests. Oracles: the per-beam
+search, the stepwise teacher-forced forward, single-query attention through
+graph ops, a no-grad batch cross-entropy, and per-parameter Adam."""
 
 import math
 from dataclasses import replace
@@ -13,7 +15,16 @@ from concept_parse.data import record_from_row, tags_from_records
 from concept_parse.decoding import Hypothesis, _token_at
 from concept_parse.errors import ShapeError
 from concept_parse.model import ConceptModel, ModelConfig, build_vocabularies
-from concept_parse.parse import Pointer
+from concept_parse.parse import (
+    Concept,
+    ParseTree,
+    Pointer,
+    TargetSequence,
+    make_tag,
+    split_tag_token,
+    tokenize_utterance,
+)
+from concept_parse.synthetic import CITIES, FOODS, PLACES, TIMES
 from concept_parse.training import batch_nll_tensor
 
 
@@ -36,6 +47,63 @@ def build_model(records, tags=None, wiki_records=(), seed=0, **config_kwargs):
 TINY = dict(width=32, encoder_layers=1, encoder_heads=2, decoder_layers=1,
             decoder_heads=2, concept_layers=1, concept_heads=2,
             max_source_len=32, max_target_len=48, ff_width=64)
+
+
+def token_from_string(s):
+    """One serialized target token; tag descriptions come from naturalization."""
+    if s.startswith("@ptr_"):
+        return Pointer(int(s[5:]))
+    return Concept(make_tag(*split_tag_token(s)))
+
+
+def sequence_from_strings(strings):
+    """A TargetSequence from serialized tokens such as ``["[IN:A", "@ptr_0", "IN:A]"]``."""
+    return TargetSequence(tokens=tuple(token_from_string(s) for s in strings))
+
+
+FILLER_WORDS = PLACES + FOODS + TIMES + CITIES + [
+    "the", "a", "is", "near", "open", "every", "we", "visit", "famous",
+]
+_INTENT_POOL = ["IN:ALPHA", "IN:BETA", "IN:GAMMA", "IN:DELTA"]
+_SLOT_POOL = ["SL:ONE", "SL:TWO", "SL:THREE"]
+
+
+def random_parse_example(rng, max_tokens=12, max_depth=4):
+    """A random utterance with a random nested tree covering all its tokens."""
+    n = int(rng.integers(1, max_tokens + 1))
+    words = [str(rng.choice(FILLER_WORDS)) for _ in range(n)]
+    utterance = tokenize_utterance(" ".join(words))
+
+    def build(indices, depth, kind):
+        pool = _INTENT_POOL if kind == "intent" else _SLOT_POOL
+        name = str(rng.choice(pool))
+        children = []
+        i = 0
+        while i < len(indices):
+            run = int(rng.integers(1, min(4, len(indices) - i) + 1))
+            chunk = indices[i:i + run]
+            nest = depth < max_depth and len(chunk) >= 1 and rng.random() < 0.35
+            if nest:
+                other = "slot" if kind == "intent" else "intent"
+                children.append(build(chunk, depth + 1, other))
+            else:
+                children.extend(chunk)
+            i += run
+        if depth < max_depth and rng.random() < 0.08:
+            # occasional childless node, exercising empty-span handling
+            other = "slot" if kind == "intent" else "intent"
+            empty_pool = _SLOT_POOL if other == "slot" else _INTENT_POOL
+            children.insert(int(rng.integers(0, len(children) + 1)),
+                            ParseTree(name=str(rng.choice(empty_pool)),
+                                      kind=other, children=()))
+        return ParseTree(name=name, kind=kind, children=tuple(children))
+
+    return utterance, build(list(range(n)), 0, "intent")
+
+
+def random_roundtrip_corpus(count=500, seed=0):
+    rng = np.random.default_rng(seed)
+    return [random_parse_example(rng) for _ in range(count)]
 
 
 def zero_grads(params):

@@ -1,6 +1,7 @@
 """Gradient, optimizer, schedule, and checkpoint tests for the tensor substrate."""
 
 import math
+import struct
 import threading
 
 import numpy as np
@@ -470,6 +471,16 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob.replace(b"ab", b"\xff\xfe", 1))
         with pytest.raises(ValueError, match="model.ckpt.*not UTF-8"):
+            ad.load_parameters(path)
+
+    def test_overflowing_dims_raise_with_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ad.save_parameters({"w": Parameter("w", np.ones((2, 2)))}, path, "double")
+        blob = path.read_bytes()
+        dims = struct.pack("<QQ", 2, 2)
+        # 2^32 * 2^32 elements wrap to zero in int64
+        path.write_bytes(blob.replace(dims, struct.pack("<QQ", 2 ** 32, 2 ** 32), 1))
+        with pytest.raises(ValueError, match="model.ckpt"):
             ad.load_parameters(path)
 
     def test_truncation_raises_with_path(self, tmp_path):

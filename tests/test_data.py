@@ -30,7 +30,7 @@ from concept_parse.errors import (
     NeedTwoDomainsError,
     SpanAlignmentError,
 )
-from concept_parse.parse import linearize, validate_target
+from concept_parse.parse import Pointer, linearize
 from concept_parse.synthetic import (
     COMPOSITIONAL_ANNOTATION,
     COMPOSITIONAL_UTTERANCE,
@@ -302,14 +302,17 @@ class TestWikiToParse:
             for sentence_example in _per_sentence(example):
                 _, target, _ = wikiwiki_to_parse_example(sentence_example)
                 n = len(sentence_example.context.split())
-                assert validate_target(target, n).valid
-                depth = 0
-                for token_string in target.token_strings():
-                    if token_string.startswith("["):
-                        depth += 1
-                        assert depth == 1
-                    elif not token_string.startswith("@ptr_"):
-                        depth -= 1
+                open_name = None  # flat: at most one tag open at a time
+                for token in target.tokens:
+                    if isinstance(token, Pointer):
+                        assert 0 <= token.index < n
+                    elif token.tag.boundary == "begin":
+                        assert open_name is None
+                        open_name = token.tag.name
+                    else:
+                        assert token.tag.name == open_name
+                        open_name = None
+                assert open_name is None
 
 
 def _per_sentence(example):

@@ -142,6 +142,13 @@ class TestBeamOracle:
             beam_decode(model, tokenize_utterance("x"), micro_bank(model),
                         beam_width=0)
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_invalid_max_len(self, max_len):
+        model = micro_model(1)
+        with pytest.raises(ValueError, match="max_len"):
+            beam_decode(model, tokenize_utterance("x"), micro_bank(model),
+                        max_len=max_len)
+
 
 class TestBatchedBeamOracle:
     """The batched search against the per-beam one, in double precision."""

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from concept_parse.data import build_leave_one_out, tags_from_records
+import concept_parse.evaluation as evaluation
+from concept_parse.data import build_leave_one_out, record_from_row, tags_from_records
+from concept_parse.decoding import Hypothesis
 from concept_parse.errors import EmptyEvalSetError
 from concept_parse.evaluation import (
     EvalReport,
@@ -15,11 +17,11 @@ from concept_parse.evaluation import (
     span_counts,
     teacher_forced_accuracy,
 )
-from concept_parse.parse import ParseTree, sequence_from_strings
+from concept_parse.parse import ParseTree
 from concept_parse.synthetic import two_domain_rows
 from concept_parse.training import TrainConfig, train_known_domains
 
-from helpers import build_model, records_from_rows
+from helpers import build_model, records_from_rows, sequence_from_strings
 
 
 def tree(name, kind, *children):
@@ -151,6 +153,20 @@ class TestEvaluateDomain:
         domain = model.compile_domain(tags_from_records(records))
         with pytest.raises(EmptyEvalSetError):
             evaluate_domain(model, domain, [])
+
+    @pytest.mark.parametrize("pred, validity, counts", [
+        # balanced brackets and in-range pointers, but a pointer before the root
+        (["@ptr_0", "[IN:A", "@ptr_1", "IN:A]"], 0.0, [0, 0, 1]),
+        (["[IN:A", "@ptr_0", "@ptr_1", "IN:A]"], 100.0, [1, 1, 1]),
+    ], ids=["flat_sequence", "gold"])
+    def test_validity_is_delinearize(self, monkeypatch, pred, validity, counts):
+        record = record_from_row("d", "x y", "[IN:A x y ]")
+        assert record.target.token_strings() == ["[IN:A", "@ptr_0", "@ptr_1", "IN:A]"]
+        fixed = [Hypothesis(tokens=sequence_from_strings(pred).tokens, log_prob=0.0)]
+        monkeypatch.setattr(evaluation, "beam_decode", lambda *args, **kwargs: fixed)
+        report = evaluate_domain(None, None, [record])
+        assert report.validity == validity
+        assert report.outcomes[0]["f1_counts"] == counts
 
     def test_em_le_validity_on_untrained_model(self):
         records = records_from_rows(two_domain_rows(6, seed=2))

@@ -18,7 +18,7 @@ from concept_parse.errors import (
     ShapeError,
     UnknownConceptError,
 )
-from concept_parse.model import ConceptBank, SourceEncoding, Vocabulary
+from concept_parse.model import ConceptBank, ModelConfig, SourceEncoding, Vocabulary
 from concept_parse.parse import Concept, Pointer, TargetSequence, make_tag, tags_for_label
 from concept_parse.synthetic import (
     COMPOSITIONAL_ANNOTATION,
@@ -333,6 +333,16 @@ class TestBatchedForward:
         zero_grads(model.parameters().values())
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("name", ["width", "ff_width", "max_source_len",
+                                      "max_target_len", "encoder_heads",
+                                      "decoder_heads", "concept_heads"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            ModelConfig(**dict(TINY, **{name: value}))
+
+
 class TestPersistence:
     def test_checkpoint_roundtrip_preserves_decoding(self, tmp_path, model, bank,
                                                      corpus):
@@ -379,7 +389,32 @@ class TestPersistence:
         path = tmp_path / "model.ckpt"
         model.save(path)
         path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(ValueError, match="model.ckpt"):
+        with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
+            type(model).load(path)
+
+    @staticmethod
+    def flip_precision_byte(path, model):
+        blob = bytearray(path.read_bytes())
+        blob[12] ^= 0x01  # single becomes double; the values no longer fit
+        path.write_bytes(bytes(blob))
+
+    @staticmethod
+    def bad_magic(path, model):
+        path.write_bytes(b"NOTCKPT0" + path.read_bytes()[8:])
+
+    @staticmethod
+    def double_precision_file(path, model):
+        ad.save_parameters(model.parameters(), path, "double")
+
+    @pytest.mark.parametrize("corrupt", [flip_precision_byte, bad_magic,
+                                         double_precision_file],
+                             ids=["flipped_precision_byte", "bad_magic",
+                                  "precision_mismatch"])
+    def test_corrupt_parameter_file_names_path(self, tmp_path, model, corrupt):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        corrupt(path, model)
+        with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
             type(model).load(path)
 
     @staticmethod
@@ -420,8 +455,9 @@ class TestPersistence:
                                  if k != "config"}),
         lambda text: text.replace('"description": ', '"text": ', 1),
         lambda text: json.dumps([json.loads(text)]),
+        lambda text: text.replace('"decoder_heads": 2', '"decoder_heads": 0'),
     ], ids=["wrong_value_type", "unknown_precision", "not_json", "no_config",
-            "tag_lacks_key", "top_level_array"])
+            "tag_lacks_key", "top_level_array", "zero_heads"])
     def test_malformed_sidecar_raises_with_path(self, tmp_path, model, bank, edit):
         path = tmp_path / "model.ckpt"
         model.save(path, train_tags=bank.tags)

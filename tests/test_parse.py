@@ -1,6 +1,5 @@
-"""Linearization, validation, and naturalization unit tests."""
+"""Linearization, delinearization, and naturalization unit tests."""
 
-import numpy as np
 import pytest
 
 from concept_parse.errors import (
@@ -21,16 +20,12 @@ from concept_parse.parse import (
     make_tag,
     naturalize_tag,
     parse_seqlogical,
-    sequence_from_strings,
     to_seqlogical,
     tokenize_utterance,
-    validate_target,
 )
-from concept_parse.synthetic import (
-    COMPOSITIONAL_ANNOTATION,
-    COMPOSITIONAL_UTTERANCE,
-    random_roundtrip_corpus,
-)
+from concept_parse.synthetic import COMPOSITIONAL_ANNOTATION, COMPOSITIONAL_UTTERANCE
+
+from helpers import random_roundtrip_corpus, sequence_from_strings
 
 COMPOSITIONAL_TARGET = [
     "[IN:GET_DISTANCE", "@ptr_0", "@ptr_1", "@ptr_2",
@@ -147,6 +142,13 @@ class TestDelinearize:
             delinearize(seq, utterance)
         assert err.value.position == 3
 
+    def test_unclosed_sequence(self):
+        utterance = tokenize_utterance("x")
+        seq = sequence_from_strings(["[IN:A", "@ptr_0"])
+        with pytest.raises(MalformedTargetError) as err:
+            delinearize(seq, utterance)
+        assert err.value.position == 2
+
     def test_pointer_out_of_range(self):
         utterance = tokenize_utterance("x")
         seq = sequence_from_strings(["[IN:A", "@ptr_5", "IN:A]"])
@@ -158,34 +160,6 @@ class TestDelinearize:
         seq = sequence_from_strings(["@ptr_0", "[IN:A", "@ptr_1", "IN:A]"])
         with pytest.raises(MalformedTargetError):
             delinearize(seq, utterance)
-
-
-class TestValidateTarget:
-    def test_compositional_valid(self):
-        utterance, tree = compositional_example()
-        report = validate_target(linearize(tree, utterance), n=6)
-        assert report.valid and report.error is None
-
-    def test_missing_end(self):
-        seq = sequence_from_strings(["[IN:A", "@ptr_0"])
-        report = validate_target(seq, n=6)
-        assert (report.valid, report.error, report.position) == (False, "unbalanced", 2)
-
-    def test_pointer_range(self):
-        seq = sequence_from_strings(["[IN:A", "@ptr_7", "IN:A]"])
-        report = validate_target(seq, n=6)
-        assert (report.valid, report.error, report.position) == (
-            False, "pointer-range", 1)
-
-    def test_name_mismatch(self):
-        seq = sequence_from_strings(["[IN:A", "SL:B]"])
-        report = validate_target(seq, n=1)
-        assert (report.valid, report.error, report.position) == (
-            False, "name-mismatch", 1)
-
-    def test_flat_tagging_accepted(self):
-        seq = sequence_from_strings(["@ptr_0", "[T1", "@ptr_1", "T1]", "@ptr_2"])
-        assert validate_target(seq, n=3).valid
 
 
 class TestNaturalize:
@@ -250,7 +224,6 @@ class TestRoundTrip:
             seq = linearize(tree, utterance)
             assert delinearize(seq, utterance) == tree
             assert linearize(delinearize(seq, utterance), utterance) == seq
-            assert validate_target(seq, len(utterance.tokens)).valid
 
     def test_pointer_completeness_on_corpus(self):
         # full-coverage corpora mention each source position exactly once

@@ -138,6 +138,13 @@ def quick_cfg(**kwargs):
     return TrainConfig(**base)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["batch_size", "fewshot_eval_every"])
+    def test_counts_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: 0})
+
+
 class TestTrainKnownDomains:
     def test_overfits_small_corpus(self):
         records = records_from_rows(two_domain_rows(12, seed=0))
