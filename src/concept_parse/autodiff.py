@@ -16,26 +16,23 @@ never rebound. ``adam_step`` updates whole arenas in place, as one flat
 multi-tensor update. Graph leaves and ``vjp`` closures hold views of the
 values, so ``backward`` must finish before ``adam_step`` changes them.
 
-Also home to the warmup/decay learning-rate schedule and the binary parameter
-checkpoint format.
+Also home to the warmup/decay learning-rate schedule. A checkpoint is an
+arena's value buffer as raw bytes (`ConceptModel.save`), so the arena layout is
+the file layout.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteError, NotScalarError, ShapeError
 
 DTYPES = {"single": np.float32, "double": np.float64}
-_PRECISION_CODE = {"single": 0, "double": 1}
-_PRECISION_NAME = {code: name for name, code in _PRECISION_CODE.items()}
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
@@ -576,76 +573,3 @@ def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
         values[mask] = rng.normal(0.0, std, size=int(mask.sum()))
     return np.clip(values, -limit, limit).astype(dtype)
 
-
-# checkpoint io
-
-_MAGIC = b"CPTENSR\x00"
-_VERSION = 1
-
-
-def save_parameters(params: dict[str, Parameter], path: Union[str, Path],
-                    precision: str) -> None:
-    """Write parameters as the flat little-endian binary checkpoint format.
-
-    Layout: magic, u32 version, u8 precision code, then for each parameter
-    u32 name length, utf-8 name, u32 rank, u64 dims, row-major values.
-    """
-    dtype = "<f4" if precision == "single" else "<f8"
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<IB", _VERSION, _PRECISION_CODE[precision]))
-        for name, p in params.items():
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<I", p.data.ndim))
-            for dim in p.data.shape:
-                handle.write(struct.pack("<Q", dim))
-            handle.write(np.ascontiguousarray(p.data).astype(dtype).tobytes())
-    tmp.replace(path)
-
-
-def load_parameters(path: Union[str, Path]) -> tuple[dict[str, np.ndarray], str]:
-    """Read a checkpoint back as named arrays plus its precision name.
-
-    A file that is not a checkpoint, that ends inside a field, or that holds
-    a parameter name that is not UTF-8 raises ``ValueError`` naming the path.
-    """
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if blob[:8] != _MAGIC:
-        raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
-    offset = 8
-
-    def take(size: int) -> bytes:
-        nonlocal offset
-        end = offset + size
-        if end > len(blob):
-            raise ValueError(
-                f"{path}: truncated checkpoint ({len(blob)} bytes, a field needs {end})")
-        chunk = blob[offset:end]
-        offset = end
-        return chunk
-
-    version, code = struct.unpack("<IB", take(5))
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if code not in _PRECISION_NAME:
-        raise ValueError(f"{path}: unknown precision code {code}")
-    precision = _PRECISION_NAME[code]
-    dtype = np.dtype("<f4" if precision == "single" else "<f8")
-    arrays: dict[str, np.ndarray] = {}
-    while offset < len(blob):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
-        (rank,) = struct.unpack("<I", take(4))
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
-        count = math.prod(dims)  # Python ints: a huge shape cannot wrap to 0
-        values = np.frombuffer(take(count * dtype.itemsize), dtype=dtype)
-        arrays[name] = values.reshape(dims).astype(DTYPES[precision])
-    return arrays, precision

@@ -100,7 +100,6 @@ class SpiConfig:
 class DomainSplit:
     """Leave-one-out partition of a corpus around one held-out domain."""
 
-    held_out: str
     known_train: tuple[DatasetRecord, ...]
     known_valid: tuple[DatasetRecord, ...]
     heldout_train: tuple[DatasetRecord, ...]
@@ -207,21 +206,9 @@ def build_leave_one_out(train_records: Sequence[DatasetRecord],
     if len(domains) < 2:
         raise NeedTwoDomainsError(
             f"leave-one-out needs a domain besides {held_out!r}; the corpus has no other")
-    known_train: list[DatasetRecord] = []
-    known_valid: list[DatasetRecord] = []
-    for index, domain in enumerate(domains):
-        if domain == held_out:
-            continue
-        domain_records = [r for r in train_records if r.domain == domain]
-        rng = np.random.default_rng([seed, index])
-        order = rng.permutation(len(domain_records))
-        n_valid = max(1, round(valid_fraction * len(domain_records))) \
-            if len(domain_records) > 1 else 0
-        valid_positions = set(order[:n_valid].tolist())
-        for pos, record in enumerate(domain_records):
-            (known_valid if pos in valid_positions else known_train).append(record)
+    known_train, known_valid = _hold_back(train_records, valid_fraction, seed,
+                                          skip=held_out)
     return DomainSplit(
-        held_out=held_out,
         known_train=tuple(known_train),
         known_valid=tuple(known_valid),
         heldout_train=tuple(r for r in train_records if r.domain == held_out),
@@ -492,16 +479,29 @@ def _first_existing(directory: Path, *names: str) -> Path:
 def carve_test_split(records: Sequence[DatasetRecord], fraction: float = 0.2,
                      seed: int = 9_173) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
     """Deterministic per-domain train/test carve for single-file corpora."""
-    train: list[DatasetRecord] = []
-    test: list[DatasetRecord] = []
-    domains = sorted({r.domain for r in records})
-    for index, domain in enumerate(domains):
+    return _hold_back(records, fraction, seed)
+
+
+def _hold_back(records: Sequence[DatasetRecord], fraction: float, seed: int,
+               skip: Optional[str] = None
+               ) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
+    """Split each domain's records into kept and held back, domain by domain.
+
+    Domains go in sorted order, and domain i draws its held-back positions
+    from ``[seed, i]``; ``skip`` keeps its index but contributes nothing. A
+    domain of more than one record holds back max(1, round(fraction * size)).
+    """
+    kept: list[DatasetRecord] = []
+    held: list[DatasetRecord] = []
+    for index, domain in enumerate(sorted({r.domain for r in records})):
+        if domain == skip:
+            continue
         domain_records = [r for r in records if r.domain == domain]
         rng = np.random.default_rng([seed, index])
         order = rng.permutation(len(domain_records))
-        n_test = max(1, round(fraction * len(domain_records))) \
+        n_held = max(1, round(fraction * len(domain_records))) \
             if len(domain_records) > 1 else 0
-        test_positions = set(order[:n_test].tolist())
+        held_positions = set(order[:n_held].tolist())
         for pos, record in enumerate(domain_records):
-            (test if pos in test_positions else train).append(record)
-    return train, test
+            (held if pos in held_positions else kept).append(record)
+    return kept, held

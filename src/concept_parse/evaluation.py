@@ -71,8 +71,12 @@ def _precision_recall_f1(matched: int, predicted: int, gold: int
     return precision * 100.0, recall * 100.0, f1 * 100.0
 
 
+# records per batched forward in teacher_forced_accuracy
+_TF_CHUNK = 64
+
+
 def teacher_forced_accuracy(model: ConceptModel, records: Sequence[DatasetRecord],
-                            tags: Sequence[ConceptTag], chunk_size: int = 64) -> float:
+                            tags: Sequence[ConceptTag]) -> float:
     """Percent of records whose argmax equals gold at every teacher-forced step.
 
     Runs the batched forward only; no search of any kind is involved.
@@ -82,8 +86,8 @@ def teacher_forced_accuracy(model: ConceptModel, records: Sequence[DatasetRecord
     correct = 0
     with ad.no_grad():
         bank_tensor = model.encode_concepts_tensor(tags)
-        for start in range(0, len(records), chunk_size):
-            chunk = records[start:start + chunk_size]
+        for start in range(0, len(records), _TF_CHUNK):
+            chunk = records[start:start + _TF_CHUNK]
             batch = model.build_batch(chunk, tags)
             log_probs = model.teacher_log_probs(batch, bank_tensor).data
             hits = (np.argmax(log_probs, axis=-1) == batch.gold) | \
@@ -107,18 +111,10 @@ class EvalReport:
     gold_spans: int
     outcomes: list[dict] = field(default_factory=list)
 
-    def metrics(self) -> dict:
-        return {"em": self.em, "f1": self.f1, "precision": self.precision,
-                "recall": self.recall, "validity": self.validity}
-
     def write_outcomes(self, path: Union[str, Path]) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             for outcome in self.outcomes:
                 handle.write(json.dumps(outcome, sort_keys=True) + "\n")
-
-    def summary_json(self) -> str:
-        payload = dict(self.metrics(), count=self.count)
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def evaluate_domain(model: ConceptModel, bank: ConceptBank,

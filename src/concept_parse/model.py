@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -47,7 +47,7 @@ _NEG = -1e9
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Structural hyper-parameters; vocabulary sizes bind at construction."""
+    """Structural hyper-parameters; the vocabularies are passed to the model."""
 
     width: int = 64
     encoder_layers: int = 2
@@ -60,8 +60,6 @@ class ModelConfig:
     max_target_len: int = 96
     ff_width: int = 256
     precision: str = "single"
-    source_vocab_size: Optional[int] = None
-    concept_vocab_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         for name in ("width", "ff_width", "max_source_len", "max_target_len",
@@ -217,17 +215,11 @@ class PaddedBatch:
     inputs: np.ndarray        # (B, L_max) int, decoder-input row: BOS, then gold shifted
 
 
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class ConceptModel:
     """Encoder, concept encoder, decoder, and the dynamic m+n output head."""
 
     def __init__(self, config: ModelConfig, source_vocab: Vocabulary,
                  concept_vocab: Vocabulary, seed: int = 0):
-        config = replace(config, source_vocab_size=len(source_vocab),
-                         concept_vocab_size=len(concept_vocab))
         self.config = config
         self.source_vocab = source_vocab
         self.concept_vocab = concept_vocab
@@ -304,9 +296,13 @@ class ConceptModel:
     def parameters(self) -> dict[str, Parameter]:
         return self.params
 
+    def value_buffer(self) -> np.ndarray:
+        """The arena's flat value buffer, which every parameter's ``data`` views."""
+        return next(iter(self.params.values())).arena.data
+
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Every parameter's value by name: views of one copy of the arena's data buffer."""
-        flat = next(iter(self.params.values())).arena.data.copy()
+        """Every parameter's value by name: views of one copy of `value_buffer`."""
+        flat = self.value_buffer().copy()
         return {name: flat[p.span].reshape(p.data.shape)
                 for name, p in self.params.items()}
 
@@ -625,9 +621,13 @@ class ConceptModel:
 
     def save(self, path: Union[str, Path],
              train_tags: Sequence[ConceptTag] = ()) -> None:
-        """Write the binary parameter file and its JSON sidecar."""
+        """Write `value_buffer` as little-endian bytes, and the JSON sidecar."""
         path = Path(path)
-        ad.save_parameters(self.params, path, self.config.precision)
+        values = self.value_buffer()
+        blob = values.astype(values.dtype.newbyteorder("<"), copy=False).tobytes()
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_bytes(blob)
+        tmp.replace(path)
         sidecar = {
             "config": asdict(self.config),
             "source_vocab": list(self.source_vocab.tokens),
@@ -637,7 +637,7 @@ class ConceptModel:
                  "description": t.description}
                 for t in train_tags],
             "digest": self.identity_digest(),
-            "params_sha256": _file_sha256(path),
+            "params_sha256": hashlib.sha256(blob).hexdigest(),
         }
         tmp = path.with_name(path.name + ".json.tmp")
         tmp.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
@@ -645,11 +645,17 @@ class ConceptModel:
         tmp.replace(path.with_name(path.name + ".json"))
 
     def identity_digest(self) -> str:
-        """Hash of the structural config plus both vocabularies."""
+        """Hash of the config, both vocabularies and the parameter layout.
+
+        The layout is every parameter's name and shape in arena order, which
+        fixes where each value sits in `value_buffer`.
+        """
         payload = json.dumps(
             {"config": asdict(self.config),
              "source_vocab": list(self.source_vocab.tokens),
-             "concept_vocab": list(self.concept_vocab.tokens)},
+             "concept_vocab": list(self.concept_vocab.tokens),
+             "layout": [[name, list(p.data.shape)]
+                        for name, p in self.params.items()]},
             sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
@@ -657,12 +663,12 @@ class ConceptModel:
     def load(cls, path: Union[str, Path]) -> tuple["ConceptModel", list[ConceptTag]]:
         """Rebuild a model (and its training-time tag list) from a checkpoint.
 
-        The sidecar's config must name exactly the `ModelConfig` fields, its
-        digest must equal the rebuilt model's `identity_digest`, and its
-        ``params_sha256`` the hash of the parameter file's bytes; any malformed
-        sidecar or parameter file, or any mismatch, raises
-        `CheckpointMismatchError` naming the path.
-        Values are copied into the new model's parameter views.
+        The sidecar's config must name exactly the `ModelConfig` fields and its
+        digest must equal the rebuilt model's `identity_digest`. The parameter
+        file must hash to the sidecar's ``params_sha256`` and hold exactly the
+        rebuilt `value_buffer`'s bytes, which are then copied in. A malformed
+        sidecar, or any mismatch, raises `CheckpointMismatchError` naming the
+        path.
         """
         path = Path(path)
         text = path.with_name(path.name + ".json").read_text(encoding="utf-8")
@@ -685,28 +691,16 @@ class ConceptModel:
                 f"{path}: malformed sidecar ({type(err).__name__}: {err})") from err
         if sidecar.get("digest") != model.identity_digest():
             raise CheckpointMismatchError(
-                f"{path}: sidecar digest does not match the rebuilt model's config "
-                f"and vocabularies")
-        try:
-            arrays, precision = ad.load_parameters(path)
-        except ValueError as err:
-            raise CheckpointMismatchError(str(err)) from err
-        if precision != config.precision:
-            raise CheckpointMismatchError(
-                f"{path}: precision {precision} does not match config {config.precision}")
-        missing = sorted(set(model.params) - set(arrays))
-        if missing:
-            raise CheckpointMismatchError(f"{path}: missing parameters {missing}")
-        for name, data in arrays.items():
-            if name not in model.params:
-                raise CheckpointMismatchError(f"{path}: unexpected parameter {name!r}")
-            if model.params[name].data.shape != data.shape:
-                raise CheckpointMismatchError(
-                    f"{path}: shape {data.shape} for parameter {name!r}, "
-                    f"model has {model.params[name].data.shape}")
-        if sidecar.get("params_sha256") != _file_sha256(path):
+                f"{path}: sidecar digest does not match the rebuilt model's config, "
+                f"vocabularies or parameter layout")
+        blob = path.read_bytes()
+        if sidecar.get("params_sha256") != hashlib.sha256(blob).hexdigest():
             raise CheckpointMismatchError(
                 f"{path}: parameter file bytes do not match the sidecar's params_sha256")
-        for name, data in arrays.items():
-            model.params[name].data = data
+        values = model.value_buffer()
+        if len(blob) != values.nbytes:
+            raise CheckpointMismatchError(
+                f"{path}: parameter file holds {len(blob)} bytes, the model's "
+                f"{config.precision}-precision layout {values.nbytes}")
+        values[...] = np.frombuffer(blob, dtype=values.dtype.newbyteorder("<"))
         return model, tags

@@ -177,7 +177,7 @@ def make_tag(name: str, kind: Kind, boundary: Boundary,
     """Build a ConceptTag with its naturalized description.
 
     Open-type tags without accompanying type text fall back to describing
-    the name itself, so construction is total for every tag kind.
+    the name itself, so every tag kind gets a description.
     """
     if kind == "open-type" and type_text is None:
         type_text = name.lower().replace("_", " ")

@@ -55,9 +55,11 @@ class TrainConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.rehearsal_multiplier < 0:
-            raise ValueError("rehearsal multiplier must be non-negative")
-        for name in ("patience", "batch_size", "fewshot_eval_every"):
+        for name in ("learning_rate", "rehearsal_multiplier"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("patience", "batch_size", "fewshot_eval_every", "epochs",
+                     "pretrain_epochs", "fewshot_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -137,19 +139,6 @@ def batch_nll_tensor(model: ConceptModel, records: Sequence,
     picked = ad.take_along_last(log_probs, batch.gold)
     masked = ad.mul(picked, ad.constant(batch.tgt_mask))
     return ad.scale(ad.sum_all(masked), -1.0 / float(batch.tgt_mask.sum()))
-
-
-@dataclass(frozen=True)
-class FewshotLoss:
-    """Rehearsal-mixed loss; ``total`` is exactly ``few + multiplier * known``."""
-
-    total: float
-    few: float
-    known: float
-
-
-def fewshot_loss_values(few: float, known: float, multiplier: float) -> FewshotLoss:
-    return FewshotLoss(total=few + multiplier * known, few=few, known=known)
 
 
 # batch assembly
@@ -278,8 +267,7 @@ def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
     spi_records = list(spi_records)
     known_records = list(known_records)
     tags = tags_from_records(spi_records + known_records)
-    batch_size = min(cfg.batch_size, len(spi_records))
-    steps_per_epoch = math.ceil(len(spi_records) / batch_size)
+    steps_per_epoch = math.ceil(len(spi_records) / cfg.batch_size)
     schedule = Schedule(cfg.learning_rate, cfg.warmup_proportion,
                         cfg.fewshot_epochs * steps_per_epoch)
     result = TrainResult(best_score=-math.inf, stopped_early=False)
@@ -288,8 +276,9 @@ def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
     step = 0
     for epoch in range(cfg.fewshot_epochs):
         rng = np.random.default_rng([cfg.seed, 9_009, epoch])
-        epoch_losses: list[FewshotLoss] = []
-        for batch in make_batches(spi_records, batch_size, rng):
+        totals: list[float] = []
+        few_losses: list[float] = []
+        for batch in make_batches(spi_records, cfg.batch_size, rng):
             step += 1
             lr = lr_at(schedule, step)
             bank_vectors = model.encode_concepts_tensor(tags)
@@ -302,23 +291,20 @@ def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
                 known_tensor = batch_nll_tensor(model, known_batch, tags, bank_vectors)
                 total = ad.add(few_tensor,
                                ad.scale(known_tensor, cfg.rehearsal_multiplier))
-                values = fewshot_loss_values(few_tensor.item(), known_tensor.item(),
-                                             cfg.rehearsal_multiplier)
                 result.consumed_fingerprints.update(
                     record_fingerprint(r) for r in known_batch)
             else:
                 total = few_tensor
-                values = fewshot_loss_values(few_tensor.item(), 0.0,
-                                             cfg.rehearsal_multiplier)
+            totals.append(total.item())
+            few_losses.append(few_tensor.item())
             _optimize(model, total, lr, cfg)
-            epoch_losses.append(values)
             result.consumed_fingerprints.update(record_fingerprint(r) for r in batch)
         if (epoch + 1) % cfg.fewshot_eval_every == 0 or epoch == cfg.fewshot_epochs - 1:
             val = teacher_forced_accuracy(model, spi_records, tags)
             result.log.append({
                 "epoch": epoch, "step": step,
-                "loss": sum(v.total for v in epoch_losses) / len(epoch_losses),
-                "few_loss": sum(v.few for v in epoch_losses) / len(epoch_losses),
+                "loss": sum(totals) / len(totals),
+                "few_loss": sum(few_losses) / len(few_losses),
                 "lr": lr_at(schedule, step), "val": val})
             improved = stopper.update(val, model)
             if improved and out_dir is not None:

@@ -1,7 +1,6 @@
-"""Gradient, optimizer, schedule, and checkpoint tests for the tensor substrate."""
+"""Gradient, optimizer and schedule tests for the tensor substrate."""
 
 import math
-import struct
 import threading
 
 import numpy as np
@@ -424,87 +423,6 @@ class TestSchedule:
     def test_warmup_proportion_validated(self):
         with pytest.raises(ValueError):
             Schedule(1e-3, 1.5, 10)
-
-
-class TestCheckpoint:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        params = {
-            "a.weight": Parameter("a.weight", rng.standard_normal((3, 4)).astype(np.float32)),
-            "b.bias": Parameter("b.bias", rng.standard_normal(5).astype(np.float32)),
-        }
-        path = tmp_path / "model.ckpt"
-        ad.save_parameters(params, path, "single")
-        arrays, precision = ad.load_parameters(path)
-        assert precision == "single"
-        assert set(arrays) == set(params)
-        for name, p in params.items():
-            assert arrays[name].dtype == np.float32
-            assert np.array_equal(arrays[name], p.data)
-
-    def test_double_precision(self, tmp_path):
-        params = {"w": Parameter("w", np.array([1.0, 2.0]))}
-        path = tmp_path / "model.ckpt"
-        ad.save_parameters(params, path, "double")
-        arrays, precision = ad.load_parameters(path)
-        assert precision == "double"
-        assert np.array_equal(arrays["w"], params["w"].data)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOTCKPT0" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            ad.load_parameters(path)
-
-    def test_unknown_precision_code(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        ad.save_parameters({"w": Parameter("w", np.ones(2))}, path, "double")
-        blob = bytearray(path.read_bytes())
-        blob[12] = 7
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="precision code 7"):
-            ad.load_parameters(path)
-
-    def test_non_utf8_name_raises_with_path(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        ad.save_parameters({"ab": Parameter("ab", np.ones(2))}, path, "double")
-        blob = path.read_bytes()
-        path.write_bytes(blob.replace(b"ab", b"\xff\xfe", 1))
-        with pytest.raises(ValueError, match="model.ckpt.*not UTF-8"):
-            ad.load_parameters(path)
-
-    def test_overflowing_dims_raise_with_path(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        ad.save_parameters({"w": Parameter("w", np.ones((2, 2)))}, path, "double")
-        blob = path.read_bytes()
-        dims = struct.pack("<QQ", 2, 2)
-        # 2^32 * 2^32 elements wrap to zero in int64
-        path.write_bytes(blob.replace(dims, struct.pack("<QQ", 2 ** 32, 2 ** 32), 1))
-        with pytest.raises(ValueError, match="model.ckpt"):
-            ad.load_parameters(path)
-
-    def test_truncation_raises_with_path(self, tmp_path):
-        rng = np.random.default_rng(7)
-        params = {
-            "a.weight": Parameter("a.weight", rng.standard_normal((3, 4)).astype(np.float32)),
-            "b.bias": Parameter("b.bias", rng.standard_normal(5).astype(np.float32)),
-        }
-        full = tmp_path / "model.ckpt"
-        ad.save_parameters(params, full, "single")
-        blob = full.read_bytes()
-        path = tmp_path / "cut.ckpt"
-        for size in range(len(blob)):
-            path.write_bytes(blob[:size])
-            try:
-                arrays, _ = ad.load_parameters(path)
-            except ValueError as exc:
-                assert str(path) in str(exc), size
-            else:
-                # a cut between two parameters leaves a shorter well-formed file;
-                # the model loader rejects the missing names
-                assert list(arrays) == list(params)[:len(arrays)], size
-                for name, data in arrays.items():
-                    assert np.array_equal(data, params[name].data)
 
 
 class TestFiniteGuard:

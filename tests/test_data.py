@@ -1,7 +1,6 @@
 """Loader, split, and sampler tests."""
 
 import gzip
-import json
 
 import numpy as np
 import pytest

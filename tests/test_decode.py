@@ -9,7 +9,6 @@ import pytest
 from concept_parse.data import tags_from_records
 from concept_parse.decoding import _token_at, beam_decode, greedy_decode
 from concept_parse.errors import LengthExceededError
-from concept_parse.model import ConceptBank
 from concept_parse.parse import tags_for_label, tokenize_utterance
 from concept_parse.synthetic import transfer_pair_rows, two_domain_rows
 

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 import concept_parse.evaluation as evaluation
@@ -10,7 +9,6 @@ from concept_parse.data import build_leave_one_out, record_from_row, tags_from_r
 from concept_parse.decoding import Hypothesis
 from concept_parse.errors import EmptyEvalSetError
 from concept_parse.evaluation import (
-    EvalReport,
     evaluate_domain,
     exact_match,
     labeled_span_f1,

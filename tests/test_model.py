@@ -1,6 +1,7 @@
 """Network contract tests: shapes, the m+n head, permutation equivariance,
 compiled-domain equivalence, batched/stepwise agreement, and persistence."""
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -18,7 +19,7 @@ from concept_parse.errors import (
     ShapeError,
     UnknownConceptError,
 )
-from concept_parse.model import ConceptBank, ModelConfig, SourceEncoding, Vocabulary
+from concept_parse.model import ConceptBank, ModelConfig, SourceEncoding
 from concept_parse.parse import Concept, Pointer, TargetSequence, make_tag, tags_for_label
 from concept_parse.synthetic import (
     COMPOSITIONAL_ANNOTATION,
@@ -359,21 +360,41 @@ class TestPersistence:
         for x, y in zip(a, b):
             assert x.log_probabilities.tobytes() == y.log_probabilities.tobytes()
 
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_roundtrip_is_bit_equal(self, tmp_path, corpus, precision):
+        model = build_model(corpus, seed=5, **dict(TINY, precision=precision))
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        loaded, _ = type(model).load(path)
+        assert loaded.value_buffer().dtype == model.value_buffer().dtype
+        assert loaded.value_buffer().tobytes() == model.value_buffer().tobytes()
+        assert path.stat().st_size == model.value_buffer().nbytes
+
     @pytest.mark.parametrize("edit, name", [
         ("drop", "head.pointer.w"),
         ("add", "head.extra.w"),
         ("reshape", "decoder.bos"),
     ])
-    def test_parameter_set_must_match_exactly(self, tmp_path, model, edit, name):
+    def test_parameter_set_must_match_exactly(self, tmp_path, model, monkeypatch,
+                                              edit, name):
+        """A code change to the parameter layout between save and load fails."""
         path = tmp_path / "model.ckpt"
         model.save(path)
-        params = dict(model.parameters())
-        if edit == "drop":
-            del params[name]
-        else:
-            params[name] = ad.Parameter(name, np.zeros((2, 3), dtype=model.dtype))
-        ad.save_parameters(params, path, model.config.precision)
-        with pytest.raises(CheckpointMismatchError, match=re.escape(name)):
+        original = ad.arena_parameters
+
+        def changed_layout(arrays):
+            arrays = dict(arrays)
+            if edit == "drop":
+                del arrays[name]
+            elif edit == "add":
+                arrays[name] = np.zeros((2, 3), dtype=model.dtype)
+            else:  # same size, so only the layout in the digest tells them apart
+                arrays[name] = arrays[name].reshape(1, -1)
+            return original(arrays)
+
+        monkeypatch.setattr(ad, "arena_parameters", changed_layout)
+        with pytest.raises(CheckpointMismatchError,
+                           match="model.ckpt.*digest.*parameter layout"):
             type(model).load(path)
 
     def test_flipped_value_byte_names_path(self, tmp_path, model):
@@ -393,36 +414,53 @@ class TestPersistence:
             type(model).load(path)
 
     @staticmethod
-    def flip_precision_byte(path, model):
-        blob = bytearray(path.read_bytes())
-        blob[12] ^= 0x01  # single becomes double; the values no longer fit
-        path.write_bytes(bytes(blob))
-
-    @staticmethod
-    def bad_magic(path, model):
-        path.write_bytes(b"NOTCKPT0" + path.read_bytes()[8:])
-
-    @staticmethod
-    def double_precision_file(path, model):
-        ad.save_parameters(model.parameters(), path, "double")
-
-    @pytest.mark.parametrize("corrupt", [flip_precision_byte, bad_magic,
-                                         double_precision_file],
-                             ids=["flipped_precision_byte", "bad_magic",
-                                  "precision_mismatch"])
-    def test_corrupt_parameter_file_names_path(self, tmp_path, model, corrupt):
-        path = tmp_path / "model.ckpt"
-        model.save(path)
-        corrupt(path, model)
-        with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
-            type(model).load(path)
-
-    @staticmethod
     def edit_sidecar(path, edit):
         sidecar_path = path.with_name(path.name + ".json")
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         edit(sidecar)
         sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+
+    @classmethod
+    def write_with_matching_hash(cls, path, blob):
+        """Replace the parameter file and make the sidecar's hash agree with it."""
+        path.write_bytes(blob)
+        digest = hashlib.sha256(blob).hexdigest()
+        cls.edit_sidecar(path, lambda sidecar: sidecar.update(params_sha256=digest))
+
+    @pytest.mark.parametrize("cut", [
+        lambda size: 0, lambda size: size - 1, lambda size: size // 2,
+    ], ids=["empty", "one_byte_short", "half"])
+    @pytest.mark.parametrize("rehash", [False, True],
+                             ids=["stale_hash", "matching_hash"])
+    def test_cut_parameter_file_names_path(self, tmp_path, model, cut, rehash):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        blob = path.read_bytes()
+        blob = blob[:cut(len(blob))]
+        if rehash:  # a consistent sidecar must still not reach numpy
+            self.write_with_matching_hash(path, blob)
+            expected = f"model.ckpt: parameter file holds {len(blob)} bytes"
+        else:
+            path.write_bytes(blob)
+            expected = "model.ckpt.*params_sha256"
+        with pytest.raises(CheckpointMismatchError, match=expected):
+            type(model).load(path)
+
+    @staticmethod
+    def double_precision_file(path, model):
+        blob = model.value_buffer().astype("<f8").tobytes()
+        TestPersistence.write_with_matching_hash(path, blob)
+
+    @pytest.mark.parametrize("corrupt", [double_precision_file],
+                             ids=["precision_mismatch"])
+    def test_corrupt_parameter_file_names_path(self, tmp_path, model, corrupt):
+        """The right values in the wrong precision fail the size check."""
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        corrupt(path, model)
+        with pytest.raises(CheckpointMismatchError,
+                           match="model.ckpt: parameter file holds .* bytes"):
+            type(model).load(path)
 
     @pytest.mark.parametrize("edit", [
         lambda sidecar: sidecar["config"].update(dropout=0.1),

@@ -36,3 +36,36 @@ def test_every_error_class_has_a_raise_site():
                 if isinstance(target, ast.Name):
                     raised.add(target.id)
     assert sorted(classes - raised) == []
+
+
+def _python_files(*trees):
+    for tree in trees:
+        yield from sorted((ROOT / tree).rglob("*.py"))
+
+
+def test_every_src_definition_is_referenced():
+    """Each non-dunder def or class in src/ is named somewhere in the code.
+
+    A name counts as read when it appears as a name, an attribute, an import
+    alias or a string constant (perfbench looks functions up by string) in
+    src/, tests/ or perfbench/.
+    """
+    defined: dict[str, str] = {}
+    for path in _python_files("src"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.setdefault(node.name, f"{path.relative_to(ROOT)}:{node.lineno}")
+    referenced = set()
+    for path in _python_files("src", "tests", "perfbench"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update((node.name.rpartition(".")[2], node.asname))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    assert sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in referenced) == []

@@ -7,19 +7,17 @@ from concept_parse.data import (
     SpiConfig,
     build_leave_one_out,
     sample_spi,
-    tags_from_records,
     wiki_pretrain_records,
     Mention,
     WikiExample,
-    PretrainRecord,
 )
 from concept_parse.errors import EmptyFewShotError
 from concept_parse.synthetic import transfer_pair_rows, two_domain_rows, wiki_payloads
+import concept_parse.training as training
 from concept_parse.training import (
     TrainConfig,
     batch_concept_union,
     fewshot_finetune,
-    fewshot_loss_values,
     make_batches,
     make_pretrain_batch,
     pretrain_step,
@@ -98,18 +96,68 @@ class TestInBatchNegatives:
 
 
 class TestFewshotLoss:
-    @pytest.mark.parametrize("multiplier", [0.0, 0.1, 1.0])
-    def test_identity(self, multiplier):
-        values = fewshot_loss_values(2.0, 1.0, multiplier)
-        assert values.total == 2.0 + multiplier * 1.0
+    @staticmethod
+    def _run(monkeypatch, multiplier, spi_count, epochs):
+        """Fine-tune a fresh model; return the per-batch NLL tensors' values,
+        the values handed to ``_optimize`` and the training result."""
+        records = records_from_rows(transfer_pair_rows(8, seed=0))
+        alpha = [r for r in records if r.domain == "alpha"]
+        beta = [r for r in records if r.domain == "beta"]
+        model = build_model(records, seed=1, **TINY)
+        batch_losses, optimized = [], []
+        batch_nll, optimize = training.batch_nll_tensor, training._optimize
 
-    def test_affine_in_multiplier(self):
-        few, known = 1.7, 0.9
-        at = {lam: fewshot_loss_values(few, known, lam).total for lam in (0.0, 0.1, 1.0)}
+        def recording_nll(*args):
+            loss = batch_nll(*args)
+            batch_losses.append(loss.data.copy())
+            return loss
+
+        def recording_optimize(model, loss, lr, cfg):
+            optimized.append(loss.data.copy())
+            optimize(model, loss, lr, cfg)
+
+        monkeypatch.setattr(training, "batch_nll_tensor", recording_nll)
+        monkeypatch.setattr(training, "_optimize", recording_optimize)
+        cfg = quick_cfg(batch_size=2, rehearsal_multiplier=multiplier,
+                        fewshot_epochs=epochs, fewshot_eval_every=1)
+        result = fewshot_finetune(model, beta[:spi_count], alpha, cfg)
+        monkeypatch.undo()
+        return batch_losses, optimized, result
+
+    @pytest.mark.parametrize("multiplier", [0.0, 0.1, 1.0])
+    def test_identity(self, monkeypatch, multiplier):
+        batch_losses, optimized, result = self._run(monkeypatch, multiplier, 4, 2)
+        # each step scores one few-shot batch, then one rehearsal batch if m > 0
+        per_step = 2 if multiplier > 0 else 1
+        assert len(optimized) == 4 and len(batch_losses) == 4 * per_step
+        for step, total in enumerate(optimized):
+            few = batch_losses[per_step * step]
+            if multiplier > 0:
+                known = batch_losses[per_step * step + 1]
+                assert total == few + known * multiplier
+            else:
+                assert total == few
+        # the log averages the optimized values and the few-shot terms
+        start = 0
+        for entry in result.log:
+            steps = range(start, entry["step"])
+            assert entry["loss"] == sum(optimized[i].item() for i in steps) / len(steps)
+            assert entry["few_loss"] == \
+                sum(batch_losses[per_step * i].item() for i in steps) / len(steps)
+            start = entry["step"]
+
+    def test_affine_in_multiplier(self, monkeypatch):
+        # one step from the same start: the batches and their losses agree
+        # across multipliers, so the optimized loss is affine in m
+        runs = {lam: self._run(monkeypatch, lam, 2, 1) for lam in (0.0, 0.1, 1.0)}
+        at = {lam: optimized[0] for lam, (_, optimized, _) in runs.items()}
+        few = runs[1.0][0][0]
+        known = runs[1.0][0][1]
+        assert runs[0.0][0] == [few]
+        assert runs[0.1][0][0] == few and runs[0.1][0][1] == known
         assert at[0.0] == few
-        slope = (at[1.0] - at[0.0]) / 1.0
-        assert slope == pytest.approx(known, abs=1e-12)
-        assert at[0.1] == pytest.approx(few + 0.1 * known, abs=1e-12)
+        assert at[1.0] == at[0.0] + known
+        assert at[0.1] == at[0.0] + known * 0.1
 
     def test_default_multiplier(self):
         assert TrainConfig().rehearsal_multiplier == 0.1
@@ -139,10 +187,15 @@ def quick_cfg(**kwargs):
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("name", ["batch_size", "fewshot_eval_every"])
+    @pytest.mark.parametrize("name", ["batch_size", "fewshot_eval_every", "epochs",
+                                      "pretrain_epochs", "fewshot_epochs"])
     def test_counts_below_one_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: 0})
+
+    def test_negative_learning_rate_rejected(self):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=-1e-3)
 
 
 class TestTrainKnownDomains:
