@@ -35,6 +35,7 @@ from .parse import (
     TargetSequence,
     TargetToken,
     Utterance,
+    build_concept_tags,
     linearize,
     make_tag,
     parse_seqlogical,
@@ -279,6 +280,8 @@ def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[WikiExample], Load
             try:
                 payload = json.loads(line)
                 context = payload["context"]
+                if not isinstance(context, str):
+                    raise TypeError(f"context is {type(context).__name__}, not a string")
                 raw_mentions = [
                     Mention(start=int(m["start"]), end=int(m["end"]),
                             entity=str(m["entity"]), type_name=str(m["type"]))
@@ -381,8 +384,6 @@ def wiki_pretrain_records(examples: Sequence[WikiExample]) -> list[PretrainRecor
 
 def tags_from_records(records: Sequence[DatasetRecord]) -> list[ConceptTag]:
     """Begin/end concept tokens for every label in a record set, sorted."""
-    from .parse import build_concept_tags
-
     labels: set = set()
     for record in records:
         labels.update(tree_labels(record.tree))

@@ -85,7 +85,7 @@ class EmptyFewShotError(ConceptParseError):
 
 
 class EmptyEvalSetError(ConceptParseError):
-    """Raised when evaluation is requested on an empty record set."""
+    """Raised when evaluation or training is requested on an empty record set."""
 
 
 class NeedTwoDomainsError(ConceptParseError):

@@ -190,22 +190,16 @@ def make_tag(name: str, kind: Kind, boundary: Boundary,
     )
 
 
-def tags_for_label(name: str, kind: Kind,
-                   type_text: Optional[str] = None) -> tuple[ConceptTag, ConceptTag]:
+def tags_for_label(name: str, kind: Kind) -> tuple[ConceptTag, ConceptTag]:
     """Begin and end concept tokens for one boundary-free label."""
-    return (
-        make_tag(name, kind, "begin", type_text=type_text),
-        make_tag(name, kind, "end", type_text=type_text),
-    )
+    return make_tag(name, kind, "begin"), make_tag(name, kind, "end")
 
 
-def build_concept_tags(labels: Iterable[tuple[str, Kind]],
-                       type_texts: Optional[dict[str, str]] = None) -> list[ConceptTag]:
+def build_concept_tags(labels: Iterable[tuple[str, Kind]]) -> list[ConceptTag]:
     """Begin/end tags for a set of labels, in deterministic (name, begin, end) order."""
-    type_texts = type_texts or {}
     tags: list[ConceptTag] = []
     for name, kind in sorted(set(labels)):
-        tags.extend(tags_for_label(name, kind, type_text=type_texts.get(name)))
+        tags.extend(tags_for_label(name, kind))
     return tags
 
 

@@ -1,8 +1,12 @@
-"""Losses and training loops.
+"""Losses and the one epoch loop behind the three training regimes.
 
-Three regimes share one optimizer path: known-domain training with early
-stopping, concept pretraining over wiki-style batches with in-batch negatives,
-and few-shot fine-tuning with a rehearsal term from the known domains.
+Pretraining on wiki-style tagging batches (each batch scored against its own
+concept union, so the other batch concepts are in-batch negatives),
+known-domain training validated every epoch, and few-shot fine-tuning with a
+rehearsal term from the known domains validated on a fixed cadence all run
+`_epoch_loop`. A regime supplies its records, epoch count, shuffle stream, step
+loss and, optionally, a validator; the loop owns the schedule, the optimizer
+call, the log, best-state tracking, early stopping and checkpoints.
 
 A training loop owns its model exclusively; everything is deterministic in
 (data, config, seed).
@@ -15,23 +19,17 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Schedule, Tensor, lr_at
-from .data import (
-    DatasetRecord,
-    DomainSplit,
-    PretrainRecord,
-    record_fingerprint,
-    tags_from_records,
-)
-from .errors import EmptyFewShotError
+from .data import DatasetRecord, DomainSplit, PretrainRecord, tags_from_records
+from .errors import EmptyEvalSetError, EmptyFewShotError
 from .evaluation import teacher_forced_accuracy
 from .model import ConceptModel
-from .parse import Concept, ConceptTag
+from .parse import ConceptTag
 
 log = logging.getLogger(__name__)
 
@@ -65,63 +63,12 @@ class TrainConfig:
 
 
 @dataclass
-class EarlyStopState:
-    """Best-so-far tracking for epoch-level validation."""
-
-    best_score: float = -math.inf
-    best_snapshot: Optional[dict] = None
-    epochs_since_improvement: int = 0
-
-    def update(self, score: float, model: ConceptModel) -> bool:
-        if score > self.best_score:
-            self.best_score = score
-            self.best_snapshot = model.snapshot()
-            self.epochs_since_improvement = 0
-            return True
-        self.epochs_since_improvement += 1
-        return False
-
-
-@dataclass(frozen=True)
-class PretrainBatch:
-    """A pretraining batch plus the deduplicated union of its concept tokens."""
-
-    examples: tuple[PretrainRecord, ...]
-    concept_union: tuple[ConceptTag, ...]
-
-    def __post_init__(self) -> None:
-        present = {(t.name, t.boundary) for t in self.concept_union}
-        for example in self.examples:
-            for token in example.target.tokens:
-                if isinstance(token, Concept) and \
-                        (token.tag.name, token.tag.boundary) not in present:
-                    raise ValueError(
-                        f"concept {token.tag.token_string!r} missing from the "
-                        f"batch union")
-
-
-def batch_concept_union(examples: Sequence[PretrainRecord]) -> tuple[ConceptTag, ...]:
-    """Deduplicated concept tokens of a batch, in first-occurrence order."""
-    seen: dict[tuple[str, str], ConceptTag] = {}
-    for example in examples:
-        for tag in example.tags:
-            seen.setdefault((tag.name, tag.boundary), tag)
-    return tuple(seen.values())
-
-
-def make_pretrain_batch(examples: Sequence[PretrainRecord]) -> PretrainBatch:
-    return PretrainBatch(examples=tuple(examples),
-                         concept_union=batch_concept_union(examples))
-
-
-@dataclass
 class TrainResult:
     """Outcome of one training loop, model already restored to its best state."""
 
     best_score: float
     stopped_early: bool
     log: list[dict] = field(default_factory=list)
-    consumed_fingerprints: set[str] = field(default_factory=set)
 
     def write_log(self, path: Union[str, Path]) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -139,6 +86,21 @@ def batch_nll_tensor(model: ConceptModel, records: Sequence,
     picked = ad.take_along_last(log_probs, batch.gold)
     masked = ad.mul(picked, ad.constant(batch.tgt_mask))
     return ad.scale(ad.sum_all(masked), -1.0 / float(batch.tgt_mask.sum()))
+
+
+def batch_concept_union(examples: Sequence[PretrainRecord]) -> tuple[ConceptTag, ...]:
+    """Deduplicated concept tokens of a batch, in first-occurrence order."""
+    seen: dict[tuple[str, str], ConceptTag] = {}
+    for example in examples:
+        for tag in example.tags:
+            seen.setdefault((tag.name, tag.boundary), tag)
+    return tuple(seen.values())
+
+
+def pretrain_loss(model: ConceptModel, examples: Sequence[PretrainRecord]) -> Tensor:
+    """Graph scalar: mean CE of a pretraining batch over its concept union only."""
+    union = list(batch_concept_union(examples))
+    return batch_nll_tensor(model, examples, union, model.encode_concepts_tensor(union))
 
 
 # batch assembly
@@ -164,92 +126,101 @@ def _optimize(model: ConceptModel, loss: Tensor, lr: float, cfg: TrainConfig) ->
 
 # training loops
 
+def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
+                stream: Sequence[int], step_loss: Callable[[list], dict[str, Tensor]],
+                cfg: TrainConfig, out_dir: Optional[Union[str, Path]],
+                validate: Optional[Callable[[], float]] = None, every: int = 1,
+                patience: float = math.inf,
+                tags: Sequence[ConceptTag] = ()) -> TrainResult:
+    """Run up to ``epochs`` epochs over ``records``; the model ends at its best state.
+
+    Epoch e shuffles from ``[*stream, e]``. ``step_loss`` maps a batch to named
+    scalar tensors, and the one named ``"loss"`` is optimized at the
+    warmup/decay schedule's rate. Every ``every`` epochs, and at the last, a
+    log entry holds each named loss as the record-weighted mean over the epoch
+    and the ``validate`` score (None without a validator). A strictly better
+    score keeps a snapshot and, under ``out_dir``, a checkpoint with ``tags``.
+    The loop stops at a score of 100 or after ``patience`` scores in a row
+    without improvement; ``stopped_early`` means it stopped before the last
+    epoch. The log goes to ``<out_dir>/<name>_log.jsonl``.
+    """
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    schedule = Schedule(cfg.learning_rate, cfg.warmup_proportion,
+                        epochs * math.ceil(len(records) / cfg.batch_size))
+    result = TrainResult(best_score=-math.inf if validate else math.nan,
+                         stopped_early=False)
+    best_snapshot, stale, step = None, 0, 0
+    for epoch in range(epochs):
+        sums: dict[str, float] = {}
+        for batch in make_batches(records, cfg.batch_size,
+                                  np.random.default_rng([*stream, epoch])):
+            step += 1
+            losses = step_loss(batch)
+            for key, value in losses.items():
+                sums[key] = sums.get(key, 0.0) + value.item() * len(batch)
+            _optimize(model, losses["loss"], lr_at(schedule, step), cfg)
+        if (epoch + 1) % every and epoch < epochs - 1:
+            continue
+        val = validate() if validate else None
+        entry = {"epoch": epoch, "step": step, "lr": lr_at(schedule, step), "val": val,
+                 **{key: total / len(records) for key, total in sums.items()}}
+        result.log.append(entry)
+        log.info("%s epoch %d loss %.4f val %s", name, epoch, entry["loss"], val)
+        if val is None:
+            continue
+        if val > result.best_score:
+            result.best_score, best_snapshot, stale = val, model.snapshot(), 0
+            if out_dir is not None:
+                model.save(out_dir / f"epoch{epoch:04d}-val{val:07.3f}.ckpt",
+                           train_tags=tags)
+        else:
+            stale += 1
+        if val >= 100.0 or stale >= patience:
+            break
+    result.stopped_early = epoch < epochs - 1
+    if best_snapshot is not None:
+        model.restore(best_snapshot)
+    if out_dir is not None:
+        result.write_log(out_dir / f"{name}_log.jsonl")
+    return result
+
+
 def train_known_domains(model: ConceptModel, split: DomainSplit, cfg: TrainConfig,
                         out_dir: Optional[Union[str, Path]] = None) -> TrainResult:
     """Epoch loop over all known-domain concepts with early stopping.
 
     Validation is teacher-forced sequence accuracy on the held-back known
     split, evaluated after every epoch; the model is left at its best state.
+    An empty train or valid split raises `EmptyEvalSetError`.
     """
     train_records = list(split.known_train)
     valid_records = list(split.known_valid)
     if not train_records or not valid_records:
-        raise ValueError("known-domain training needs non-empty train and valid sets")
+        raise EmptyEvalSetError(
+            "known-domain training needs non-empty train and valid sets")
     tags = tags_from_records(train_records + valid_records)
-    steps_per_epoch = math.ceil(len(train_records) / cfg.batch_size)
-    schedule = Schedule(cfg.learning_rate, cfg.warmup_proportion,
-                        cfg.epochs * steps_per_epoch)
-    result = TrainResult(best_score=-math.inf, stopped_early=False)
-    stopper = EarlyStopState()
-    step = 0
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, epoch])
-        epoch_loss = 0.0
-        for batch in make_batches(train_records, cfg.batch_size, rng):
-            step += 1
-            lr = lr_at(schedule, step)
-            bank_vectors = model.encode_concepts_tensor(tags)
-            loss = batch_nll_tensor(model, batch, tags, bank_vectors)
-            _optimize(model, loss, lr, cfg)
-            epoch_loss += loss.item() * len(batch)
-            result.consumed_fingerprints.update(record_fingerprint(r) for r in batch)
-        val = teacher_forced_accuracy(model, valid_records, tags)
-        entry = {"epoch": epoch, "step": step,
-                 "loss": epoch_loss / len(train_records),
-                 "lr": lr_at(schedule, step), "val": val}
-        result.log.append(entry)
-        log.info("epoch %d loss %.4f val %.2f", epoch, entry["loss"], val)
-        improved = stopper.update(val, model)
-        if improved and out_dir is not None:
-            _write_checkpoint(model, tags, out_dir, epoch, val)
-        if stopper.epochs_since_improvement >= cfg.patience:
-            result.stopped_early = True
-            break
-    if stopper.best_snapshot is not None:
-        model.restore(stopper.best_snapshot)
-    result.best_score = stopper.best_score
-    if out_dir is not None:
-        result.write_log(Path(out_dir) / "train_log.jsonl")
-    return result
 
+    def step_loss(batch: list) -> dict[str, Tensor]:
+        bank_vectors = model.encode_concepts_tensor(tags)
+        return {"loss": batch_nll_tensor(model, batch, tags, bank_vectors)}
 
-def pretrain_step(model: ConceptModel, batch: PretrainBatch, lr: float,
-                  cfg: TrainConfig) -> float:
-    """One pretraining update: CE restricted to the batch concept union."""
-    union = list(batch.concept_union)
-    bank_vectors = model.encode_concepts_tensor(union)
-    loss = batch_nll_tensor(model, list(batch.examples), union, bank_vectors)
-    value = loss.item()
-    _optimize(model, loss, lr, cfg)
-    return value
+    return _epoch_loop(
+        model, "train", train_records, cfg.epochs, [cfg.seed], step_loss, cfg, out_dir,
+        validate=lambda: teacher_forced_accuracy(model, valid_records, tags),
+        patience=cfg.patience, tags=tags)
 
 
 def pretrain_wikiwiki(model: ConceptModel, records: Sequence[PretrainRecord],
                       cfg: TrainConfig,
                       out_dir: Optional[Union[str, Path]] = None) -> TrainResult:
     """A fixed small number of epochs over the whole pretraining corpus."""
-    result = TrainResult(best_score=math.nan, stopped_early=False)
     if not records:
-        return result
-    steps_per_epoch = math.ceil(len(records) / cfg.batch_size)
-    schedule = Schedule(cfg.learning_rate, cfg.warmup_proportion,
-                        cfg.pretrain_epochs * steps_per_epoch)
-    step = 0
-    for epoch in range(cfg.pretrain_epochs):
-        rng = np.random.default_rng([cfg.seed, 7_001, epoch])
-        epoch_loss = 0.0
-        for raw in make_batches(records, cfg.batch_size, rng):
-            step += 1
-            batch = make_pretrain_batch(raw)
-            epoch_loss += pretrain_step(model, batch, lr_at(schedule, step), cfg) \
-                * len(raw)
-        entry = {"epoch": epoch, "step": step, "loss": epoch_loss / len(records),
-                 "lr": lr_at(schedule, step), "val": None}
-        result.log.append(entry)
-        log.info("pretrain epoch %d loss %.4f", epoch, entry["loss"])
-    if out_dir is not None:
-        result.write_log(Path(out_dir) / "pretrain_log.jsonl")
-    return result
+        return TrainResult(best_score=math.nan, stopped_early=False)
+    return _epoch_loop(model, "pretrain", records, cfg.pretrain_epochs,
+                       [cfg.seed, 7_001],
+                       lambda batch: {"loss": pretrain_loss(model, batch)}, cfg, out_dir)
 
 
 def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
@@ -267,60 +238,22 @@ def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
     spi_records = list(spi_records)
     known_records = list(known_records)
     tags = tags_from_records(spi_records + known_records)
-    steps_per_epoch = math.ceil(len(spi_records) / cfg.batch_size)
-    schedule = Schedule(cfg.learning_rate, cfg.warmup_proportion,
-                        cfg.fewshot_epochs * steps_per_epoch)
-    result = TrainResult(best_score=-math.inf, stopped_early=False)
-    stopper = EarlyStopState()
     rehearsal_rng = np.random.default_rng([cfg.seed, 4_242])
-    step = 0
-    for epoch in range(cfg.fewshot_epochs):
-        rng = np.random.default_rng([cfg.seed, 9_009, epoch])
-        totals: list[float] = []
-        few_losses: list[float] = []
-        for batch in make_batches(spi_records, cfg.batch_size, rng):
-            step += 1
-            lr = lr_at(schedule, step)
-            bank_vectors = model.encode_concepts_tensor(tags)
-            few_tensor = batch_nll_tensor(model, batch, tags, bank_vectors)
-            if cfg.rehearsal_multiplier > 0 and known_records:
-                size = min(cfg.batch_size, len(known_records))
-                picks = rehearsal_rng.choice(len(known_records), size=size,
-                                             replace=False)
-                known_batch = [known_records[int(i)] for i in picks]
-                known_tensor = batch_nll_tensor(model, known_batch, tags, bank_vectors)
-                total = ad.add(few_tensor,
-                               ad.scale(known_tensor, cfg.rehearsal_multiplier))
-                result.consumed_fingerprints.update(
-                    record_fingerprint(r) for r in known_batch)
-            else:
-                total = few_tensor
-            totals.append(total.item())
-            few_losses.append(few_tensor.item())
-            _optimize(model, total, lr, cfg)
-            result.consumed_fingerprints.update(record_fingerprint(r) for r in batch)
-        if (epoch + 1) % cfg.fewshot_eval_every == 0 or epoch == cfg.fewshot_epochs - 1:
-            val = teacher_forced_accuracy(model, spi_records, tags)
-            result.log.append({
-                "epoch": epoch, "step": step,
-                "loss": sum(totals) / len(totals),
-                "few_loss": sum(few_losses) / len(few_losses),
-                "lr": lr_at(schedule, step), "val": val})
-            improved = stopper.update(val, model)
-            if improved and out_dir is not None:
-                _write_checkpoint(model, tags, out_dir, epoch, val)
-            if val >= 100.0:
-                break
-    if stopper.best_snapshot is not None:
-        model.restore(stopper.best_snapshot)
-    result.best_score = stopper.best_score
-    if out_dir is not None:
-        result.write_log(Path(out_dir) / "finetune_log.jsonl")
-    return result
 
+    def step_loss(batch: list) -> dict[str, Tensor]:
+        bank_vectors = model.encode_concepts_tensor(tags)
+        few = batch_nll_tensor(model, batch, tags, bank_vectors)
+        if cfg.rehearsal_multiplier == 0 or not known_records:
+            return {"loss": few, "few_loss": few}
+        picks = rehearsal_rng.choice(len(known_records), replace=False,
+                                     size=min(cfg.batch_size, len(known_records)))
+        known = batch_nll_tensor(model, [known_records[int(i)] for i in picks],
+                                 tags, bank_vectors)
+        return {"loss": ad.add(few, ad.scale(known, cfg.rehearsal_multiplier)),
+                "few_loss": few}
 
-def _write_checkpoint(model: ConceptModel, tags: Sequence[ConceptTag],
-                      out_dir: Union[str, Path], epoch: int, score: float) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model.save(out_dir / f"epoch{epoch:04d}-val{score:07.3f}.ckpt", train_tags=tags)
+    return _epoch_loop(
+        model, "finetune", spi_records, cfg.fewshot_epochs, [cfg.seed, 9_009],
+        step_loss, cfg, out_dir,
+        validate=lambda: teacher_forced_accuracy(model, spi_records, tags),
+        every=cfg.fewshot_eval_every, tags=tags)

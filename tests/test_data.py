@@ -251,6 +251,17 @@ class TestWikiLoader:
         examples, report = load_wikiwiki_jsonl(path)
         assert len(examples) == 1 and report.skipped == 1
 
+    @pytest.mark.parametrize("context", ["5", "null", '["a b"]'],
+                             ids=["number", "null", "list"])
+    def test_non_string_context_counted(self, tmp_path, context):
+        path = tmp_path / "w.jsonl"
+        path.write_text(f'{{"context": {context}, "mentions": []}}\n'
+                        '{"context": "ok", "mentions": []}\n')
+        examples, report = load_wikiwiki_jsonl(path)
+        assert [e.context for e in examples] == ["ok"]
+        assert report.skipped == 1 and report.loaded == 1
+        assert "line 1" in report.messages[0]
+
 
 class TestWikiToParse:
     def test_reference_conversion(self):

@@ -1,4 +1,5 @@
-"""Packaging metadata points at code that exists, and every error class is raised."""
+"""Packaging metadata points at code that exists, every error class is raised,
+and no import or definition goes unread."""
 
 import ast
 import importlib
@@ -69,3 +70,24 @@ def test_every_src_definition_is_referenced():
                 referenced.add(node.value)
     assert sorted(f"{where} {name}" for name, where in defined.items()
                   if name not in referenced) == []
+
+
+def test_no_unused_imports():
+    """Each name a module in src/ or tests/ imports is read as a name in that
+    module. ``__future__`` imports are exempt."""
+    unused = []
+    for path in _python_files("src", "tests"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported: dict[str, int] = {}
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    imported.setdefault(bound, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert sorted(unused) == []

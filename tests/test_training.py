@@ -1,4 +1,7 @@
-"""Loss oracles, in-batch negatives, rehearsal identity, and loop behavior."""
+"""Loss oracles, in-batch negatives, rehearsal identity, loop behavior and
+what the loops write under ``out_dir``."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,11 +10,13 @@ from concept_parse.data import (
     SpiConfig,
     build_leave_one_out,
     sample_spi,
+    tags_from_records,
     wiki_pretrain_records,
     Mention,
     WikiExample,
 )
-from concept_parse.errors import EmptyFewShotError
+from concept_parse.errors import EmptyEvalSetError, EmptyFewShotError, UnknownConceptError
+from concept_parse.model import ConceptModel
 from concept_parse.synthetic import transfer_pair_rows, two_domain_rows, wiki_payloads
 import concept_parse.training as training
 from concept_parse.training import (
@@ -19,8 +24,7 @@ from concept_parse.training import (
     batch_concept_union,
     fewshot_finetune,
     make_batches,
-    make_pretrain_batch,
-    pretrain_step,
+    pretrain_loss,
     pretrain_wikiwiki,
     train_known_domains,
 )
@@ -49,8 +53,7 @@ class TestInBatchNegatives:
     def test_union_counts(self):
         records = wiki_records()
         two_tags = [r for r in records if len(r.tags) == 2]
-        batch = make_pretrain_batch(two_tags[:1])
-        assert len(batch.concept_union) == 2
+        assert len(batch_concept_union(two_tags[:1])) == 2
         distinct = []
         seen = set()
         for record in records:
@@ -65,33 +68,31 @@ class TestInBatchNegatives:
 
     def test_union_must_cover_targets(self):
         records = [r for r in wiki_records() if r.tags]
-        with pytest.raises(ValueError):
-            from concept_parse.training import PretrainBatch
-            PretrainBatch(examples=(records[0],), concept_union=())
+        model = build_model([], wiki_records=records, seed=2, **TINY)
+        union = list(batch_concept_union(records[:1]))[1:]
+        with pytest.raises(UnknownConceptError):
+            training.batch_nll_tensor(model, records[:1], union,
+                                      model.encode_concepts_tensor(union))
 
     def test_loss_equals_restricted_full_ce_exactly(self):
         records = [r for r in wiki_records() if r.tags]
         model = build_model([], wiki_records=records, seed=2, **TINY)
-        cfg = TrainConfig(seed=2)
         rng = np.random.default_rng(0)
         for trial in range(6):
             picks = rng.choice(len(records), size=4, replace=False)
-            batch = make_pretrain_batch([records[int(i)] for i in picks])
-            union = list(batch.concept_union)
-            expected = batch_cross_entropy(model, list(batch.examples), union)
-            actual = pretrain_step(model, batch, lr=0.0, cfg=cfg)
-            assert actual == expected  # same floating-point path
+            batch = [records[int(i)] for i in picks]
+            expected = batch_cross_entropy(model, batch, list(batch_concept_union(batch)))
+            assert pretrain_loss(model, batch).item() == expected  # same floating-point path
 
     def test_restriction_differs_from_full_bank(self):
         records = [r for r in wiki_records() if r.tags]
         model = build_model([], wiki_records=records, seed=3, **TINY)
         all_tags = batch_concept_union(records)
-        batch = make_pretrain_batch(records[:2])
-        if len(batch.concept_union) == len(all_tags):
+        union = batch_concept_union(records[:2])
+        if len(union) == len(all_tags):
             pytest.skip("fixture batch covered every tag")
-        restricted = batch_cross_entropy(model, list(batch.examples),
-                                         list(batch.concept_union))
-        full = batch_cross_entropy(model, list(batch.examples), list(all_tags))
+        restricted = batch_cross_entropy(model, records[:2], list(union))
+        full = batch_cross_entropy(model, records[:2], list(all_tags))
         assert restricted != full
 
 
@@ -237,14 +238,14 @@ class TestTrainKnownDomains:
         assert result.stopped_early
         assert len(result.log) == 2  # first epoch improves over -inf, second stops
 
-    def test_consumed_fingerprints_exclude_heldout(self):
-        records = records_from_rows(two_domain_rows(10, seed=0))
+    def test_empty_valid_split_rejected(self):
+        # one record per domain: the known domains hold nothing back
+        records = records_from_rows(two_domain_rows(1, seed=0))
         split = build_leave_one_out(records, [], "weather", valid_fraction=0.3)
+        assert split.known_train and not split.known_valid
         model = build_model(records, seed=1, **TINY)
-        result = train_known_domains(model, split, quick_cfg(epochs=2))
-        from concept_parse.data import record_fingerprint
-        heldout = {record_fingerprint(r) for r in split.heldout_train}
-        assert not (result.consumed_fingerprints & heldout)
+        with pytest.raises(EmptyEvalSetError):
+            train_known_domains(model, split, quick_cfg(epochs=2))
 
 
 class TestPretrainLoop:
@@ -303,3 +304,59 @@ class TestFewshotFinetune:
         result = fewshot_finetune(model, navigation[:3], navigation[3:], cfg)
         assert all("few_loss" in e and e["loss"] == e["few_loss"]
                    for e in result.log)
+
+
+def assert_log_file(path, result):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == result.log
+
+
+def assert_checkpoints(out_dir, result, model, tags):
+    """One checkpoint per improving log entry, each loading with the regime's
+    tags; the last holds the restored model's values."""
+    improving, best = [], -1.0
+    for entry in result.log:
+        if entry["val"] > best:
+            best = entry["val"]
+            improving.append(entry)
+    assert len(improving) > 1
+    assert improving[-1] is not result.log[-1]  # so the restore is visible
+    paths = sorted(out_dir.glob("*.ckpt"))
+    assert [p.name for p in paths] == \
+        [f"epoch{e['epoch']:04d}-val{e['val']:07.3f}.ckpt" for e in improving]
+    for path in paths:
+        loaded, train_tags = ConceptModel.load(path)
+        assert train_tags == tags
+    assert loaded.value_buffer().tobytes() == model.value_buffer().tobytes()
+
+
+class TestOutDir:
+    def test_known_domains(self, tmp_path):
+        records = records_from_rows(transfer_pair_rows(16, seed=0))
+        split = build_leave_one_out(records, [], "beta", valid_fraction=0.3)
+        model = build_model(records, seed=1, **TINY)
+        result = train_known_domains(model, split,
+                                     quick_cfg(epochs=20, learning_rate=1e-2,
+                                               patience=20),
+                                     out_dir=tmp_path)
+        assert_log_file(tmp_path / "train_log.jsonl", result)
+        assert_checkpoints(tmp_path, result, model,
+                           tags_from_records(split.known_train + split.known_valid))
+
+    def test_pretrain(self, tmp_path):
+        records = wiki_records(count=10)
+        model = build_model([], wiki_records=records, seed=0, **TINY)
+        result = pretrain_wikiwiki(model, records, quick_cfg(), out_dir=tmp_path)
+        assert_log_file(tmp_path / "pretrain_log.jsonl", result)
+        assert not list(tmp_path.glob("*.ckpt"))
+
+    def test_fewshot(self, tmp_path):
+        records = records_from_rows(transfer_pair_rows(8, seed=0))
+        alpha = [r for r in records if r.domain == "alpha"]
+        beta = [r for r in records if r.domain == "beta"]
+        model = build_model(records, seed=1, **TINY)
+        cfg = quick_cfg(batch_size=2, fewshot_epochs=30, fewshot_eval_every=3,
+                        learning_rate=1e-2)
+        result = fewshot_finetune(model, beta[:3], alpha, cfg, out_dir=tmp_path)
+        assert_log_file(tmp_path / "finetune_log.jsonl", result)
+        assert_checkpoints(tmp_path, result, model, tags_from_records(beta[:3] + alpha))
