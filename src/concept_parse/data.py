@@ -39,15 +39,11 @@ from .parse import (
     linearize,
     make_tag,
     parse_seqlogical,
-    to_seqlogical,
     tokenize_utterance,
     tree_labels,
 )
 
 log = logging.getLogger(__name__)
-
-UNSUPPORTED_MARKER = "UNSUPPORTED"
-
 
 @dataclass(frozen=True)
 class DatasetRecord:
@@ -171,21 +167,6 @@ def load_topv2_tsv(path: Union[str, Path]) -> tuple[list[DatasetRecord], LoadRep
             report.loaded += 1
     log.info("loaded %d records from %s (%d skipped)", report.loaded, path, report.skipped)
     return records, report
-
-
-def write_topv2_tsv(rows: Iterable[tuple[str, str, str]], path: Union[str, Path]) -> None:
-    """Write (domain, utterance, semantic_parse) rows as a TSV corpus file."""
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "wt", encoding="utf-8") as handle:
-        handle.write("domain\tutterance\tsemantic_parse\n")
-        for domain, utterance, annotation in rows:
-            handle.write(f"{domain}\t{utterance}\t{annotation}\n")
-
-
-def filter_unsupported(records: Sequence[DatasetRecord]) -> list[DatasetRecord]:
-    """Drop records whose root intent name contains the unsupported marker."""
-    return [r for r in records if UNSUPPORTED_MARKER not in r.tree.name]
 
 
 def build_leave_one_out(train_records: Sequence[DatasetRecord],
@@ -409,46 +390,6 @@ def corpus_fingerprint(records: Iterable[DatasetRecord]) -> dict:
     hashes = sorted(record_fingerprint(r) for r in records)
     digest = hashlib.sha256("\n".join(hashes).encode("ascii")).hexdigest()
     return {"count": len(hashes), "digest": digest}
-
-
-# SNIPS-style flat corpora convert to the same TSV the main loader reads
-
-def _snips_label(name: str) -> str:
-    words = re.findall(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+", name)
-    return "_".join(w.upper() for w in words) if words else name.upper()
-
-
-def snips_to_rows(payload: dict) -> list[tuple[str, str, str]]:
-    """Convert a SNIPS-format intent file into (domain, utterance, semantic_parse) rows.
-
-    Each intent becomes its own domain with a single-intent tree over flat
-    slots; entity fragments must align to whitespace token boundaries.
-    """
-    rows: list[tuple[str, str, str]] = []
-    for intent_name, entries in payload.items():
-        intent = f"IN:{_snips_label(intent_name)}"
-        for entry in entries:
-            words: list[str] = []
-            children: list[Union[ParseTree, int]] = []
-            for fragment in entry["data"]:
-                fragment_words = fragment["text"].split()
-                indices = list(range(len(words), len(words) + len(fragment_words)))
-                words.extend(fragment_words)
-                if not fragment_words:
-                    continue
-                if "entity" in fragment:
-                    slot = f"SL:{_snips_label(fragment['entity'])}"
-                    children.append(ParseTree(name=slot, kind="slot",
-                                              children=tuple(indices)))
-                else:
-                    children.extend(indices)
-            if not words:
-                continue
-            utterance = tokenize_utterance(" ".join(words))
-            tree = ParseTree(name=intent, kind="intent", children=tuple(children))
-            rows.append((_snips_label(intent_name).lower(), utterance.raw,
-                         to_seqlogical(tree, utterance)))
-    return rows
 
 
 def load_corpus(path: Union[str, Path]) -> tuple[list[DatasetRecord], list[DatasetRecord]]:

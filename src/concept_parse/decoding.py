@@ -1,4 +1,4 @@
-"""Greedy and beam-search decoding over the dynamic m+n output space.
+"""Beam-search decoding over the dynamic m+n output space.
 
 Generation stops when the bracket stack closes back to the top level, when an
 end tag arrives with nothing open (an invalid but finished shape), or at the
@@ -9,7 +9,6 @@ length normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,24 +43,19 @@ def _bracket_steps(bank: ConceptBank, n: int) -> np.ndarray:
 
 
 def beam_decode(model: ConceptModel, utterance: Utterance,
-                bank: ConceptBank, beam_width: int = 4,
-                max_len: Optional[int] = None) -> list[Hypothesis]:
+                bank: ConceptBank, beam_width: int = 4) -> list[Hypothesis]:
     """Length-unnormalized beam search; returns finished hypotheses, best first.
 
     Every target position runs one `decode_step` over all live beams. The
     candidates are the beams' cumulative log-probabilities (float64) plus each
     step log-probability, flattened beam-major. A stable sort picks the best
     ``beam_width``, so ties break by beam order, then by output index. A pick
-    that closes the root bracket, or reaches ``max_len`` tokens, joins the
-    pool of finished hypotheses; the rest live on, and the decoder caches are
-    reordered so that each keeps its parent's.
+    that closes the root bracket, or reaches the model's ``max_target_len``
+    tokens, joins the pool of finished hypotheses; the rest live on, and the
+    decoder caches are reordered so that each keeps its parent's.
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
-    if max_len is None:
-        max_len = model.config.max_target_len
-    elif max_len < 1:
-        raise ValueError("max_len must be at least 1")
     src = model.encode_source(utterance.tokens)
     width = bank.m + src.n
     inputs = model.input_table(bank, src)
@@ -73,13 +67,13 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     history = np.zeros((1, 0), dtype=np.int64)      # output indices so far
     pool: list[Hypothesis] = []
     while scores.size:
-        dist, state = model.decode_step(state, prev, src, bank)
-        totals = (scores[:, None] + dist.log_probabilities).ravel()
+        log_probs, state = model.decode_step(state, prev, src, bank)
+        totals = (scores[:, None] + log_probs).ravel()
         picked = np.argsort(-totals, kind="stable")[:beam_width]
         parents, indices = np.divmod(picked, width)
         depths = depths[parents] + steps[indices]
         finished = (steps[indices] < 0) & (depths <= 0)
-        done = finished | (state.t >= max_len)
+        done = finished | (state.t >= model.config.max_target_len)
         for beam in np.flatnonzero(done):
             path = [*history[parents[beam]], indices[beam]]
             pool.append(Hypothesis(
@@ -95,8 +89,3 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     pool.sort(key=lambda h: -h.log_prob)
     return pool
 
-
-def greedy_decode(model: ConceptModel, utterance: Utterance,
-                  bank: ConceptBank, max_len: Optional[int] = None) -> Hypothesis:
-    """Argmax decoding: the best hypothesis of a width-one beam."""
-    return beam_decode(model, utterance, bank, beam_width=1, max_len=max_len)[0]

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,18 +46,6 @@ def span_counts(pred_tree: Optional[ParseTree], gold_tree: ParseTree) -> SpanCou
     pred_spans = extract_labeled_spans(pred_tree)
     return SpanCounts(matched=len(pred_spans & gold_spans),
                       predicted=len(pred_spans), gold=len(gold_spans))
-
-
-def labeled_span_f1(pairs: Sequence[tuple[Optional[ParseTree], ParseTree]]
-                    ) -> tuple[float, float, float]:
-    """Micro-averaged precision, recall, F1 (percent) over (label, start, end) triples."""
-    matched = predicted = gold = 0
-    for pred_tree, gold_tree in pairs:
-        counts = span_counts(pred_tree, gold_tree)
-        matched += counts.matched
-        predicted += counts.predicted
-        gold += counts.gold
-    return _precision_recall_f1(matched, predicted, gold)
 
 
 def _precision_recall_f1(matched: int, predicted: int, gold: int
@@ -110,11 +96,6 @@ class EvalReport:
     predicted_spans: int
     gold_spans: int
     outcomes: list[dict] = field(default_factory=list)
-
-    def write_outcomes(self, path: Union[str, Path]) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for outcome in self.outcomes:
-                handle.write(json.dumps(outcome, sort_keys=True) + "\n")
 
 
 def evaluate_domain(model: ConceptModel, bank: ConceptBank,

@@ -10,10 +10,15 @@ stepwise decoding path (`decode_step` and everything built on it) is
 inference-only and does not record a graph. Both paths compute layer norm,
 softmax, log-softmax and GELU with the same ``autodiff.*_kernel`` functions.
 `decode_step` advances a group of beams together: every array it reads or
-returns carries a leading beam axis, and the search reorders the
+returns carries a leading beam axis, it returns the step's log-probabilities
+over the m + n output indices as one array, and the search reorders the
 self-attention caches by parent between steps.
 Both paths feed the decoder by output index into concept vectors then pointer
 embeddings: `input_table` when decoding, plus a BOS row via `PaddedBatch.inputs`.
+
+`_layout` fixes every parameter's name, shape and initialisation once: a new
+model draws its values from a seed in that order, and `ConceptModel.load`
+fills the same layout from a checkpoint without drawing.
 """
 
 from __future__ import annotations
@@ -187,24 +192,6 @@ class DecoderState:
 
 
 @dataclass(frozen=True)
-class StepDistribution:
-    """One decoding step's scores and normalized log-probabilities.
-
-    Index layout of the last axis: the first m entries follow the bank's tag
-    order, the last n entries are pointers in source order. `decode_step`
-    returns arrays with a leading beam axis, (beams, m + n).
-    """
-
-    concept_scores: np.ndarray
-    pointer_scores: np.ndarray
-    log_probabilities: np.ndarray
-
-    def argmax(self) -> np.ndarray:
-        """Best index along the m + n axis, per beam."""
-        return np.argmax(self.log_probabilities, axis=-1)
-
-
-@dataclass(frozen=True)
 class PaddedBatch:
     """Teacher-forcing arrays for a batch of records under one bank layout."""
 
@@ -215,74 +202,86 @@ class PaddedBatch:
     inputs: np.ndarray        # (B, L_max) int, decoder-input row: BOS, then gold shifted
 
 
+def _layout(config: ModelConfig, source_size: int, concept_size: int
+            ) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of every parameter in arena order.
+
+    ``init`` is ``normal`` (a truncated-normal draw), ``zeros``, ``ones`` or
+    ``eye``; `ConceptModel` draws the normal ones in this order from its seed.
+    """
+    d, ff = config.width, config.ff_width
+    layout: list[tuple[str, tuple[int, ...], str]] = []
+
+    def param(name: str, shape: tuple[int, ...], init: str = "normal") -> None:
+        layout.append((name, shape, init))
+
+    def block(prefix: str, cross: bool) -> None:
+        for ln in ("ln1", "ln2", "ln3")[: 3 if cross else 2]:
+            param(f"{prefix}.{ln}.gain", (d,), "ones")
+            param(f"{prefix}.{ln}.bias", (d,), "zeros")
+        attns = ("self", "cross") if cross else ("self",)
+        for attn in attns:
+            for w in ("wq", "wk", "wv", "wo"):
+                param(f"{prefix}.{attn}.{w}", (d, d))
+            for b in ("bq", "bk", "bv", "bo"):
+                param(f"{prefix}.{attn}.{b}", (d,), "zeros")
+        param(f"{prefix}.ff.w1", (d, ff))
+        param(f"{prefix}.ff.b1", (ff,), "zeros")
+        param(f"{prefix}.ff.w2", (ff, d))
+        param(f"{prefix}.ff.b2", (d,), "zeros")
+
+    param("encoder.embed", (source_size, d))
+    param("encoder.pos", (config.max_source_len, d))
+    for i in range(config.encoder_layers):
+        block(f"encoder.{i}", cross=False)
+    param("encoder.final_ln.gain", (d,), "ones")
+    param("encoder.final_ln.bias", (d,), "zeros")
+
+    param("concept.embed", (concept_size, d))
+    param("concept.pos", (config.max_source_len, d))
+    for i in range(config.concept_layers):
+        block(f"concept.{i}", cross=False)
+    param("concept.final_ln.gain", (d,), "ones")
+    param("concept.final_ln.bias", (d,), "zeros")
+    param("concept.adapter.w", (d, d), "eye")
+    param("concept.adapter.b", (d,), "zeros")
+
+    param("decoder.ptr_embed", (config.max_source_len, d))
+    param("decoder.pos", (config.max_target_len, d))
+    param("decoder.bos", (d,))
+    for i in range(config.decoder_layers):
+        block(f"decoder.{i}", cross=True)
+    param("decoder.final_ln.gain", (d,), "ones")
+    param("decoder.final_ln.bias", (d,), "zeros")
+    param("head.concept.w", (d, d))
+    param("head.concept.b", (d,), "zeros")
+    param("head.pointer.w", (d, d))
+    param("head.pointer.b", (d,), "zeros")
+    return layout
+
+
 class ConceptModel:
     """Encoder, concept encoder, decoder, and the dynamic m+n output head."""
 
     def __init__(self, config: ModelConfig, source_vocab: Vocabulary,
                  concept_vocab: Vocabulary, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        dtype = ad.DTYPES[config.precision]
+        fill = {"normal": lambda shape: ad.trunc_normal(rng, shape, dtype=dtype),
+                "zeros": lambda shape: np.zeros(shape, dtype=dtype),
+                "ones": lambda shape: np.ones(shape, dtype=dtype),
+                "eye": lambda shape: np.eye(shape[0], dtype=dtype)}
+        self._assemble(config, source_vocab, concept_vocab, {
+            name: fill[init](shape)
+            for name, shape, init in _layout(config, len(source_vocab),
+                                             len(concept_vocab))})
+
+    def _assemble(self, config: ModelConfig, source_vocab: Vocabulary,
+                  concept_vocab: Vocabulary, arrays: dict[str, np.ndarray]) -> None:
         self.config = config
         self.source_vocab = source_vocab
         self.concept_vocab = concept_vocab
         self.dtype = ad.DTYPES[config.precision]
-        arrays: dict[str, np.ndarray] = {}
-        rng = np.random.default_rng(seed)
-        d, ff = config.width, config.ff_width
-
-        def param(name: str, shape: tuple[int, ...], init: str = "normal") -> None:
-            if init == "normal":
-                data = ad.trunc_normal(rng, shape, dtype=self.dtype)
-            elif init == "zeros":
-                data = np.zeros(shape, dtype=self.dtype)
-            elif init == "ones":
-                data = np.ones(shape, dtype=self.dtype)
-            elif init == "eye":
-                data = np.eye(shape[0], dtype=self.dtype)
-            else:
-                raise ValueError(init)
-            arrays[name] = data
-
-        def block(prefix: str, cross: bool) -> None:
-            for ln in ("ln1", "ln2", "ln3")[: 3 if cross else 2]:
-                param(f"{prefix}.{ln}.gain", (d,), "ones")
-                param(f"{prefix}.{ln}.bias", (d,), "zeros")
-            attns = ("self", "cross") if cross else ("self",)
-            for attn in attns:
-                for w in ("wq", "wk", "wv", "wo"):
-                    param(f"{prefix}.{attn}.{w}", (d, d))
-                for b in ("bq", "bk", "bv", "bo"):
-                    param(f"{prefix}.{attn}.{b}", (d,), "zeros")
-            param(f"{prefix}.ff.w1", (d, ff))
-            param(f"{prefix}.ff.b1", (ff,), "zeros")
-            param(f"{prefix}.ff.w2", (ff, d))
-            param(f"{prefix}.ff.b2", (d,), "zeros")
-
-        param("encoder.embed", (len(source_vocab), d))
-        param("encoder.pos", (config.max_source_len, d))
-        for i in range(config.encoder_layers):
-            block(f"encoder.{i}", cross=False)
-        param("encoder.final_ln.gain", (d,), "ones")
-        param("encoder.final_ln.bias", (d,), "zeros")
-
-        param("concept.embed", (len(concept_vocab), d))
-        param("concept.pos", (config.max_source_len, d))
-        for i in range(config.concept_layers):
-            block(f"concept.{i}", cross=False)
-        param("concept.final_ln.gain", (d,), "ones")
-        param("concept.final_ln.bias", (d,), "zeros")
-        param("concept.adapter.w", (d, d), "eye")
-        param("concept.adapter.b", (d,), "zeros")
-
-        param("decoder.ptr_embed", (config.max_source_len, d))
-        param("decoder.pos", (config.max_target_len, d))
-        param("decoder.bos", (d,))
-        for i in range(config.decoder_layers):
-            block(f"decoder.{i}", cross=True)
-        param("decoder.final_ln.gain", (d,), "ones")
-        param("decoder.final_ln.bias", (d,), "zeros")
-        param("head.concept.w", (d, d))
-        param("head.concept.b", (d,), "zeros")
-        param("head.pointer.w", (d, d))
-        param("head.pointer.b", (d,), "zeros")
         self.params: dict[str, Parameter] = ad.arena_parameters(arrays)
 
     # parameter access
@@ -479,14 +478,16 @@ class ConceptModel:
 
     def decode_step(self, state: DecoderState, prev_embed: np.ndarray,
                     src: SourceEncoding, bank: ConceptBank
-                    ) -> tuple[StepDistribution, DecoderState]:
+                    ) -> tuple[np.ndarray, DecoderState]:
         """One autoregressive step of every beam in ``state``.
 
         ``prev_embed`` holds each beam's decoder input, (beams, width); a
         single (width,) row is taken as one beam. The new self-attention key
         and value of each beam are written in place at position ``state.t``
-        of the caches, which the returned state at t + 1 shares. The
-        distribution's arrays are (beams, m + n).
+        of the caches, which the returned state at t + 1 shares. Returns the
+        step's log-probabilities, (beams, m + n): the first m entries of the
+        last axis follow the bank's tag order, the last n are pointers in
+        source order.
         """
         cfg = self.config
         t = state.t
@@ -532,11 +533,10 @@ class ConceptModel:
         s = concept_q @ bank.vectors.T / math.sqrt(d)
         a = pointer_q @ src.states.T / math.sqrt(d)
         log_probs = ad.log_softmax_kernel(np.concatenate([s, a], axis=1))
-        new_state = DecoderState(
+        return log_probs, DecoderState(
             self_keys=state.self_keys, self_values=state.self_values,
             cross_keys=state.cross_keys, cross_values=state.cross_values, t=t + 1,
             beams=beams)
-        return StepDistribution(s, a, log_probs), new_state
 
     # batched teacher-forced forward (training)
 
@@ -663,7 +663,9 @@ class ConceptModel:
     def load(cls, path: Union[str, Path]) -> tuple["ConceptModel", list[ConceptTag]]:
         """Rebuild a model (and its training-time tag list) from a checkpoint.
 
-        The sidecar's config must name exactly the `ModelConfig` fields and its
+        The model is laid out from the sidecar with zero values, not drawn
+        from a seed, so that the file's values are the only ones written. The
+        sidecar's config must name exactly the `ModelConfig` fields and its
         digest must equal the rebuilt model's `identity_digest`. The parameter
         file must hash to the sidecar's ``params_sha256`` and hold exactly the
         rebuilt `value_buffer`'s bytes, which are then copied in. A malformed
@@ -681,8 +683,14 @@ class ConceptModel:
                     f"{path}: sidecar config has unknown keys {sorted(keys - expected)} "
                     f"and lacks {sorted(expected - keys)}")
             config = ModelConfig(**sidecar["config"])
-            model = cls(config, Vocabulary(sidecar["source_vocab"]),
-                        Vocabulary(sidecar["concept_vocab"]), seed=0)
+            source_vocab = Vocabulary(sidecar["source_vocab"])
+            concept_vocab = Vocabulary(sidecar["concept_vocab"])
+            model = cls.__new__(cls)
+            dtype = ad.DTYPES[config.precision]
+            model._assemble(config, source_vocab, concept_vocab, {
+                name: np.zeros(shape, dtype=dtype)
+                for name, shape, _ in _layout(config, len(source_vocab),
+                                              len(concept_vocab))})
             tags = [ConceptTag(name=t["name"], kind=t["kind"], boundary=t["boundary"],
                                description=t["description"])
                     for t in sidecar["train_tags"]]

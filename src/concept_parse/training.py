@@ -178,8 +178,8 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
         else:
             stale += 1
         if val >= 100.0 or stale >= patience:
+            result.stopped_early = epoch < epochs - 1
             break
-    result.stopped_early = epoch < epochs - 1
     if best_snapshot is not None:
         model.restore(best_snapshot)
     if out_dir is not None:
@@ -215,10 +215,12 @@ def train_known_domains(model: ConceptModel, split: DomainSplit, cfg: TrainConfi
 def pretrain_wikiwiki(model: ConceptModel, records: Sequence[PretrainRecord],
                       cfg: TrainConfig,
                       out_dir: Optional[Union[str, Path]] = None) -> TrainResult:
-    """A fixed small number of epochs over the whole pretraining corpus."""
-    if not records:
-        return TrainResult(best_score=math.nan, stopped_early=False)
-    return _epoch_loop(model, "pretrain", records, cfg.pretrain_epochs,
+    """A fixed small number of epochs over the whole pretraining corpus.
+
+    With no records nothing trains, and under ``out_dir`` the log is empty.
+    """
+    return _epoch_loop(model, "pretrain", records,
+                       cfg.pretrain_epochs if records else 0,
                        [cfg.seed, 7_001],
                        lambda batch: {"loss": pretrain_loss(model, batch)}, cfg, out_dir)
 

@@ -1,10 +1,13 @@
 """Shared fixtures for the tests, and the oracles they compare against.
 
-Fixtures: model builders, a parser for target token strings, and a random
-parse-tree generator for round-trip property tests. Oracles: the per-beam
-search, the stepwise teacher-forced forward, single-query attention through
-graph ops, a no-grad batch cross-entropy, and per-parameter Adam."""
+Fixtures: model builders, a parser for target token strings, a random
+parse-tree generator for round-trip property tests, a navigation/weather
+corpus, wiki-style pretraining payloads, and writers for the TSV and JSON-lines
+formats the loaders read. Oracles: the per-beam search, the stepwise
+teacher-forced forward, single-query attention through graph ops, a no-grad
+batch cross-entropy, and per-parameter Adam."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -24,7 +27,7 @@ from concept_parse.parse import (
     split_tag_token,
     tokenize_utterance,
 )
-from concept_parse.synthetic import CITIES, FOODS, PLACES, TIMES
+from concept_parse.synthetic import PLACES, _intent, _row, _slot
 from concept_parse.training import batch_nll_tensor
 
 
@@ -59,6 +62,122 @@ def token_from_string(s):
 def sequence_from_strings(strings):
     """A TargetSequence from serialized tokens such as ``["[IN:A", "@ptr_0", "IN:A]"]``."""
     return TargetSequence(tokens=tuple(token_from_string(s) for s in strings))
+
+
+FOODS = ["coffee", "pizza", "sushi", "bagel", "soup"]
+TIMES = ["tomorrow", "tonight", "today", "monday", "friday"]
+CITIES = ["boston", "austin", "denver", "seattle", "oslo"]
+
+# compositional example used throughout the golden tests
+COMPOSITIONAL_UTTERANCE = "How far is the coffee shop"
+COMPOSITIONAL_ANNOTATION = (
+    "[IN:GET_DISTANCE How far is [SL:DESTINATION [IN:GET_RESTAURANT_LOCATION "
+    "the [SL:TYPE_FOOD coffee ] shop ] ] ]"
+)
+
+
+def two_domain_rows(per_domain=50, seed=0):
+    """A navigation/weather corpus of (domain, utterance, annotation) rows,
+    four labels per domain."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(per_domain):
+        place = str(rng.choice(PLACES))
+        time = str(rng.choice(TIMES))
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            words = ["how", "far", "is", "the", place]
+            tree = _intent("IN:GET_DISTANCE",
+                           [0, 1, 2, _slot("SL:DESTINATION", [3, 4])])
+        elif kind == 1:
+            words = ["when", "do", "we", "reach", "the", place, time]
+            tree = _intent("IN:GET_ETA",
+                           [0, 1, 2, 3, _slot("SL:DESTINATION", [4, 5]),
+                            _slot("SL:DATE_TIME", [6])])
+        else:
+            words = ["how", "far", "is", "the", place, time]
+            tree = _intent("IN:GET_DISTANCE",
+                           [0, 1, 2, _slot("SL:DESTINATION", [3, 4]),
+                            _slot("SL:DATE_TIME", [5])])
+        rows.append(_row("navigation", words, tree))
+    for _ in range(per_domain):
+        city = str(rng.choice(CITIES))
+        time = str(rng.choice(TIMES))
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            words = ["what", "is", "the", "weather", "in", city]
+            tree = _intent("IN:GET_WEATHER",
+                           [0, 1, 2, 3, 4, _slot("SL:LOCATION", [5])])
+        elif kind == 1:
+            words = ["when", "does", "the", "sun", "set", "in", city]
+            tree = _intent("IN:GET_SUNSET",
+                           [0, 1, 2, 3, 4, 5, _slot("SL:LOCATION", [6])])
+        else:
+            words = ["what", "is", "the", "weather", "in", city, time]
+            tree = _intent("IN:GET_WEATHER",
+                           [0, 1, 2, 3, 4, _slot("SL:LOCATION", [5]),
+                            _slot("SL:DATE_TIME", [6])])
+        rows.append(_row("weather", words, tree))
+    return rows
+
+
+def write_topv2_tsv(path, rows):
+    """Write (domain, utterance, semantic_parse) rows as a TSV corpus file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("domain\tutterance\tsemantic_parse\n")
+        for domain, utterance, annotation in rows:
+            handle.write(f"{domain}\t{utterance}\t{annotation}\n")
+    return path
+
+
+_WIKI_TYPES = [
+    ("PLACE_KIND", "famous place", PLACES),
+    ("FOOD_KIND", "food kind", FOODS),
+    ("TIME_KIND", "time word", TIMES),
+    ("CITY_KIND", "city name", CITIES),
+]
+
+
+def wiki_payloads(count=120, seed=0):
+    """Wiki-style contexts with typed mentions, as JSON-serializable dicts."""
+    rng = np.random.default_rng(seed)
+    payloads = []
+    for _ in range(count):
+        sentences = []
+        mentions = []
+        offset = 0
+        for _ in range(int(rng.integers(1, 3))):
+            entity, type_name, pool = _WIKI_TYPES[int(rng.integers(0, len(_WIKI_TYPES)))]
+            word = str(rng.choice(pool))
+            template = int(rng.integers(0, 3))
+            if template == 0:
+                span = "the " + word
+                sentence = "we visit " + span + " every year ."
+                start = len("we visit ")
+            elif template == 1:
+                span = word
+                sentence = span + " is a " + type_name + " near the harbor ."
+                start = 0
+            else:
+                span = word
+                sentence = "the town is famous for " + span + " ."
+                start = len("the town is famous for ")
+            mentions.append({
+                "start": offset + start,
+                "end": offset + start + len(span),
+                "entity": entity,
+                "type": type_name,
+            })
+            sentences.append(sentence)
+            offset += len(sentence) + 1
+        payloads.append({"context": " ".join(sentences), "mentions": mentions})
+    return payloads
+
+
+def write_wiki_jsonl(payloads, path):
+    with open(path, "w", encoding="utf-8") as handle:
+        for payload in payloads:
+            handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 FILLER_WORDS = PLACES + FOODS + TIMES + CITIES + [
@@ -151,21 +270,21 @@ def fork(state):
                    self_values=tuple(v.copy() for v in state.self_values))
 
 
-def reference_beam_decode(model, utterance, bank, beam_width, max_len=None):
+def reference_beam_decode(model, utterance, bank, beam_width):
     """Per-beam search: one decode_step per live beam, every candidate sorted.
 
     Candidates are listed beam-major, then by output index, and sorted stably
-    by score, so ties break as in `beam_decode`.
+    by score, so ties break as in `beam_decode`. Hypotheses are cut at the
+    model's ``max_target_len``.
     """
-    max_len = max_len or model.config.max_target_len
     src = model.encode_source(utterance.tokens)
     active = [((), 0.0, model.initial_state(src), model.bos_embedding(), 0)]
     pool = []
     while active:
         candidates = []
         for tokens, log_prob, state, prev, depth in active:
-            dist, new_state = model.decode_step(fork(state), prev, src, bank)
-            for index, lp in enumerate(dist.log_probabilities[0]):
+            log_probs, new_state = model.decode_step(fork(state), prev, src, bank)
+            for index, lp in enumerate(log_probs[0]):
                 candidates.append((log_prob + float(lp), tokens, depth, index,
                                    new_state))
         candidates.sort(key=lambda c: -c[0])
@@ -176,7 +295,7 @@ def reference_beam_decode(model, utterance, bank, beam_width, max_len=None):
             depth, finished = advance(depth, token)
             if finished:
                 pool.append(Hypothesis(tokens=tokens, log_prob=log_prob))
-            elif len(tokens) >= max_len:
+            elif len(tokens) >= model.config.max_target_len:
                 pool.append(Hypothesis(tokens=tokens, log_prob=log_prob,
                                        truncated=True))
             else:
@@ -189,16 +308,16 @@ def reference_beam_decode(model, utterance, bank, beam_width, max_len=None):
 def forward_teacher_forced(model, utterance, target, bank):
     """Per-position distributions conditioned on the gold prefix.
 
-    This is the stepwise decode loop fed gold tokens, so its outputs match
-    `decode_step` bit for bit; each has a beam axis of one.
+    This is the stepwise decode loop fed gold tokens, so its log-probabilities
+    match `decode_step` bit for bit; each has a beam axis of one.
     """
     src = model.encode_source(utterance.tokens)
     state = model.initial_state(src)
     prev = model.bos_embedding()
     out = []
     for token in target.tokens:
-        dist, state = model.decode_step(state, prev, src, bank)
-        out.append(dist)
+        log_probs, state = model.decode_step(state, prev, src, bank)
+        out.append(log_probs)
         prev = model.target_embed(token, bank)
     return out
 

@@ -11,10 +11,10 @@ import concept_parse.autodiff as ad
 from concept_parse.data import tags_from_records
 from concept_parse.errors import ShapeError
 from concept_parse.model import ConceptModel
-from concept_parse.synthetic import two_domain_rows
 from concept_parse.training import batch_nll_tensor
 
-from helpers import TINY, build_model, records_from_rows, reference_adam_step
+from helpers import (TINY, build_model, records_from_rows, reference_adam_step,
+                     two_domain_rows)
 
 
 @pytest.fixture(scope="module")

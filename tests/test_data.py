@@ -12,16 +12,13 @@ from concept_parse.data import (
     build_leave_one_out,
     carve_test_split,
     corpus_fingerprint,
-    filter_unsupported,
     load_corpus,
     load_topv2_tsv,
     load_wikiwiki_jsonl,
     record_fingerprint,
     record_from_row,
     sample_spi,
-    snips_to_rows,
     wikiwiki_to_parse_example,
-    write_topv2_tsv,
 )
 from concept_parse.errors import (
     DataError,
@@ -30,27 +27,23 @@ from concept_parse.errors import (
     SpanAlignmentError,
 )
 from concept_parse.parse import Pointer, linearize
-from concept_parse.synthetic import (
+
+from helpers import (
     COMPOSITIONAL_ANNOTATION,
     COMPOSITIONAL_UTTERANCE,
     two_domain_rows,
     wiki_payloads,
+    write_topv2_tsv,
     write_wiki_jsonl,
 )
 
 HEADER = "domain\tutterance\tsemantic_parse\n"
 
 
-def write_tsv(path, rows):
-    write_topv2_tsv(rows, path)
-    return path
-
-
 class TestTsvLoader:
     def test_reference_row(self, tmp_path):
-        path = write_tsv(tmp_path / "c.tsv",
-                         [("navigation", COMPOSITIONAL_UTTERANCE,
-                           COMPOSITIONAL_ANNOTATION)])
+        path = write_topv2_tsv(tmp_path / "c.tsv", [
+            ("navigation", COMPOSITIONAL_UTTERANCE, COMPOSITIONAL_ANNOTATION)])
         records, report = load_topv2_tsv(path)
         assert report.loaded == 1 and report.skipped == 0
         record = records[0]
@@ -65,7 +58,7 @@ class TestTsvLoader:
         assert records == [] and report.total == 0
 
     def test_malformed_row_skipped(self, tmp_path):
-        path = write_tsv(tmp_path / "bad.tsv", [
+        path = write_topv2_tsv(tmp_path / "bad.tsv", [
             ("d", "x", "[IN:A x ]"),
             ("d", "x", "[IN:A x"),  # unbalanced
         ])
@@ -92,21 +85,11 @@ class TestTsvLoader:
             load_topv2_tsv(path)
 
     def test_every_record_satisfies_target_invariant(self, tmp_path):
-        path = write_tsv(tmp_path / "two.tsv", two_domain_rows(20, seed=1))
+        path = write_topv2_tsv(tmp_path / "two.tsv", two_domain_rows(20, seed=1))
         records, _ = load_topv2_tsv(path)
         assert len(records) == 40
         for record in records:
             assert record.target == linearize(record.tree, record.utterance)
-
-
-class TestFilterUnsupported:
-    def test_marker_removed(self):
-        kept = record_from_row("nav", "x", "[IN:GET_DISTANCE x ]")
-        dropped = record_from_row("nav", "x", "[IN:UNSUPPORTED_NAVIGATION x ]")
-        assert filter_unsupported([kept, dropped]) == [kept]
-
-    def test_empty(self):
-        assert filter_unsupported([]) == []
 
 
 class TestLeaveOneOut:
@@ -338,20 +321,6 @@ def _per_sentence(example):
     return out
 
 
-class TestSnips:
-    def test_flat_conversion(self):
-        payload = {"AddToPlaylist": [
-            {"data": [{"text": "add "},
-                      {"text": "song", "entity": "music_item"},
-                      {"text": " to my list"}]},
-        ]}
-        rows = snips_to_rows(payload)
-        assert rows == [("add_to_playlist", "add song to my list",
-                         "[IN:ADD_TO_PLAYLIST add [SL:MUSIC_ITEM song ] to my list ]")]
-        record = record_from_row(*rows[0])
-        assert record.tree.name == "IN:ADD_TO_PLAYLIST"
-
-
 class TestFingerprints:
     def test_order_independent(self):
         a = record_from_row("d", "x", "[IN:A x ]")
@@ -369,7 +338,7 @@ class TestFingerprints:
         assert len(test) >= 2
 
     def test_load_corpus_directory(self, tmp_path):
-        write_tsv(tmp_path / "train.tsv", two_domain_rows(5, seed=0))
-        write_tsv(tmp_path / "test.tsv", two_domain_rows(3, seed=1))
+        write_topv2_tsv(tmp_path / "train.tsv", two_domain_rows(5, seed=0))
+        write_topv2_tsv(tmp_path / "test.tsv", two_domain_rows(3, seed=1))
         train, test = load_corpus(tmp_path)
         assert len(train) == 10 and len(test) == 6

@@ -1,5 +1,4 @@
-"""Beam search against exhaustive enumeration and the per-beam oracle, plus
-greedy agreement."""
+"""Beam search against exhaustive enumeration and the per-beam oracle."""
 
 import math
 
@@ -7,22 +6,22 @@ import numpy as np
 import pytest
 
 from concept_parse.data import tags_from_records
-from concept_parse.decoding import _token_at, beam_decode, greedy_decode
-from concept_parse.errors import LengthExceededError
+from concept_parse.decoding import _token_at, beam_decode
 from concept_parse.parse import tags_for_label, tokenize_utterance
-from concept_parse.synthetic import transfer_pair_rows, two_domain_rows
+from concept_parse.synthetic import transfer_pair_rows
 
 from helpers import (TINY, advance, build_model, records_from_rows,
-                     reference_beam_decode)
+                     reference_beam_decode, two_domain_rows)
 
 MICRO = dict(width=16, encoder_layers=1, encoder_heads=2, decoder_layers=1,
              decoder_heads=2, concept_layers=1, concept_heads=2,
              max_source_len=16, max_target_len=24, ff_width=32)
 
 
-def micro_model(seed):
+def micro_model(seed, max_target_len=MICRO["max_target_len"]):
     records = records_from_rows(two_domain_rows(4, seed=0))
-    return build_model(records, seed=seed, **MICRO)
+    return build_model(records, seed=seed,
+                       **dict(MICRO, max_target_len=max_target_len))
 
 
 def micro_bank(model, labels=("IN:GO", "SL:SPOT")):
@@ -32,20 +31,20 @@ def micro_bank(model, labels=("IN:GO", "SL:SPOT")):
     return model.encode_concepts(tags)
 
 
-def enumerate_best(model, utterance, bank, max_len):
-    """Exhaustive scoring of every terminal sequence up to max_len."""
+def enumerate_best(model, utterance, bank):
+    """Exhaustive scoring of every terminal sequence up to the model's length cap."""
     src = model.encode_source(utterance.tokens)
     m, n = bank.m, src.n
     best = {"lp": -math.inf, "tokens": None}
 
     def recurse(state, prev, tokens, lp, depth):
-        dist, new_state = model.decode_step(state, prev, src, bank)
+        log_probs, new_state = model.decode_step(state, prev, src, bank)
         for index in range(m + n):
             token = _token_at(index, bank)
             seq = tokens + (token,)
-            total = lp + float(dist.log_probabilities[0][index])
+            total = lp + float(log_probs[0][index])
             new_depth, finished = advance(depth, token)
-            if finished or len(seq) >= max_len:
+            if finished or len(seq) >= model.config.max_target_len:
                 if total > best["lp"]:
                     best["lp"] = total
                     best["tokens"] = seq
@@ -61,13 +60,12 @@ class TestBeamOracle:
     def test_matches_exhaustive_enumeration(self):
         matches = 0
         for seed in range(20):
-            model = micro_model(seed)
+            model = micro_model(seed, max_target_len=3)
             bank = micro_bank(model)  # m = 4
             utterance = tokenize_utterance("near the" if seed % 2 else "harbor bakery")
             assert bank.m + len(utterance.tokens) == 6
-            best = enumerate_best(model, utterance, bank, max_len=3)
-            hypotheses = beam_decode(model, utterance, bank, beam_width=216,
-                                     max_len=3)
+            best = enumerate_best(model, utterance, bank)
+            hypotheses = beam_decode(model, utterance, bank, beam_width=216)
             top = hypotheses[0]
             assert abs(top.log_prob - best["lp"]) < 1e-9
             assert top.tokens == best["tokens"]
@@ -75,27 +73,30 @@ class TestBeamOracle:
         assert matches == 20
 
     def test_beam_one_equals_greedy(self):
+        """Width one is greedy search; the per-beam oracle at width one is
+        the greedy reference."""
         checked = 0
         for seed in range(5):
-            model = micro_model(100 + seed)
+            model = micro_model(100 + seed, max_target_len=8)
             bank = micro_bank(model)
             for i in range(20):
                 words = ["near", "the", "harbor", "bakery", "museum"][: 1 + i % 5]
                 utterance = tokenize_utterance(" ".join(words))
-                greedy = greedy_decode(model, utterance, bank, max_len=8)
-                beam = beam_decode(model, utterance, bank, beam_width=1, max_len=8)
-                assert greedy.tokens == beam[0].tokens
-                assert abs(greedy.log_prob - beam[0].log_prob) < 1e-9
+                greedy = reference_beam_decode(model, utterance, bank, 1)
+                beam = beam_decode(model, utterance, bank, beam_width=1)
+                assert len(greedy) == len(beam) == 1
+                assert greedy[0].tokens == beam[0].tokens
+                assert abs(greedy[0].log_prob - beam[0].log_prob) < 1e-9
                 checked += 1
         assert checked == 100
 
     def test_wider_beam_never_scores_worse(self):
         for seed in range(6):
-            model = micro_model(200 + seed)
+            model = micro_model(200 + seed, max_target_len=8)
             bank = micro_bank(model)
             utterance = tokenize_utterance("near the harbor")
-            narrow = beam_decode(model, utterance, bank, beam_width=1, max_len=8)
-            wide = beam_decode(model, utterance, bank, beam_width=4, max_len=8)
+            narrow = beam_decode(model, utterance, bank, beam_width=1)
+            wide = beam_decode(model, utterance, bank, beam_width=4)
             assert wide[0].log_prob >= narrow[0].log_prob - 1e-12
 
     def test_deterministic(self):
@@ -117,21 +118,21 @@ class TestBeamOracle:
         total = 0.0
         rows = bank.row_index()
         for token in top.tokens:
-            dist, state = model.decode_step(state, prev, src, bank)
+            log_probs, state = model.decode_step(state, prev, src, bank)
             from concept_parse.parse import Pointer
             if isinstance(token, Pointer):
                 index = bank.m + token.index
             else:
                 index = rows[(token.tag.name, token.tag.boundary)]
-            total += float(dist.log_probabilities[0][index])
+            total += float(log_probs[0][index])
             prev = model.target_embed(token, bank)
         assert abs(total - top.log_prob) < 1e-9
 
     def test_truncation_flag(self):
-        model = micro_model(11)
+        model = micro_model(11, max_target_len=2)
         bank = micro_bank(model)
         utterance = tokenize_utterance("near")
-        hypotheses = beam_decode(model, utterance, bank, beam_width=2, max_len=2)
+        hypotheses = beam_decode(model, utterance, bank, beam_width=2)
         assert any(h.truncated for h in hypotheses) or \
             all(len(h.tokens) <= 2 for h in hypotheses)
 
@@ -141,25 +142,24 @@ class TestBeamOracle:
             beam_decode(model, tokenize_utterance("x"), micro_bank(model),
                         beam_width=0)
 
-    @pytest.mark.parametrize("max_len", [0, -1])
-    def test_invalid_max_len(self, max_len):
-        model = micro_model(1)
-        with pytest.raises(ValueError, match="max_len"):
-            beam_decode(model, tokenize_utterance("x"), micro_bank(model),
-                        max_len=max_len)
-
 
 class TestBatchedBeamOracle:
     """The batched search against the per-beam one, in double precision."""
 
     @pytest.fixture(scope="class", params=["two_domain", "transfer_pair"])
     def case(self, request):
+        """A double-precision model builder over one corpus, by length cap,
+        and utterances to decode."""
         rows = (two_domain_rows(6, seed=4) if request.param == "two_domain"
                 else transfer_pair_rows(6, seed=4))
         records = records_from_rows(rows)
-        model = build_model(records, seed=5, precision="double", **TINY)
-        bank = model.encode_concepts(tags_from_records(records))
-        return model, bank, [r.utterance for r in records[::2]]
+
+        def capped(max_target_len):
+            model = build_model(records, seed=5, precision="double",
+                                **dict(TINY, max_target_len=max_target_len))
+            return model, model.encode_concepts(tags_from_records(records))
+
+        return capped, [r.utterance for r in records[::2]]
 
     @staticmethod
     def assert_same(batched, reference):
@@ -170,47 +170,26 @@ class TestBatchedBeamOracle:
 
     @pytest.mark.parametrize("max_len", [None, 3])
     def test_matches_per_beam_search(self, case, max_len):
-        model, bank, utterances = case
+        capped, utterances = case
+        model, bank = capped(max_len or TINY["max_target_len"])
         outcomes = set()
         for utterance in utterances:
             for width in (1, 2, 4, 8):
-                batched = beam_decode(model, utterance, bank, beam_width=width,
-                                      max_len=max_len)
-                reference = reference_beam_decode(model, utterance, bank, width,
-                                                  max_len=max_len)
+                batched = beam_decode(model, utterance, bank, beam_width=width)
+                reference = reference_beam_decode(model, utterance, bank, width)
                 self.assert_same(batched, reference)
                 outcomes.update(h.truncated for h in batched)
-        # both stopping rules are exercised, with and without the small cap
+        # both stopping rules are exercised, at the default and a small cap
         assert outcomes == {True, False}
 
     def test_ties_break_beam_major_then_by_index(self, case):
-        model, bank, utterances = case
-        saved = model.snapshot()
-        try:
-            # a zero output head scores every index alike, so only ties decide
-            for name in ("head.concept.w", "head.concept.b", "head.pointer.w",
-                         "head.pointer.b"):
-                model.params[name].data = np.zeros_like(model.params[name].data)
-            for width in (1, 3, 8):
-                batched = beam_decode(model, utterances[0], bank,
-                                      beam_width=width, max_len=5)
-                reference = reference_beam_decode(model, utterances[0], bank,
-                                                  width, max_len=5)
-                self.assert_same(batched, reference)
-        finally:
-            model.restore(saved)
-
-
-class TestLengthCap:
-    """Past the model's target length the search fails with a typed error."""
-
-    def test_unclosed_brackets_raise_length_exceeded(self):
-        model = micro_model(3)
-        opening = [t for t in micro_bank(model).tags if t.boundary == "begin"]
-        bank = model.encode_concepts(opening)  # no tag can close a bracket
-        utterance = tokenize_utterance("near the")
-        too_long = model.config.max_target_len + 4
-        with pytest.raises(LengthExceededError):
-            beam_decode(model, utterance, bank, beam_width=3, max_len=too_long)
-        with pytest.raises(LengthExceededError):
-            greedy_decode(model, utterance, bank, max_len=too_long)
+        capped, utterances = case
+        model, bank = capped(5)
+        # a zero output head scores every index alike, so only ties decide
+        for name in ("head.concept.w", "head.concept.b", "head.pointer.w",
+                     "head.pointer.b"):
+            model.params[name].data = np.zeros_like(model.params[name].data)
+        for width in (1, 3, 8):
+            batched = beam_decode(model, utterances[0], bank, beam_width=width)
+            reference = reference_beam_decode(model, utterances[0], bank, width)
+            self.assert_same(batched, reference)

@@ -1,7 +1,5 @@
 """Metric oracles and domain evaluation reports."""
 
-import json
-
 import pytest
 
 import concept_parse.evaluation as evaluation
@@ -9,17 +7,16 @@ from concept_parse.data import build_leave_one_out, record_from_row, tags_from_r
 from concept_parse.decoding import Hypothesis
 from concept_parse.errors import EmptyEvalSetError
 from concept_parse.evaluation import (
+    _precision_recall_f1,
     evaluate_domain,
     exact_match,
-    labeled_span_f1,
     span_counts,
     teacher_forced_accuracy,
 )
 from concept_parse.parse import ParseTree
-from concept_parse.synthetic import two_domain_rows
 from concept_parse.training import TrainConfig, train_known_domains
 
-from helpers import build_model, records_from_rows, sequence_from_strings
+from helpers import build_model, records_from_rows, sequence_from_strings, two_domain_rows
 
 
 def tree(name, kind, *children):
@@ -42,29 +39,38 @@ class TestExactMatch:
         assert round(100.0 * sum(outcomes) / len(outcomes), 2) == 66.67
 
 
+def span_f1(pairs):
+    """Micro precision, recall and F1 over (pred, gold) tree pairs, summed as
+    `evaluate_domain` sums them."""
+    counts = [span_counts(pred, gold) for pred, gold in pairs]
+    return _precision_recall_f1(sum(c.matched for c in counts),
+                                sum(c.predicted for c in counts),
+                                sum(c.gold for c in counts))
+
+
 class TestSpanF1:
     def test_perfect(self):
         gold = tree("IN:A", "intent", tree("SL:B", "slot", 0), 1)
-        precision, recall, f1 = labeled_span_f1([(gold, gold)])
+        precision, recall, f1 = span_f1([(gold, gold)])
         assert (precision, recall, f1) == (100.0, 100.0, 100.0)
 
     def test_disjoint(self):
         gold = tree("IN:A", "intent", 0)
         pred = tree("IN:B", "intent", 0)
-        assert labeled_span_f1([(pred, gold)])[2] == 0.0
+        assert span_f1([(pred, gold)])[2] == 0.0
 
     def test_half_credit(self):
         # gold spans {(A,0,5),(B,3,5)}, predicted {(A,0,5),(B,3,4)}
         gold = tree("A", "intent", 0, 1, 2, tree("B", "slot", 3, 4, 5))
         pred = tree("A", "intent", 0, 1, 2, tree("B", "slot", 3, 4), 5)
-        precision, recall, f1 = labeled_span_f1([(pred, gold)])
+        precision, recall, f1 = span_f1([(pred, gold)])
         assert (precision, recall, f1) == (50.0, 50.0, 50.0)
 
     def test_invalid_prediction_counts_gold_only(self):
         gold = tree("IN:A", "intent", 0, tree("SL:B", "slot", 1))
         counts = span_counts(None, gold)
         assert (counts.matched, counts.predicted, counts.gold) == (0, 0, 2)
-        precision, recall, f1 = labeled_span_f1([(None, gold)])
+        precision, recall, f1 = span_f1([(None, gold)])
         assert (precision, recall, f1) == (0.0, 0.0, 0.0)
 
     def test_micro_aggregation_sums_counts(self):
@@ -74,7 +80,7 @@ class TestSpanF1:
         pred2 = tree("B", "intent", 0, 1)
         c1 = span_counts(pred1, gold1)
         c2 = span_counts(pred2, gold2)
-        precision, recall, _ = labeled_span_f1([(pred1, gold1), (pred2, gold2)])
+        precision, recall, _ = span_f1([(pred1, gold1), (pred2, gold2)])
         assert precision == pytest.approx(
             100.0 * (c1.matched + c2.matched) / (c1.predicted + c2.predicted))
         assert recall == pytest.approx(
@@ -129,7 +135,7 @@ class TestTeacherForcedAccuracy:
 
 
 class TestEvaluateDomain:
-    def test_overfit_model_high_scores(self, trained, tmp_path):
+    def test_overfit_model_high_scores(self, trained):
         model, records = trained
         domain = model.compile_domain(tags_from_records(records))
         report = evaluate_domain(model, domain, records, beam_width=4)
@@ -137,13 +143,10 @@ class TestEvaluateDomain:
         assert report.f1 >= 95.0
         assert report.em <= report.validity <= 100.0
         assert report.count == len(records)
-        outcome_path = tmp_path / "outcomes.jsonl"
-        report.write_outcomes(outcome_path)
-        lines = [json.loads(line) for line in outcome_path.read_text().splitlines()]
-        assert len(lines) == report.count
-        assert set(lines[0]) == {"utterance", "gold", "pred", "em", "f1_counts",
-                                 "valid"}
-        matched = sum(o["f1_counts"][0] for o in lines)
+        assert len(report.outcomes) == report.count
+        assert set(report.outcomes[0]) == {"utterance", "gold", "pred", "em",
+                                           "f1_counts", "valid"}
+        matched = sum(o["f1_counts"][0] for o in report.outcomes)
         assert matched == report.matched_spans
 
     def test_empty_test_set(self, trained):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,14 +21,19 @@ from concept_parse.errors import (
     UnknownConceptError,
 )
 from concept_parse.model import ConceptBank, ModelConfig, SourceEncoding
-from concept_parse.parse import Concept, Pointer, TargetSequence, make_tag, tags_for_label
-from concept_parse.synthetic import (
+from concept_parse.parse import (Concept, Pointer, TargetSequence, make_tag, tags_for_label,
+                                 tokenize_utterance)
+
+from helpers import (
     COMPOSITIONAL_ANNOTATION,
     COMPOSITIONAL_UTTERANCE,
+    TINY,
+    build_model,
+    forward_teacher_forced,
+    records_from_rows,
     two_domain_rows,
+    zero_grads,
 )
-
-from helpers import TINY, build_model, forward_teacher_forced, records_from_rows, zero_grads
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +134,7 @@ class TestDecodeStep:
 
     def test_distribution_contract(self, model, bank):
         dist, state = self.decode_once(model, bank)
-        probabilities = np.exp(dist.log_probabilities[0])
+        probabilities = np.exp(dist[0])
         assert probabilities.shape == (bank.m + 3,)
         assert abs(probabilities.sum() - 1.0) < 1e-5
         assert np.all(probabilities > 0)
@@ -141,35 +147,40 @@ class TestDecodeStep:
                                     vectors=bank.vectors[perm])
         base, _ = self.decode_once(model, bank)
         swapped, _ = self.decode_once(model, permuted_bank)
-        assert np.abs(np.exp(swapped.log_probabilities[0][:bank.m])
-                      - np.exp(base.log_probabilities[0][perm])).max() <= 1e-6
-        assert np.array_equal(swapped.pointer_scores[0], base.pointer_scores[0])
-        # the argmax denotes the same token through either layout
         m = bank.m
-        base_arg = base.argmax()[0]
-        swap_arg = swapped.argmax()[0]
+        assert np.abs(np.exp(swapped[0][:m]) - np.exp(base[0][perm])).max() <= 1e-6
+        assert np.abs(np.exp(swapped[0][m:]) - np.exp(base[0][m:])).max() <= 1e-6
+        # the argmax denotes the same token through either layout
+        base_arg = int(np.argmax(base[0]))
+        swap_arg = int(np.argmax(swapped[0]))
         if base_arg < m:
             assert bank.tags[base_arg] == permuted_bank.tags[swap_arg]
         else:
             assert base_arg == swap_arg - (len(permuted_bank.tags) - m)
 
     def test_two_way_softmax_oracle(self, model):
+        """One concept and one pointer: the step's two probabilities are the
+        batched forward's softmax over the same two scores."""
         tags = [make_tag("IN:ONLY", "intent", "begin")]
         bank = model.encode_concepts(tags)
-        src = model.encode_source(("how",))
-        dist, _ = model.decode_step(model.initial_state(src),
-                                    model.bos_embedding(), src, bank)
-        logits = np.array([dist.concept_scores[0][0], dist.pointer_scores[0][0]],
-                          dtype=np.float64)
-        expected = np.exp(logits) / np.exp(logits).sum()
-        assert np.allclose(np.exp(dist.log_probabilities[0]), expected, atol=1e-6)
+        utterance = tokenize_utterance("how")
+        src = model.encode_source(utterance.tokens)
+        log_probs, _ = model.decode_step(model.initial_state(src),
+                                         model.bos_embedding(), src, bank)
+        record = SimpleNamespace(utterance=utterance,
+                                 target=TargetSequence(tokens=(Concept(tags[0]),)))
+        with ad.no_grad():
+            expected = model.teacher_log_probs(model.build_batch([record], tags),
+                                               ad.constant(bank.vectors)).data[0, 0]
+        assert log_probs[0].shape == expected.shape == (2,)
+        assert np.allclose(np.exp(log_probs[0]), np.exp(expected), atol=1e-6)
 
     def test_masking_a_source_position_shrinks_support(self, model, bank):
         src = model.encode_source(("how", "far", "is"))
         masked = SourceEncoding(states=np.delete(src.states, 1, axis=0))
         dist, _ = model.decode_step(model.initial_state(masked),
                                     model.bos_embedding(), masked, bank)
-        assert dist.log_probabilities[0].shape == (bank.m + 2,)
+        assert dist[0].shape == (bank.m + 2,)
 
     def test_step_cap(self, model, bank):
         src = model.encode_source(("how",))
@@ -192,8 +203,8 @@ class TestDecodeStep:
         assert state.beams == 2 and state.t == 2
         for row, prev in enumerate(inputs):
             alone, _ = model.decode_step(first, prev, src, bank)
-            np.testing.assert_allclose(batched.log_probabilities[row],
-                                       alone.log_probabilities[0], atol=1e-12)
+            np.testing.assert_allclose(batched[row],
+                                       alone[0], atol=1e-12)
         with pytest.raises(ShapeError):
             model.decode_step(first, inputs, src, bank)
 
@@ -201,7 +212,7 @@ class TestDecodeStep:
         novel = list(bank.tags) + list(tags_for_label("IN:NEVER_TRAINED", "intent"))
         wider = model.encode_concepts(novel)
         dist, _ = self.decode_once(model, wider)
-        probabilities = np.exp(dist.log_probabilities[0])
+        probabilities = np.exp(dist[0])
         assert probabilities.shape == (bank.m + 2 + 3,)
         assert abs(probabilities.sum() - 1.0) < 1e-5
 
@@ -217,7 +228,7 @@ class TestTeacherForced:
         prev = model.bos_embedding()
         for token, dist in zip(record.target.tokens, dists):
             manual, state = model.decode_step(state, prev, src, bank)
-            assert manual.log_probabilities.tobytes() == dist.log_probabilities.tobytes()
+            assert manual.tobytes() == dist.tobytes()
             prev = model.target_embed(token, bank)
 
     def test_compositional_support_size(self):
@@ -227,7 +238,7 @@ class TestTeacherForced:
         bank = model.encode_concepts(tags_from_records([record]))
         assert bank.m == 8
         dists = forward_teacher_forced(model, record.utterance, record.target, bank)
-        assert all(d.log_probabilities[0].shape == (14,) for d in dists)
+        assert all(d[0].shape == (14,) for d in dists)
 
     def test_unknown_concept_propagates(self, model, corpus):
         thin_bank = model.encode_concepts(
@@ -248,7 +259,7 @@ class TestCompiledDomain:
             static = forward_teacher_forced(model, record.utterance, record.target,
                                             compiled)
             for a, b in zip(dynamic, static):
-                assert a.log_probabilities.tobytes() == b.log_probabilities.tobytes()
+                assert a.tobytes() == b.tobytes()
 
     def test_support_grows_with_new_tag(self, model, bank):
         extended = model.compile_domain(
@@ -277,9 +288,9 @@ class TestBatchedForward:
             for t, dist in enumerate(dists):
                 batched = np.concatenate([log_probs[i, t, :m],
                                           log_probs[i, t, m:m + n]])
-                np.testing.assert_allclose(batched, dist.log_probabilities[0],
+                np.testing.assert_allclose(batched, dist[0],
                                            atol=1e-9)
-                assert int(np.argmax(batched)) == dist.argmax()[0]
+                assert np.argmax(batched) == np.argmax(dist[0])
 
     def test_inputs_index_the_decoder_input_table(self, model, corpus, bank):
         records = corpus[:6]
@@ -358,7 +369,19 @@ class TestPersistence:
         b = forward_teacher_forced(loaded, record.utterance, record.target,
                                    reloaded_bank)
         for x, y in zip(a, b):
-            assert x.log_probabilities.tobytes() == y.log_probabilities.tobytes()
+            assert x.tobytes() == y.tobytes()
+
+    def test_load_draws_no_initial_values(self, tmp_path, model, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        draws = []
+        trunc_normal = ad.trunc_normal
+        monkeypatch.setattr(ad, "trunc_normal",
+                            lambda *args, **kwargs: draws.append(args)
+                            or trunc_normal(*args, **kwargs))
+        loaded, _ = type(model).load(path)
+        assert len(draws) == 0
+        assert loaded.value_buffer().tobytes() == model.value_buffer().tobytes()
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_roundtrip_is_bit_equal(self, tmp_path, corpus, precision):

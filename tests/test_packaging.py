@@ -1,9 +1,11 @@
 """Packaging metadata points at code that exists, every error class is raised,
-and no import or definition goes unread."""
+no import goes unread, src/ holds only what src/ or perfbench/ reads, and every
+test helper is read."""
 
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,32 +46,101 @@ def _python_files(*trees):
         yield from sorted((ROOT / tree).rglob("*.py"))
 
 
-def test_every_src_definition_is_referenced():
-    """Each non-dunder def or class in src/ is named somewhere in the code.
+def _tree(path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
-    A name counts as read when it appears as a name, an attribute, an import
-    alias or a string constant (perfbench looks functions up by string) in
-    src/, tests/ or perfbench/.
+
+# Definitions in src/ that nothing in src/ or perfbench/ reads yet. Each is a
+# piece of the leave-one-domain-out and SPIS protocol (Chen et al., 2020) that
+# the `concept-parse run` command of ROADMAP item 3 will read; that command
+# empties this list.
+PROTOCOL_PIECES = {
+    "load_corpus": "reads the TOPv2 train and test pools a run splits",
+    "sample_spi": "draws the SPIS few-shot subset of the held-out domain",
+    "load_wikiwiki_jsonl": "reads the wiki-style concept-pretraining corpus",
+    "wiki_pretrain_records": "turns wiki sentences into pretraining records",
+    "train_known_domains": "the known-domain training phase",
+    "pretrain_wikiwiki": "the concept-pretraining phase",
+    "fewshot_finetune": "the few-shot fine-tuning phase",
+    "ConceptModel.load": "resumes a phase from its checkpoint",
+}
+
+
+def _reads(node) -> Counter:
+    """Every name read under ``node``: loaded names and attributes, import
+    aliases, and string constants (perfbench looks functions up by string)."""
+    reads: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            reads[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            reads[sub.asname or sub.name.rpartition(".")[2]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            reads[sub.value] += 1
+    return reads
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, node) of every non-dunder def and class, at
+    any depth, and of every name a module-level assignment binds."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    yield prefix + child.name, child.name, child
+                yield from walk(child, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, prefix)
+    yield from walk(tree, "")
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, name.id, node
+
+
+def test_every_src_definition_is_referenced():
+    """Each def, class and module-level name in src/ is read by src/ (not
+    counting its own definition) or by perfbench/, never only by tests.
+
+    The only exceptions are the protocol pieces above, and the list can only
+    shrink: a piece that gains a reader, or goes, fails the test until its
+    entry is removed.
     """
-    defined: dict[str, str] = {}
-    for path in _python_files("src"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and not (node.name.startswith("__") and node.name.endswith("__")):
-                defined.setdefault(node.name, f"{path.relative_to(ROOT)}:{node.lineno}")
-    referenced = set()
-    for path in _python_files("src", "tests", "perfbench"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.update((node.name.rpartition(".")[2], node.asname))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                referenced.add(node.value)
-    assert sorted(f"{where} {name}" for name, where in defined.items()
-                  if name not in referenced) == []
+    src = {path: _tree(path) for path in _python_files("src")}
+    reads = sum((_reads(tree) for tree in src.values()), Counter())
+    for path in _python_files("perfbench"):
+        if "tests" not in path.relative_to(ROOT).parts:
+            reads += _reads(_tree(path))
+    unread = {qualified: f"{path.relative_to(ROOT)}:{node.lineno}"
+              for path, tree in src.items()
+              for qualified, name, node in _definitions(tree)
+              if reads[name] <= _reads(node)[name]}
+    assert sorted(f"{where} {name}" for name, where in unread.items()
+                  if name not in PROTOCOL_PIECES) == []
+    assert sorted(unread) == sorted(PROTOCOL_PIECES)
+
+
+def test_every_helper_is_read():
+    """Each top-level def, class and name in tests/helpers.py is read by a
+    test module, by perfbench/tests, or by another helper that is itself read."""
+    path = ROOT / "tests" / "helpers.py"
+    top = {name: node for qualified, name, node in _definitions(_tree(path))
+           if qualified == name}
+    reads = sum((_reads(_tree(test)) for test in _python_files("tests", "perfbench/tests")
+                 if test != path), Counter())
+    live: set[str] = set()
+    frontier = [name for name in top if reads[name]]
+    while frontier:
+        name = frontier.pop()
+        if name not in live:
+            live.add(name)
+            frontier += [other for other in _reads(top[name]) if other in top]
+    assert sorted(set(top) - live) == []
 
 
 def test_no_unused_imports():

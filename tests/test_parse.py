@@ -23,9 +23,9 @@ from concept_parse.parse import (
     to_seqlogical,
     tokenize_utterance,
 )
-from concept_parse.synthetic import COMPOSITIONAL_ANNOTATION, COMPOSITIONAL_UTTERANCE
 
-from helpers import random_roundtrip_corpus, sequence_from_strings
+from helpers import (COMPOSITIONAL_ANNOTATION, COMPOSITIONAL_UTTERANCE,
+                     random_roundtrip_corpus, sequence_from_strings)
 
 COMPOSITIONAL_TARGET = [
     "[IN:GET_DISTANCE", "@ptr_0", "@ptr_1", "@ptr_2",

@@ -17,7 +17,7 @@ from concept_parse.data import (
 )
 from concept_parse.errors import EmptyEvalSetError, EmptyFewShotError, UnknownConceptError
 from concept_parse.model import ConceptModel
-from concept_parse.synthetic import transfer_pair_rows, two_domain_rows, wiki_payloads
+from concept_parse.synthetic import transfer_pair_rows
 import concept_parse.training as training
 from concept_parse.training import (
     TrainConfig,
@@ -29,7 +29,8 @@ from concept_parse.training import (
     train_known_domains,
 )
 
-from helpers import TINY, batch_cross_entropy, build_model, records_from_rows
+from helpers import (TINY, batch_cross_entropy, build_model, records_from_rows,
+                     two_domain_rows, wiki_payloads)
 
 
 def wiki_records(count=24, seed=0):
@@ -349,6 +350,12 @@ class TestOutDir:
         result = pretrain_wikiwiki(model, records, quick_cfg(), out_dir=tmp_path)
         assert_log_file(tmp_path / "pretrain_log.jsonl", result)
         assert not list(tmp_path.glob("*.ckpt"))
+
+    def test_empty_pretrain_writes_empty_log(self, tmp_path):
+        model = build_model([], wiki_records=wiki_records(count=4), seed=0, **TINY)
+        result = pretrain_wikiwiki(model, [], quick_cfg(), out_dir=tmp_path / "run")
+        assert result.log == []
+        assert (tmp_path / "run" / "pretrain_log.jsonl").read_text(encoding="utf-8") == ""
 
     def test_fewshot(self, tmp_path):
         records = records_from_rows(transfer_pair_rows(8, seed=0))
