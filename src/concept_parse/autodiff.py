@@ -102,25 +102,20 @@ class Arena:
 class Parameter:
     """A trainable array whose value and gradient are views into an `Arena`.
 
-    ``Parameter(name, data)`` is an arena of one; `arena_parameters` lays many
-    out in one arena. ``span`` is the parameter's slice of the flat buffers.
-    Assigning to ``data`` or ``grad`` copies into the view and needs the same
-    shape, so a parameter never detaches from its arena.
+    `arena_parameters` lays parameters out in one arena. ``span`` is the
+    parameter's slice of the flat buffers. Assigning to ``data`` or ``grad``
+    copies into the view and needs the same shape, so a parameter never
+    detaches from its arena.
     """
 
     __slots__ = ("name", "arena", "span", "data", "grad")
 
-    def __init__(self, name: str, data: np.ndarray, arena: Optional[Arena] = None,
-                 offset: int = 0):
-        data = np.asarray(data)
-        if arena is None:
-            arena = Arena(data.size, 1, data.dtype)
+    def __init__(self, name: str, shape: tuple[int, ...], arena: Arena, offset: int):
         self.name = name
         self.arena = arena
-        self.span = slice(offset, offset + data.size)
-        self.data = arena.data[self.span].reshape(data.shape)
-        self.grad = arena.grad[self.span].reshape(data.shape)
-        self.data[...] = data
+        self.span = slice(offset, offset + math.prod(shape))
+        self.data = arena.data[self.span].reshape(shape)
+        self.grad = arena.grad[self.span].reshape(shape)
 
     def __setattr__(self, attr: str, value) -> None:
         # data and grad are bound once, then written through; plain slots keep
@@ -144,15 +139,14 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-def arena_parameters(arrays: Mapping[str, np.ndarray]) -> dict[str, Parameter]:
-    """Parameters named and initialised by ``arrays``, laid out in order in one arena."""
-    arena = Arena(sum(a.size for a in arrays.values()), len(arrays),
-                  np.result_type(*arrays.values()))
+def arena_parameters(shapes: Mapping[str, tuple[int, ...]], dtype) -> dict[str, Parameter]:
+    """Zero-valued parameters of the given shapes, laid out in order in one arena."""
+    arena = Arena(sum(math.prod(shape) for shape in shapes.values()), len(shapes), dtype)
     params: dict[str, Parameter] = {}
     offset = 0
-    for name, data in arrays.items():
-        params[name] = Parameter(name, data, arena, offset)
-        offset += data.size
+    for name, shape in shapes.items():
+        params[name] = Parameter(name, shape, arena, offset)
+        offset = params[name].span.stop
     return params
 
 

@@ -107,7 +107,6 @@ class DomainSplit:
 class LoadReport:
     """Row accounting for one loaded file."""
 
-    total: int = 0
     loaded: int = 0
     skipped: int = 0
     dropped_mentions: int = 0
@@ -154,7 +153,6 @@ def load_topv2_tsv(path: Union[str, Path]) -> tuple[list[DatasetRecord], LoadRep
         except ValueError as exc:
             raise DataError(f"{path}: missing required TSV column ({exc})") from exc
         for line_no, row in enumerate(reader, start=2):
-            report.total += 1
             if len(row) <= max(col.values()):
                 report.note(f"line {line_no}: expected {len(header)} columns, got {len(row)}")
                 continue
@@ -257,7 +255,6 @@ def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[WikiExample], Load
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            report.total += 1
             try:
                 payload = json.loads(line)
                 context = payload["context"]

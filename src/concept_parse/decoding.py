@@ -1,5 +1,8 @@
 """Beam-search decoding over the dynamic m+n output space.
 
+The search feeds each beam's chosen output index back to
+`ConceptModel.decode_step` as the next input, starting from the model's BOS
+index, and carries the decoder state as a value that it reorders by parent.
 Generation stops when the bracket stack closes back to the top level, when an
 end tag arrives with nothing open (an invalid but finished shape), or at the
 model's maximum target length. Scoring is cumulative log-probability with no
@@ -51,23 +54,22 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     step log-probability, flattened beam-major. A stable sort picks the best
     ``beam_width``, so ties break by beam order, then by output index. A pick
     that closes the root bracket, or reaches the model's ``max_target_len``
-    tokens, joins the pool of finished hypotheses; the rest live on, and the
-    decoder caches are reordered so that each keeps its parent's.
+    tokens, joins the pool of finished hypotheses; the rest live on, each with
+    its parent's decoder state and its pick as the next input.
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
     src = model.encode_source(utterance.tokens)
-    width = bank.m + src.n
-    inputs = model.input_table(bank, src)
-    steps = _bracket_steps(bank, src.n)
-    state = model.initial_state(src)
-    prev = model.bos_embedding()
+    width = bank.m + len(src)
+    steps = _bracket_steps(bank, len(src))
+    state = model.initial_state(src, bank)
+    prev = np.array([model.bos_index(bank.m)])
     scores = np.zeros(1)                            # per live beam, float64
     depths = np.zeros(1, dtype=np.int64)
     history = np.zeros((1, 0), dtype=np.int64)      # output indices so far
     pool: list[Hypothesis] = []
     while scores.size:
-        log_probs, state = model.decode_step(state, prev, src, bank)
+        log_probs, state = model.decode_step(state, prev)
         totals = (scores[:, None] + log_probs).ravel()
         picked = np.argsort(-totals, kind="stable")[:beam_width]
         parents, indices = np.divmod(picked, width)
@@ -85,7 +87,7 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
         scores, depths = totals[picked[live]], depths[live]
         history = np.concatenate([history[parents], indices[:, None]], axis=1)
         state = state.reorder(parents)
-        prev = inputs[indices]
+        prev = indices
     pool.sort(key=lambda h: -h.log_prob)
     return pool
 

@@ -88,8 +88,6 @@ class EvalReport:
 
     em: float
     f1: float
-    precision: float
-    recall: float
     validity: float
     count: int
     matched_spans: int
@@ -131,12 +129,10 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
             "f1_counts": [counts.matched, counts.predicted, counts.gold],
             "valid": pred_tree is not None,
         })
-    precision, recall, f1 = _precision_recall_f1(matched, predicted, gold)
+    _, _, f1 = _precision_recall_f1(matched, predicted, gold)
     report = EvalReport(
         em=100.0 * em_total / len(records),
         f1=f1,
-        precision=precision,
-        recall=recall,
         validity=100.0 * valid_total / len(records),
         count=len(records),
         matched_spans=matched,

@@ -9,12 +9,14 @@ The batched teacher-forced forward used for training records gradients; the
 stepwise decoding path (`decode_step` and everything built on it) is
 inference-only and does not record a graph. Both paths compute layer norm,
 softmax, log-softmax and GELU with the same ``autodiff.*_kernel`` functions.
-`decode_step` advances a group of beams together: every array it reads or
-returns carries a leading beam axis, it returns the step's log-probabilities
-over the m + n output indices as one array, and the search reorders the
-self-attention caches by parent between steps.
-Both paths feed the decoder by output index into concept vectors then pointer
-embeddings: `input_table` when decoding, plus a BOS row via `PaddedBatch.inputs`.
+
+Both paths feed the decoder by output index. `_input_table` stacks the bank's
+concept vectors, the pointer embeddings and a BOS row, so row i is the input
+for output index i and `bos_index` names the BOS row. Teacher forcing gathers
+`PaddedBatch.inputs` from it. `decode_step` takes a `DecoderState` and each
+beam's previous output index, and returns the step's log-probabilities over
+the m + n output indices with a new state; it never writes into the old one,
+and the search reorders states by parent between steps.
 
 `_layout` fixes every parameter's name, shape and initialisation once: a new
 model draws its values from a seed in that order, and `ConceptModel.load`
@@ -71,6 +73,9 @@ class ModelConfig:
                      "encoder_heads", "decoder_heads", "concept_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("encoder_layers", "decoder_layers", "concept_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         for heads in (self.encoder_heads, self.decoder_heads, self.concept_heads):
             if self.width % heads:
                 raise ValueError(
@@ -114,17 +119,6 @@ class Vocabulary:
 
 
 @dataclass(frozen=True)
-class SourceEncoding:
-    """Encoder hidden states for one utterance."""
-
-    states: np.ndarray  # (n, width)
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[0]
-
-
-@dataclass(frozen=True)
 class ConceptBank:
     """Ordered concept tokens with their encoded vectors."""
 
@@ -150,45 +144,32 @@ class ConceptBank:
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Per-layer attention caches of a group of beams at target position t.
+    """A group of beams of one search at target position t.
 
-    The self-attention caches are preallocated to ``max_target_len`` with a
-    leading beam axis, (beams, heads, max_target_len, head_dim); positions
-    below t are filled. `ConceptModel.decode_step` writes position t in place
-    and returns the state at t + 1 over the same arrays, so stepping one state
-    twice overwrites what the first step wrote. `reorder` gives the beams of
-    the next step their own caches. The cross-attention caches, (heads, n,
-    head_dim) per layer, are shared by every beam.
+    The first five fields stay fixed during a search: the decoder input table
+    (`ConceptModel._input_table`), the source states (n, width), the bank
+    vectors (m, width) and each layer's cross-attention keys and values,
+    (heads, n, head_dim). The self-attention keys and values hold every beam's
+    positions below t, (beams, heads, t, head_dim) per layer. A state is a
+    value: `ConceptModel.decode_step` and `reorder` build new states and never
+    write into an existing one.
     """
 
-    self_keys: tuple[np.ndarray, ...]
-    self_values: tuple[np.ndarray, ...]
+    table: np.ndarray
+    src_states: np.ndarray
+    bank_vectors: np.ndarray
     cross_keys: tuple[np.ndarray, ...]
     cross_values: tuple[np.ndarray, ...]
+    self_keys: tuple[np.ndarray, ...]
+    self_values: tuple[np.ndarray, ...]
     t: int
-    beams: int = 1
 
     def reorder(self, parents: np.ndarray) -> "DecoderState":
-        """State whose beam b continues beam ``parents[b]`` of this one.
-
-        Only the filled prefix is copied. The identity order returns this
-        state itself.
-        """
-        if len(parents) == self.beams and \
-                np.array_equal(parents, np.arange(self.beams)):
-            return self
-        t = self.t
-
-        def gather(cache: np.ndarray) -> np.ndarray:
-            out = np.empty((len(parents),) + cache.shape[1:], dtype=cache.dtype)
-            out[:, :, :t] = cache[parents, :, :t]
-            return out
-
-        return DecoderState(
-            self_keys=tuple(gather(k) for k in self.self_keys),
-            self_values=tuple(gather(v) for v in self.self_values),
-            cross_keys=self.cross_keys, cross_values=self.cross_values, t=t,
-            beams=len(parents))
+        """State whose beam b continues beam ``parents[b]`` of this one."""
+        return DecoderState(self.table, self.src_states, self.bank_vectors,
+                            self.cross_keys, self.cross_values,
+                            tuple(k[parents] for k in self.self_keys),
+                            tuple(v[parents] for v in self.self_values), self.t)
 
 
 @dataclass(frozen=True)
@@ -266,23 +247,26 @@ class ConceptModel:
     def __init__(self, config: ModelConfig, source_vocab: Vocabulary,
                  concept_vocab: Vocabulary, seed: int = 0):
         rng = np.random.default_rng(seed)
-        dtype = ad.DTYPES[config.precision]
-        fill = {"normal": lambda shape: ad.trunc_normal(rng, shape, dtype=dtype),
-                "zeros": lambda shape: np.zeros(shape, dtype=dtype),
-                "ones": lambda shape: np.ones(shape, dtype=dtype),
-                "eye": lambda shape: np.eye(shape[0], dtype=dtype)}
-        self._assemble(config, source_vocab, concept_vocab, {
-            name: fill[init](shape)
-            for name, shape, init in _layout(config, len(source_vocab),
-                                             len(concept_vocab))})
+        for name, shape, init in self._assemble(config, source_vocab, concept_vocab):
+            view = self.params[name].data
+            if init == "normal":
+                view[...] = ad.trunc_normal(rng, shape, dtype=self.dtype)
+            elif init == "ones":
+                view.fill(1.0)
+            elif init == "eye":
+                np.fill_diagonal(view, 1.0)
 
     def _assemble(self, config: ModelConfig, source_vocab: Vocabulary,
-                  concept_vocab: Vocabulary, arrays: dict[str, np.ndarray]) -> None:
+                  concept_vocab: Vocabulary) -> list[tuple[str, tuple[int, ...], str]]:
+        """Lay the parameters out, zero-valued, in one arena; returns `_layout`."""
         self.config = config
         self.source_vocab = source_vocab
         self.concept_vocab = concept_vocab
         self.dtype = ad.DTYPES[config.precision]
-        self.params: dict[str, Parameter] = ad.arena_parameters(arrays)
+        layout = _layout(config, len(source_vocab), len(concept_vocab))
+        self.params: dict[str, Parameter] = ad.arena_parameters(
+            {name: shape for name, shape, _ in layout}, self.dtype)
+        return layout
 
     # parameter access
 
@@ -368,14 +352,15 @@ class ConceptModel:
         return self._encoder_stack("encoder", self.config.encoder_layers,
                                    self.config.encoder_heads, x, attn_mask)
 
-    def encode_source(self, tokens: Sequence[str]) -> SourceEncoding:
-        """Encode one utterance; deterministic given parameters and input."""
+    def encode_source(self, tokens: Sequence[str]) -> np.ndarray:
+        """Encoder states (n, width) of one utterance; deterministic given
+        parameters and input."""
         if len(tokens) == 0:
             raise ShapeError("cannot encode an empty token sequence")
         ids = self.source_vocab.ids(tokens)[None, :]
         with ad.no_grad():
             states = self.encode_source_batch(ids, None)
-        return SourceEncoding(states=states.data[0])
+        return states.data[0]
 
     def encode_concepts_tensor(self, tags: Sequence[ConceptTag]) -> Tensor:
         """Graph forward of the concept encoder over tag descriptions."""
@@ -435,35 +420,37 @@ class ConceptModel:
                 f"concept {token.tag.token_string!r} not present in the bank")
         return bank.vectors[row]
 
-    def initial_state(self, src: SourceEncoding) -> DecoderState:
-        """One-beam decoder state with precomputed cross-attention caches."""
+    def bos_index(self, m: int) -> int:
+        """Row of the BOS input in the decoder input table of an m-tag bank."""
+        return m + self.config.max_source_len
+
+    def _input_table(self, bank_vectors: Tensor) -> Tensor:
+        """Decoder input of every output index, (m + max_source_len + 1, width).
+
+        Row i < m is concept vector i of the bank, row m + j the embedding of
+        pointer j, and the last row, `bos_index`, the BOS embedding.
+        """
+        bos = ad.reshape(self._p("decoder.bos"), (1, self.config.width))
+        return ad.concat([bank_vectors, self._p("decoder.ptr_embed"), bos], axis=0)
+
+    def initial_state(self, src_states: np.ndarray, bank: ConceptBank) -> DecoderState:
+        """One-beam state at position 0 of a search over ``src_states`` (n,
+        width) and ``bank``, with precomputed cross-attention keys and values."""
         cfg = self.config
         heads, hd = cfg.decoder_heads, cfg.width // cfg.decoder_heads
-        self_k, self_v, cross_k, cross_v = [], [], [], []
-        n = src.n
+        n = src_states.shape[0]
+        with ad.no_grad():
+            table = self._input_table(ad.constant(bank.vectors)).data
+        cross_k, cross_v = [], []
         for i in range(cfg.decoder_layers):
             prefix = f"decoder.{i}.cross"
-            k = src.states @ self._arr(f"{prefix}.wk") + self._arr(f"{prefix}.bk")
-            v = src.states @ self._arr(f"{prefix}.wv") + self._arr(f"{prefix}.bv")
+            k = src_states @ self._arr(f"{prefix}.wk") + self._arr(f"{prefix}.bk")
+            v = src_states @ self._arr(f"{prefix}.wv") + self._arr(f"{prefix}.bv")
             cross_k.append(k.reshape(n, heads, hd).transpose(1, 0, 2))
             cross_v.append(v.reshape(n, heads, hd).transpose(1, 0, 2))
-            shape = (1, heads, cfg.max_target_len, hd)
-            self_k.append(np.zeros(shape, dtype=self.dtype))
-            self_v.append(np.zeros(shape, dtype=self.dtype))
-        return DecoderState(
-            self_keys=tuple(self_k), self_values=tuple(self_v),
-            cross_keys=tuple(cross_k), cross_values=tuple(cross_v), t=0)
-
-    def bos_embedding(self) -> np.ndarray:
-        return self._arr("decoder.bos")
-
-    def input_table(self, bank: ConceptBank, src: SourceEncoding) -> np.ndarray:
-        """Decoder input embedding of every output index, (m + n, width).
-
-        Row i < m is concept vector i of the bank; row m + j is the embedding
-        of pointer j.
-        """
-        return np.concatenate([bank.vectors, self._arr("decoder.ptr_embed")[:src.n]])
+        empty = (np.zeros((1, heads, 0, hd), dtype=self.dtype),) * cfg.decoder_layers
+        return DecoderState(table, src_states, bank.vectors, tuple(cross_k),
+                            tuple(cross_v), empty, empty, 0)
 
     def _step_attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         # q (beams, heads, 1, hd); k, v (beams, heads, t, hd) or (heads, t, hd)
@@ -476,18 +463,16 @@ class ConceptModel:
                                          self._arr(f"{prefix}.bias"))
         return out
 
-    def decode_step(self, state: DecoderState, prev_embed: np.ndarray,
-                    src: SourceEncoding, bank: ConceptBank
+    def decode_step(self, state: DecoderState, prev: np.ndarray
                     ) -> tuple[np.ndarray, DecoderState]:
         """One autoregressive step of every beam in ``state``.
 
-        ``prev_embed`` holds each beam's decoder input, (beams, width); a
-        single (width,) row is taken as one beam. The new self-attention key
-        and value of each beam are written in place at position ``state.t``
-        of the caches, which the returned state at t + 1 shares. Returns the
-        step's log-probabilities, (beams, m + n): the first m entries of the
-        last axis follow the bank's tag order, the last n are pointers in
-        source order.
+        ``prev`` holds each beam's previous output index, (beams,), or
+        `bos_index` at the first step; it picks the beam's row of the decoder
+        input table. Returns the step's log-probabilities, (beams, m + n),
+        whose first m entries follow the bank's tag order and last n are
+        pointers in source order, and the state at t + 1, whose self-attention
+        keys and values append each beam's new ones. ``state`` is unchanged.
         """
         cfg = self.config
         t = state.t
@@ -495,23 +480,27 @@ class ConceptModel:
             raise LengthExceededError(
                 f"decoding step {t} exceeds maximum target length "
                 f"{cfg.max_target_len}")
+        if np.ndim(prev) != 1 or any(len(k) != len(prev) for k in state.self_keys[:1]):
+            raise ShapeError(f"need one previous output index per beam of the state, "
+                             f"got shape {np.shape(prev)}")
         d = cfg.width
         heads, hd = cfg.decoder_heads, d // cfg.decoder_heads
-        x = prev_embed.reshape(-1, d) + self._arr("decoder.pos")[t]
-        beams = x.shape[0]
-        if beams != state.beams:
-            raise ShapeError(f"{beams} decoder inputs for {state.beams} beams")
+        beams = len(prev)
+        x = state.table[prev] + self._arr("decoder.pos")[t]
+        self_keys, self_values = [], []
         for i in range(cfg.decoder_layers):
             prefix = f"decoder.{i}"
-            keys, values = state.self_keys[i], state.self_values[i]
             h = self._step_ln(f"{prefix}.ln1", x)
             q = (h @ self._arr(f"{prefix}.self.wq") + self._arr(f"{prefix}.self.bq"))
             k = (h @ self._arr(f"{prefix}.self.wk") + self._arr(f"{prefix}.self.bk"))
             v = (h @ self._arr(f"{prefix}.self.wv") + self._arr(f"{prefix}.self.bv"))
-            keys[:, :, t] = k.reshape(beams, heads, hd)
-            values[:, :, t] = v.reshape(beams, heads, hd)
-            mix = self._step_attention(q.reshape(beams, heads, 1, hd),
-                                       keys[:, :, :t + 1], values[:, :, :t + 1])
+            keys = np.concatenate(
+                [state.self_keys[i], k.reshape(beams, heads, 1, hd)], axis=2)
+            values = np.concatenate(
+                [state.self_values[i], v.reshape(beams, heads, 1, hd)], axis=2)
+            self_keys.append(keys)
+            self_values.append(values)
+            mix = self._step_attention(q.reshape(beams, heads, 1, hd), keys, values)
             x = x + mix.reshape(beams, d) @ self._arr(f"{prefix}.self.wo") \
                 + self._arr(f"{prefix}.self.bo")
 
@@ -530,13 +519,12 @@ class ConceptModel:
         d_t = self._step_ln("decoder.final_ln", x)
         concept_q = d_t @ self._arr("head.concept.w") + self._arr("head.concept.b")
         pointer_q = d_t @ self._arr("head.pointer.w") + self._arr("head.pointer.b")
-        s = concept_q @ bank.vectors.T / math.sqrt(d)
-        a = pointer_q @ src.states.T / math.sqrt(d)
+        s = concept_q @ state.bank_vectors.T / math.sqrt(d)
+        a = pointer_q @ state.src_states.T / math.sqrt(d)
         log_probs = ad.log_softmax_kernel(np.concatenate([s, a], axis=1))
         return log_probs, DecoderState(
-            self_keys=state.self_keys, self_values=state.self_values,
-            cross_keys=state.cross_keys, cross_values=state.cross_values, t=t + 1,
-            beams=beams)
+            state.table, state.src_states, state.bank_vectors, state.cross_keys,
+            state.cross_values, tuple(self_keys), tuple(self_values), t + 1)
 
     # batched teacher-forced forward (training)
 
@@ -559,7 +547,7 @@ class ConceptModel:
         gold = np.zeros((b, l_max), dtype=np.int64)
         tgt_mask = np.zeros((b, l_max), dtype=self.dtype)
         inputs = np.zeros((b, l_max), dtype=np.int64)
-        inputs[:, 0] = m + cfg.max_source_len
+        inputs[:, 0] = self.bos_index(m)
 
         def token_row(token: TargetToken, n: int) -> int:
             if isinstance(token, Pointer):
@@ -590,10 +578,8 @@ class ConceptModel:
         l_max = batch.gold.shape[1]
         enc = self.encode_source_batch(batch.src_ids, batch.src_mask)
 
-        bos = ad.reshape(self._p("decoder.bos"), (1, cfg.width))
-        table = ad.concat([bank_vectors, self._p("decoder.ptr_embed"), bos], axis=0)
         pos = ad.gather_rows(self._p("decoder.pos"), np.arange(l_max))
-        x = ad.add(ad.gather_rows(table, batch.inputs), pos)
+        x = ad.add(ad.gather_rows(self._input_table(bank_vectors), batch.inputs), pos)
 
         causal = (np.triu(np.ones((l_max, l_max), dtype=self.dtype), k=1)
                   * _NEG)[None, None, :, :]
@@ -686,11 +672,7 @@ class ConceptModel:
             source_vocab = Vocabulary(sidecar["source_vocab"])
             concept_vocab = Vocabulary(sidecar["concept_vocab"])
             model = cls.__new__(cls)
-            dtype = ad.DTYPES[config.precision]
-            model._assemble(config, source_vocab, concept_vocab, {
-                name: np.zeros(shape, dtype=dtype)
-                for name, shape, _ in _layout(config, len(source_vocab),
-                                              len(concept_vocab))})
+            model._assemble(config, source_vocab, concept_vocab)
             tags = [ConceptTag(name=t["name"], kind=t["kind"], boundary=t["boundary"],
                                description=t["description"])
                     for t in sidecar["train_tags"]]

@@ -2,14 +2,14 @@
 
 Fixtures: model builders, a parser for target token strings, a random
 parse-tree generator for round-trip property tests, a navigation/weather
-corpus, wiki-style pretraining payloads, and writers for the TSV and JSON-lines
-formats the loaders read. Oracles: the per-beam search, the stepwise
-teacher-forced forward, single-query attention through graph ops, a no-grad
-batch cross-entropy, and per-parameter Adam."""
+corpus, wiki-style pretraining payloads, writers for the TSV and JSON-lines
+formats the loaders read, and a parameter alone in its own arena. Oracles: the
+per-beam search, the stepwise teacher-forced forward, single-query attention
+through graph ops, a no-grad batch cross-entropy, and per-parameter Adam."""
 
 import json
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -225,6 +225,14 @@ def random_roundtrip_corpus(count=500, seed=0):
     return [random_parse_example(rng) for _ in range(count)]
 
 
+def parameter(name, data):
+    """A parameter alone in its own arena, holding a copy of ``data``."""
+    data = np.asarray(data)
+    p = ad.arena_parameters({name: data.shape}, data.dtype)[name]
+    p.data = data
+    return p
+
+
 def zero_grads(params):
     for p in params:
         p.grad.fill(0)
@@ -264,26 +272,21 @@ def advance(depth, token):
     return depth - 1, False
 
 
-def fork(state):
-    """A copy of a decoder state whose self-attention caches it owns alone."""
-    return replace(state, self_keys=tuple(k.copy() for k in state.self_keys),
-                   self_values=tuple(v.copy() for v in state.self_values))
-
-
 def reference_beam_decode(model, utterance, bank, beam_width):
     """Per-beam search: one decode_step per live beam, every candidate sorted.
 
     Candidates are listed beam-major, then by output index, and sorted stably
     by score, so ties break as in `beam_decode`. Hypotheses are cut at the
-    model's ``max_target_len``.
+    model's ``max_target_len``. Each candidate keeps the state its beam's step
+    returned, which later steps of other candidates leave as it is.
     """
-    src = model.encode_source(utterance.tokens)
-    active = [((), 0.0, model.initial_state(src), model.bos_embedding(), 0)]
+    state = model.initial_state(model.encode_source(utterance.tokens), bank)
+    active = [((), 0.0, state, model.bos_index(bank.m), 0)]
     pool = []
     while active:
         candidates = []
         for tokens, log_prob, state, prev, depth in active:
-            log_probs, new_state = model.decode_step(fork(state), prev, src, bank)
+            log_probs, new_state = model.decode_step(state, np.array([prev]))
             for index, lp in enumerate(log_probs[0]):
                 candidates.append((log_prob + float(lp), tokens, depth, index,
                                    new_state))
@@ -299,26 +302,32 @@ def reference_beam_decode(model, utterance, bank, beam_width):
                 pool.append(Hypothesis(tokens=tokens, log_prob=log_prob,
                                        truncated=True))
             else:
-                active.append((tokens, log_prob, state,
-                               model.target_embed(token, bank), depth))
+                active.append((tokens, log_prob, state, index, depth))
     pool.sort(key=lambda h: -h.log_prob)
     return pool
+
+
+def teacher_forcing_indices(model, utterance, target, bank):
+    """Decoder inputs (BOS, then the gold shifted) and gold output indices of
+    one target under ``bank``, as `build_batch` lays them out."""
+    record = SimpleNamespace(utterance=utterance, target=target)
+    batch = model.build_batch([record], bank.tags)
+    return batch.inputs[0], batch.gold[0]
 
 
 def forward_teacher_forced(model, utterance, target, bank):
     """Per-position distributions conditioned on the gold prefix.
 
-    This is the stepwise decode loop fed gold tokens, so its log-probabilities
-    match `decode_step` bit for bit; each has a beam axis of one.
+    This is the stepwise decode loop fed the teacher-forcing inputs, so its
+    log-probabilities match `decode_step` bit for bit; each has a beam axis
+    of one.
     """
-    src = model.encode_source(utterance.tokens)
-    state = model.initial_state(src)
-    prev = model.bos_embedding()
+    inputs, _ = teacher_forcing_indices(model, utterance, target, bank)
+    state = model.initial_state(model.encode_source(utterance.tokens), bank)
     out = []
-    for token in target.tokens:
-        log_probs, state = model.decode_step(state, prev, src, bank)
+    for prev in inputs:
+        log_probs, state = model.decode_step(state, np.array([prev]))
         out.append(log_probs)
-        prev = model.target_embed(token, bank)
     return out
 
 

@@ -13,8 +13,8 @@ from concept_parse.errors import ShapeError
 from concept_parse.model import ConceptModel
 from concept_parse.training import batch_nll_tensor
 
-from helpers import (TINY, build_model, records_from_rows, reference_adam_step,
-                     two_domain_rows)
+from helpers import (TINY, build_model, parameter, records_from_rows,
+                     reference_adam_step, two_domain_rows)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ class TestViews:
             assert p.data.tobytes() == loaded.params[name].data.tobytes(), name
 
     def test_assignment_of_another_shape_is_refused(self):
-        p = ad.Parameter("p", np.zeros((2, 3)))
+        p = parameter("p", np.zeros((2, 3)))
         with pytest.raises(ShapeError, match="p.data"):
             p.data = np.zeros(6)
         with pytest.raises(ShapeError, match="p.grad"):

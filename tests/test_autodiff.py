@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 import concept_parse.autodiff as ad
-from concept_parse.autodiff import Parameter, Schedule, Tensor
+from concept_parse.autodiff import Schedule, Tensor
 from concept_parse.errors import NonFiniteError, NotScalarError, ShapeError
 
-from helpers import scaled_dot_attention, zero_grads
+from helpers import parameter, scaled_dot_attention, zero_grads
 
 
 def make_param(rng, shape, name="p"):
-    return Parameter(name, rng.standard_normal(shape))
+    return parameter(name, rng.standard_normal(shape))
 
 
 def numeric_grad(loss_fn, param, h=1e-6):
@@ -147,29 +147,29 @@ class TestLayerNorm:
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        p = Parameter("p", np.arange(6.0).reshape(2, 3))
+        p = parameter("p", np.arange(6.0).reshape(2, 3))
         ad.backward(ad.sum_all(p.leaf()))
         assert np.allclose(p.grad, 1.0)
 
     def test_sum_of_squares(self):
-        p = Parameter("p", np.array([1.0, -2.0, 3.0]))
+        p = parameter("p", np.array([1.0, -2.0, 3.0]))
         leaf = p.leaf()
         ad.backward(ad.sum_all(ad.mul(leaf, leaf)))
         assert np.allclose(p.grad, 2 * p.data)
 
     def test_repeated_backward_accumulates(self):
-        p = Parameter("p", np.ones(3))
+        p = parameter("p", np.ones(3))
         ad.backward(ad.sum_all(p.leaf()))
         ad.backward(ad.sum_all(p.leaf()))
         assert np.allclose(p.grad, 2.0)
 
     def test_non_scalar_rejected(self):
-        p = Parameter("p", np.ones(3))
+        p = parameter("p", np.ones(3))
         with pytest.raises(NotScalarError):
             ad.backward(p.leaf())
 
     def test_no_grad_suppresses_graph(self):
-        p = Parameter("p", np.ones(3))
+        p = parameter("p", np.ones(3))
         with ad.no_grad():
             out = ad.sum_all(p.leaf())
         assert not out.requires_grad
@@ -186,7 +186,7 @@ class TestBackward:
         thread.start()
         try:
             assert entered.wait(timeout=10)
-            p = Parameter("p", np.ones(3))
+            p = parameter("p", np.ones(3))
             assert ad.sum_all(p.leaf()).requires_grad
         finally:
             release.set()
@@ -336,8 +336,8 @@ class TestKernels:
         shapes = {"3d": (4, 6, 8), "transposed": (6, 4, 8), "4d": (2, 3, 4, 8)}
         # quarter-integers: every product and partial sum is exact in double,
         # so any summation order gives the same forward
-        x = Parameter("x", rng.integers(-8, 9, size=shapes[case]) / 4.0)
-        w = Parameter("w", rng.integers(-8, 9, size=(8, 5)) / 4.0)
+        x = parameter("x", rng.integers(-8, 9, size=shapes[case]) / 4.0)
+        w = parameter("w", rng.integers(-8, 9, size=(8, 5)) / 4.0)
 
         def operand():
             return ad.transpose(x.leaf(), (1, 0, 2)) if case == "transposed" else x.leaf()
@@ -360,12 +360,12 @@ class TestKernels:
 
 class TestAdam:
     def test_decay_only_step(self):
-        p = Parameter("p", np.full(4, 2.0))
+        p = parameter("p", np.full(4, 2.0))
         ad.adam_step([p], lr=0.001, weight_decay=0.01)
         assert np.allclose(p.data, 2.0 * (1 - 1e-5), rtol=0, atol=1e-12)
 
     def test_zero_lr_no_change(self):
-        p = Parameter("p", np.array([1.0, -2.0]))
+        p = parameter("p", np.array([1.0, -2.0]))
         p.grad = np.array([5.0, -3.0])
         ad.adam_step([p], lr=0.0, weight_decay=0.01)
         assert np.allclose(p.data, [1.0, -2.0])
@@ -376,7 +376,7 @@ class TestAdam:
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         g = 0.37
         theta, m, v = 1.5, 0.0, 0.0
-        p = Parameter("p", np.array([1.5]))
+        p = parameter("p", np.array([1.5]))
         for t in range(1, 6):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
@@ -388,7 +388,7 @@ class TestAdam:
             assert abs(p.data[0] - theta) < 1e-10
 
     def test_first_step_close_to_signed_lr(self):
-        p = Parameter("p", np.array([0.0]))
+        p = parameter("p", np.array([0.0]))
         p.grad = np.array([2.0])
         ad.adam_step([p], lr=0.01)
         # bias-corrected first step is -lr * g / (|g| + eps)
@@ -397,7 +397,7 @@ class TestAdam:
     def test_bit_reproducible(self):
         def run():
             rng = np.random.default_rng(5)
-            p = Parameter("p", rng.standard_normal(8))
+            p = parameter("p", rng.standard_normal(8))
             for _ in range(20):
                 p.grad = rng.standard_normal(8)
                 ad.adam_step([p], lr=0.01, weight_decay=0.01)

@@ -55,7 +55,7 @@ class TestTsvLoader:
         path = tmp_path / "empty.tsv"
         path.write_text(HEADER)
         records, report = load_topv2_tsv(path)
-        assert records == [] and report.total == 0
+        assert records == [] and report.loaded == report.skipped == 0
 
     def test_malformed_row_skipped(self, tmp_path):
         path = write_topv2_tsv(tmp_path / "bad.tsv", [

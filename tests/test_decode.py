@@ -11,7 +11,8 @@ from concept_parse.parse import tags_for_label, tokenize_utterance
 from concept_parse.synthetic import transfer_pair_rows
 
 from helpers import (TINY, advance, build_model, records_from_rows,
-                     reference_beam_decode, two_domain_rows)
+                     reference_beam_decode, teacher_forcing_indices,
+                     two_domain_rows)
 
 MICRO = dict(width=16, encoder_layers=1, encoder_heads=2, decoder_layers=1,
              decoder_heads=2, concept_layers=1, concept_heads=2,
@@ -34,12 +35,11 @@ def micro_bank(model, labels=("IN:GO", "SL:SPOT")):
 def enumerate_best(model, utterance, bank):
     """Exhaustive scoring of every terminal sequence up to the model's length cap."""
     src = model.encode_source(utterance.tokens)
-    m, n = bank.m, src.n
     best = {"lp": -math.inf, "tokens": None}
 
     def recurse(state, prev, tokens, lp, depth):
-        log_probs, new_state = model.decode_step(state, prev, src, bank)
-        for index in range(m + n):
+        log_probs, new_state = model.decode_step(state, np.array([prev]))
+        for index in range(bank.m + len(src)):
             token = _token_at(index, bank)
             seq = tokens + (token,)
             total = lp + float(log_probs[0][index])
@@ -49,10 +49,9 @@ def enumerate_best(model, utterance, bank):
                     best["lp"] = total
                     best["tokens"] = seq
             else:
-                recurse(new_state, model.target_embed(token, bank), seq, total,
-                        new_depth)
+                recurse(new_state, index, seq, total, new_depth)
 
-    recurse(model.initial_state(src), model.bos_embedding(), (), 0.0, 0)
+    recurse(model.initial_state(src, bank), model.bos_index(bank.m), (), 0.0, 0)
     return best
 
 
@@ -112,20 +111,12 @@ class TestBeamOracle:
         bank = micro_bank(model)
         utterance = tokenize_utterance("near the")
         top = beam_decode(model, utterance, bank, beam_width=4)[0]
-        src = model.encode_source(utterance.tokens)
-        state = model.initial_state(src)
-        prev = model.bos_embedding()
+        inputs, gold = teacher_forcing_indices(model, utterance, top.sequence, bank)
+        state = model.initial_state(model.encode_source(utterance.tokens), bank)
         total = 0.0
-        rows = bank.row_index()
-        for token in top.tokens:
-            log_probs, state = model.decode_step(state, prev, src, bank)
-            from concept_parse.parse import Pointer
-            if isinstance(token, Pointer):
-                index = bank.m + token.index
-            else:
-                index = rows[(token.tag.name, token.tag.boundary)]
+        for prev, index in zip(inputs, gold):
+            log_probs, state = model.decode_step(state, np.array([prev]))
             total += float(log_probs[0][index])
-            prev = model.target_embed(token, bank)
         assert abs(total - top.log_prob) < 1e-9
 
     def test_truncation_flag(self):

@@ -4,7 +4,7 @@ compiled-domain equivalence, batched/stepwise agreement, and persistence."""
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +20,8 @@ from concept_parse.errors import (
     ShapeError,
     UnknownConceptError,
 )
-from concept_parse.model import ConceptBank, ModelConfig, SourceEncoding
+from concept_parse.decoding import beam_decode
+from concept_parse.model import ConceptBank, ModelConfig
 from concept_parse.parse import (Concept, Pointer, TargetSequence, make_tag, tags_for_label,
                                  tokenize_utterance)
 
@@ -31,6 +32,7 @@ from helpers import (
     build_model,
     forward_teacher_forced,
     records_from_rows,
+    reference_beam_decode,
     two_domain_rows,
     zero_grads,
 )
@@ -54,16 +56,16 @@ def bank(model, corpus):
 class TestEncodeSource:
     def test_shape(self, model):
         enc = model.encode_source(("how", "far", "is", "the", "mall"))
-        assert enc.states.shape == (5, 32) and enc.n == 5
+        assert enc.shape == (5, 32)
 
     def test_deterministic(self, model):
         a = model.encode_source(("how", "far"))
         b = model.encode_source(("how", "far"))
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
     def test_finite_on_reference_utterance(self, model):
         enc = model.encode_source(tuple(COMPOSITIONAL_UTTERANCE.split()))
-        assert np.all(np.isfinite(enc.states))
+        assert np.all(np.isfinite(enc))
 
     def test_length_cap(self, model):
         with pytest.raises(LengthExceededError):
@@ -72,7 +74,7 @@ class TestEncodeSource:
     def test_unknown_token_maps_to_unk(self, model):
         a = model.encode_source(("zzz_not_in_vocab",))
         b = model.encode_source(("qqq_also_unknown",))
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
 
 class TestEncodeConcepts:
@@ -126,11 +128,15 @@ class TestTargetEmbed:
             model.target_embed(Pointer(64), bank)
 
 
+def bos(model, bank):
+    """The one-beam input of a search's first step."""
+    return np.array([model.bos_index(bank.m)])
+
+
 class TestDecodeStep:
     def decode_once(self, model, bank, tokens=("how", "far", "is")):
-        src = model.encode_source(tokens)
-        state = model.initial_state(src)
-        return model.decode_step(state, model.bos_embedding(), src, bank)
+        state = model.initial_state(model.encode_source(tokens), bank)
+        return model.decode_step(state, bos(model, bank))
 
     def test_distribution_contract(self, model, bank):
         dist, state = self.decode_once(model, bank)
@@ -164,9 +170,7 @@ class TestDecodeStep:
         tags = [make_tag("IN:ONLY", "intent", "begin")]
         bank = model.encode_concepts(tags)
         utterance = tokenize_utterance("how")
-        src = model.encode_source(utterance.tokens)
-        log_probs, _ = model.decode_step(model.initial_state(src),
-                                         model.bos_embedding(), src, bank)
+        log_probs, _ = self.decode_once(model, bank, utterance.tokens)
         record = SimpleNamespace(utterance=utterance,
                                  target=TargetSequence(tokens=(Concept(tags[0]),)))
         with ad.no_grad():
@@ -177,36 +181,60 @@ class TestDecodeStep:
 
     def test_masking_a_source_position_shrinks_support(self, model, bank):
         src = model.encode_source(("how", "far", "is"))
-        masked = SourceEncoding(states=np.delete(src.states, 1, axis=0))
-        dist, _ = model.decode_step(model.initial_state(masked),
-                                    model.bos_embedding(), masked, bank)
+        masked = np.delete(src, 1, axis=0)
+        dist, _ = model.decode_step(model.initial_state(masked, bank), bos(model, bank))
         assert dist[0].shape == (bank.m + 2,)
 
     def test_step_cap(self, model, bank):
-        src = model.encode_source(("how",))
-        state = model.initial_state(src)
-        prev = model.bos_embedding()
+        state = model.initial_state(model.encode_source(("how",)), bank)
         for _ in range(model.config.max_target_len):
-            dist, state = model.decode_step(state, prev, src, bank)
+            dist, state = model.decode_step(state, np.array([bank.m]))
         with pytest.raises(LengthExceededError):
-            model.decode_step(state, prev, src, bank)
+            model.decode_step(state, np.array([bank.m]))
 
     def test_beam_rows_match_single_beam_steps(self, corpus):
         model = build_model(corpus, seed=3, precision="double", **TINY)
         bank = model.encode_concepts(tags_from_records(corpus))
         src = model.encode_source(("how", "far", "is"))
-        _, first = model.decode_step(model.initial_state(src),
-                                     model.bos_embedding(), src, bank)
-        inputs = np.stack([model.target_embed(Pointer(j), bank) for j in (0, 2)])
-        batched, state = model.decode_step(first.reorder(np.array([0, 0])),
-                                           inputs, src, bank)
-        assert state.beams == 2 and state.t == 2
+        _, first = model.decode_step(model.initial_state(src, bank), bos(model, bank))
+        inputs = bank.m + np.array([0, 2])  # pointers 0 and 2
+        batched, state = model.decode_step(first.reorder(np.array([0, 0])), inputs)
+        assert state.self_keys[0].shape[0] == 2 and state.t == 2
         for row, prev in enumerate(inputs):
-            alone, _ = model.decode_step(first, prev, src, bank)
+            alone, _ = model.decode_step(first, np.array([prev]))
             np.testing.assert_allclose(batched[row],
                                        alone[0], atol=1e-12)
-        with pytest.raises(ShapeError):
-            model.decode_step(first, inputs, src, bank)
+        for wrong in (inputs, bank.m):
+            with pytest.raises(ShapeError, match="one previous output index per beam"):
+                model.decode_step(first, wrong)
+
+    def test_a_state_is_a_value(self, model, bank):
+        """Stepping or reordering a state leaves every array of it as it was,
+        so a branch goes on as in a fresh run after a sibling has stepped."""
+        src = model.encode_source(("how", "far", "is"))
+
+        def first_step():
+            return model.decode_step(model.initial_state(src, bank), bos(model, bank))[1]
+
+        def contents(state):
+            """The bytes of every field's array, or arrays, in field order."""
+            out = []
+            for f in fields(state):
+                value = getattr(state, f.name)
+                out += [np.asarray(a).tobytes()
+                        for a in (value if isinstance(value, tuple) else (value,))]
+            return out
+
+        state = first_step()
+        before = contents(state)
+        _, branch = model.decode_step(state, np.array([bank.m]))
+        model.decode_step(state, np.array([bank.m + 2]))
+        state.reorder(np.array([0, 0]))
+        assert contents(state) == before
+        continued, _ = model.decode_step(branch, np.array([0]))
+        _, fresh_branch = model.decode_step(first_step(), np.array([bank.m]))
+        fresh, _ = model.decode_step(fresh_branch, np.array([0]))
+        assert continued.tobytes() == fresh.tobytes()
 
     def test_unseen_tag_still_supported(self, model, bank):
         novel = list(bank.tags) + list(tags_for_label("IN:NEVER_TRAINED", "intent"))
@@ -222,14 +250,15 @@ class TestTeacherForced:
         record = corpus[0]
         dists = forward_teacher_forced(model, record.utterance, record.target, bank)
         assert len(dists) == len(record.target.tokens)
-        # manual stepwise replay must agree bit for bit
-        src = model.encode_source(record.utterance.tokens)
-        state = model.initial_state(src)
-        prev = model.bos_embedding()
+        # a replay fed each token's own output index must agree bit for bit
+        rows = bank.row_index()
+        state = model.initial_state(model.encode_source(record.utterance.tokens), bank)
+        prev = model.bos_index(bank.m)
         for token, dist in zip(record.target.tokens, dists):
-            manual, state = model.decode_step(state, prev, src, bank)
+            manual, state = model.decode_step(state, np.array([prev]))
             assert manual.tobytes() == dist.tobytes()
-            prev = model.target_embed(token, bank)
+            prev = (bank.m + token.index if isinstance(token, Pointer)
+                    else rows[(token.tag.name, token.tag.boundary)])
 
     def test_compositional_support_size(self):
         record = record_from_row("navigation", COMPOSITIONAL_UTTERANCE,
@@ -296,10 +325,11 @@ class TestBatchedForward:
         records = corpus[:6]
         batch = model.build_batch(records, list(bank.tags))
         m = bank.m
-        assert np.all(batch.inputs[:, 0] == m + model.config.max_source_len)
+        assert model.bos_index(m) == m + model.config.max_source_len
+        assert np.all(batch.inputs[:, 0] == model.bos_index(m))
         table = np.concatenate([bank.vectors,
                                 model.parameters()["decoder.ptr_embed"].data,
-                                model.bos_embedding()[None, :]])
+                                model.parameters()["decoder.bos"].data[None, :]])
         for i, record in enumerate(records):
             length, n = len(record.target.tokens), len(record.utterance.tokens)
             assert np.array_equal(batch.inputs[i, 1:length], batch.gold[i, :length - 1])
@@ -307,7 +337,7 @@ class TestBatchedForward:
                 row = table[batch.inputs[i, t + 1]]
                 assert row.tobytes() == model.target_embed(token, bank).tobytes()
             src = model.encode_source(record.utterance.tokens)
-            assert np.array_equal(model.input_table(bank, src), table[:m + n])
+            assert np.array_equal(model.initial_state(src, bank).table, table)
 
     def test_pointer_outside_utterance_rejected(self, model, corpus, bank):
         record = corpus[0]
@@ -345,6 +375,32 @@ class TestBatchedForward:
         zero_grads(model.parameters().values())
 
 
+class TestNoDecoderLayers:
+    def test_decodes_and_teacher_forces(self, corpus):
+        """With no decoder layers a state carries no self-attention keys or
+        values; teacher forcing, stepping and both searches still agree."""
+        model = build_model(corpus, seed=3, precision="double",
+                            **dict(TINY, decoder_layers=0))
+        tags = tags_from_records(corpus)
+        bank = model.encode_concepts(tags)
+        records = corpus[:3]
+        with ad.no_grad():
+            log_probs = model.teacher_log_probs(model.build_batch(records, tags),
+                                                ad.constant(bank.vectors)).data
+        for i, record in enumerate(records):
+            state = model.initial_state(model.encode_source(record.utterance.tokens),
+                                        bank)
+            assert state.self_keys == state.self_values == ()
+            n = len(record.utterance.tokens)
+            dists = forward_teacher_forced(model, record.utterance, record.target, bank)
+            for t, dist in enumerate(dists):
+                np.testing.assert_allclose(log_probs[i, t, :bank.m + n], dist[0],
+                                           atol=1e-9)
+            found = beam_decode(model, record.utterance, bank, beam_width=4)
+            expected = reference_beam_decode(model, record.utterance, bank, 4)
+            assert [h.tokens for h in found] == [h.tokens for h in expected]
+
+
 class TestModelConfig:
     @pytest.mark.parametrize("name", ["width", "ff_width", "max_source_len",
                                       "max_target_len", "encoder_heads",
@@ -353,6 +409,13 @@ class TestModelConfig:
     def test_sizes_below_one_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             ModelConfig(**dict(TINY, **{name: value}))
+
+    @pytest.mark.parametrize("name", ["encoder_layers", "decoder_layers",
+                                      "concept_layers"])
+    def test_negative_layer_counts_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 0"):
+            ModelConfig(**dict(TINY, **{name: -1}))
+        ModelConfig(**dict(TINY, **{name: 0}))
 
 
 class TestPersistence:
@@ -405,15 +468,15 @@ class TestPersistence:
         model.save(path)
         original = ad.arena_parameters
 
-        def changed_layout(arrays):
-            arrays = dict(arrays)
+        def changed_layout(shapes, dtype):
+            shapes = dict(shapes)
             if edit == "drop":
-                del arrays[name]
+                del shapes[name]
             elif edit == "add":
-                arrays[name] = np.zeros((2, 3), dtype=model.dtype)
+                shapes[name] = (2, 3)
             else:  # same size, so only the layout in the digest tells them apart
-                arrays[name] = arrays[name].reshape(1, -1)
-            return original(arrays)
+                shapes[name] = (1, *shapes[name])
+            return original(shapes, dtype)
 
         monkeypatch.setattr(ad, "arena_parameters", changed_layout)
         with pytest.raises(CheckpointMismatchError,
