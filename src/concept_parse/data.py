@@ -2,8 +2,10 @@
 
 Parse corpora arrive as TSV with header columns ``domain``, ``utterance``,
 ``semantic_parse``. Entity-tagging pretraining data arrives as JSON lines
-``{"context": str, "mentions": [{"start", "end", "entity", "type"}]}``.
-Either format may be gzip-compressed (``.gz`` suffix).
+``{"context": str, "mentions": [{"start", "end", "entity", "type"}]}`` and
+loads as one flat-tagging `PretrainRecord` per sentence. Either format may be
+gzip-compressed (``.gz`` suffix). A file that cannot be read, gunzipped or
+decoded as UTF-8 raises `DataError`.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import hashlib
 import json
 import logging
 import re
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,11 +77,12 @@ class Mention:
 
 
 @dataclass(frozen=True)
-class WikiExample:
-    """One context sentence with its typed entity mentions."""
+class PretrainRecord:
+    """A flat tagging example for concept pretraining (no tree form)."""
 
-    context: str
-    mentions: tuple[Mention, ...]
+    utterance: Utterance
+    target: TargetSequence
+    tags: tuple[ConceptTag, ...]
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,8 @@ class DomainSplit:
 
 @dataclass
 class LoadReport:
-    """Row accounting for one loaded file."""
+    """Accounting for one loaded file: rows loaded, rows (or wiki sentences)
+    skipped with a message each, and wiki mentions dropped."""
 
     loaded: int = 0
     skipped: int = 0
@@ -119,13 +124,15 @@ class LoadReport:
         log.debug("skipping row: %s", message)
 
 
-def _open_text(path: Union[str, Path]) -> TextIO:
+def _read_lines(path: Union[str, Path]) -> Iterator[str]:
+    """The lines of a UTF-8 text file, gunzipped for a ``.gz`` suffix; any
+    failure to open, read, gunzip or decode raises `DataError` naming the path."""
     path = Path(path)
     try:
-        if path.suffix == ".gz":
-            return gzip.open(path, "rt", encoding="utf-8")
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with (gzip.open(path, "rt", encoding="utf-8") if path.suffix == ".gz"
+              else open(path, "r", encoding="utf-8")) as handle:
+            yield from handle
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -141,28 +148,27 @@ def load_topv2_tsv(path: Union[str, Path]) -> tuple[list[DatasetRecord], LoadRep
     """Load a TSV corpus; malformed rows are skipped and counted."""
     report = LoadReport()
     records: list[DatasetRecord] = []
-    with _open_text(path) as handle:
-        reader = csv.reader(handle, delimiter="\t", quoting=csv.QUOTE_NONE)
+    reader = csv.reader(_read_lines(path), delimiter="\t", quoting=csv.QUOTE_NONE)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a TSV header") from None
+    try:
+        col = {name: header.index(name)
+               for name in ("domain", "utterance", "semantic_parse")}
+    except ValueError as exc:
+        raise DataError(f"{path}: missing required TSV column ({exc})") from exc
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) <= max(col.values()):
+            report.note(f"line {line_no}: expected {len(header)} columns, got {len(row)}")
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a TSV header") from None
-        try:
-            col = {name: header.index(name)
-                   for name in ("domain", "utterance", "semantic_parse")}
-        except ValueError as exc:
-            raise DataError(f"{path}: missing required TSV column ({exc})") from exc
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) <= max(col.values()):
-                report.note(f"line {line_no}: expected {len(header)} columns, got {len(row)}")
-                continue
-            try:
-                records.append(record_from_row(
-                    row[col["domain"]], row[col["utterance"]], row[col["semantic_parse"]]))
-            except ConceptParseError as exc:
-                report.note(f"line {line_no}: {exc}")
-                continue
-            report.loaded += 1
+            records.append(record_from_row(
+                row[col["domain"]], row[col["utterance"]], row[col["semantic_parse"]]))
+        except ConceptParseError as exc:
+            report.note(f"line {line_no}: {exc}")
+            continue
+        report.loaded += 1
     log.info("loaded %d records from %s (%d skipped)", report.loaded, path, report.skipped)
     return records, report
 
@@ -242,68 +248,70 @@ def _resolve_overlaps(mentions: list[Mention], report: LoadReport) -> list[Menti
     return sorted(kept, key=lambda m: m.start)
 
 
-def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[WikiExample], LoadReport]:
-    """Load wiki contexts as per-sentence examples.
+def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], LoadReport]:
+    """Load wiki contexts as flat-tagging pretraining records, one per sentence.
 
-    Contexts are split into sentences; mentions crossing sentence boundaries
-    are dropped and counted, and overlapping mentions are resolved in favor
-    of the longest.
+    Contexts are split into sentences; mentions crossing sentence boundaries,
+    and empty ones, are dropped and counted, and overlapping mentions are
+    resolved in favor of the longest. A malformed line, or a sentence whose
+    mentions do not align to its token boundaries, is skipped and noted with
+    its line number.
     """
     report = LoadReport()
-    examples: list[WikiExample] = []
-    with _open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                context = payload["context"]
-                if not isinstance(context, str):
-                    raise TypeError(f"context is {type(context).__name__}, not a string")
-                raw_mentions = [
-                    Mention(start=int(m["start"]), end=int(m["end"]),
-                            entity=str(m["entity"]), type_name=str(m["type"]))
-                    for m in payload.get("mentions", [])
-                ]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                report.note(f"line {line_no}: {exc}")
-                continue
-            for offset, sentence in _split_sentences(context):
-                local: list[Mention] = []
-                for m in raw_mentions:
-                    if m.start >= offset and m.end <= offset + len(sentence):
-                        if m.start >= m.end:
-                            report.dropped_mentions += 1
-                            continue
-                        local.append(Mention(m.start - offset, m.end - offset,
-                                             m.entity, m.type_name))
-                    elif m.start < offset + len(sentence) and m.end > offset:
-                        # crosses this sentence's boundary
+    records: list[PretrainRecord] = []
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+            context = payload["context"]
+            if not isinstance(context, str):
+                raise TypeError(f"context is {type(context).__name__}, not a string")
+            raw_mentions = [
+                Mention(start=int(m["start"]), end=int(m["end"]),
+                        entity=str(m["entity"]), type_name=str(m["type"]))
+                for m in payload.get("mentions", [])
+            ]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            report.note(f"line {line_no}: {exc}")
+            continue
+        for offset, sentence in _split_sentences(context):
+            local: list[Mention] = []
+            for m in raw_mentions:
+                if m.start >= offset and m.end <= offset + len(sentence):
+                    if m.start >= m.end:
                         report.dropped_mentions += 1
-                examples.append(WikiExample(
-                    context=sentence,
-                    mentions=tuple(_resolve_overlaps(local, report)),
-                ))
-            report.loaded += 1
-    log.info("loaded %d wiki sentences from %s (%d rows skipped, %d mentions dropped)",
-             len(examples), path, report.skipped, report.dropped_mentions)
-    return examples, report
+                        continue
+                    local.append(Mention(m.start - offset, m.end - offset,
+                                         m.entity, m.type_name))
+                elif m.start < offset + len(sentence) and m.end > offset:
+                    # crosses this sentence's boundary
+                    report.dropped_mentions += 1
+            try:
+                records.append(_tagging_record(sentence, _resolve_overlaps(local, report)))
+            except ConceptParseError as exc:
+                report.note(f"line {line_no}: {exc}")
+        report.loaded += 1
+    log.info("loaded %d wiki sentences from %s (%d skipped, %d mentions dropped)",
+             len(records), path, report.skipped, report.dropped_mentions)
+    return records, report
 
 
-def wikiwiki_to_parse_example(
-        example: WikiExample) -> tuple[Utterance, TargetSequence, list[ConceptTag]]:
-    """Convert a wiki sentence into a flat tagging example.
+def _tagging_record(sentence: str, mentions: Sequence[Mention]) -> PretrainRecord:
+    """A sentence as flat tagging, given its disjoint mentions in order.
 
     Non-mention tokens become top-level pointers; each mention becomes a
     begin-type token, its pointers, and an end-type token. The tag symbol is
     the mention's entity field and the description comes from the type name.
+    A mention that does not align to token boundaries raises
+    `SpanAlignmentError`.
     """
-    utterance = tokenize_utterance(example.context)
+    utterance = tokenize_utterance(sentence)
     starts: list[int] = []
     ends: list[int] = []
     pos = 0
     for token in utterance.tokens:
-        pos = example.context.index(token, pos)
+        pos = sentence.index(token, pos)
         starts.append(pos)
         ends.append(pos + len(token))
         pos += len(token)
@@ -311,16 +319,13 @@ def wikiwiki_to_parse_example(
     tokens: list[TargetToken] = []
     tags: dict[tuple[str, str], ConceptTag] = {}
     cursor = 0
-    for mention in sorted(example.mentions, key=lambda m: m.start):
+    for mention in mentions:
         if mention.start not in starts or mention.end not in ends:
             raise SpanAlignmentError(
                 f"mention span ({mention.start}, {mention.end}) does not align to "
-                f"token boundaries of {example.context!r}")
+                f"token boundaries of {sentence!r}")
         first = starts.index(mention.start)
         last = ends.index(mention.end)
-        if first < cursor:
-            raise SpanAlignmentError(
-                f"mention span ({mention.start}, {mention.end}) overlaps a previous mention")
         tokens.extend(Pointer(i) for i in range(cursor, first))
         begin = make_tag(mention.entity, "open-type", "begin", type_text=mention.type_name)
         end = make_tag(mention.entity, "open-type", "end", type_text=mention.type_name)
@@ -331,33 +336,8 @@ def wikiwiki_to_parse_example(
         tokens.append(Concept(end))
         cursor = last + 1
     tokens.extend(Pointer(i) for i in range(cursor, len(utterance.tokens)))
-    return utterance, TargetSequence(tokens=tuple(tokens)), list(tags.values())
-
-
-@dataclass(frozen=True)
-class PretrainRecord:
-    """A flat tagging example for concept pretraining (no tree form)."""
-
-    utterance: Utterance
-    target: TargetSequence
-    tags: tuple[ConceptTag, ...]
-
-
-def wiki_pretrain_records(examples: Sequence[WikiExample]) -> list[PretrainRecord]:
-    """Convert wiki sentences to pretraining records, skipping unalignable ones."""
-    records: list[PretrainRecord] = []
-    skipped = 0
-    for example in examples:
-        try:
-            utterance, target, tags = wikiwiki_to_parse_example(example)
-        except (SpanAlignmentError, ConceptParseError):
-            skipped += 1
-            continue
-        records.append(PretrainRecord(utterance=utterance, target=target,
-                                      tags=tuple(tags)))
-    if skipped:
-        log.info("dropped %d unalignable wiki sentences", skipped)
-    return records
+    return PretrainRecord(utterance=utterance, target=TargetSequence(tokens=tuple(tokens)),
+                          tags=tuple(tags.values()))
 
 
 def tags_from_records(records: Sequence[DatasetRecord]) -> list[ConceptTag]:

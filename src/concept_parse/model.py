@@ -283,17 +283,6 @@ class ConceptModel:
         """The arena's flat value buffer, which every parameter's ``data`` views."""
         return next(iter(self.params.values())).arena.data
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Every parameter's value by name: views of one copy of `value_buffer`."""
-        flat = self.value_buffer().copy()
-        return {name: flat[p.span].reshape(p.data.shape)
-                for name, p in self.params.items()}
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        """Copy a snapshot's values back into the one data buffer, through each view."""
-        for name, data in snapshot.items():
-            self.params[name].data = data
-
     # graph building blocks (gradient-recording)
 
     def _mha(self, prefix: str, x: Tensor, kv: Tensor, heads: int,
@@ -659,9 +648,9 @@ class ConceptModel:
         path.
         """
         path = Path(path)
-        text = path.with_name(path.name + ".json").read_text(encoding="utf-8")
+        raw = path.with_name(path.name + ".json").read_bytes()
         try:
-            sidecar = json.loads(text)
+            sidecar = json.loads(raw.decode("utf-8"))
             keys = set(sidecar["config"])
             expected = {f.name for f in fields(ModelConfig)}
             if keys != expected:

@@ -23,8 +23,6 @@ from .errors import (
 Kind = Literal["intent", "slot", "open-type"]
 Boundary = Literal["begin", "end"]
 
-_KIND_WORD = {"intent": "intent", "slot": "slot"}
-
 
 @dataclass(frozen=True)
 class Utterance:
@@ -135,6 +133,15 @@ def tokenize_utterance(raw: str) -> Utterance:
     return Utterance(tokens=tokens, raw=raw)
 
 
+def _name_kind(name: str) -> Kind:
+    """The kind a tag name's prefix gives: ``IN:`` intent, ``SL:`` slot, none open-type."""
+    if not name or name in ("IN:", "SL:") or "[" in name or "]" in name:
+        raise UnknownTagFormatError(f"malformed tag name: {name!r}")
+    if name.startswith("IN:"):
+        return "intent"
+    return "slot" if name.startswith("SL:") else "open-type"
+
+
 def split_tag_token(token: str) -> tuple[str, Kind, Boundary]:
     """Decompose a tag token string into (name, kind, boundary)."""
     if token.startswith("[") and len(token) > 1:
@@ -143,51 +150,30 @@ def split_tag_token(token: str) -> tuple[str, Kind, Boundary]:
         name, boundary = token[:-1], "end"
     else:
         raise UnknownTagFormatError(f"not a tag token: {token!r}")
-    if name.startswith("IN:") and len(name) > 3:
-        kind: Kind = "intent"
-    elif name.startswith("SL:") and len(name) > 3:
-        kind = "slot"
-    elif name and "[" not in name and "]" not in name:
-        kind = "open-type"
-    else:
-        raise UnknownTagFormatError(f"malformed tag name in token: {token!r}")
-    return name, kind, boundary
-
-
-def naturalize_tag(token: str, type_text: Optional[str] = None) -> str:
-    """Render a tag token as its lowercase natural-language description.
-
-    Intent/slot tokens become "<boundary> <name words> <kind>"; open-type
-    tokens require ``type_text`` and become "<boundary> <type text>".
-    """
-    name, kind, boundary = split_tag_token(token)
-    if kind == "open-type":
-        if not type_text or not type_text.strip():
-            raise UnknownTagFormatError(
-                f"open-type token {token!r} requires accompanying type text"
-            )
-        body = " ".join(type_text.lower().split())
-    else:
-        body = f"{name[3:].lower().replace('_', ' ')} {_KIND_WORD[kind]}"
-    return f"{boundary} {body}"
+    return name, _name_kind(name), boundary
 
 
 def make_tag(name: str, kind: Kind, boundary: Boundary,
              type_text: Optional[str] = None) -> ConceptTag:
-    """Build a ConceptTag with its naturalized description.
+    """Build a ConceptTag with its lowercase natural-language description.
 
-    Open-type tags without accompanying type text fall back to describing
-    the name itself, so every tag kind gets a description.
+    An intent or slot becomes "<boundary> <name words> <kind>", and its name
+    must carry the kind's ``IN:``/``SL:`` prefix. An open-type tag becomes
+    "<boundary> <type text>", falling back to the name's words without type
+    text; blank type text raises `UnknownTagFormatError`.
     """
-    if kind == "open-type" and type_text is None:
-        type_text = name.lower().replace("_", " ")
-    token = f"[{name}" if boundary == "begin" else f"{name}]"
-    return ConceptTag(
-        name=name,
-        kind=kind,
-        boundary=boundary,
-        description=naturalize_tag(token, type_text=type_text),
-    )
+    prefix_kind = _name_kind(name)
+    if kind == "open-type":
+        text = name.replace("_", " ") if type_text is None else type_text
+        body = " ".join(text.lower().split())
+        if not body:
+            raise UnknownTagFormatError(f"open-type tag {name!r} has blank type text")
+    elif kind == prefix_kind:
+        body = f"{name[3:].lower().replace('_', ' ')} {kind}"
+    else:
+        raise UnknownTagFormatError(f"tag name {name!r} is not a {kind} name")
+    return ConceptTag(name=name, kind=kind, boundary=boundary,
+                      description=f"{boundary} {body}")
 
 
 def tags_for_label(name: str, kind: Kind) -> tuple[ConceptTag, ConceptTag]:

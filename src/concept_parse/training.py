@@ -139,7 +139,8 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
     warmup/decay schedule's rate. Every ``every`` epochs, and at the last, a
     log entry holds each named loss as the record-weighted mean over the epoch
     and the ``validate`` score (None without a validator). A strictly better
-    score keeps a snapshot and, under ``out_dir``, a checkpoint with ``tags``.
+    score keeps a copy of `value_buffer` and, under ``out_dir``, a checkpoint
+    with ``tags``.
     The loop stops at a score of 100 or after ``patience`` scores in a row
     without improvement; ``stopped_early`` means it stopped before the last
     epoch. The log goes to ``<out_dir>/<name>_log.jsonl``.
@@ -151,7 +152,7 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
                         epochs * math.ceil(len(records) / cfg.batch_size))
     result = TrainResult(best_score=-math.inf if validate else math.nan,
                          stopped_early=False)
-    best_snapshot, stale, step = None, 0, 0
+    best_values, stale, step = None, 0, 0
     for epoch in range(epochs):
         sums: dict[str, float] = {}
         for batch in make_batches(records, cfg.batch_size,
@@ -171,7 +172,7 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
         if val is None:
             continue
         if val > result.best_score:
-            result.best_score, best_snapshot, stale = val, model.snapshot(), 0
+            result.best_score, best_values, stale = val, model.value_buffer().copy(), 0
             if out_dir is not None:
                 model.save(out_dir / f"epoch{epoch:04d}-val{val:07.3f}.ckpt",
                            train_tags=tags)
@@ -180,8 +181,8 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
         if val >= 100.0 or stale >= patience:
             result.stopped_early = epoch < epochs - 1
             break
-    if best_snapshot is not None:
-        model.restore(best_snapshot)
+    if best_values is not None:
+        model.value_buffer()[...] = best_values
     if out_dir is not None:
         result.write_log(out_dir / f"{name}_log.jsonl")
     return result

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import concept_parse.autodiff as ad
-from concept_parse.data import record_from_row, tags_from_records
+from concept_parse.data import load_wikiwiki_jsonl, record_from_row, tags_from_records
 from concept_parse.decoding import Hypothesis, _token_at
 from concept_parse.errors import ShapeError
 from concept_parse.model import ConceptModel, ModelConfig, build_vocabularies
@@ -178,6 +178,13 @@ def write_wiki_jsonl(payloads, path):
     with open(path, "w", encoding="utf-8") as handle:
         for payload in payloads:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def load_wiki(tmp_path, payloads):
+    """(records, report) of `load_wikiwiki_jsonl` on the payloads written as JSON lines."""
+    path = tmp_path / "w.jsonl"
+    write_wiki_jsonl(payloads, path)
+    return load_wikiwiki_jsonl(path)
 
 
 FILLER_WORDS = PLACES + FOODS + TIMES + CITIES + [

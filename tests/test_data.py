@@ -1,14 +1,13 @@
 """Loader, split, and sampler tests."""
 
 import gzip
+import re
 
 import numpy as np
 import pytest
 
 from concept_parse.data import (
-    Mention,
     SpiConfig,
-    WikiExample,
     build_leave_one_out,
     carve_test_split,
     corpus_fingerprint,
@@ -18,23 +17,21 @@ from concept_parse.data import (
     record_fingerprint,
     record_from_row,
     sample_spi,
-    wikiwiki_to_parse_example,
 )
 from concept_parse.errors import (
     DataError,
     DomainNotFoundError,
     NeedTwoDomainsError,
-    SpanAlignmentError,
 )
 from concept_parse.parse import Pointer, linearize
 
 from helpers import (
     COMPOSITIONAL_ANNOTATION,
     COMPOSITIONAL_UTTERANCE,
+    load_wiki,
     two_domain_rows,
     wiki_payloads,
     write_topv2_tsv,
-    write_wiki_jsonl,
 )
 
 HEADER = "domain\tutterance\tsemantic_parse\n"
@@ -90,6 +87,30 @@ class TestTsvLoader:
         assert len(records) == 40
         for record in records:
             assert record.target == linearize(record.tree, record.utterance)
+
+
+def garbled_gzip(data):
+    """A gzip stream with an intact header and a corrupt deflate body."""
+    stream = bytearray(gzip.compress(data))
+    stream[10:-8] = bytes(byte ^ 0x5A for byte in stream[10:-8])
+    return bytes(stream)
+
+
+@pytest.mark.parametrize("name,content", [
+    ("corpus.txt", lambda text: text.encode("utf-8") + b"\xff\n"),
+    ("corpus.gz", lambda text: b"not a gzip stream"),
+    ("corpus.gz", lambda text: gzip.compress(text.encode("utf-8"))[:-12]),
+    ("corpus.gz", lambda text: garbled_gzip(text.encode("utf-8"))),
+], ids=["not_utf8", "not_gzip", "cut_gzip", "garbled_gzip"])
+@pytest.mark.parametrize("loader,text", [
+    (load_topv2_tsv, HEADER + "d\tx\t[IN:A x ]\n"),
+    (load_wikiwiki_jsonl, '{"context": "ok", "mentions": []}\n'),
+], ids=["tsv", "jsonl"])
+def test_undecodable_file_raises_data_error(tmp_path, loader, text, name, content):
+    path = tmp_path / name
+    path.write_bytes(content(text))
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        loader(path)
 
 
 class TestLeaveOneOut:
@@ -183,56 +204,50 @@ class TestSampleSpi:
 
 class TestWikiLoader:
     def test_single_mention(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        write_wiki_jsonl([{
+        records, report = load_wiki(tmp_path, [{
             "context": "He is a member of The Soul Seekers",
             "mentions": [{"start": 18, "end": 34,
                           "entity": "Q215380", "type": "musical group"}],
-        }], path)
-        examples, report = load_wikiwiki_jsonl(path)
-        assert len(examples) == 1 and report.loaded == 1
-        assert examples[0].mentions[0].type_name == "musical group"
+        }])
+        assert len(records) == 1 and report.loaded == 1
+        assert [t.description for t in records[0].tags] == \
+            ["begin musical group", "end musical group"]
 
     def test_zero_mentions(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        write_wiki_jsonl([{"context": "nothing here", "mentions": []}], path)
-        examples, _ = load_wikiwiki_jsonl(path)
-        assert examples[0].mentions == ()
+        records, _ = load_wiki(tmp_path, [{"context": "nothing here", "mentions": []}])
+        assert records[0].tags == ()
 
     def test_overlap_keeps_longest(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        write_wiki_jsonl([{
+        records, report = load_wiki(tmp_path, [{
             "context": "the coffee shop is open",
             "mentions": [
                 {"start": 0, "end": 15, "entity": "LONG", "type": "famous place"},
                 {"start": 4, "end": 10, "entity": "SHORT", "type": "food kind"},
             ],
-        }], path)
-        examples, report = load_wikiwiki_jsonl(path)
-        assert [m.entity for m in examples[0].mentions] == ["LONG"]
+        }])
+        assert records[0].target.token_strings() == [
+            "[LONG", "@ptr_0", "@ptr_1", "@ptr_2", "LONG]", "@ptr_3", "@ptr_4"]
         assert report.dropped_mentions == 1
 
     def test_sentence_split_drops_crossing_mentions(self, tmp_path):
-        context = "we like coffee. the mall is open."
-        path = tmp_path / "w.jsonl"
-        write_wiki_jsonl([{
-            "context": context,
+        records, report = load_wiki(tmp_path, [{
+            "context": "we like coffee. the mall is open.",
             "mentions": [
-                {"start": 8, "end": 14, "entity": "FOOD", "type": "food kind"},
+                {"start": 8, "end": 15, "entity": "FOOD", "type": "food kind"},
                 # crosses the sentence boundary
                 {"start": 8, "end": 24, "entity": "BAD", "type": "x"},
             ],
-        }], path)
-        examples, report = load_wikiwiki_jsonl(path)
-        assert len(examples) == 2
-        assert [m.entity for m in examples[0].mentions] == ["FOOD"]
+        }])
+        assert [r.utterance.raw for r in records] == ["we like coffee.", "the mall is open."]
+        assert {t.name for t in records[0].tags} == {"FOOD"}
+        assert records[1].tags == ()
         assert report.dropped_mentions >= 1
 
     def test_malformed_line_counted(self, tmp_path):
         path = tmp_path / "w.jsonl"
         path.write_text('{"context": "ok", "mentions": []}\nnot json\n')
-        examples, report = load_wikiwiki_jsonl(path)
-        assert len(examples) == 1 and report.skipped == 1
+        records, report = load_wikiwiki_jsonl(path)
+        assert len(records) == 1 and report.skipped == 1
 
     @pytest.mark.parametrize("context", ["5", "null", '["a b"]'],
                              ids=["number", "null", "list"])
@@ -240,85 +255,68 @@ class TestWikiLoader:
         path = tmp_path / "w.jsonl"
         path.write_text(f'{{"context": {context}, "mentions": []}}\n'
                         '{"context": "ok", "mentions": []}\n')
-        examples, report = load_wikiwiki_jsonl(path)
-        assert [e.context for e in examples] == ["ok"]
+        records, report = load_wikiwiki_jsonl(path)
+        assert [r.utterance.raw for r in records] == ["ok"]
         assert report.skipped == 1 and report.loaded == 1
         assert "line 1" in report.messages[0]
 
 
 class TestWikiToParse:
-    def test_reference_conversion(self):
-        example = WikiExample(
-            context="He is a member of The Soul Seekers",
-            mentions=(Mention(18, 34, "Q215380", "musical group"),),
-        )
-        utterance, target, tags = wikiwiki_to_parse_example(example)
-        assert utterance.tokens == ("He", "is", "a", "member", "of",
-                                    "The", "Soul", "Seekers")
-        assert target.token_strings() == [
+    def test_reference_conversion(self, tmp_path):
+        (record,), _ = load_wiki(tmp_path, [{
+            "context": "He is a member of The Soul Seekers",
+            "mentions": [{"start": 18, "end": 34,
+                          "entity": "Q215380", "type": "musical group"}],
+        }])
+        assert record.utterance.tokens == ("He", "is", "a", "member", "of",
+                                           "The", "Soul", "Seekers")
+        assert record.target.token_strings() == [
             "@ptr_0", "@ptr_1", "@ptr_2", "@ptr_3", "@ptr_4",
             "[Q215380", "@ptr_5", "@ptr_6", "@ptr_7", "Q215380]"]
-        assert {t.description for t in tags} == {
+        assert {t.description for t in record.tags} == {
             "begin musical group", "end musical group"}
 
-    def test_no_mentions_all_pointers(self):
-        example = WikiExample(context="just words here", mentions=())
-        _, target, tags = wikiwiki_to_parse_example(example)
-        assert target.token_strings() == ["@ptr_0", "@ptr_1", "@ptr_2"]
-        assert tags == []
+    def test_no_mentions_all_pointers(self, tmp_path):
+        (record,), _ = load_wiki(tmp_path, [{"context": "just words here", "mentions": []}])
+        assert record.target.token_strings() == ["@ptr_0", "@ptr_1", "@ptr_2"]
+        assert record.tags == ()
 
-    def test_two_disjoint_mentions(self):
-        example = WikiExample(
-            context="coffee near boston",
-            mentions=(Mention(0, 6, "FOOD", "food kind"),
-                      Mention(12, 18, "CITY", "city name")),
-        )
-        _, target, _ = wikiwiki_to_parse_example(example)
-        assert target.token_strings() == [
+    def test_two_disjoint_mentions(self, tmp_path):
+        (record,), _ = load_wiki(tmp_path, [{
+            "context": "coffee near boston",
+            "mentions": [{"start": 0, "end": 6, "entity": "FOOD", "type": "food kind"},
+                         {"start": 12, "end": 18, "entity": "CITY", "type": "city name"}],
+        }])
+        assert record.target.token_strings() == [
             "[FOOD", "@ptr_0", "FOOD]", "@ptr_1", "[CITY", "@ptr_2", "CITY]"]
 
-    def test_unaligned_span(self):
-        example = WikiExample(
-            context="coffee shop",
-            mentions=(Mention(0, 3, "X", "t"),),
-        )
-        with pytest.raises(SpanAlignmentError):
-            wikiwiki_to_parse_example(example)
+    def test_unaligned_span(self, tmp_path):
+        records, report = load_wiki(tmp_path, [
+            {"context": "coffee shop", "mentions": []},
+            {"context": "coffee shop. tea house.",
+             "mentions": [{"start": 0, "end": 3, "entity": "X", "type": "t"}]},
+        ])
+        assert [r.utterance.raw for r in records] == ["coffee shop", "tea house."]
+        assert report.loaded == 2 and report.skipped == 1
+        assert report.messages[0].startswith("line 2: mention span (0, 3) does not align")
 
-    def test_generated_corpus_always_validates_flat(self):
-        for payload in wiki_payloads(count=40, seed=2):
-            example = WikiExample(
-                context=payload["context"],
-                mentions=tuple(Mention(m["start"], m["end"], m["entity"], m["type"])
-                               for m in payload["mentions"]),
-            )
-            for sentence_example in _per_sentence(example):
-                _, target, _ = wikiwiki_to_parse_example(sentence_example)
-                n = len(sentence_example.context.split())
-                open_name = None  # flat: at most one tag open at a time
-                for token in target.tokens:
-                    if isinstance(token, Pointer):
-                        assert 0 <= token.index < n
-                    elif token.tag.boundary == "begin":
-                        assert open_name is None
-                        open_name = token.tag.name
-                    else:
-                        assert token.tag.name == open_name
-                        open_name = None
-                assert open_name is None
-
-
-def _per_sentence(example):
-    """Split a multi-sentence WikiExample the same way the loader does."""
-    import concept_parse.data as data_mod
-
-    out = []
-    for offset, sentence in data_mod._split_sentences(example.context):
-        local = [Mention(m.start - offset, m.end - offset, m.entity, m.type_name)
-                 for m in example.mentions
-                 if m.start >= offset and m.end <= offset + len(sentence)]
-        out.append(WikiExample(context=sentence, mentions=tuple(local)))
-    return out
+    def test_generated_corpus_always_validates_flat(self, tmp_path):
+        records, report = load_wiki(tmp_path, wiki_payloads(count=40, seed=2))
+        assert report.loaded == 40 and report.skipped == 0
+        assert len(records) > 40
+        for record in records:
+            n = len(record.utterance.tokens)
+            open_name = None  # flat: at most one tag open at a time
+            for token in record.target.tokens:
+                if isinstance(token, Pointer):
+                    assert 0 <= token.index < n
+                elif token.tag.boundary == "begin":
+                    assert open_name is None
+                    open_name = token.tag.name
+                else:
+                    assert token.tag.name == open_name
+                    open_name = None
+            assert open_name is None
 
 
 class TestFingerprints:

@@ -593,6 +593,14 @@ class TestPersistence:
         with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
             type(model).load(path)
 
+    def test_undecodable_sidecar_raises_with_path(self, tmp_path, model):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        sidecar_path = path.with_name(path.name + ".json")
+        sidecar_path.write_bytes(b"\xff" + sidecar_path.read_bytes())
+        with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
+            type(model).load(path)
+
     def test_missing_sidecar_names_it(self, tmp_path, model):
         path = tmp_path / "model.ckpt"
         model.save(path)

@@ -1,6 +1,6 @@
 """Packaging metadata points at code that exists, every error class is raised,
-no import goes unread, src/ holds only what src/ or perfbench/ reads, and every
-test helper is read."""
+no import goes unread, src/ holds only what src/ or perfbench/ reads, every
+test helper is read, and tests read private names only from an allow-list."""
 
 import ast
 import importlib
@@ -58,7 +58,6 @@ PROTOCOL_PIECES = {
     "load_corpus": "reads the TOPv2 train and test pools a run splits",
     "sample_spi": "draws the SPIS few-shot subset of the held-out domain",
     "load_wikiwiki_jsonl": "reads the wiki-style concept-pretraining corpus",
-    "wiki_pretrain_records": "turns wiki sentences into pretraining records",
     "train_known_domains": "the known-domain training phase",
     "pretrain_wikiwiki": "the concept-pretraining phase",
     "fewshot_finetune": "the few-shot fine-tuning phase",
@@ -141,6 +140,62 @@ def test_every_helper_is_read():
             live.add(name)
             frontier += [other for other in _reads(top[name]) if other in top]
     assert sorted(set(top) - live) == []
+
+
+# Private concept_parse names that tests and their helpers read, as
+# ``module._name``. Each read reaches past a public interface, so the list can
+# only shrink: a new read, or one that goes, fails the test until its entry
+# is added or removed.
+PRIVATE_READS = {
+    "decoding._token_at": "the exhaustive decoding oracle maps output indices "
+                          "to tokens as beam search does",
+    "evaluation._precision_recall_f1": "the oracle scores counts with the "
+                                       "rule evaluation uses",
+    "synthetic._intent": "builds the fixed trees of the navigation and "
+                         "weather test corpora",
+    "synthetic._slot": "builds the fixed trees of the navigation and weather "
+                       "test corpora",
+    "synthetic._row": "turns those trees into corpus rows",
+    "training._optimize": "wrapped to record what the epoch loop hands the "
+                          "optimizer",
+}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(tree: ast.Module) -> set[str]:
+    """``module._name`` for each ``from concept_parse.module import _name``, and
+    for each ``alias._name`` where ``alias`` is bound to a concept_parse module."""
+    modules: dict[str, str] = {}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name.rpartition(".")[2])
+                           for alias in node.names
+                           if alias.asname and alias.name.startswith("concept_parse."))
+        elif isinstance(node, ast.ImportFrom) and node.module == "concept_parse":
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").startswith("concept_parse."):
+            reads.update(f"{node.module.rpartition('.')[2]}.{alias.name}"
+                         for alias in node.names if _private(alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and _private(node.attr):
+            reads.add(f"{modules[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_tests_read_private_names_only_from_the_allow_list():
+    readers: dict[str, list[str]] = {}
+    for path in _python_files("tests", "perfbench/tests"):
+        for name in _private_reads(_tree(path)):
+            readers.setdefault(name, []).append(str(path.relative_to(ROOT)))
+    assert sorted(f"{name} read by {', '.join(paths)}"
+                  for name, paths in readers.items() if name not in PRIVATE_READS) == []
+    assert sorted(readers) == sorted(PRIVATE_READS)
 
 
 def test_no_unused_imports():

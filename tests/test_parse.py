@@ -1,5 +1,7 @@
 """Linearization, delinearization, and naturalization unit tests."""
 
+import re
+
 import pytest
 
 from concept_parse.errors import (
@@ -18,8 +20,8 @@ from concept_parse.parse import (
     extract_labeled_spans,
     linearize,
     make_tag,
-    naturalize_tag,
     parse_seqlogical,
+    split_tag_token,
     to_seqlogical,
     tokenize_utterance,
 )
@@ -170,18 +172,29 @@ class TestNaturalize:
         ("IN:GET_DISTANCE]", "end get distance intent"),
     ])
     def test_rule(self, token, expected):
-        assert naturalize_tag(token) == expected
+        assert make_tag(*split_tag_token(token)).description == expected
 
     def test_open_type_requires_text(self):
-        assert naturalize_tag("[Q215380", type_text="musical group") == \
-            "begin musical group"
+        assert make_tag("Q215380", "open-type", "begin", type_text="musical group") \
+            .description == "begin musical group"
         with pytest.raises(UnknownTagFormatError):
-            naturalize_tag("[Q215380")
+            make_tag("Q215380", "open-type", "begin", type_text=" ")
 
     @pytest.mark.parametrize("token", ["IN:A", "@ptr_0", "[", "]", "[IN:", "word"])
     def test_unrecognized_shapes(self, token):
         with pytest.raises(UnknownTagFormatError):
-            naturalize_tag(token)
+            split_tag_token(token)
+
+    def test_open_type_is_described_by_its_type_text(self):
+        tag = make_tag("SL:FOO", "open-type", "begin", type_text="city name")
+        assert (tag.kind, tag.description) == ("open-type", "begin city name")
+
+    @pytest.mark.parametrize("name,kind", [
+        ("IN:GET_X", "slot"), ("SL:FOO", "intent"), ("FOO", "intent"), ("FOO", "slot"),
+    ])
+    def test_kind_must_match_the_name_prefix(self, name, kind):
+        with pytest.raises(UnknownTagFormatError, match=re.escape(name)):
+            make_tag(name, kind, "end")
 
     def test_injective_over_tag_set(self):
         names = [("IN:GET_DISTANCE", "intent"), ("IN:GET_ETA", "intent"),

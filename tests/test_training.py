@@ -11,9 +11,6 @@ from concept_parse.data import (
     build_leave_one_out,
     sample_spi,
     tags_from_records,
-    wiki_pretrain_records,
-    Mention,
-    WikiExample,
 )
 from concept_parse.errors import EmptyEvalSetError, EmptyFewShotError, UnknownConceptError
 from concept_parse.model import ConceptModel
@@ -29,30 +26,17 @@ from concept_parse.training import (
     train_known_domains,
 )
 
-from helpers import (TINY, batch_cross_entropy, build_model, records_from_rows,
+from helpers import (TINY, batch_cross_entropy, build_model, load_wiki, records_from_rows,
                      two_domain_rows, wiki_payloads)
 
 
-def wiki_records(count=24, seed=0):
-    payloads = wiki_payloads(count=count, seed=seed)
-    examples = []
-    for payload in payloads:
-        mentions = tuple(Mention(m["start"], m["end"], m["entity"], m["type"])
-                         for m in payload["mentions"])
-        # single-sentence payload pieces come from the loader in production
-        from concept_parse.data import _split_sentences
-        for offset, sentence in _split_sentences(payload["context"]):
-            local = tuple(Mention(m.start - offset, m.end - offset, m.entity,
-                                  m.type_name)
-                          for m in mentions
-                          if m.start >= offset and m.end <= offset + len(sentence))
-            examples.append(WikiExample(context=sentence, mentions=local))
-    return wiki_pretrain_records(examples)
+def wiki_records(tmp_path, count=24, seed=0):
+    return load_wiki(tmp_path, wiki_payloads(count=count, seed=seed))[0]
 
 
 class TestInBatchNegatives:
-    def test_union_counts(self):
-        records = wiki_records()
+    def test_union_counts(self, tmp_path):
+        records = wiki_records(tmp_path)
         two_tags = [r for r in records if len(r.tags) == 2]
         assert len(batch_concept_union(two_tags[:1])) == 2
         distinct = []
@@ -67,16 +51,16 @@ class TestInBatchNegatives:
         union = batch_concept_union(distinct)
         assert len(union) == 4
 
-    def test_union_must_cover_targets(self):
-        records = [r for r in wiki_records() if r.tags]
+    def test_union_must_cover_targets(self, tmp_path):
+        records = [r for r in wiki_records(tmp_path) if r.tags]
         model = build_model([], wiki_records=records, seed=2, **TINY)
         union = list(batch_concept_union(records[:1]))[1:]
         with pytest.raises(UnknownConceptError):
             training.batch_nll_tensor(model, records[:1], union,
                                       model.encode_concepts_tensor(union))
 
-    def test_loss_equals_restricted_full_ce_exactly(self):
-        records = [r for r in wiki_records() if r.tags]
+    def test_loss_equals_restricted_full_ce_exactly(self, tmp_path):
+        records = [r for r in wiki_records(tmp_path) if r.tags]
         model = build_model([], wiki_records=records, seed=2, **TINY)
         rng = np.random.default_rng(0)
         for trial in range(6):
@@ -85,8 +69,8 @@ class TestInBatchNegatives:
             expected = batch_cross_entropy(model, batch, list(batch_concept_union(batch)))
             assert pretrain_loss(model, batch).item() == expected  # same floating-point path
 
-    def test_restriction_differs_from_full_bank(self):
-        records = [r for r in wiki_records() if r.tags]
+    def test_restriction_differs_from_full_bank(self, tmp_path):
+        records = [r for r in wiki_records(tmp_path) if r.tags]
         model = build_model([], wiki_records=records, seed=3, **TINY)
         all_tags = batch_concept_union(records)
         union = batch_concept_union(records[:2])
@@ -250,22 +234,22 @@ class TestTrainKnownDomains:
 
 
 class TestPretrainLoop:
-    def test_epoch_cap_exact(self):
-        records = wiki_records(count=10)
+    def test_epoch_cap_exact(self, tmp_path):
+        records = wiki_records(tmp_path, count=10)
         model = build_model([], wiki_records=records, seed=0, **TINY)
         result = pretrain_wikiwiki(model, records, quick_cfg())
         assert len(result.log) == 2
         assert result.log[-1]["epoch"] == 1
 
-    def test_empty_corpus_is_identity(self):
-        model = build_model([], wiki_records=wiki_records(count=4), seed=0, **TINY)
-        before = model.snapshot()
+    def test_empty_corpus_is_identity(self, tmp_path):
+        model = build_model([], wiki_records=wiki_records(tmp_path, count=4), seed=0,
+                            **TINY)
+        before = model.value_buffer().copy()
         pretrain_wikiwiki(model, [], quick_cfg())
-        after = model.snapshot()
-        assert all(np.array_equal(before[k], after[k]) for k in before)
+        assert np.array_equal(before, model.value_buffer())
 
-    def test_loss_decreases(self):
-        records = wiki_records(count=30)
+    def test_loss_decreases(self, tmp_path):
+        records = wiki_records(tmp_path, count=30)
         model = build_model([], wiki_records=records, seed=0, **TINY)
         result = pretrain_wikiwiki(model, records,
                                    quick_cfg(pretrain_epochs=6, learning_rate=2e-3))
@@ -287,14 +271,12 @@ class TestFewshotFinetune:
         split = build_leave_one_out(records, [], "beta", valid_fraction=0.25)
         train_known_domains(model, split, quick_cfg(epochs=40, learning_rate=3e-3))
         spi = sample_spi(beta, SpiConfig(k=1, seed=3))
-        before = model.snapshot()
+        before = model.value_buffer().copy()
         cfg = quick_cfg(fewshot_epochs=80, fewshot_eval_every=20,
                         learning_rate=3e-3)
         result = fewshot_finetune(model, spi, alpha, cfg)
         assert result.best_score > 0.0
-        changed = any(not np.array_equal(before[k], model.parameters()[k].data)
-                      for k in before)
-        assert changed
+        assert not np.array_equal(before, model.value_buffer())
 
     def test_multiplier_zero_is_plain_finetuning(self):
         records = records_from_rows(two_domain_rows(6, seed=0))
@@ -345,14 +327,15 @@ class TestOutDir:
                            tags_from_records(split.known_train + split.known_valid))
 
     def test_pretrain(self, tmp_path):
-        records = wiki_records(count=10)
+        records = wiki_records(tmp_path, count=10)
         model = build_model([], wiki_records=records, seed=0, **TINY)
         result = pretrain_wikiwiki(model, records, quick_cfg(), out_dir=tmp_path)
         assert_log_file(tmp_path / "pretrain_log.jsonl", result)
         assert not list(tmp_path.glob("*.ckpt"))
 
     def test_empty_pretrain_writes_empty_log(self, tmp_path):
-        model = build_model([], wiki_records=wiki_records(count=4), seed=0, **TINY)
+        model = build_model([], wiki_records=wiki_records(tmp_path, count=4), seed=0,
+                            **TINY)
         result = pretrain_wikiwiki(model, [], quick_cfg(), out_dir=tmp_path / "run")
         assert result.log == []
         assert (tmp_path / "run" / "pretrain_log.jsonl").read_text(encoding="utf-8") == ""
