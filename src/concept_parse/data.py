@@ -1,11 +1,14 @@
 """Corpus ingestion, leave-one-out splits, few-shot sampling, and wiki-style pretraining data.
 
 Parse corpora arrive as TSV with header columns ``domain``, ``utterance``,
-``semantic_parse``. Entity-tagging pretraining data arrives as JSON lines
+``semantic_parse`` and load as `DatasetRecord` (domain, utterance, target).
+Entity-tagging pretraining data arrives as JSON lines
 ``{"context": str, "mentions": [{"start", "end", "entity", "type"}]}`` and
-loads as one flat-tagging `PretrainRecord` per sentence. Either format may be
-gzip-compressed (``.gz`` suffix). A file that cannot be read, gunzipped or
-decoded as UTF-8 raises `DataError`.
+loads as one flat-tagging `PretrainRecord` (utterance, target) per sentence;
+it has no domain, which the splits read. A record's labels and concept tags
+are read from its target. Either format may be gzip-compressed (``.gz``
+suffix). A file that cannot be read, gunzipped or decoded as UTF-8 raises
+`DataError`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .errors import (
 from .parse import (
     Concept,
     ConceptTag,
-    ParseTree,
     Pointer,
     TargetSequence,
     TargetToken,
@@ -42,24 +44,23 @@ from .parse import (
     linearize,
     make_tag,
     parse_seqlogical,
+    target_tags,
     tokenize_utterance,
-    tree_labels,
 )
 
 log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """One annotated utterance with its tree and linearized target."""
+    """One annotated utterance with its linearized target."""
 
     domain: str
     utterance: Utterance
-    tree: ParseTree
     target: TargetSequence
 
     def labels(self) -> set[str]:
-        """Distinct intent/slot names appearing in the tree."""
-        return {name for name, _ in tree_labels(self.tree)}
+        """Distinct intent/slot names appearing in the target."""
+        return {tag.name for tag in target_tags(self.target)}
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,10 @@ class Mention:
 
 @dataclass(frozen=True)
 class PretrainRecord:
-    """A flat tagging example for concept pretraining (no tree form)."""
+    """A flat tagging example for concept pretraining."""
 
     utterance: Utterance
     target: TargetSequence
-    tags: tuple[ConceptTag, ...]
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,8 @@ def _read_lines(path: Union[str, Path]) -> Iterator[str]:
 def record_from_row(domain: str, utterance_text: str, annotation: str) -> DatasetRecord:
     """Build a DatasetRecord from one corpus row; raises on malformed input."""
     utterance = tokenize_utterance(utterance_text)
-    tree = parse_seqlogical(annotation, utterance)
-    target = linearize(tree, utterance)
-    return DatasetRecord(domain=domain, utterance=utterance, tree=tree, target=target)
+    target = linearize(parse_seqlogical(annotation, utterance), utterance)
+    return DatasetRecord(domain=domain, utterance=utterance, target=target)
 
 
 def load_topv2_tsv(path: Union[str, Path]) -> tuple[list[DatasetRecord], LoadReport]:
@@ -251,8 +250,9 @@ def _resolve_overlaps(mentions: list[Mention], report: LoadReport) -> list[Menti
 def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], LoadReport]:
     """Load wiki contexts as flat-tagging pretraining records, one per sentence.
 
-    Contexts are split into sentences; mentions crossing sentence boundaries,
-    and empty ones, are dropped and counted, and overlapping mentions are
+    Contexts are split into sentences, and each mention goes to the one
+    sentence that wholly contains it. A mention that no sentence contains, or
+    an empty one, is dropped and counted once; overlapping mentions are
     resolved in favor of the longest. A malformed line, or a sentence whose
     mentions do not align to its token boundaries, is skipped and noted with
     its line number.
@@ -275,20 +275,20 @@ def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], L
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             report.note(f"line {line_no}: {exc}")
             continue
-        for offset, sentence in _split_sentences(context):
-            local: list[Mention] = []
-            for m in raw_mentions:
-                if m.start >= offset and m.end <= offset + len(sentence):
-                    if m.start >= m.end:
-                        report.dropped_mentions += 1
-                        continue
-                    local.append(Mention(m.start - offset, m.end - offset,
-                                         m.entity, m.type_name))
-                elif m.start < offset + len(sentence) and m.end > offset:
-                    # crosses this sentence's boundary
-                    report.dropped_mentions += 1
+        sentences = _split_sentences(context)
+        local: list[list[Mention]] = [[] for _ in sentences]
+        for m in raw_mentions:
+            home = next((i for i, (offset, sentence) in enumerate(sentences)
+                         if offset <= m.start < m.end <= offset + len(sentence)), None)
+            if home is None:
+                report.dropped_mentions += 1
+                continue
+            offset = sentences[home][0]
+            local[home].append(Mention(m.start - offset, m.end - offset,
+                                       m.entity, m.type_name))
+        for (_, sentence), mentions in zip(sentences, local):
             try:
-                records.append(_tagging_record(sentence, _resolve_overlaps(local, report)))
+                records.append(_tagging_record(sentence, _resolve_overlaps(mentions, report)))
             except ConceptParseError as exc:
                 report.note(f"line {line_no}: {exc}")
         report.loaded += 1
@@ -317,7 +317,6 @@ def _tagging_record(sentence: str, mentions: Sequence[Mention]) -> PretrainRecor
         pos += len(token)
 
     tokens: list[TargetToken] = []
-    tags: dict[tuple[str, str], ConceptTag] = {}
     cursor = 0
     for mention in mentions:
         if mention.start not in starts or mention.end not in ends:
@@ -329,23 +328,18 @@ def _tagging_record(sentence: str, mentions: Sequence[Mention]) -> PretrainRecor
         tokens.extend(Pointer(i) for i in range(cursor, first))
         begin = make_tag(mention.entity, "open-type", "begin", type_text=mention.type_name)
         end = make_tag(mention.entity, "open-type", "end", type_text=mention.type_name)
-        for tag in (begin, end):
-            tags.setdefault((tag.name, tag.boundary), tag)
         tokens.append(Concept(begin))
         tokens.extend(Pointer(i) for i in range(first, last + 1))
         tokens.append(Concept(end))
         cursor = last + 1
     tokens.extend(Pointer(i) for i in range(cursor, len(utterance.tokens)))
-    return PretrainRecord(utterance=utterance, target=TargetSequence(tokens=tuple(tokens)),
-                          tags=tuple(tags.values()))
+    return PretrainRecord(utterance=utterance, target=TargetSequence(tokens=tuple(tokens)))
 
 
 def tags_from_records(records: Sequence[DatasetRecord]) -> list[ConceptTag]:
     """Begin/end concept tokens for every label in a record set, sorted."""
-    labels: set = set()
-    for record in records:
-        labels.update(tree_labels(record.tree))
-    return build_concept_tags(labels)
+    return build_concept_tags((tag.name, tag.kind) for record in records
+                              for tag in target_tags(record.target))
 
 
 # content fingerprints: record identities that show splits are disjoint

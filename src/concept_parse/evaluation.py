@@ -13,13 +13,7 @@ from .data import DatasetRecord
 from .decoding import beam_decode
 from .errors import EmptyEvalSetError, MalformedTargetError
 from .model import ConceptBank, ConceptModel
-from .parse import (
-    ConceptTag,
-    ParseTree,
-    TargetSequence,
-    delinearize,
-    extract_labeled_spans,
-)
+from .parse import ConceptTag, TargetSequence, delinearize, labeled_spans
 
 log = logging.getLogger(__name__)
 
@@ -38,12 +32,15 @@ class SpanCounts:
     gold: int
 
 
-def span_counts(pred_tree: Optional[ParseTree], gold_tree: ParseTree) -> SpanCounts:
-    """Matched/predicted/gold labeled-span counts; invalid predictions predict nothing."""
-    gold_spans = extract_labeled_spans(gold_tree)
-    if pred_tree is None:
+def span_counts(pred: Optional[TargetSequence], gold: TargetSequence) -> SpanCounts:
+    """Matched/predicted/gold labeled-span counts of two target sequences.
+
+    ``pred`` is None for an invalid prediction, which predicts nothing.
+    """
+    gold_spans = labeled_spans(gold)
+    if pred is None:
         return SpanCounts(matched=0, predicted=0, gold=len(gold_spans))
-    pred_spans = extract_labeled_spans(pred_tree)
+    pred_spans = labeled_spans(pred)
     return SpanCounts(matched=len(pred_spans & gold_spans),
                       predicted=len(pred_spans), gold=len(gold_spans))
 
@@ -112,12 +109,13 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
         pred = hypotheses[0].sequence
         em = exact_match(pred, record.target)
         try:
-            pred_tree: Optional[ParseTree] = delinearize(pred, record.utterance)
+            delinearize(pred, record.utterance)
+            valid = True
         except MalformedTargetError:
-            pred_tree = None
-        counts = span_counts(pred_tree, record.tree)
+            valid = False
+        counts = span_counts(pred if valid else None, record.target)
         em_total += em
-        valid_total += int(pred_tree is not None)
+        valid_total += int(valid)
         matched += counts.matched
         predicted += counts.predicted
         gold += counts.gold
@@ -127,7 +125,7 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
             "pred": pred.token_strings(),
             "em": em,
             "f1_counts": [counts.matched, counts.predicted, counts.gold],
-            "valid": pred_tree is not None,
+            "valid": valid,
         })
     _, _, f1 = _precision_recall_f1(matched, predicted, gold)
     report = EvalReport(

@@ -28,10 +28,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .errors import (
     ShapeError,
     UnknownConceptError,
 )
-from .parse import ConceptTag, Pointer, TargetToken
+from .parse import Concept, ConceptTag, Pointer, TargetToken
 
 PAD, UNK, SUMMARY = "<pad>", "<unk>", "<sum>"
 _SPECIALS = (PAD, UNK, SUMMARY)
@@ -124,22 +123,14 @@ class ConceptBank:
 
     tags: tuple[ConceptTag, ...]
     vectors: np.ndarray  # (m, width)
-    _rows: Mapping[tuple[str, str], int] = field(init=False, repr=False,
-                                                 compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tags) != self.vectors.shape[0]:
             raise ShapeError("bank tag count does not match vector rows")
-        object.__setattr__(self, "_rows", MappingProxyType(
-            {(t.name, t.boundary): i for i, t in enumerate(self.tags)}))
 
     @property
     def m(self) -> int:
         return len(self.tags)
-
-    def row_index(self) -> Mapping[tuple[str, str], int]:
-        """Row of each (name, boundary) key; built once per bank."""
-        return self._rows
 
 
 @dataclass(frozen=True)
@@ -396,18 +387,21 @@ class ConceptModel:
     # stepwise decoding (inference only)
 
     def target_embed(self, token: TargetToken, bank: ConceptBank) -> np.ndarray:
-        """Decoder input embedding of one target token under a bank."""
+        """Decoder input embedding of one target token under a bank.
+
+        A tag listed twice takes its last row, as in `build_batch`.
+        """
         if isinstance(token, Pointer):
             if not 0 <= token.index < self.config.max_source_len:
                 raise PointerRangeError(
                     f"pointer index {token.index} outside the embedding table "
                     f"(max {self.config.max_source_len - 1})")
             return self._arr("decoder.ptr_embed")[token.index]
-        row = bank.row_index().get((token.tag.name, token.tag.boundary))
-        if row is None:
+        rows = [i for i, tag in enumerate(bank.tags) if Concept(tag) == token]
+        if not rows:
             raise UnknownConceptError(
                 f"concept {token.tag.token_string!r} not present in the bank")
-        return bank.vectors[row]
+        return bank.vectors[rows[-1]]
 
     def bos_index(self, m: int) -> int:
         """Row of the BOS input in the decoder input table of an m-tag bank."""

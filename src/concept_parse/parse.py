@@ -5,11 +5,17 @@ indices, and as a :class:`TargetSequence` of pointer tokens and begin/end
 concept tokens. ``linearize`` and ``delinearize`` convert between the two and
 are exact inverses on valid inputs; a sequence is valid exactly when
 ``delinearize`` accepts it.
+
+Records carry only the target sequence. The tree lives where annotations are
+read and written (``parse_seqlogical``, ``to_seqlogical``) and where validity
+is decided (``delinearize``); labels, concept tags and labeled spans are read
+from the sequence by ``target_tags`` and ``labeled_spans``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Literal, Optional, Union
 
 from .errors import (
@@ -101,16 +107,6 @@ class ParseTree:
     kind: Kind
     children: tuple[Union["ParseTree", int], ...]
 
-    def leaf_indices(self) -> list[int]:
-        """Token indices of this subtree in left-to-right order."""
-        out: list[int] = []
-        for child in self.children:
-            if isinstance(child, ParseTree):
-                out.extend(child.leaf_indices())
-            else:
-                out.append(child)
-        return out
-
 
 @dataclass(frozen=True)
 class TargetSequence:
@@ -176,8 +172,9 @@ def make_tag(name: str, kind: Kind, boundary: Boundary,
                       description=f"{boundary} {body}")
 
 
+@lru_cache(maxsize=4096)  # `linearize` asks again for every node of every record
 def tags_for_label(name: str, kind: Kind) -> tuple[ConceptTag, ConceptTag]:
-    """Begin and end concept tokens for one boundary-free label."""
+    """Begin and end concept tokens for one boundary-free label; frozen, so shared."""
     return make_tag(name, kind, "begin"), make_tag(name, kind, "end")
 
 
@@ -319,61 +316,44 @@ def delinearize(seq: TargetSequence, utterance: Utterance) -> ParseTree:
 
 
 def to_seqlogical(tree: ParseTree, utterance: Utterance) -> str:
-    """Serialize a tree to the bracketed annotation format; inverse of parse_seqlogical."""
-    n = len(utterance.tokens)
-    parts: list[str] = []
+    """Serialize a tree to the bracketed annotation format; inverse of parse_seqlogical.
 
-    def emit(node: ParseTree) -> None:
-        parts.append(f"[{node.name}")
-        for child in node.children:
-            if isinstance(child, ParseTree):
-                emit(child)
-            else:
-                if not 0 <= child < n:
-                    raise PointerRangeError(
-                        f"leaf index {child} out of range for {n} source tokens"
-                    )
-                parts.append(utterance.tokens[child])
-        parts.append("]")
-
-    emit(tree)
-    return " ".join(parts)
+    Raises as `linearize` does, which it writes out token by token.
+    """
+    return " ".join(
+        utterance.tokens[t.index] if isinstance(t, Pointer)
+        else (f"[{t.tag.name}" if t.tag.boundary == "begin" else "]")
+        for t in linearize(tree, utterance).tokens)
 
 
 Span = tuple[str, Optional[int], Optional[int]]
 
 
-def extract_labeled_spans(tree: ParseTree) -> set[Span]:
-    """One (label, start, end) triple per tree node.
+def labeled_spans(seq: TargetSequence) -> set[Span]:
+    """The (label, start, end) triples of a valid sequence's tag pairs, as a set.
 
-    The span covers the node's min/max token leaf indices, inclusive; nodes
-    with no token leaves yield a (label, None, None) sentinel.
+    The span covers the min/max pointer between the pair, nested pairs
+    included; a pair with no pointer inside yields (label, None, None).
     """
     spans: set[Span] = set()
-
-    def walk(node: ParseTree) -> None:
-        leaves = node.leaf_indices()
-        if leaves:
-            spans.add((node.name, min(leaves), max(leaves)))
+    pointers: list[int] = []
+    opened: list[int] = []  # len(pointers) at each open begin tag
+    for token in seq.tokens:
+        if isinstance(token, Pointer):
+            pointers.append(token.index)
+        elif token.tag.boundary == "begin":
+            opened.append(len(pointers))
         else:
-            spans.add((node.name, None, None))
-        for child in node.children:
-            if isinstance(child, ParseTree):
-                walk(child)
-
-    walk(tree)
+            inside = pointers[opened.pop():]
+            spans.add((token.tag.name, min(inside), max(inside)) if inside
+                      else (token.tag.name, None, None))
     return spans
 
 
-def tree_labels(tree: ParseTree) -> set[tuple[str, Kind]]:
-    """Distinct (name, kind) labels appearing anywhere in the tree."""
-    labels: set[tuple[str, Kind]] = set()
-
-    def walk(node: ParseTree) -> None:
-        labels.add((node.name, node.kind))
-        for child in node.children:
-            if isinstance(child, ParseTree):
-                walk(child)
-
-    walk(tree)
-    return labels
+def target_tags(seq: TargetSequence) -> tuple[ConceptTag, ...]:
+    """Distinct concept tags of a sequence, in first-occurrence order."""
+    seen: dict[Concept, ConceptTag] = {}
+    for token in seq.tokens:
+        if isinstance(token, Concept):
+            seen.setdefault(token, token.tag)
+    return tuple(seen.values())

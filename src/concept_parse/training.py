@@ -29,7 +29,7 @@ from .data import DatasetRecord, DomainSplit, PretrainRecord, tags_from_records
 from .errors import EmptyEvalSetError, EmptyFewShotError
 from .evaluation import teacher_forced_accuracy
 from .model import ConceptModel
-from .parse import ConceptTag
+from .parse import ConceptTag, target_tags
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +92,7 @@ def batch_concept_union(examples: Sequence[PretrainRecord]) -> tuple[ConceptTag,
     """Deduplicated concept tokens of a batch, in first-occurrence order."""
     seen: dict[tuple[str, str], ConceptTag] = {}
     for example in examples:
-        for tag in example.tags:
+        for tag in target_tags(example.target):
             seen.setdefault((tag.name, tag.boundary), tag)
     return tuple(seen.values())
 

@@ -4,8 +4,9 @@ Fixtures: model builders, a parser for target token strings, a random
 parse-tree generator for round-trip property tests, a navigation/weather
 corpus, wiki-style pretraining payloads, writers for the TSV and JSON-lines
 formats the loaders read, and a parameter alone in its own arena. Oracles: the
-per-beam search, the stepwise teacher-forced forward, single-query attention
-through graph ops, a no-grad batch cross-entropy, and per-parameter Adam."""
+tree walk for labeled spans and labels, the per-beam search, the stepwise
+teacher-forced forward, single-query attention through graph ops, a no-grad
+batch cross-entropy, and per-parameter Adam."""
 
 import json
 import math
@@ -25,6 +26,7 @@ from concept_parse.parse import (
     TargetSequence,
     make_tag,
     split_tag_token,
+    target_tags,
     tokenize_utterance,
 )
 from concept_parse.synthetic import PLACES, _intent, _row, _slot
@@ -41,7 +43,7 @@ def build_model(records, tags=None, wiki_records=(), seed=0, **config_kwargs):
     token_sequences = [r.utterance.tokens for r in records]
     token_sequences += [r.utterance.tokens for r in wiki_records]
     descriptions = [t.description for t in tags]
-    descriptions += [t.description for r in wiki_records for t in r.tags]
+    descriptions += [t.description for r in wiki_records for t in target_tags(r.target)]
     source_vocab, concept_vocab = build_vocabularies(token_sequences, descriptions)
     config = ModelConfig(**config_kwargs)
     return ConceptModel(config, source_vocab, concept_vocab, seed=seed)
@@ -230,6 +232,27 @@ def random_parse_example(rng, max_tokens=12, max_depth=4):
 def random_roundtrip_corpus(count=500, seed=0):
     rng = np.random.default_rng(seed)
     return [random_parse_example(rng) for _ in range(count)]
+
+
+def walk_spans_and_labels(tree):
+    """Labeled spans and (name, kind) labels of a tree, by a depth-first walk.
+
+    Each node gives (name, min leaf, max leaf) over the leaves of its subtree,
+    or (name, None, None) when it has none.
+    """
+    spans, labels = set(), set()
+
+    def walk(node):
+        labels.add((node.name, node.kind))
+        leaves = []
+        for child in node.children:
+            leaves.extend(walk(child) if isinstance(child, ParseTree) else [child])
+        spans.add((node.name, min(leaves), max(leaves)) if leaves
+                  else (node.name, None, None))
+        return leaves
+
+    walk(tree)
+    return spans, labels
 
 
 def parameter(name, data):

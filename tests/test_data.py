@@ -23,7 +23,7 @@ from concept_parse.errors import (
     DomainNotFoundError,
     NeedTwoDomainsError,
 )
-from concept_parse.parse import Pointer, linearize
+from concept_parse.parse import Pointer, delinearize, linearize, parse_seqlogical, target_tags
 
 from helpers import (
     COMPOSITIONAL_ANNOTATION,
@@ -45,7 +45,8 @@ class TestTsvLoader:
         assert report.loaded == 1 and report.skipped == 0
         record = records[0]
         assert record.domain == "navigation"
-        assert record.target == linearize(record.tree, record.utterance)
+        assert record.target == linearize(
+            parse_seqlogical(COMPOSITIONAL_ANNOTATION, record.utterance), record.utterance)
         assert record.target.token_strings()[0] == "[IN:GET_DISTANCE"
 
     def test_empty_file_with_header(self, tmp_path):
@@ -86,7 +87,8 @@ class TestTsvLoader:
         records, _ = load_topv2_tsv(path)
         assert len(records) == 40
         for record in records:
-            assert record.target == linearize(record.tree, record.utterance)
+            assert record.target == linearize(
+                delinearize(record.target, record.utterance), record.utterance)
 
 
 def garbled_gzip(data):
@@ -172,7 +174,7 @@ class TestSampleSpi:
         kept = sample_spi(records, SpiConfig(k=5, seed=1))
         by_label = {"IN:A": 0, "IN:B": 0}
         for record in kept:
-            by_label[record.tree.name] += 1
+            by_label[delinearize(record.target, record.utterance).name] += 1
         assert by_label == {"IN:A": 5, "IN:B": 3}
 
     def test_determinism(self):
@@ -210,12 +212,12 @@ class TestWikiLoader:
                           "entity": "Q215380", "type": "musical group"}],
         }])
         assert len(records) == 1 and report.loaded == 1
-        assert [t.description for t in records[0].tags] == \
+        assert [t.description for t in target_tags(records[0].target)] == \
             ["begin musical group", "end musical group"]
 
     def test_zero_mentions(self, tmp_path):
         records, _ = load_wiki(tmp_path, [{"context": "nothing here", "mentions": []}])
-        assert records[0].tags == ()
+        assert target_tags(records[0].target) == ()
 
     def test_overlap_keeps_longest(self, tmp_path):
         records, report = load_wiki(tmp_path, [{
@@ -239,9 +241,22 @@ class TestWikiLoader:
             ],
         }])
         assert [r.utterance.raw for r in records] == ["we like coffee.", "the mall is open."]
-        assert {t.name for t in records[0].tags} == {"FOOD"}
-        assert records[1].tags == ()
-        assert report.dropped_mentions >= 1
+        assert {t.name for t in target_tags(records[0].target)} == {"FOOD"}
+        assert target_tags(records[1].target) == ()
+        assert report.dropped_mentions == 1
+
+    @pytest.mark.parametrize("context,start,end", [
+        ("just words here", 50, 60),     # outside the context
+        ("a b. c d. e f.", 2, 12),       # crosses three sentences
+        ("we like coffee.", 3, 3),       # empty
+    ], ids=["outside", "three_sentences", "empty"])
+    def test_each_dropped_mention_counts_once(self, tmp_path, context, start, end):
+        records, report = load_wiki(tmp_path, [{
+            "context": context,
+            "mentions": [{"start": start, "end": end, "entity": "X", "type": "x"}],
+        }])
+        assert all(target_tags(r.target) == () for r in records)
+        assert report.dropped_mentions == 1
 
     def test_malformed_line_counted(self, tmp_path):
         path = tmp_path / "w.jsonl"
@@ -273,13 +288,13 @@ class TestWikiToParse:
         assert record.target.token_strings() == [
             "@ptr_0", "@ptr_1", "@ptr_2", "@ptr_3", "@ptr_4",
             "[Q215380", "@ptr_5", "@ptr_6", "@ptr_7", "Q215380]"]
-        assert {t.description for t in record.tags} == {
+        assert {t.description for t in target_tags(record.target)} == {
             "begin musical group", "end musical group"}
 
     def test_no_mentions_all_pointers(self, tmp_path):
         (record,), _ = load_wiki(tmp_path, [{"context": "just words here", "mentions": []}])
         assert record.target.token_strings() == ["@ptr_0", "@ptr_1", "@ptr_2"]
-        assert record.tags == ()
+        assert target_tags(record.target) == ()
 
     def test_two_disjoint_mentions(self, tmp_path):
         (record,), _ = load_wiki(tmp_path, [{

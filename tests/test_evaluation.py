@@ -13,7 +13,7 @@ from concept_parse.evaluation import (
     span_counts,
     teacher_forced_accuracy,
 )
-from concept_parse.parse import ParseTree
+from concept_parse.parse import ParseTree, linearize, tokenize_utterance
 from concept_parse.training import TrainConfig, train_known_domains
 
 from helpers import build_model, records_from_rows, sequence_from_strings, two_domain_rows
@@ -21,6 +21,11 @@ from helpers import build_model, records_from_rows, sequence_from_strings, two_d
 
 def tree(name, kind, *children):
     return ParseTree(name=name, kind=kind, children=tuple(children))
+
+
+def target(parse):
+    """The target sequence of a parse tree over a six-token utterance."""
+    return linearize(parse, tokenize_utterance("a b c d e f"))
 
 
 class TestExactMatch:
@@ -40,7 +45,7 @@ class TestExactMatch:
 
 
 def span_f1(pairs):
-    """Micro precision, recall and F1 over (pred, gold) tree pairs, summed as
+    """Micro precision, recall and F1 over (pred, gold) target pairs, summed as
     `evaluate_domain` sums them."""
     counts = [span_counts(pred, gold) for pred, gold in pairs]
     return _precision_recall_f1(sum(c.matched for c in counts),
@@ -50,34 +55,34 @@ def span_f1(pairs):
 
 class TestSpanF1:
     def test_perfect(self):
-        gold = tree("IN:A", "intent", tree("SL:B", "slot", 0), 1)
+        gold = target(tree("IN:A", "intent", tree("SL:B", "slot", 0), 1))
         precision, recall, f1 = span_f1([(gold, gold)])
         assert (precision, recall, f1) == (100.0, 100.0, 100.0)
 
     def test_disjoint(self):
-        gold = tree("IN:A", "intent", 0)
-        pred = tree("IN:B", "intent", 0)
+        gold = target(tree("IN:A", "intent", 0))
+        pred = target(tree("IN:B", "intent", 0))
         assert span_f1([(pred, gold)])[2] == 0.0
 
     def test_half_credit(self):
-        # gold spans {(A,0,5),(B,3,5)}, predicted {(A,0,5),(B,3,4)}
-        gold = tree("A", "intent", 0, 1, 2, tree("B", "slot", 3, 4, 5))
-        pred = tree("A", "intent", 0, 1, 2, tree("B", "slot", 3, 4), 5)
+        # gold spans {(IN:A,0,5),(SL:B,3,5)}, predicted {(IN:A,0,5),(SL:B,3,4)}
+        gold = target(tree("IN:A", "intent", 0, 1, 2, tree("SL:B", "slot", 3, 4, 5)))
+        pred = target(tree("IN:A", "intent", 0, 1, 2, tree("SL:B", "slot", 3, 4), 5))
         precision, recall, f1 = span_f1([(pred, gold)])
         assert (precision, recall, f1) == (50.0, 50.0, 50.0)
 
     def test_invalid_prediction_counts_gold_only(self):
-        gold = tree("IN:A", "intent", 0, tree("SL:B", "slot", 1))
+        gold = target(tree("IN:A", "intent", 0, tree("SL:B", "slot", 1)))
         counts = span_counts(None, gold)
         assert (counts.matched, counts.predicted, counts.gold) == (0, 0, 2)
         precision, recall, f1 = span_f1([(None, gold)])
         assert (precision, recall, f1) == (0.0, 0.0, 0.0)
 
     def test_micro_aggregation_sums_counts(self):
-        gold1 = tree("A", "intent", 0, 1)
-        pred1 = tree("A", "intent", 0, 1)
-        gold2 = tree("B", "intent", 0, tree("C", "slot", 1))
-        pred2 = tree("B", "intent", 0, 1)
+        gold1 = target(tree("IN:A", "intent", 0, 1))
+        pred1 = target(tree("IN:A", "intent", 0, 1))
+        gold2 = target(tree("IN:B", "intent", 0, tree("SL:C", "slot", 1)))
+        pred2 = target(tree("IN:B", "intent", 0, 1))
         c1 = span_counts(pred1, gold1)
         c2 = span_counts(pred2, gold2)
         precision, recall, _ = span_f1([(pred1, gold1), (pred2, gold2)])

@@ -117,6 +117,13 @@ class TestTargetEmbed:
         assert np.array_equal(model.target_embed(Concept(tag), bank),
                               bank.vectors[3])
 
+    def test_tag_listed_twice_takes_its_last_row(self, model, bank):
+        # the row build_batch's index map gives it
+        doubled = ConceptBank(tags=bank.tags + (bank.tags[3],),
+                              vectors=np.vstack([bank.vectors, bank.vectors[3] + 1.0]))
+        assert np.array_equal(model.target_embed(Concept(bank.tags[3]), doubled),
+                              doubled.vectors[-1])
+
     def test_unknown_concept(self, model, bank):
         stranger = make_tag("IN:NOT_IN_BANK", "intent", "begin")
         with pytest.raises(UnknownConceptError):
@@ -251,7 +258,7 @@ class TestTeacherForced:
         dists = forward_teacher_forced(model, record.utterance, record.target, bank)
         assert len(dists) == len(record.target.tokens)
         # a replay fed each token's own output index must agree bit for bit
-        rows = bank.row_index()
+        rows = {(t.name, t.boundary): i for i, t in enumerate(bank.tags)}
         state = model.initial_state(model.encode_source(record.utterance.tokens), bank)
         prev = model.bos_index(bank.m)
         for token, dist in zip(record.target.tokens, dists):

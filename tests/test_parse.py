@@ -17,17 +17,18 @@ from concept_parse.parse import (
     Pointer,
     TargetSequence,
     delinearize,
-    extract_labeled_spans,
+    labeled_spans,
     linearize,
     make_tag,
     parse_seqlogical,
     split_tag_token,
+    target_tags,
     to_seqlogical,
     tokenize_utterance,
 )
 
 from helpers import (COMPOSITIONAL_ANNOTATION, COMPOSITIONAL_UTTERANCE,
-                     random_roundtrip_corpus, sequence_from_strings)
+                     random_roundtrip_corpus, sequence_from_strings, walk_spans_and_labels)
 
 COMPOSITIONAL_TARGET = [
     "[IN:GET_DISTANCE", "@ptr_0", "@ptr_1", "@ptr_2",
@@ -102,6 +103,11 @@ class TestSeqlogical:
     def test_serializer_inverse(self):
         utterance, tree = compositional_example()
         assert parse_seqlogical(to_seqlogical(tree, utterance), utterance) == tree
+
+    def test_serializer_rejects_unprefixed_name(self):
+        # written through linearize, so a name must carry its kind's prefix
+        with pytest.raises(UnknownTagFormatError):
+            to_seqlogical(ParseTree("A", "intent", (0,)), tokenize_utterance("x"))
 
 
 class TestLinearize:
@@ -209,8 +215,7 @@ class TestNaturalize:
 
 class TestSpans:
     def test_compositional_spans(self):
-        _, tree = compositional_example()
-        assert extract_labeled_spans(tree) == {
+        assert labeled_spans(sequence_from_strings(COMPOSITIONAL_TARGET)) == {
             ("IN:GET_DISTANCE", 0, 5),
             ("SL:DESTINATION", 3, 5),
             ("IN:GET_RESTAURANT_LOCATION", 3, 5),
@@ -218,17 +223,30 @@ class TestSpans:
         }
 
     def test_single_node(self):
-        assert extract_labeled_spans(ParseTree("IN:A", "intent", (0,))) == {
+        assert labeled_spans(sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])) == {
             ("IN:A", 0, 0)}
 
     def test_two_level(self):
-        tree = ParseTree("IN:A", "intent", (ParseTree("SL:B", "slot", (0,)), 1))
-        assert extract_labeled_spans(tree) == {("IN:A", 0, 1), ("SL:B", 0, 0)}
+        seq = sequence_from_strings(["[IN:A", "[SL:B", "@ptr_0", "SL:B]", "@ptr_1", "IN:A]"])
+        assert labeled_spans(seq) == {("IN:A", 0, 1), ("SL:B", 0, 0)}
 
     def test_empty_node_sentinel(self):
-        tree = ParseTree("IN:A", "intent",
-                         (ParseTree("SL:B", "slot", ()), 0))
-        assert extract_labeled_spans(tree) == {("IN:A", 0, 0), ("SL:B", None, None)}
+        seq = sequence_from_strings(["[IN:A", "[SL:B", "SL:B]", "@ptr_0", "IN:A]"])
+        assert labeled_spans(seq) == {("IN:A", 0, 0), ("SL:B", None, None)}
+
+    def test_random_corpus_matches_tree_walk(self):
+        for utterance, tree in random_roundtrip_corpus(count=500, seed=3):
+            seq = linearize(tree, utterance)
+            spans, labels = walk_spans_and_labels(tree)
+            assert labeled_spans(seq) == spans
+            assert {(t.name, t.kind) for t in target_tags(seq)} == labels
+            assert parse_seqlogical(to_seqlogical(tree, utterance), utterance) == tree
+
+    def test_target_tags_in_first_occurrence_order(self):
+        seq = sequence_from_strings(["[IN:A", "[SL:B", "@ptr_0", "SL:B]", "[SL:B",
+                                     "@ptr_1", "SL:B]", "IN:A]"])
+        assert [t.token_string for t in target_tags(seq)] == [
+            "[IN:A", "[SL:B", "SL:B]", "IN:A]"]
 
 
 class TestRoundTrip:

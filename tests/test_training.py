@@ -14,6 +14,7 @@ from concept_parse.data import (
 )
 from concept_parse.errors import EmptyEvalSetError, EmptyFewShotError, UnknownConceptError
 from concept_parse.model import ConceptModel
+from concept_parse.parse import target_tags
 from concept_parse.synthetic import transfer_pair_rows
 import concept_parse.training as training
 from concept_parse.training import (
@@ -37,12 +38,12 @@ def wiki_records(tmp_path, count=24, seed=0):
 class TestInBatchNegatives:
     def test_union_counts(self, tmp_path):
         records = wiki_records(tmp_path)
-        two_tags = [r for r in records if len(r.tags) == 2]
+        two_tags = [r for r in records if len(target_tags(r.target)) == 2]
         assert len(batch_concept_union(two_tags[:1])) == 2
         distinct = []
         seen = set()
         for record in records:
-            names = {t.name for t in record.tags}
+            names = {t.name for t in target_tags(record.target)}
             if names and not (names & seen):
                 distinct.append(record)
                 seen |= names
@@ -52,7 +53,7 @@ class TestInBatchNegatives:
         assert len(union) == 4
 
     def test_union_must_cover_targets(self, tmp_path):
-        records = [r for r in wiki_records(tmp_path) if r.tags]
+        records = [r for r in wiki_records(tmp_path) if target_tags(r.target)]
         model = build_model([], wiki_records=records, seed=2, **TINY)
         union = list(batch_concept_union(records[:1]))[1:]
         with pytest.raises(UnknownConceptError):
@@ -60,7 +61,7 @@ class TestInBatchNegatives:
                                       model.encode_concepts_tensor(union))
 
     def test_loss_equals_restricted_full_ce_exactly(self, tmp_path):
-        records = [r for r in wiki_records(tmp_path) if r.tags]
+        records = [r for r in wiki_records(tmp_path) if target_tags(r.target)]
         model = build_model([], wiki_records=records, seed=2, **TINY)
         rng = np.random.default_rng(0)
         for trial in range(6):
@@ -70,7 +71,7 @@ class TestInBatchNegatives:
             assert pretrain_loss(model, batch).item() == expected  # same floating-point path
 
     def test_restriction_differs_from_full_bank(self, tmp_path):
-        records = [r for r in wiki_records(tmp_path) if r.tags]
+        records = [r for r in wiki_records(tmp_path) if target_tags(r.target)]
         model = build_model([], wiki_records=records, seed=3, **TINY)
         all_tags = batch_concept_union(records)
         union = batch_concept_union(records[:2])
