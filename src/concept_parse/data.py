@@ -1,7 +1,8 @@
 """Corpus ingestion, leave-one-out splits, few-shot sampling, and wiki-style pretraining data.
 
 Parse corpora arrive as TSV with header columns ``domain``, ``utterance``,
-``semantic_parse`` and load as `DatasetRecord` (domain, utterance, target).
+``semantic_parse`` and load as `DatasetRecord` (domain, utterance, target);
+`record_from_row` reads each annotation straight into its target sequence.
 Entity-tagging pretraining data arrives as JSON lines
 ``{"context": str, "mentions": [{"start", "end", "entity", "type"}]}`` and
 loads as one flat-tagging `PretrainRecord` (utterance, target) per sentence;
@@ -41,7 +42,6 @@ from .parse import (
     TargetToken,
     Utterance,
     build_concept_tags,
-    linearize,
     make_tag,
     parse_seqlogical,
     target_tags,
@@ -52,7 +52,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """One annotated utterance with its linearized target."""
+    """One annotated utterance with its target sequence."""
 
     domain: str
     utterance: Utterance
@@ -139,7 +139,7 @@ def _read_lines(path: Union[str, Path]) -> Iterator[str]:
 def record_from_row(domain: str, utterance_text: str, annotation: str) -> DatasetRecord:
     """Build a DatasetRecord from one corpus row; raises on malformed input."""
     utterance = tokenize_utterance(utterance_text)
-    target = linearize(parse_seqlogical(annotation, utterance), utterance)
+    target = parse_seqlogical(annotation, utterance)
     return DatasetRecord(domain=domain, utterance=utterance, target=target)
 
 

@@ -13,7 +13,7 @@ from .data import DatasetRecord
 from .decoding import beam_decode
 from .errors import EmptyEvalSetError, MalformedTargetError
 from .model import ConceptBank, ConceptModel
-from .parse import ConceptTag, TargetSequence, delinearize, labeled_spans
+from .parse import ConceptTag, TargetSequence, check_target, labeled_spans
 
 log = logging.getLogger(__name__)
 
@@ -35,14 +35,16 @@ class SpanCounts:
 def span_counts(pred: Optional[TargetSequence], gold: TargetSequence) -> SpanCounts:
     """Matched/predicted/gold labeled-span counts of two target sequences.
 
-    ``pred`` is None for an invalid prediction, which predicts nothing.
+    Spans are multisets, as in evalb-style bracket scoring: a span repeated in
+    both sequences matches as often as the fewer of them holds it. ``pred``
+    is None for an invalid prediction, which predicts nothing.
     """
     gold_spans = labeled_spans(gold)
     if pred is None:
-        return SpanCounts(matched=0, predicted=0, gold=len(gold_spans))
+        return SpanCounts(matched=0, predicted=0, gold=gold_spans.total())
     pred_spans = labeled_spans(pred)
-    return SpanCounts(matched=len(pred_spans & gold_spans),
-                      predicted=len(pred_spans), gold=len(gold_spans))
+    return SpanCounts(matched=(pred_spans & gold_spans).total(),
+                      predicted=pred_spans.total(), gold=gold_spans.total())
 
 
 def _precision_recall_f1(matched: int, predicted: int, gold: int
@@ -109,7 +111,7 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
         pred = hypotheses[0].sequence
         em = exact_match(pred, record.target)
         try:
-            delinearize(pred, record.utterance)
+            check_target(pred, record.utterance)
             valid = True
         except MalformedTargetError:
             valid = False

@@ -232,6 +232,15 @@ def _layout(config: ModelConfig, source_size: int, concept_size: int
     return layout
 
 
+def _read_checkpoint_file(path: Path) -> bytes:
+    """The bytes of a checkpoint file or sidecar; a missing or unreadable file
+    raises `CheckpointMismatchError` naming it."""
+    try:
+        return path.read_bytes()
+    except OSError as err:
+        raise CheckpointMismatchError(f"{path}: cannot read ({err.strerror or err})") from err
+
+
 class ConceptModel:
     """Encoder, concept encoder, decoder, and the dynamic m+n output head."""
 
@@ -637,12 +646,12 @@ class ConceptModel:
         sidecar's config must name exactly the `ModelConfig` fields and its
         digest must equal the rebuilt model's `identity_digest`. The parameter
         file must hash to the sidecar's ``params_sha256`` and hold exactly the
-        rebuilt `value_buffer`'s bytes, which are then copied in. A malformed
-        sidecar, or any mismatch, raises `CheckpointMismatchError` naming the
-        path.
+        rebuilt `value_buffer`'s bytes, which are then copied in. A missing
+        or unreadable file, a malformed sidecar, or any mismatch raises
+        `CheckpointMismatchError` naming the path.
         """
         path = Path(path)
-        raw = path.with_name(path.name + ".json").read_bytes()
+        raw = _read_checkpoint_file(path.with_name(path.name + ".json"))
         try:
             sidecar = json.loads(raw.decode("utf-8"))
             keys = set(sidecar["config"])
@@ -666,7 +675,7 @@ class ConceptModel:
             raise CheckpointMismatchError(
                 f"{path}: sidecar digest does not match the rebuilt model's config, "
                 f"vocabularies or parameter layout")
-        blob = path.read_bytes()
+        blob = _read_checkpoint_file(path)
         if sidecar.get("params_sha256") != hashlib.sha256(blob).hexdigest():
             raise CheckpointMismatchError(
                 f"{path}: parameter file bytes do not match the sidecar's params_sha256")

@@ -1,19 +1,16 @@
-"""Parse trees, pointer linearization, and tag naturalization.
+"""Target sequences, the seqlogical annotation reader, and tag naturalization.
 
-A parse is represented two ways: as a :class:`ParseTree` over utterance token
-indices, and as a :class:`TargetSequence` of pointer tokens and begin/end
-concept tokens. ``linearize`` and ``delinearize`` convert between the two and
-are exact inverses on valid inputs; a sequence is valid exactly when
-``delinearize`` accepts it.
-
-Records carry only the target sequence. The tree lives where annotations are
-read and written (``parse_seqlogical``, ``to_seqlogical``) and where validity
-is decided (``delinearize``); labels, concept tags and labeled spans are read
-from the sequence by ``target_tags`` and ``labeled_spans``.
+A parse is its target sequence: a :class:`TargetSequence` of pointer tokens
+and begin/end concept tokens in depth-first order, the sequence the decoder
+emits (Rongali et al., 2020). ``parse_seqlogical`` reads a bracketed
+annotation straight into one, and a sequence is valid exactly when
+``check_target`` accepts it. Labels, concept tags and labeled spans are read
+from the sequence by ``target_tags`` and ``labeled_spans``, one pass each.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal, Optional, Union
@@ -22,7 +19,6 @@ from .errors import (
     EmptyUtteranceError,
     MalformedAnnotationError,
     MalformedTargetError,
-    PointerRangeError,
     UnknownTagFormatError,
 )
 
@@ -97,20 +93,8 @@ TargetToken = Union[Pointer, Concept]
 
 
 @dataclass(frozen=True)
-class ParseTree:
-    """Labeled tree over utterance token indices.
-
-    ``children`` holds subtrees and integer token indices in surface order.
-    """
-
-    name: str
-    kind: Kind
-    children: tuple[Union["ParseTree", int], ...]
-
-
-@dataclass(frozen=True)
 class TargetSequence:
-    """Linearized parse: pointers plus begin/end concept tokens."""
+    """A parse as the decoder emits it: pointers plus begin/end concept tokens."""
 
     tokens: tuple[TargetToken, ...]
 
@@ -172,7 +156,7 @@ def make_tag(name: str, kind: Kind, boundary: Boundary,
                       description=f"{boundary} {body}")
 
 
-@lru_cache(maxsize=4096)  # `linearize` asks again for every node of every record
+@lru_cache(maxsize=4096)  # `parse_seqlogical` asks again for every opener of every row
 def tags_for_label(name: str, kind: Kind) -> tuple[ConceptTag, ConceptTag]:
     """Begin and end concept tokens for one boundary-free label; frozen, so shared."""
     return make_tag(name, kind, "begin"), make_tag(name, kind, "end")
@@ -186,39 +170,34 @@ def build_concept_tags(labels: Iterable[tuple[str, Kind]]) -> list[ConceptTag]:
     return tags
 
 
-def parse_seqlogical(annotation: str, utterance: Utterance) -> ParseTree:
-    """Parse a bracketed seqlogical annotation against its utterance.
+def parse_seqlogical(annotation: str, utterance: Utterance) -> TargetSequence:
+    """Read a bracketed seqlogical annotation into its target sequence, in one pass.
 
     The annotation interleaves ``[IN:NAME`` / ``[SL:NAME`` openers, plain
-    words, and bare ``]`` closers; words must match the utterance tokens in
-    order and map to their positions.
+    words, and bare ``]`` closers. Words must match the utterance tokens in
+    order and become pointers to their positions; each ``]`` emits the end
+    tag of the innermost open label. The root must be an intent covering
+    every utterance token, with nothing after it.
     """
-    items = annotation.split()
-    # stack of (name, kind, children) frames
-    stack: list[tuple[str, Kind, list[Union[ParseTree, int]]]] = []
-    root: Optional[ParseTree] = None
+    out: list[TargetToken] = []
+    ends: list[Concept] = []  # end token of each open label, innermost last
     cursor = 0
-    for item in items:
+    for item in annotation.split():
         if item == "]":
-            if not stack:
+            if not ends:
                 raise MalformedAnnotationError("unbalanced ']' in annotation")
-            name, kind, children = stack.pop()
-            node = ParseTree(name=name, kind=kind, children=tuple(children))
-            if stack:
-                stack[-1][2].append(node)
-            elif root is None:
-                root = node
-            else:
-                raise MalformedAnnotationError("multiple root nodes in annotation")
+            out.append(ends.pop())
         elif item.startswith("["):
             name, kind, _ = split_tag_token(item)
             if kind == "open-type":
                 raise MalformedAnnotationError(f"unrecognized tag opener: {item!r}")
-            if root is not None:
+            if out and not ends:
                 raise MalformedAnnotationError("content after root closes")
-            stack.append((name, kind, []))
+            begin, end = tags_for_label(name, kind)
+            out.append(Concept(begin))
+            ends.append(Concept(end))
         else:
-            if not stack:
+            if not ends:
                 raise MalformedAnnotationError(f"word {item!r} outside any tag")
             if cursor >= len(utterance.tokens):
                 raise MalformedAnnotationError(
@@ -229,113 +208,70 @@ def parse_seqlogical(annotation: str, utterance: Utterance) -> ParseTree:
                     f"word {item!r} does not match utterance token "
                     f"{utterance.tokens[cursor]!r} at position {cursor}"
                 )
-            stack[-1][2].append(cursor)
+            out.append(Pointer(cursor))
             cursor += 1
-    if stack:
+    if ends:
         raise MalformedAnnotationError("annotation ends with unclosed tags")
-    if root is None:
+    if not out:
         raise MalformedAnnotationError("annotation contains no tags")
     if cursor != len(utterance.tokens):
         raise MalformedAnnotationError(
             f"annotation covers {cursor} of {len(utterance.tokens)} utterance tokens"
         )
+    root = out[0].tag
     if root.kind != "intent":
         raise MalformedAnnotationError(f"root tag {root.name!r} is not an intent")
-    return root
-
-
-def linearize(tree: ParseTree, utterance: Utterance) -> TargetSequence:
-    """Depth-first emission: begin tag, children (indices as pointers), end tag."""
-    n = len(utterance.tokens)
-    out: list[TargetToken] = []
-
-    def emit(node: ParseTree) -> None:
-        begin, end = tags_for_label(node.name, node.kind)
-        out.append(Concept(begin))
-        for child in node.children:
-            if isinstance(child, ParseTree):
-                emit(child)
-            else:
-                if not 0 <= child < n:
-                    raise PointerRangeError(
-                        f"leaf index {child} out of range for {n} source tokens"
-                    )
-                out.append(Pointer(child))
-        out.append(Concept(end))
-
-    emit(tree)
     return TargetSequence(tokens=tuple(out))
 
 
-def delinearize(seq: TargetSequence, utterance: Utterance) -> ParseTree:
-    """Rebuild the parse tree from a target sequence; inverse of linearize.
+def check_target(seq: TargetSequence, utterance: Utterance) -> None:
+    """Raise `MalformedTargetError` unless ``seq`` is a valid parse of the utterance.
 
     This is the one rule for a valid target: brackets close in order with
     matching names, every pointer is in range and inside a tag, and the tags
-    form a single root with nothing after it. Anything else raises
-    `MalformedTargetError` at the first offending position.
+    form a single root with nothing after it. The error carries the first
+    offending position.
     """
     n = len(utterance.tokens)
-    stack: list[tuple[ConceptTag, list[Union[ParseTree, int]]]] = []
-    root: Optional[ParseTree] = None
+    opened: list[str] = []  # names of the open tags, innermost last
     for pos, token in enumerate(seq.tokens):
-        if root is not None:
+        if pos and not opened:  # only a closed root leaves nothing open
             raise MalformedTargetError("tokens after the root closes", pos)
         if isinstance(token, Pointer):
             if not 0 <= token.index < n:
                 raise MalformedTargetError(
                     f"pointer @ptr_{token.index} out of range for {n} source tokens", pos
                 )
-            if not stack:
+            if not opened:
                 raise MalformedTargetError("pointer outside any tag", pos)
-            stack[-1][1].append(token.index)
         elif token.tag.boundary == "begin":
-            stack.append((token.tag, []))
+            opened.append(token.tag.name)
+        elif not opened:
+            raise MalformedTargetError(f"end tag {token.tag.name!r} with no open tag", pos)
+        elif opened[-1] != token.tag.name:
+            raise MalformedTargetError(
+                f"end tag {token.tag.name!r} does not match open tag {opened[-1]!r}", pos
+            )
         else:
-            if not stack:
-                raise MalformedTargetError(
-                    f"end tag {token.tag.name!r} with no open tag", pos
-                )
-            open_tag, children = stack.pop()
-            if open_tag.name != token.tag.name:
-                raise MalformedTargetError(
-                    f"end tag {token.tag.name!r} does not match open tag "
-                    f"{open_tag.name!r}", pos
-                )
-            node = ParseTree(name=open_tag.name, kind=open_tag.kind,
-                             children=tuple(children))
-            if stack:
-                stack[-1][1].append(node)
-            else:
-                root = node
-    if stack:
+            opened.pop()
+    if opened:
         raise MalformedTargetError("sequence ends with unclosed tags", len(seq.tokens))
-    if root is None:
+    if not seq.tokens:
         raise MalformedTargetError("sequence contains no tags", 0)
-    return root
-
-
-def to_seqlogical(tree: ParseTree, utterance: Utterance) -> str:
-    """Serialize a tree to the bracketed annotation format; inverse of parse_seqlogical.
-
-    Raises as `linearize` does, which it writes out token by token.
-    """
-    return " ".join(
-        utterance.tokens[t.index] if isinstance(t, Pointer)
-        else (f"[{t.tag.name}" if t.tag.boundary == "begin" else "]")
-        for t in linearize(tree, utterance).tokens)
 
 
 Span = tuple[str, Optional[int], Optional[int]]
 
 
-def labeled_spans(seq: TargetSequence) -> set[Span]:
-    """The (label, start, end) triples of a valid sequence's tag pairs, as a set.
+def labeled_spans(seq: TargetSequence) -> Counter[Span]:
+    """The (label, start, end) triples of a valid sequence's tag pairs, with
+    their counts.
 
     The span covers the min/max pointer between the pair, nested pairs
-    included; a pair with no pointer inside yields (label, None, None).
+    included; a pair with no pointer inside yields (label, None, None). Each
+    pair counts once, so repeated spans are counted as often as they occur.
     """
-    spans: set[Span] = set()
+    spans: Counter[Span] = Counter()
     pointers: list[int] = []
     opened: list[int] = []  # len(pointers) at each open begin tag
     for token in seq.tokens:
@@ -345,8 +281,8 @@ def labeled_spans(seq: TargetSequence) -> set[Span]:
             opened.append(len(pointers))
         else:
             inside = pointers[opened.pop():]
-            spans.add((token.tag.name, min(inside), max(inside)) if inside
-                      else (token.tag.name, None, None))
+            spans[(token.tag.name, min(inside), max(inside)) if inside
+                  else (token.tag.name, None, None)] += 1
     return spans
 
 

@@ -4,12 +4,15 @@ Fixtures: model builders, a parser for target token strings, a random
 parse-tree generator for round-trip property tests, a navigation/weather
 corpus, wiki-style pretraining payloads, writers for the TSV and JSON-lines
 formats the loaders read, and a parameter alone in its own arena. Oracles: the
-tree walk for labeled spans and labels, the per-beam search, the stepwise
-teacher-forced forward, single-query attention through graph ops, a no-grad
-batch cross-entropy, and per-parameter Adam."""
+tree walks that write a tree's target sequence and annotation and that count
+its labeled spans and labels, the per-beam search, the stepwise teacher-forced
+forward, single-query attention through graph ops, a no-grad batch
+cross-entropy, and per-parameter Adam."""
 
 import json
 import math
+from collections import Counter
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +24,6 @@ from concept_parse.errors import ShapeError
 from concept_parse.model import ConceptModel, ModelConfig, build_vocabularies
 from concept_parse.parse import (
     Concept,
-    ParseTree,
     Pointer,
     TargetSequence,
     make_tag,
@@ -29,7 +31,7 @@ from concept_parse.parse import (
     target_tags,
     tokenize_utterance,
 )
-from concept_parse.synthetic import PLACES, _intent, _row, _slot
+from concept_parse.synthetic import PLACES
 from concept_parse.training import batch_nll_tensor
 
 
@@ -78,6 +80,25 @@ COMPOSITIONAL_ANNOTATION = (
 )
 
 
+# the frames of the navigation and weather rows, one per ``kind`` draw
+_NAVIGATION = (
+    "[IN:GET_DISTANCE how far is [SL:DESTINATION the {place} ] ]",
+    "[IN:GET_ETA when do we reach [SL:DESTINATION the {place} ] [SL:DATE_TIME {time} ] ]",
+    "[IN:GET_DISTANCE how far is [SL:DESTINATION the {place} ] [SL:DATE_TIME {time} ] ]",
+)
+_WEATHER = (
+    "[IN:GET_WEATHER what is the weather in [SL:LOCATION {city} ] ]",
+    "[IN:GET_SUNSET when does the sun set in [SL:LOCATION {city} ] ]",
+    "[IN:GET_WEATHER what is the weather in [SL:LOCATION {city} ] [SL:DATE_TIME {time} ] ]",
+)
+
+
+def _annotated_row(domain, annotation):
+    """A (domain, utterance, annotation) row whose utterance is the annotation's words."""
+    words = [item for item in annotation.split() if item != "]" and not item.startswith("[")]
+    return domain, " ".join(words), annotation
+
+
 def two_domain_rows(per_domain=50, seed=0):
     """A navigation/weather corpus of (domain, utterance, annotation) rows,
     four labels per domain."""
@@ -86,40 +107,13 @@ def two_domain_rows(per_domain=50, seed=0):
     for _ in range(per_domain):
         place = str(rng.choice(PLACES))
         time = str(rng.choice(TIMES))
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            words = ["how", "far", "is", "the", place]
-            tree = _intent("IN:GET_DISTANCE",
-                           [0, 1, 2, _slot("SL:DESTINATION", [3, 4])])
-        elif kind == 1:
-            words = ["when", "do", "we", "reach", "the", place, time]
-            tree = _intent("IN:GET_ETA",
-                           [0, 1, 2, 3, _slot("SL:DESTINATION", [4, 5]),
-                            _slot("SL:DATE_TIME", [6])])
-        else:
-            words = ["how", "far", "is", "the", place, time]
-            tree = _intent("IN:GET_DISTANCE",
-                           [0, 1, 2, _slot("SL:DESTINATION", [3, 4]),
-                            _slot("SL:DATE_TIME", [5])])
-        rows.append(_row("navigation", words, tree))
+        frame = _NAVIGATION[int(rng.integers(0, 3))]
+        rows.append(_annotated_row("navigation", frame.format(place=place, time=time)))
     for _ in range(per_domain):
         city = str(rng.choice(CITIES))
         time = str(rng.choice(TIMES))
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            words = ["what", "is", "the", "weather", "in", city]
-            tree = _intent("IN:GET_WEATHER",
-                           [0, 1, 2, 3, 4, _slot("SL:LOCATION", [5])])
-        elif kind == 1:
-            words = ["when", "does", "the", "sun", "set", "in", city]
-            tree = _intent("IN:GET_SUNSET",
-                           [0, 1, 2, 3, 4, 5, _slot("SL:LOCATION", [6])])
-        else:
-            words = ["what", "is", "the", "weather", "in", city, time]
-            tree = _intent("IN:GET_WEATHER",
-                           [0, 1, 2, 3, 4, _slot("SL:LOCATION", [5]),
-                            _slot("SL:DATE_TIME", [6])])
-        rows.append(_row("weather", words, tree))
+        frame = _WEATHER[int(rng.integers(0, 3))]
+        rows.append(_annotated_row("weather", frame.format(city=city, time=time)))
     return rows
 
 
@@ -196,6 +190,16 @@ _INTENT_POOL = ["IN:ALPHA", "IN:BETA", "IN:GAMMA", "IN:DELTA"]
 _SLOT_POOL = ["SL:ONE", "SL:TWO", "SL:THREE"]
 
 
+@dataclass(frozen=True)
+class Tree:
+    """A labeled tree over utterance token indices; ``children`` holds
+    subtrees and integer token indices in surface order."""
+
+    name: str
+    kind: str
+    children: tuple = ()
+
+
 def random_parse_example(rng, max_tokens=12, max_depth=4):
     """A random utterance with a random nested tree covering all its tokens."""
     n = int(rng.integers(1, max_tokens + 1))
@@ -222,9 +226,8 @@ def random_parse_example(rng, max_tokens=12, max_depth=4):
             other = "slot" if kind == "intent" else "intent"
             empty_pool = _SLOT_POOL if other == "slot" else _INTENT_POOL
             children.insert(int(rng.integers(0, len(children) + 1)),
-                            ParseTree(name=str(rng.choice(empty_pool)),
-                                      kind=other, children=()))
-        return ParseTree(name=name, kind=kind, children=tuple(children))
+                            Tree(name=str(rng.choice(empty_pool)), kind=other))
+        return Tree(name=name, kind=kind, children=tuple(children))
 
     return utterance, build(list(range(n)), 0, "intent")
 
@@ -234,21 +237,42 @@ def random_roundtrip_corpus(count=500, seed=0):
     return [random_parse_example(rng) for _ in range(count)]
 
 
+def oracle_target(tree):
+    """The target sequence of a tree by a depth-first walk: begin tag,
+    children (indices as pointers), end tag."""
+    def emit(node):
+        yield Concept(make_tag(node.name, node.kind, "begin"))
+        for child in node.children:
+            yield from emit(child) if isinstance(child, Tree) else [Pointer(child)]
+        yield Concept(make_tag(node.name, node.kind, "end"))
+
+    return TargetSequence(tokens=tuple(emit(tree)))
+
+
+def oracle_annotation(tree, utterance):
+    """The bracketed seqlogical annotation of a tree over its utterance: its
+    target's tokens written as opener, word or ``]``."""
+    return " ".join(utterance.tokens[t.index] if isinstance(t, Pointer)
+                    else f"[{t.tag.name}" if t.tag.boundary == "begin" else "]"
+                    for t in oracle_target(tree).tokens)
+
+
 def walk_spans_and_labels(tree):
-    """Labeled spans and (name, kind) labels of a tree, by a depth-first walk.
+    """Labeled spans (a multiset) and (name, kind) labels of a tree, by a
+    depth-first walk.
 
     Each node gives (name, min leaf, max leaf) over the leaves of its subtree,
     or (name, None, None) when it has none.
     """
-    spans, labels = set(), set()
+    spans, labels = Counter(), set()
 
     def walk(node):
         labels.add((node.name, node.kind))
         leaves = []
         for child in node.children:
-            leaves.extend(walk(child) if isinstance(child, ParseTree) else [child])
-        spans.add((node.name, min(leaves), max(leaves)) if leaves
-                  else (node.name, None, None))
+            leaves.extend(walk(child) if isinstance(child, Tree) else [child])
+        spans[(node.name, min(leaves), max(leaves)) if leaves
+              else (node.name, None, None)] += 1
         return leaves
 
     walk(tree)

@@ -1,6 +1,8 @@
 """Loader, split, and sampler tests."""
 
 import gzip
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -23,7 +25,8 @@ from concept_parse.errors import (
     DomainNotFoundError,
     NeedTwoDomainsError,
 )
-from concept_parse.parse import Pointer, delinearize, linearize, parse_seqlogical, target_tags
+from concept_parse.parse import Pointer, check_target, parse_seqlogical, target_tags
+from concept_parse.synthetic import transfer_pair_rows
 
 from helpers import (
     COMPOSITIONAL_ANNOTATION,
@@ -45,8 +48,7 @@ class TestTsvLoader:
         assert report.loaded == 1 and report.skipped == 0
         record = records[0]
         assert record.domain == "navigation"
-        assert record.target == linearize(
-            parse_seqlogical(COMPOSITIONAL_ANNOTATION, record.utterance), record.utterance)
+        assert record.target == parse_seqlogical(COMPOSITIONAL_ANNOTATION, record.utterance)
         assert record.target.token_strings()[0] == "[IN:GET_DISTANCE"
 
     def test_empty_file_with_header(self, tmp_path):
@@ -87,8 +89,19 @@ class TestTsvLoader:
         records, _ = load_topv2_tsv(path)
         assert len(records) == 40
         for record in records:
-            assert record.target == linearize(
-                delinearize(record.target, record.utterance), record.utterance)
+            assert check_target(record.target, record.utterance) is None
+
+
+class TestTransferPairRows:
+    @pytest.mark.parametrize("per_domain, sha256", [
+        (120, "0ecd5691f7c8dc3ac435a6af71f62fcd6313478913666f0decf80a49999cf826"),
+        (480, "1faf48cfbcbd398aa63bfff5300da3265fbb4c82dbf5ea5a29b848f596193ce8"),
+    ], ids=["per_domain_120", "per_domain_480"])
+    def test_benchmark_corpus_is_pinned(self, per_domain, sha256):
+        # the train and decode benchmark workloads read these rows
+        rows = transfer_pair_rows(per_domain, seed=0)
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == sha256
+        assert [record_from_row(*row).domain for row in rows] == [row[0] for row in rows]
 
 
 def garbled_gzip(data):
@@ -174,7 +187,7 @@ class TestSampleSpi:
         kept = sample_spi(records, SpiConfig(k=5, seed=1))
         by_label = {"IN:A": 0, "IN:B": 0}
         for record in kept:
-            by_label[delinearize(record.target, record.utterance).name] += 1
+            by_label[record.target.tokens[0].tag.name] += 1
         assert by_label == {"IN:A": 5, "IN:B": 3}
 
     def test_determinism(self):

@@ -7,25 +7,21 @@ from concept_parse.data import build_leave_one_out, record_from_row, tags_from_r
 from concept_parse.decoding import Hypothesis
 from concept_parse.errors import EmptyEvalSetError
 from concept_parse.evaluation import (
+    SpanCounts,
     _precision_recall_f1,
     evaluate_domain,
     exact_match,
     span_counts,
     teacher_forced_accuracy,
 )
-from concept_parse.parse import ParseTree, linearize, tokenize_utterance
 from concept_parse.training import TrainConfig, train_known_domains
 
-from helpers import build_model, records_from_rows, sequence_from_strings, two_domain_rows
+from helpers import (Tree, build_model, oracle_target, records_from_rows,
+                     sequence_from_strings, two_domain_rows)
 
 
 def tree(name, kind, *children):
-    return ParseTree(name=name, kind=kind, children=tuple(children))
-
-
-def target(parse):
-    """The target sequence of a parse tree over a six-token utterance."""
-    return linearize(parse, tokenize_utterance("a b c d e f"))
+    return Tree(name=name, kind=kind, children=children)
 
 
 class TestExactMatch:
@@ -55,34 +51,43 @@ def span_f1(pairs):
 
 class TestSpanF1:
     def test_perfect(self):
-        gold = target(tree("IN:A", "intent", tree("SL:B", "slot", 0), 1))
+        gold = oracle_target(tree("IN:A", "intent", tree("SL:B", "slot", 0), 1))
         precision, recall, f1 = span_f1([(gold, gold)])
         assert (precision, recall, f1) == (100.0, 100.0, 100.0)
 
     def test_disjoint(self):
-        gold = target(tree("IN:A", "intent", 0))
-        pred = target(tree("IN:B", "intent", 0))
+        gold = oracle_target(tree("IN:A", "intent", 0))
+        pred = oracle_target(tree("IN:B", "intent", 0))
         assert span_f1([(pred, gold)])[2] == 0.0
 
     def test_half_credit(self):
         # gold spans {(IN:A,0,5),(SL:B,3,5)}, predicted {(IN:A,0,5),(SL:B,3,4)}
-        gold = target(tree("IN:A", "intent", 0, 1, 2, tree("SL:B", "slot", 3, 4, 5)))
-        pred = target(tree("IN:A", "intent", 0, 1, 2, tree("SL:B", "slot", 3, 4), 5))
+        gold = oracle_target(tree("IN:A", "intent", 0, 1, 2, tree("SL:B", "slot", 3, 4, 5)))
+        pred = oracle_target(tree("IN:A", "intent", 0, 1, 2, tree("SL:B", "slot", 3, 4), 5))
         precision, recall, f1 = span_f1([(pred, gold)])
         assert (precision, recall, f1) == (50.0, 50.0, 50.0)
 
     def test_invalid_prediction_counts_gold_only(self):
-        gold = target(tree("IN:A", "intent", 0, tree("SL:B", "slot", 1)))
+        gold = oracle_target(tree("IN:A", "intent", 0, tree("SL:B", "slot", 1)))
         counts = span_counts(None, gold)
         assert (counts.matched, counts.predicted, counts.gold) == (0, 0, 2)
         precision, recall, f1 = span_f1([(None, gold)])
         assert (precision, recall, f1) == (0.0, 0.0, 0.0)
 
+    def test_repeated_spans_count_as_often_as_they_occur(self):
+        gold = sequence_from_strings(["[IN:A", "[IN:A", "@ptr_0", "IN:A]", "IN:A]"])
+        pred = sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])
+        assert span_counts(pred, gold) == SpanCounts(matched=1, predicted=1, gold=2)
+        assert span_f1([(pred, gold)]) == (100.0, 50.0, pytest.approx(200.0 / 3))
+        three = sequence_from_strings(["[IN:A", "[SL:B", "SL:B]", "[SL:B", "SL:B]",
+                                       "@ptr_0", "IN:A]"])
+        assert span_counts(three, three) == SpanCounts(matched=3, predicted=3, gold=3)
+
     def test_micro_aggregation_sums_counts(self):
-        gold1 = target(tree("IN:A", "intent", 0, 1))
-        pred1 = target(tree("IN:A", "intent", 0, 1))
-        gold2 = target(tree("IN:B", "intent", 0, tree("SL:C", "slot", 1)))
-        pred2 = target(tree("IN:B", "intent", 0, 1))
+        gold1 = oracle_target(tree("IN:A", "intent", 0, 1))
+        pred1 = oracle_target(tree("IN:A", "intent", 0, 1))
+        gold2 = oracle_target(tree("IN:B", "intent", 0, tree("SL:C", "slot", 1)))
+        pred2 = oracle_target(tree("IN:B", "intent", 0, 1))
         c1 = span_counts(pred1, gold1)
         c2 = span_counts(pred2, gold2)
         precision, recall, _ = span_f1([(pred1, gold1), (pred2, gold2)])
@@ -170,7 +175,13 @@ class TestEvaluateDomain:
         assert record.target.token_strings() == ["[IN:A", "@ptr_0", "@ptr_1", "IN:A]"]
         fixed = [Hypothesis(tokens=sequence_from_strings(pred).tokens, log_prob=0.0)]
         monkeypatch.setattr(evaluation, "beam_decode", lambda *args, **kwargs: fixed)
+        checked = []
+        check_target = evaluation.check_target
+        monkeypatch.setattr(evaluation, "check_target",
+                            lambda seq, utterance: checked.append(seq.token_strings())
+                            or check_target(seq, utterance))
         report = evaluate_domain(None, None, [record])
+        assert checked == [pred]
         assert report.validity == validity
         assert report.outcomes[0]["f1_counts"] == counts
 

@@ -612,7 +612,14 @@ class TestPersistence:
         path = tmp_path / "model.ckpt"
         model.save(path)
         path.with_name(path.name + ".json").unlink()
-        with pytest.raises(FileNotFoundError, match=re.escape("model.ckpt.json")):
+        with pytest.raises(CheckpointMismatchError, match=re.escape("model.ckpt.json")):
+            type(model).load(path)
+
+    def test_missing_parameter_file_names_it(self, tmp_path, model):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        path.unlink()
+        with pytest.raises(CheckpointMismatchError, match=re.escape(f"{path}: cannot read")):
             type(model).load(path)
 
     def test_identity_digest_tracks_vocabulary(self, model, corpus):

@@ -151,11 +151,6 @@ PRIVATE_READS = {
                           "to tokens as beam search does",
     "evaluation._precision_recall_f1": "the oracle scores counts with the "
                                        "rule evaluation uses",
-    "synthetic._intent": "builds the fixed trees of the navigation and "
-                         "weather test corpora",
-    "synthetic._slot": "builds the fixed trees of the navigation and weather "
-                       "test corpora",
-    "synthetic._row": "turns those trees into corpus rows",
     "training._optimize": "wrapped to record what the epoch loop hands the "
                           "optimizer",
 }

@@ -1,6 +1,7 @@
-"""Linearization, delinearization, and naturalization unit tests."""
+"""Annotation reading, target validity, span and naturalization unit tests."""
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -8,27 +9,24 @@ from concept_parse.errors import (
     EmptyUtteranceError,
     MalformedAnnotationError,
     MalformedTargetError,
-    PointerRangeError,
     UnknownTagFormatError,
 )
 from concept_parse.parse import (
     Concept,
-    ParseTree,
     Pointer,
     TargetSequence,
-    delinearize,
+    check_target,
     labeled_spans,
-    linearize,
     make_tag,
     parse_seqlogical,
     split_tag_token,
     target_tags,
-    to_seqlogical,
     tokenize_utterance,
 )
 
-from helpers import (COMPOSITIONAL_ANNOTATION, COMPOSITIONAL_UTTERANCE,
-                     random_roundtrip_corpus, sequence_from_strings, walk_spans_and_labels)
+from helpers import (COMPOSITIONAL_ANNOTATION, COMPOSITIONAL_UTTERANCE, Tree,
+                     oracle_annotation, oracle_target, random_roundtrip_corpus,
+                     sequence_from_strings, walk_spans_and_labels)
 
 COMPOSITIONAL_TARGET = [
     "[IN:GET_DISTANCE", "@ptr_0", "@ptr_1", "@ptr_2",
@@ -40,8 +38,7 @@ COMPOSITIONAL_TARGET = [
 
 def compositional_example():
     utterance = tokenize_utterance(COMPOSITIONAL_UTTERANCE)
-    tree = parse_seqlogical(COMPOSITIONAL_ANNOTATION, utterance)
-    return utterance, tree
+    return utterance, parse_seqlogical(COMPOSITIONAL_ANNOTATION, utterance)
 
 
 class TestTokenize:
@@ -65,27 +62,30 @@ class TestTokenize:
 
 
 class TestSeqlogical:
+    @staticmethod
+    def full_tokens(seq):
+        """Pointers and whole concept tags, kinds and descriptions included."""
+        return [getattr(token, "tag", token) for token in seq.tokens]
+
     def test_compositional_structure(self):
-        _, tree = compositional_example()
-        assert tree.name == "IN:GET_DISTANCE"
-        destination = tree.children[3]
-        assert isinstance(destination, ParseTree)
-        assert destination.name == "SL:DESTINATION"
-        nested = destination.children[0]
-        assert nested.name == "IN:GET_RESTAURANT_LOCATION"
-        assert nested.children[1].name == "SL:TYPE_FOOD"
-        assert nested.children[1].children == (4,)
+        _, seq = compositional_example()
+        food = Tree("SL:TYPE_FOOD", "slot", (4,))
+        restaurant = Tree("IN:GET_RESTAURANT_LOCATION", "intent", (3, food, 5))
+        tree = Tree("IN:GET_DISTANCE", "intent",
+                    (0, 1, 2, Tree("SL:DESTINATION", "slot", (restaurant,))))
+        assert self.full_tokens(seq) == self.full_tokens(oracle_target(tree))
 
     def test_minimal_tree(self):
         utterance = tokenize_utterance("x")
-        tree = parse_seqlogical("[IN:A x ]", utterance)
-        assert tree == ParseTree("IN:A", "intent", (0,))
+        seq = parse_seqlogical("[IN:A x ]", utterance)
+        assert self.full_tokens(seq) == self.full_tokens(
+            oracle_target(Tree("IN:A", "intent", (0,))))
 
     def test_two_level(self):
         utterance = tokenize_utterance("x y")
-        tree = parse_seqlogical("[IN:A [SL:B x ] y ]", utterance)
-        assert tree == ParseTree(
-            "IN:A", "intent", (ParseTree("SL:B", "slot", (0,)), 1))
+        seq = parse_seqlogical("[IN:A [SL:B x ] y ]", utterance)
+        assert self.full_tokens(seq) == self.full_tokens(
+            oracle_target(Tree("IN:A", "intent", (Tree("SL:B", "slot", (0,)), 1))))
 
     @pytest.mark.parametrize("annotation", [
         "[IN:A x",                  # unclosed
@@ -100,74 +100,92 @@ class TestSeqlogical:
         with pytest.raises(MalformedAnnotationError):
             parse_seqlogical(annotation, tokenize_utterance("x"))
 
-    def test_serializer_inverse(self):
-        utterance, tree = compositional_example()
-        assert parse_seqlogical(to_seqlogical(tree, utterance), utterance) == tree
+    @pytest.mark.parametrize("annotation, message", [
+        ("", "contains no tags"),
+        ("[IN:A x ] [IN:B", "content after root closes"),
+        ("[IN:A x ] x", "word 'x' outside any tag"),
+        ("[IN:A x x ]", "more words than the utterance"),
+    ], ids=["empty", "after_root", "word_after_root", "extra_word"])
+    def test_malformed_message(self, annotation, message):
+        with pytest.raises(MalformedAnnotationError, match=re.escape(message)):
+            parse_seqlogical(annotation, tokenize_utterance("x"))
 
-    def test_serializer_rejects_unprefixed_name(self):
-        # written through linearize, so a name must carry its kind's prefix
-        with pytest.raises(UnknownTagFormatError):
-            to_seqlogical(ParseTree("A", "intent", (0,)), tokenize_utterance("x"))
+    @pytest.mark.parametrize("annotation, error", [
+        ("[A x ]", MalformedAnnotationError),
+        ("[IN: x ]", UnknownTagFormatError),
+        ("[SL:B[ x ]", UnknownTagFormatError),
+    ])
+    def test_tag_opener_must_name_an_intent_or_slot(self, annotation, error):
+        with pytest.raises(error):
+            parse_seqlogical(annotation, tokenize_utterance("x"))
 
 
 class TestLinearize:
+    """An annotation reads straight into its depth-first target sequence."""
+
     def test_compositional_target(self):
-        utterance, tree = compositional_example()
-        assert linearize(tree, utterance).token_strings() == COMPOSITIONAL_TARGET
+        _, seq = compositional_example()
+        assert seq.token_strings() == COMPOSITIONAL_TARGET
 
     def test_single_node(self):
-        utterance = tokenize_utterance("x")
-        seq = linearize(ParseTree("IN:A", "intent", (0,)), utterance)
+        seq = parse_seqlogical("[IN:A x ]", tokenize_utterance("x"))
         assert seq.token_strings() == ["[IN:A", "@ptr_0", "IN:A]"]
 
     def test_nested_emission(self):
-        utterance = tokenize_utterance("x y")
-        tree = ParseTree("IN:A", "intent", (ParseTree("SL:B", "slot", (0,)), 1))
-        seq = linearize(tree, utterance)
+        seq = parse_seqlogical("[IN:A [SL:B x ] y ]", tokenize_utterance("x y"))
         assert seq.token_strings() == ["[IN:A", "[SL:B", "@ptr_0", "SL:B]",
                                        "@ptr_1", "IN:A]"]
 
-    def test_out_of_range_leaf(self):
-        utterance = tokenize_utterance("x")
-        with pytest.raises(PointerRangeError):
-            linearize(ParseTree("IN:A", "intent", (3,)), utterance)
-
 
 class TestDelinearize:
+    """`check_target`, the one rule for a valid target sequence."""
+
     def test_compositional_inverse(self):
-        utterance, tree = compositional_example()
-        assert delinearize(linearize(tree, utterance), utterance) == tree
+        utterance, seq = compositional_example()
+        assert check_target(seq, utterance) is None
 
     def test_minimal_inverse(self):
         utterance = tokenize_utterance("x")
         seq = sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])
-        assert delinearize(seq, utterance) == ParseTree("IN:A", "intent", (0,))
+        assert check_target(seq, utterance) is None
 
     def test_mismatched_close(self):
         utterance = tokenize_utterance("x")
         seq = sequence_from_strings(["[IN:A", "[SL:B", "@ptr_0", "IN:A]"])
         with pytest.raises(MalformedTargetError) as err:
-            delinearize(seq, utterance)
+            check_target(seq, utterance)
         assert err.value.position == 3
 
     def test_unclosed_sequence(self):
         utterance = tokenize_utterance("x")
         seq = sequence_from_strings(["[IN:A", "@ptr_0"])
         with pytest.raises(MalformedTargetError) as err:
-            delinearize(seq, utterance)
+            check_target(seq, utterance)
         assert err.value.position == 2
 
     def test_pointer_out_of_range(self):
         utterance = tokenize_utterance("x")
         seq = sequence_from_strings(["[IN:A", "@ptr_5", "IN:A]"])
         with pytest.raises(MalformedTargetError):
-            delinearize(seq, utterance)
+            check_target(seq, utterance)
 
     def test_top_level_pointer_rejected(self):
         utterance = tokenize_utterance("x y")
         seq = sequence_from_strings(["@ptr_0", "[IN:A", "@ptr_1", "IN:A]"])
         with pytest.raises(MalformedTargetError):
-            delinearize(seq, utterance)
+            check_target(seq, utterance)
+
+    @pytest.mark.parametrize("strings, message, position", [
+        ([], "sequence contains no tags", 0),
+        (["IN:A]"], "end tag 'IN:A' with no open tag", 0),
+        (["[IN:A", "@ptr_0", "IN:A]", "[IN:A"], "tokens after the root closes", 3),
+        (["[IN:A", "@ptr_1", "IN:A]"], "pointer @ptr_1 out of range for 1 source tokens", 1),
+        (["[IN:A", "[SL:B", "IN:A]"], "end tag 'IN:A' does not match open tag 'SL:B'", 2),
+    ], ids=["empty", "close_first", "after_root", "out_of_range", "mismatch"])
+    def test_message_and_position(self, strings, message, position):
+        with pytest.raises(MalformedTargetError, match=re.escape(message)) as err:
+            check_target(sequence_from_strings(strings), tokenize_utterance("x"))
+        assert err.value.position == position
 
 
 class TestNaturalize:
@@ -215,32 +233,39 @@ class TestNaturalize:
 
 class TestSpans:
     def test_compositional_spans(self):
-        assert labeled_spans(sequence_from_strings(COMPOSITIONAL_TARGET)) == {
-            ("IN:GET_DISTANCE", 0, 5),
-            ("SL:DESTINATION", 3, 5),
-            ("IN:GET_RESTAURANT_LOCATION", 3, 5),
-            ("SL:TYPE_FOOD", 4, 4),
-        }
+        assert labeled_spans(sequence_from_strings(COMPOSITIONAL_TARGET)) == Counter({
+            ("IN:GET_DISTANCE", 0, 5): 1,
+            ("SL:DESTINATION", 3, 5): 1,
+            ("IN:GET_RESTAURANT_LOCATION", 3, 5): 1,
+            ("SL:TYPE_FOOD", 4, 4): 1,
+        })
 
     def test_single_node(self):
-        assert labeled_spans(sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])) == {
-            ("IN:A", 0, 0)}
+        assert labeled_spans(sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])) == Counter({
+            ("IN:A", 0, 0): 1})
 
     def test_two_level(self):
         seq = sequence_from_strings(["[IN:A", "[SL:B", "@ptr_0", "SL:B]", "@ptr_1", "IN:A]"])
-        assert labeled_spans(seq) == {("IN:A", 0, 1), ("SL:B", 0, 0)}
+        assert labeled_spans(seq) == Counter({("IN:A", 0, 1): 1, ("SL:B", 0, 0): 1})
 
     def test_empty_node_sentinel(self):
         seq = sequence_from_strings(["[IN:A", "[SL:B", "SL:B]", "@ptr_0", "IN:A]"])
-        assert labeled_spans(seq) == {("IN:A", 0, 0), ("SL:B", None, None)}
+        assert labeled_spans(seq) == Counter({("IN:A", 0, 0): 1, ("SL:B", None, None): 1})
+
+    def test_repeated_spans_count_once_per_pair(self):
+        nested = sequence_from_strings(["[IN:A", "[IN:A", "@ptr_0", "IN:A]", "IN:A]"])
+        assert labeled_spans(nested) == Counter({("IN:A", 0, 0): 2})
+        empty_twice = sequence_from_strings(["[IN:A", "[SL:B", "SL:B]", "[SL:B", "SL:B]",
+                                             "@ptr_0", "IN:A]"])
+        assert labeled_spans(empty_twice).total() == 3
 
     def test_random_corpus_matches_tree_walk(self):
         for utterance, tree in random_roundtrip_corpus(count=500, seed=3):
-            seq = linearize(tree, utterance)
+            seq = oracle_target(tree)
             spans, labels = walk_spans_and_labels(tree)
             assert labeled_spans(seq) == spans
             assert {(t.name, t.kind) for t in target_tags(seq)} == labels
-            assert parse_seqlogical(to_seqlogical(tree, utterance), utterance) == tree
+            assert parse_seqlogical(oracle_annotation(tree, utterance), utterance) == seq
 
     def test_target_tags_in_first_occurrence_order(self):
         seq = sequence_from_strings(["[IN:A", "[SL:B", "@ptr_0", "SL:B]", "[SL:B",
@@ -252,16 +277,16 @@ class TestSpans:
 class TestRoundTrip:
     def test_random_corpus_both_directions(self):
         for utterance, tree in random_roundtrip_corpus(count=200, seed=7):
-            seq = linearize(tree, utterance)
-            assert delinearize(seq, utterance) == tree
-            assert linearize(delinearize(seq, utterance), utterance) == seq
+            seq = parse_seqlogical(oracle_annotation(tree, utterance), utterance)
+            assert seq == oracle_target(tree)
+            assert check_target(seq, utterance) is None
 
     def test_pointer_completeness_on_corpus(self):
         # full-coverage corpora mention each source position exactly once
         for utterance, tree in random_roundtrip_corpus(count=50, seed=3):
-            seq = linearize(tree, utterance)
+            seq = parse_seqlogical(oracle_annotation(tree, utterance), utterance)
             pointers = [t.index for t in seq.tokens if isinstance(t, Pointer)]
-            assert sorted(pointers) == list(range(len(utterance.tokens)))
+            assert pointers == list(range(len(utterance.tokens)))
 
     def test_token_identity_ignores_description(self):
         a = Concept(make_tag("Q1", "open-type", "begin", type_text="musical group"))
