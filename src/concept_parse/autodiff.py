@@ -4,9 +4,9 @@ A forward op builds a :class:`Tensor` node holding its result and a closure
 that maps the output gradient to input gradients. ``backward`` walks the
 recorded graph in reverse topological order and adds gradients in place into
 :class:`Parameter` slots. Graph recording is on unless the current thread (or
-context) is inside ``no_grad``. The forwards of layer norm, softmax,
-log-softmax and GELU are plain-array ``*_kernel`` functions, which the
-stepwise decoder calls too.
+context) is inside ``no_grad``. An affine map and an attention are one node
+each. The forwards of layer norm, softmax, log-softmax, GELU and attention are
+plain-array ``*_kernel`` functions, which the stepwise decoder calls too.
 
 Parameters live in an :class:`Arena`: one contiguous buffer per role (values,
 gradients, Adam's first and second moments) and one Adam step counter for a
@@ -204,11 +204,10 @@ def scale(a: Tensor, factor: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes.
 
-    A 2-D ``b`` (a weight) is applied as one GEMM: the leading axes of ``a``
-    are flattened into rows, so the forward is one (rows, d) @ (d, e) product
-    and the weight gradient one (d, rows) @ (rows, e) product, with no
-    per-batch partial gradients to sum. Otherwise both operands are stacks of
-    matrices broadcast against each other, as in attention's q . k^T.
+    A 2-D ``b`` is applied as one GEMM over ``a``'s rows, with no per-batch
+    partial gradients to sum; weights go through `affine`, so this path serves
+    only the output head's product with the bank. Otherwise both operands are
+    stacks of matrices broadcast against each other.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul operands must have at least 2 dimensions")
@@ -235,8 +234,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """y = x @ weight + bias over the last dimension."""
-    return add(matmul(x, weight), bias)
+    """y = x @ weight + bias over the last dimension; one node, one GEMM over x's rows."""
+    if weight.data.ndim != 2 or x.data.shape[-1] != weight.data.shape[0]:
+        raise ShapeError(f"affine shapes disagree: {x.data.shape} @ {weight.data.shape}")
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out = (x2 @ weight.data + bias.data).reshape(x.data.shape[:-1] + weight.data.shape[1:])
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ weight.data.T).reshape(x.data.shape), x2.T @ g2, g2.sum(axis=0)
+
+    return _node(out, (x, weight, bias), vjp)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -332,6 +340,41 @@ def softmax(z: Tensor) -> Tensor:
         return (y * (g - inner),)
 
     return _node(y, (z,), vjp)
+
+
+def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Attention of ``q`` (..., tq, hd) over ``k`` and ``v`` (..., tk, hd), ``mask``
+    added to the scaled logits; returns the mix and the softmax weights. `attention`
+    and the stepwise decoder both call it."""
+    logits = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        logits = logits + mask
+    weights = softmax_kernel(logits)
+    return weights @ v, weights
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              mask: Optional[np.ndarray] = None) -> Tensor:
+    """Multi-head attention over (B, T, d) projections as one node: split into
+    heads, `attention_kernel` with the constant ``mask``, heads merged back."""
+    if q.data.ndim != 3 or k.data.shape != v.data.shape or q.data.shape[2] % heads \
+            or k.data.shape[::2] != q.data.shape[::2]:
+        raise ShapeError(f"attention inputs {q.data.shape}, {k.data.shape} need {heads} heads")
+    b, _, d = q.data.shape
+    hd = d // heads
+    qh, kh, vh = (t.data.reshape(b, -1, heads, hd).transpose(0, 2, 1, 3) for t in (q, k, v))
+    mix, weights = attention_kernel(qh, kh, vh, mask)
+
+    def vjp(g):
+        gm = g.reshape(b, -1, heads, hd).transpose(0, 2, 1, 3)
+        gw = gm @ np.swapaxes(vh, -1, -2)
+        # softmax Jacobian, times the logits' scale
+        gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) / math.sqrt(hd)
+        per_head = (gl @ kh, np.swapaxes(gl, -1, -2) @ qh, np.swapaxes(weights, -1, -2) @ gm)
+        return tuple(x.transpose(0, 2, 1, 3).reshape(b, -1, d) for x in per_head)
+
+    return _node(mix.transpose(0, 2, 1, 3).reshape(b, -1, d), (q, k, v), vjp)
 
 
 def log_softmax_kernel(x: np.ndarray) -> np.ndarray:

@@ -23,12 +23,14 @@ class PointerRangeError(ConceptParseError):
 class MalformedTargetError(ConceptParseError):
     """Raised when a target sequence violates bracket discipline.
 
-    Carries the first offending token position in ``position``.
+    Carries the first offending token position in ``position``, and in
+    ``reason`` the rule broken as a fixed phrase, with no tag names or numbers.
     """
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})")
+    def __init__(self, reason: str, position: int, message: str = ""):
+        super().__init__(f"{message or reason} (position {position})")
         self.position = position
+        self.reason = reason
 
 
 class UnknownTagFormatError(ConceptParseError):

@@ -92,6 +92,7 @@ class EvalReport:
     matched_spans: int
     predicted_spans: int
     gold_spans: int
+    invalid_reasons: dict[str, int]  # invalid outputs per MalformedTargetError.reason
     outcomes: list[dict] = field(default_factory=list)
 
 
@@ -105,16 +106,19 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
     valid_total = 0
     matched = predicted = gold = 0
     outcomes: list[dict] = []
+    invalid_reasons: dict[str, int] = {}
     for record in records:
         hypotheses = beam_decode(model, record.utterance, bank,
                                  beam_width=beam_width)
         pred = hypotheses[0].sequence
         em = exact_match(pred, record.target)
+        reason = None
         try:
             check_target(pred, record.utterance)
-            valid = True
-        except MalformedTargetError:
-            valid = False
+        except MalformedTargetError as err:
+            reason = err.reason
+            invalid_reasons[reason] = invalid_reasons.get(reason, 0) + 1
+        valid = reason is None
         counts = span_counts(pred if valid else None, record.target)
         em_total += em
         valid_total += int(valid)
@@ -128,6 +132,7 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
             "em": em,
             "f1_counts": [counts.matched, counts.predicted, counts.gold],
             "valid": valid,
+            "invalid_reason": reason,
         })
     _, _, f1 = _precision_recall_f1(matched, predicted, gold)
     report = EvalReport(
@@ -138,6 +143,7 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
         matched_spans=matched,
         predicted_spans=predicted,
         gold_spans=gold,
+        invalid_reasons=invalid_reasons,
         outcomes=outcomes,
     )
     log.info("evaluated %d records: EM %.2f F1 %.2f validity %.2f",

@@ -8,7 +8,7 @@ concept tokens plus the n source-pointer positions.
 The batched teacher-forced forward used for training records gradients; the
 stepwise decoding path (`decode_step` and everything built on it) is
 inference-only and does not record a graph. Both paths compute layer norm,
-softmax, log-softmax and GELU with the same ``autodiff.*_kernel`` functions.
+attention, log-softmax and GELU with the same ``autodiff.*_kernel`` functions.
 
 Both paths feed the decoder by output index. `_input_table` stacks the bank's
 concept vectors, the pointer embeddings and a BOS row, so row i is the input
@@ -287,22 +287,10 @@ class ConceptModel:
 
     def _mha(self, prefix: str, x: Tensor, kv: Tensor, heads: int,
              mask: Optional[np.ndarray]) -> Tensor:
-        d = self.config.width
-        hd = d // heads
-        b, tq = x.data.shape[0], x.data.shape[1]
-        tk = kv.data.shape[1]
-
-        def split(t: Tensor, length: int) -> Tensor:
-            return ad.transpose(ad.reshape(t, (b, length, heads, hd)), (0, 2, 1, 3))
-
-        q = split(ad.affine(x, self._p(f"{prefix}.wq"), self._p(f"{prefix}.bq")), tq)
-        k = split(ad.affine(kv, self._p(f"{prefix}.wk"), self._p(f"{prefix}.bk")), tk)
-        v = split(ad.affine(kv, self._p(f"{prefix}.wv"), self._p(f"{prefix}.bv")), tk)
-        logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-        if mask is not None:
-            logits = ad.add(logits, ad.constant(mask))
-        mix = ad.matmul(ad.softmax(logits), v)
-        mix = ad.reshape(ad.transpose(mix, (0, 2, 1, 3)), (b, tq, d))
+        q = ad.affine(x, self._p(f"{prefix}.wq"), self._p(f"{prefix}.bq"))
+        k = ad.affine(kv, self._p(f"{prefix}.wk"), self._p(f"{prefix}.bk"))
+        v = ad.affine(kv, self._p(f"{prefix}.wv"), self._p(f"{prefix}.bv"))
+        mix = ad.attention(q, k, v, heads, mask)
         return ad.affine(mix, self._p(f"{prefix}.wo"), self._p(f"{prefix}.bo"))
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
@@ -444,12 +432,6 @@ class ConceptModel:
         return DecoderState(table, src_states, bank.vectors, tuple(cross_k),
                             tuple(cross_v), empty, empty, 0)
 
-    def _step_attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # q (beams, heads, 1, hd); k, v (beams, heads, t, hd) or (heads, t, hd)
-        hd = q.shape[-1]
-        logits = q @ np.swapaxes(k, -1, -2) / math.sqrt(hd)
-        return ad.softmax_kernel(logits) @ v
-
     def _step_ln(self, prefix: str, x: np.ndarray) -> np.ndarray:
         out, _, _ = ad.layer_norm_kernel(x, self._arr(f"{prefix}.gain"),
                                          self._arr(f"{prefix}.bias"))
@@ -492,14 +474,14 @@ class ConceptModel:
                 [state.self_values[i], v.reshape(beams, heads, 1, hd)], axis=2)
             self_keys.append(keys)
             self_values.append(values)
-            mix = self._step_attention(q.reshape(beams, heads, 1, hd), keys, values)
+            mix, _ = ad.attention_kernel(q.reshape(beams, heads, 1, hd), keys, values)
             x = x + mix.reshape(beams, d) @ self._arr(f"{prefix}.self.wo") \
                 + self._arr(f"{prefix}.self.bo")
 
             h = self._step_ln(f"{prefix}.ln2", x)
             q = (h @ self._arr(f"{prefix}.cross.wq") + self._arr(f"{prefix}.cross.bq"))
-            mix = self._step_attention(q.reshape(beams, heads, 1, hd),
-                                       state.cross_keys[i], state.cross_values[i])
+            mix, _ = ad.attention_kernel(q.reshape(beams, heads, 1, hd),
+                                         state.cross_keys[i], state.cross_values[i])
             x = x + mix.reshape(beams, d) @ self._arr(f"{prefix}.cross.wo") \
                 + self._arr(f"{prefix}.cross.bo")
 

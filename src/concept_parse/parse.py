@@ -230,7 +230,7 @@ def check_target(seq: TargetSequence, utterance: Utterance) -> None:
     This is the one rule for a valid target: brackets close in order with
     matching names, every pointer is in range and inside a tag, and the tags
     form a single root with nothing after it. The error carries the first
-    offending position.
+    offending position and the reason.
     """
     n = len(utterance.tokens)
     opened: list[str] = []  # names of the open tags, innermost last
@@ -240,18 +240,19 @@ def check_target(seq: TargetSequence, utterance: Utterance) -> None:
         if isinstance(token, Pointer):
             if not 0 <= token.index < n:
                 raise MalformedTargetError(
-                    f"pointer @ptr_{token.index} out of range for {n} source tokens", pos
-                )
+                    "pointer out of range", pos,
+                    f"pointer @ptr_{token.index} out of range for {n} source tokens")
             if not opened:
                 raise MalformedTargetError("pointer outside any tag", pos)
         elif token.tag.boundary == "begin":
             opened.append(token.tag.name)
         elif not opened:
-            raise MalformedTargetError(f"end tag {token.tag.name!r} with no open tag", pos)
+            raise MalformedTargetError("end tag with no open tag", pos,
+                                       f"end tag {token.tag.name!r} with no open tag")
         elif opened[-1] != token.tag.name:
             raise MalformedTargetError(
-                f"end tag {token.tag.name!r} does not match open tag {opened[-1]!r}", pos
-            )
+                "end tag does not match open tag", pos,
+                f"end tag {token.tag.name!r} does not match open tag {opened[-1]!r}")
         else:
             opened.pop()
     if opened:

@@ -6,8 +6,8 @@ corpus, wiki-style pretraining payloads, writers for the TSV and JSON-lines
 formats the loaders read, and a parameter alone in its own arena. Oracles: the
 tree walks that write a tree's target sequence and annotation and that count
 its labeled spans and labels, the per-beam search, the stepwise teacher-forced
-forward, single-query attention through graph ops, a no-grad batch
-cross-entropy, and per-parameter Adam."""
+forward, single-query and multi-head attention through single graph ops, a
+no-grad batch cross-entropy, and per-parameter Adam."""
 
 import json
 import math
@@ -408,3 +408,21 @@ def scaled_dot_attention(query, keys, values):
     mix = ad.matmul(weights, values)
     return (ad.reshape(weights, (keys.data.shape[0],)),
             ad.reshape(mix, (values.data.shape[-1],)))
+
+
+def composed_attention(q, k, v, heads, mask=None):
+    """Multi-head attention of (B, T, d) projections built from single graph
+    ops (reshape, transpose, matmul, scale, add, softmax): the oracle for the
+    one-node `ad.attention`."""
+    b, tq, d = q.data.shape
+    tk, hd = k.data.shape[1], d // heads
+
+    def split(t, length):
+        return ad.transpose(ad.reshape(t, (b, length, heads, hd)), (0, 2, 1, 3))
+
+    logits = ad.scale(ad.matmul(split(q, tq), ad.transpose(split(k, tk), (0, 1, 3, 2))),
+                      1.0 / math.sqrt(hd))
+    if mask is not None:
+        logits = ad.add(logits, ad.constant(mask))
+    mix = ad.matmul(ad.softmax(logits), split(v, tk))
+    return ad.reshape(ad.transpose(mix, (0, 2, 1, 3)), (b, tq, d))

@@ -10,7 +10,7 @@ import concept_parse.autodiff as ad
 from concept_parse.autodiff import Schedule, Tensor
 from concept_parse.errors import NonFiniteError, NotScalarError, ShapeError
 
-from helpers import parameter, scaled_dot_attention, zero_grads
+from helpers import composed_attention, parameter, scaled_dot_attention, zero_grads
 
 
 def make_param(rng, shape, name="p"):
@@ -47,6 +47,13 @@ def check_op(build_loss, params, tolerance=1e-7):
 
 def weighted_sum(t: Tensor, weights: np.ndarray) -> Tensor:
     return ad.sum_all(ad.mul(t, ad.constant(weights)))
+
+
+def pad_mask(dtype=np.float64) -> np.ndarray:
+    """Additive (2, 1, 1, 4) key mask: the second row's last key is padding."""
+    mask = np.zeros((2, 1, 1, 4), dtype=dtype)
+    mask[1, ..., 3] = -1e9
+    return mask
 
 
 class TestAffine:
@@ -295,6 +302,48 @@ class TestOpGradients:
             return weighted_sum(mix, w)
         check_op(loss, [q, k, v], tolerance=1e-6)
 
+    def test_affine_3d(self):
+        x = make_param(self.rng, (2, 3, 4), "x")
+        w = make_param(self.rng, (4, 5), "w")
+        b = make_param(self.rng, (5,), "b")
+        g = self.rng.standard_normal((2, 3, 5))
+        check_op(lambda: weighted_sum(ad.affine(x.leaf(), w.leaf(), b.leaf()), g),
+                 [x, w, b], tolerance=1e-6)
+
+    def test_affine_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.affine(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 5))),
+                      ad.constant(np.zeros(5)))
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "pad_mask"])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_attention(self, heads, masked):
+        q = make_param(self.rng, (2, 3, 8), "q")
+        k = make_param(self.rng, (2, 4, 8), "k")
+        v = make_param(self.rng, (2, 4, 8), "v")
+        w = self.rng.standard_normal((2, 3, 8))
+        mask = pad_mask() if masked else None
+        check_op(lambda: weighted_sum(ad.attention(q.leaf(), k.leaf(), v.leaf(), heads,
+                                                   mask), w),
+                 [q, k, v], tolerance=1e-6)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "pad_mask"])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_attention_equals_composed_ops(self, heads, masked):
+        q = make_param(self.rng, (2, 3, 8), "q")
+        k = make_param(self.rng, (2, 4, 8), "k")
+        v = make_param(self.rng, (2, 4, 8), "v")
+        w = self.rng.standard_normal((2, 3, 8))
+        mask = pad_mask() if masked else None
+        results = []
+        for op in (ad.attention, composed_attention):
+            zero_grads([q, k, v])
+            out = op(q.leaf(), k.leaf(), v.leaf(), heads, mask)
+            ad.backward(weighted_sum(out, w))
+            results.append([out.data] + [p.grad.copy() for p in (q, k, v)])
+        for fused, composed in zip(*results):
+            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+
 
 class TestKernels:
     """The shared forward kernels and the one-GEMM path of `matmul` against references."""
@@ -329,6 +378,21 @@ class TestKernels:
             ad.softmax_kernel(x).tobytes()
         assert ad.log_softmax(ad.constant(x)).data.tobytes() == \
             ad.log_softmax_kernel(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_graph_attention_equals_kernel(self, dtype):
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.standard_normal((2, t, 16)).astype(dtype) for t in (3, 4, 4))
+        mask = pad_mask(dtype)
+        graph = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), 4, mask)
+
+        def split(x):
+            return x.reshape(2, -1, 4, 4).transpose(0, 2, 1, 3)
+
+        mix, weights = ad.attention_kernel(split(q), split(k), split(v), mask)
+        assert graph.data.dtype == mix.dtype == dtype
+        assert graph.data.tobytes() == mix.transpose(0, 2, 1, 3).reshape(2, 3, 16).tobytes()
+        assert np.all(weights[1, ..., 3] == 0.0)
 
     @pytest.mark.parametrize("case", ["3d", "transposed", "4d"])
     def test_weight_product_matches_einsum(self, case):
@@ -440,3 +504,12 @@ class TestFiniteGuard:
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteError):
                 ad.matmul(big, ad.constant(np.array([[1e300]])))
+
+    def test_fused_ops_guard_their_outputs(self):
+        big = ad.constant(np.full((1, 2, 4), 1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                ad.affine(big, ad.constant(np.full((4, 4), 1e300)),
+                          ad.constant(np.zeros(4)))
+            with pytest.raises(NonFiniteError):
+                ad.attention(big, big, big, 2)

@@ -1,5 +1,7 @@
 """Metric oracles and domain evaluation reports."""
 
+from collections import Counter
+
 import pytest
 
 import concept_parse.evaluation as evaluation
@@ -16,7 +18,7 @@ from concept_parse.evaluation import (
 )
 from concept_parse.training import TrainConfig, train_known_domains
 
-from helpers import (Tree, build_model, oracle_target, records_from_rows,
+from helpers import (TINY, Tree, build_model, oracle_target, records_from_rows,
                      sequence_from_strings, two_domain_rows)
 
 
@@ -155,7 +157,7 @@ class TestEvaluateDomain:
         assert report.count == len(records)
         assert len(report.outcomes) == report.count
         assert set(report.outcomes[0]) == {"utterance", "gold", "pred", "em",
-                                           "f1_counts", "valid"}
+                                           "f1_counts", "valid", "invalid_reason"}
         matched = sum(o["f1_counts"][0] for o in report.outcomes)
         assert matched == report.matched_spans
 
@@ -194,3 +196,16 @@ class TestEvaluateDomain:
         domain = model.compile_domain(tags_from_records(records))
         report = evaluate_domain(model, domain, records, beam_width=2)
         assert 0.0 <= report.em <= report.validity <= 100.0
+
+    def test_invalid_reasons_count_the_invalid_outputs(self):
+        records = records_from_rows(two_domain_rows(6, seed=2))
+        model = build_model(records, seed=9, **dict(TINY, max_target_len=24))
+        domain = model.encode_concepts(tags_from_records(records))
+        report = evaluate_domain(model, domain, records, beam_width=2)
+        valid = sum(o["valid"] for o in report.outcomes)
+        assert valid < report.count
+        assert sum(report.invalid_reasons.values()) == report.count - valid
+        for outcome in report.outcomes:
+            assert (outcome["invalid_reason"] is None) == outcome["valid"]
+        assert report.invalid_reasons == dict(Counter(
+            o["invalid_reason"] for o in report.outcomes if not o["valid"]))

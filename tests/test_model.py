@@ -24,6 +24,7 @@ from concept_parse.decoding import beam_decode
 from concept_parse.model import ConceptBank, ModelConfig
 from concept_parse.parse import (Concept, Pointer, TargetSequence, make_tag, tags_for_label,
                                  tokenize_utterance)
+from concept_parse.training import batch_nll_tensor
 
 from helpers import (
     COMPOSITIONAL_ANNOTATION,
@@ -380,6 +381,40 @@ class TestBatchedForward:
         assert any("adapter" in name for name in touched)
         assert any(".self.wq" in name for name in touched)
         zero_grads(model.parameters().values())
+
+    @pytest.mark.parametrize("config, nodes", [({}, 117), (TINY, 74)],
+                             ids=["default", "tiny"])
+    def test_graph_size_of_a_train_step(self, corpus, config, nodes):
+        """Each attention is five nodes (four affines and one attention) and
+        each affine one, so a step's loss reaches this many op nodes."""
+        model = build_model(corpus, seed=1, **config)
+        tags = tags_from_records(corpus)
+        loss = batch_nll_tensor(model, corpus[:4], tags, model.encode_concepts_tensor(tags))
+        seen, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node.parents)
+        assert sum(node.vjp is not None for node in seen.values()) == nodes
+
+    def test_graph_and_decoder_share_the_attention_kernel(self, model, corpus, bank,
+                                                         monkeypatch):
+        calls = []
+        kernel = ad.attention_kernel
+        monkeypatch.setattr(ad, "attention_kernel",
+                            lambda *args: calls.append(args[0].shape) or kernel(*args))
+        with ad.no_grad():
+            model.teacher_log_probs(model.build_batch(corpus[:2], list(bank.tags)),
+                                    ad.constant(bank.vectors))
+        graph_calls = len(calls)
+        state = model.initial_state(model.encode_source(corpus[0].utterance.tokens), bank)
+        model.decode_step(state, np.array([model.bos_index(bank.m)]))
+        # teacher forcing: encoder self, decoder self and cross; then encode_source's
+        # encoder self, and one decode step's self and cross
+        assert graph_calls == 3 and len(calls) == 3 + 1 + 2
+        assert calls[-1] == calls[-2] == (1, model.config.decoder_heads, 1,
+                                          model.config.width // model.config.decoder_heads)
 
 
 class TestNoDecoderLayers:

@@ -187,6 +187,22 @@ class TestDelinearize:
             check_target(sequence_from_strings(strings), tokenize_utterance("x"))
         assert err.value.position == position
 
+    @pytest.mark.parametrize("strings, reason", [
+        (["[IN:A", "@ptr_0", "IN:A]", "@ptr_0"], "tokens after the root closes"),
+        (["[IN:A", "@ptr_3", "IN:A]"], "pointer out of range"),
+        (["@ptr_0", "[IN:A", "IN:A]"], "pointer outside any tag"),
+        (["SL:B]", "[IN:A", "IN:A]"], "end tag with no open tag"),
+        (["[IN:A", "[SL:B", "@ptr_0", "SL:C]", "IN:A]"], "end tag does not match open tag"),
+        (["[IN:A", "[SL:B", "@ptr_0", "SL:B]"], "sequence ends with unclosed tags"),
+        ([], "sequence contains no tags"),
+    ], ids=["after_root", "out_of_range", "outside_tag", "close_first", "mismatch",
+            "unclosed", "empty"])
+    def test_reason_is_a_fixed_phrase(self, strings, reason):
+        with pytest.raises(MalformedTargetError) as err:
+            check_target(sequence_from_strings(strings), tokenize_utterance("x"))
+        assert err.value.reason == reason
+        assert str(err.value).endswith(f"(position {err.value.position})")
+
 
 class TestNaturalize:
     @pytest.mark.parametrize("token,expected", [
