@@ -6,7 +6,11 @@ recorded graph in reverse topological order and adds gradients in place into
 :class:`Parameter` slots. Graph recording is on unless the current thread (or
 context) is inside ``no_grad``. An affine map and an attention are one node
 each. The forwards of layer norm, softmax, log-softmax, GELU and attention are
-plain-array ``*_kernel`` functions, which the stepwise decoder calls too.
+plain-array ``*_kernel`` functions, which the stepwise decoder calls too. The
+kernels reduce with ``np.add.reduce`` and ``np.maximum.reduce``, not with
+``ndarray.mean``, ``.sum`` or ``.max``: those methods are Python-level
+wrappers around the same ufunc reductions, and on the decoder's (beams, width)
+arrays the wrapper costs more than the reduction. The results are bit-equal.
 
 Parameters live in an :class:`Arena`: one contiguous buffer per role (values,
 gradients, Adam's first and second moments) and one Adam step counter for a
@@ -326,9 +330,9 @@ def sum_all(a: Tensor) -> Tensor:
 
 def softmax_kernel(x: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax over the last axis (max-subtraction form)."""
-    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax(z: Tensor) -> Tensor:
@@ -347,7 +351,7 @@ def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """Attention of ``q`` (..., tq, hd) over ``k`` and ``v`` (..., tk, hd), ``mask``
     added to the scaled logits; returns the mix and the softmax weights. `attention`
     and the stepwise decoder both call it."""
-    logits = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         logits = logits + mask
     weights = softmax_kernel(logits)
@@ -379,8 +383,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 def log_softmax_kernel(x: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis: shifted logits minus their log-sum-exp."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def log_softmax(z: Tensor) -> Tensor:
@@ -401,9 +405,10 @@ def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     Returns the result, the normalized input and the inverse deviation; the
     graph op's vjp reuses the last two.
     """
-    mu = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     return xhat * gain + bias, xhat, inv
@@ -417,8 +422,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def vjp(g):
         gy = g * gain.data
-        mean_gy = gy.mean(axis=-1, keepdims=True)
-        mean_gy_xhat = (gy * xhat).mean(axis=-1, keepdims=True)
+        n = gy.shape[-1]
+        mean_gy = np.add.reduce(gy, axis=-1, keepdims=True) / n
+        mean_gy_xhat = np.add.reduce(gy * xhat, axis=-1, keepdims=True) / n
         gx = inv * (gy - mean_gy - xhat * mean_gy_xhat)
         axes = tuple(range(g.ndim - 1))
         return (gx,

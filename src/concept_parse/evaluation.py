@@ -93,6 +93,7 @@ class EvalReport:
     predicted_spans: int
     gold_spans: int
     invalid_reasons: dict[str, int]  # invalid outputs per MalformedTargetError.reason
+    truncated: int  # outputs cut by the model's max_target_len before the root closed
     outcomes: list[dict] = field(default_factory=list)
 
 
@@ -104,6 +105,7 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
         raise EmptyEvalSetError("evaluation needs at least one record")
     em_total = 0
     valid_total = 0
+    truncated = 0
     matched = predicted = gold = 0
     outcomes: list[dict] = []
     invalid_reasons: dict[str, int] = {}
@@ -122,6 +124,7 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
         counts = span_counts(pred if valid else None, record.target)
         em_total += em
         valid_total += int(valid)
+        truncated += hypotheses[0].truncated
         matched += counts.matched
         predicted += counts.predicted
         gold += counts.gold
@@ -133,6 +136,7 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
             "f1_counts": [counts.matched, counts.predicted, counts.gold],
             "valid": valid,
             "invalid_reason": reason,
+            "truncated": hypotheses[0].truncated,
         })
     _, _, f1 = _precision_recall_f1(matched, predicted, gold)
     report = EvalReport(
@@ -144,6 +148,7 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
         predicted_spans=predicted,
         gold_spans=gold,
         invalid_reasons=invalid_reasons,
+        truncated=truncated,
         outcomes=outcomes,
     )
     log.info("evaluated %d records: EM %.2f F1 %.2f validity %.2f",

@@ -18,6 +18,15 @@ beam's previous output index, and returns the step's log-probabilities over
 the m + n output indices with a new state; it never writes into the old one,
 and the search reorders states by parent between steps.
 
+`decode_step` reads weights through arena views bound once by `_assemble`, so
+a step formats no parameter names. A `Parameter`'s ``data`` view is never
+rebound (`adam_step`, a restore into `value_buffer` and `load` all write
+through it), so the bound views follow every later write. Each decoder layer
+also binds stacked views: self-attention Q, K and V are one (3, d, d) product
+and the cross-attention keys and values one (2, d, d) product. These rely on
+`_layout` placing ``wq, wk, wv`` (and ``bq, bk, bv``) next to each other, which
+`_stacked` checks.
+
 `_layout` fixes every parameter's name, shape and initialisation once: a new
 model draws its values from a seed in that order, and `ConceptModel.load`
 fills the same layout from a checkpoint without drawing.
@@ -43,8 +52,9 @@ from .errors import (
     PointerRangeError,
     ShapeError,
     UnknownConceptError,
+    UnknownTagFormatError,
 )
-from .parse import Concept, ConceptTag, Pointer, TargetToken
+from .parse import Concept, ConceptTag, Pointer, TargetToken, _name_kind
 
 PAD, UNK, SUMMARY = "<pad>", "<unk>", "<sum>"
 _SPECIALS = (PAD, UNK, SUMMARY)
@@ -232,6 +242,24 @@ def _layout(config: ModelConfig, source_size: int, concept_size: int
     return layout
 
 
+def _stored_tag(stored: dict) -> ConceptTag:
+    """A training tag read back from a sidecar. Raises `ValueError` unless its
+    name is a tag name, its kind is the name's prefix kind or ``open-type``, its
+    boundary is ``begin`` or ``end`` and its description has a word."""
+    name, kind, boundary, description = (
+        stored[key] for key in ("name", "kind", "boundary", "description"))
+    if not isinstance(name, str) or not isinstance(description, str) \
+            or not description.split():
+        raise ValueError(f"stored tag {stored!r} needs a string name and a description")
+    try:
+        name_kind = _name_kind(name)
+    except UnknownTagFormatError as err:
+        raise ValueError(f"stored tag {stored!r}: {err}") from err
+    if kind not in (name_kind, "open-type") or boundary not in ("begin", "end"):
+        raise ValueError(f"stored tag {stored!r} has a bad kind or boundary")
+    return ConceptTag(name=name, kind=kind, boundary=boundary, description=description)
+
+
 def _read_checkpoint_file(path: Path) -> bytes:
     """The bytes of a checkpoint file or sidecar; a missing or unreadable file
     raises `CheckpointMismatchError` naming it."""
@@ -258,7 +286,8 @@ class ConceptModel:
 
     def _assemble(self, config: ModelConfig, source_vocab: Vocabulary,
                   concept_vocab: Vocabulary) -> list[tuple[str, tuple[int, ...], str]]:
-        """Lay the parameters out, zero-valued, in one arena; returns `_layout`."""
+        """Lay the parameters out, zero-valued, in one arena, and bind the views
+        `decode_step` reads; returns `_layout`."""
         self.config = config
         self.source_vocab = source_vocab
         self.concept_vocab = concept_vocab
@@ -266,6 +295,18 @@ class ConceptModel:
         layout = _layout(config, len(source_vocab), len(concept_vocab))
         self.params: dict[str, Parameter] = ad.arena_parameters(
             {name: shape for name, shape, _ in layout}, self.dtype)
+        self._views = {name: p.data for name, p in self.params.items()}
+        # decode_step's views of each decoder layer, by name below the layer, and
+        # the stacked self.wqkv, self.bqkv, cross.wkv and cross.bkv
+        self._step_layers = []
+        for prefix in (f"decoder.{i}." for i in range(config.decoder_layers)):
+            views = {name[len(prefix):]: view for name, view in self._views.items()
+                     if name.startswith(prefix)}
+            for attn, parts in (("self", "qkv"), ("cross", "kv")):
+                for kind in "wb":
+                    views[f"{attn}.{kind}{parts}"] = self._stacked(
+                        [f"{prefix}{attn}.{kind}{part}" for part in parts])
+            self._step_layers.append(views)
         return layout
 
     # parameter access
@@ -273,8 +314,16 @@ class ConceptModel:
     def _p(self, name: str) -> Tensor:
         return self.params[name].leaf()
 
-    def _arr(self, name: str) -> np.ndarray:
-        return self.params[name].data
+    def _stacked(self, names: Sequence[str]) -> np.ndarray:
+        """One (len(names), *shape) view of parameters that follow each other in
+        the arena in this order; raises `ShapeError` unless they do and share a shape."""
+        group = [self.params[name] for name in names]
+        for before, after in zip(group, group[1:]):
+            if after.span.start != before.span.stop or after.data.shape != group[0].data.shape:
+                raise ShapeError(f"cannot stack {after.name} after {before.name}: "
+                                 f"not next to it in the arena, or of another shape")
+        return group[0].arena.data[group[0].span.start:group[-1].span.stop].reshape(
+            len(group), *group[0].data.shape)
 
     def parameters(self) -> dict[str, Parameter]:
         return self.params
@@ -393,7 +442,7 @@ class ConceptModel:
                 raise PointerRangeError(
                     f"pointer index {token.index} outside the embedding table "
                     f"(max {self.config.max_source_len - 1})")
-            return self._arr("decoder.ptr_embed")[token.index]
+            return self._views["decoder.ptr_embed"][token.index]
         rows = [i for i, tag in enumerate(bank.tags) if Concept(tag) == token]
         if not rows:
             raise UnknownConceptError(
@@ -422,20 +471,13 @@ class ConceptModel:
         with ad.no_grad():
             table = self._input_table(ad.constant(bank.vectors)).data
         cross_k, cross_v = [], []
-        for i in range(cfg.decoder_layers):
-            prefix = f"decoder.{i}.cross"
-            k = src_states @ self._arr(f"{prefix}.wk") + self._arr(f"{prefix}.bk")
-            v = src_states @ self._arr(f"{prefix}.wv") + self._arr(f"{prefix}.bv")
+        for w in self._step_layers:
+            k, v = src_states @ w["cross.wkv"] + w["cross.bkv"][:, None]
             cross_k.append(k.reshape(n, heads, hd).transpose(1, 0, 2))
             cross_v.append(v.reshape(n, heads, hd).transpose(1, 0, 2))
         empty = (np.zeros((1, heads, 0, hd), dtype=self.dtype),) * cfg.decoder_layers
         return DecoderState(table, src_states, bank.vectors, tuple(cross_k),
                             tuple(cross_v), empty, empty, 0)
-
-    def _step_ln(self, prefix: str, x: np.ndarray) -> np.ndarray:
-        out, _, _ = ad.layer_norm_kernel(x, self._arr(f"{prefix}.gain"),
-                                         self._arr(f"{prefix}.bias"))
-        return out
 
     def decode_step(self, state: DecoderState, prev: np.ndarray
                     ) -> tuple[np.ndarray, DecoderState]:
@@ -460,14 +502,12 @@ class ConceptModel:
         d = cfg.width
         heads, hd = cfg.decoder_heads, d // cfg.decoder_heads
         beams = len(prev)
-        x = state.table[prev] + self._arr("decoder.pos")[t]
+        views = self._views
+        x = state.table[prev] + views["decoder.pos"][t]
         self_keys, self_values = [], []
-        for i in range(cfg.decoder_layers):
-            prefix = f"decoder.{i}"
-            h = self._step_ln(f"{prefix}.ln1", x)
-            q = (h @ self._arr(f"{prefix}.self.wq") + self._arr(f"{prefix}.self.bq"))
-            k = (h @ self._arr(f"{prefix}.self.wk") + self._arr(f"{prefix}.self.bk"))
-            v = (h @ self._arr(f"{prefix}.self.wv") + self._arr(f"{prefix}.self.bv"))
+        for i, w in enumerate(self._step_layers):
+            h, _, _ = ad.layer_norm_kernel(x, w["ln1.gain"], w["ln1.bias"])
+            q, k, v = h @ w["self.wqkv"] + w["self.bqkv"][:, None]
             keys = np.concatenate(
                 [state.self_keys[i], k.reshape(beams, heads, 1, hd)], axis=2)
             values = np.concatenate(
@@ -475,27 +515,28 @@ class ConceptModel:
             self_keys.append(keys)
             self_values.append(values)
             mix, _ = ad.attention_kernel(q.reshape(beams, heads, 1, hd), keys, values)
-            x = x + mix.reshape(beams, d) @ self._arr(f"{prefix}.self.wo") \
-                + self._arr(f"{prefix}.self.bo")
+            x = x + mix.reshape(beams, d) @ w["self.wo"] + w["self.bo"]
 
-            h = self._step_ln(f"{prefix}.ln2", x)
-            q = (h @ self._arr(f"{prefix}.cross.wq") + self._arr(f"{prefix}.cross.bq"))
+            h, _, _ = ad.layer_norm_kernel(x, w["ln2.gain"], w["ln2.bias"])
+            q = h @ w["cross.wq"] + w["cross.bq"]
             mix, _ = ad.attention_kernel(q.reshape(beams, heads, 1, hd),
                                          state.cross_keys[i], state.cross_values[i])
-            x = x + mix.reshape(beams, d) @ self._arr(f"{prefix}.cross.wo") \
-                + self._arr(f"{prefix}.cross.bo")
+            x = x + mix.reshape(beams, d) @ w["cross.wo"] + w["cross.bo"]
 
-            h = self._step_ln(f"{prefix}.ln3", x)
-            hidden, _ = ad.gelu_kernel(
-                h @ self._arr(f"{prefix}.ff.w1") + self._arr(f"{prefix}.ff.b1"))
-            x = x + hidden @ self._arr(f"{prefix}.ff.w2") + self._arr(f"{prefix}.ff.b2")
+            h, _, _ = ad.layer_norm_kernel(x, w["ln3.gain"], w["ln3.bias"])
+            hidden, _ = ad.gelu_kernel(h @ w["ff.w1"] + w["ff.b1"])
+            x = x + hidden @ w["ff.w2"] + w["ff.b2"]
 
-        d_t = self._step_ln("decoder.final_ln", x)
-        concept_q = d_t @ self._arr("head.concept.w") + self._arr("head.concept.b")
-        pointer_q = d_t @ self._arr("head.pointer.w") + self._arr("head.pointer.b")
-        s = concept_q @ state.bank_vectors.T / math.sqrt(d)
-        a = pointer_q @ state.src_states.T / math.sqrt(d)
-        log_probs = ad.log_softmax_kernel(np.concatenate([s, a], axis=1))
+        d_t, _, _ = ad.layer_norm_kernel(x, views["decoder.final_ln.gain"],
+                                         views["decoder.final_ln.bias"])
+        m = state.bank_vectors.shape[0]
+        logits = np.empty((beams, m + state.src_states.shape[0]), dtype=d_t.dtype)
+        np.matmul(d_t @ views["head.concept.w"] + views["head.concept.b"],
+                  state.bank_vectors.T, out=logits[:, :m])
+        np.matmul(d_t @ views["head.pointer.w"] + views["head.pointer.b"],
+                  state.src_states.T, out=logits[:, m:])
+        logits /= math.sqrt(d)
+        log_probs = ad.log_softmax_kernel(logits)
         return log_probs, DecoderState(
             state.table, state.src_states, state.bank_vectors, state.cross_keys,
             state.cross_values, tuple(self_keys), tuple(self_values), t + 1)
@@ -629,8 +670,8 @@ class ConceptModel:
         digest must equal the rebuilt model's `identity_digest`. The parameter
         file must hash to the sidecar's ``params_sha256`` and hold exactly the
         rebuilt `value_buffer`'s bytes, which are then copied in. A missing
-        or unreadable file, a malformed sidecar, or any mismatch raises
-        `CheckpointMismatchError` naming the path.
+        or unreadable file, a malformed sidecar or stored tag (`_stored_tag`),
+        or any mismatch raises `CheckpointMismatchError` naming the path.
         """
         path = Path(path)
         raw = _read_checkpoint_file(path.with_name(path.name + ".json"))
@@ -647,9 +688,7 @@ class ConceptModel:
             concept_vocab = Vocabulary(sidecar["concept_vocab"])
             model = cls.__new__(cls)
             model._assemble(config, source_vocab, concept_vocab)
-            tags = [ConceptTag(name=t["name"], kind=t["kind"], boundary=t["boundary"],
-                               description=t["description"])
-                    for t in sidecar["train_tags"]]
+            tags = [_stored_tag(t) for t in sidecar["train_tags"]]
         except (ValueError, TypeError, KeyError) as err:
             raise CheckpointMismatchError(
                 f"{path}: malformed sidecar ({type(err).__name__}: {err})") from err

@@ -7,7 +7,8 @@ formats the loaders read, and a parameter alone in its own arena. Oracles: the
 tree walks that write a tree's target sequence and annotation and that count
 its labeled spans and labels, the per-beam search, the stepwise teacher-forced
 forward, single-query and multi-head attention through single graph ops, a
-no-grad batch cross-entropy, and per-parameter Adam."""
+no-grad batch cross-entropy, per-parameter Adam, and the shared kernels'
+reductions written with the ndarray methods."""
 
 import json
 import math
@@ -426,3 +427,36 @@ def composed_attention(q, k, v, heads, mask=None):
         logits = ad.add(logits, ad.constant(mask))
     mix = ad.matmul(ad.softmax(logits), split(v, tk))
     return ad.reshape(ad.transpose(mix, (0, 2, 1, 3)), (b, tq, d))
+
+
+# The method-call forms (ndarray.mean, .max, .sum) that the autodiff kernels
+# replaced with direct ufunc reductions; the kernels must equal them byte for byte.
+
+
+def method_layer_norm(x, gain, bias, eps=1e-5):
+    """`layer_norm_kernel`'s (result, normalized input, inverse deviation)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def method_layer_norm_input_grad(g, gain, xhat, inv):
+    """The input gradient of `ad.layer_norm`'s vjp."""
+    gy = g * gain
+    mean_gy = gy.mean(axis=-1, keepdims=True)
+    mean_gy_xhat = (gy * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gy - mean_gy - xhat * mean_gy_xhat)
+
+
+def method_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def method_log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -10,7 +10,16 @@ import concept_parse.autodiff as ad
 from concept_parse.autodiff import Schedule, Tensor
 from concept_parse.errors import NonFiniteError, NotScalarError, ShapeError
 
-from helpers import composed_attention, parameter, scaled_dot_attention, zero_grads
+from helpers import (
+    composed_attention,
+    method_layer_norm,
+    method_layer_norm_input_grad,
+    method_log_softmax,
+    method_softmax,
+    parameter,
+    scaled_dot_attention,
+    zero_grads,
+)
 
 
 def make_param(rng, shape, name="p"):
@@ -345,6 +354,19 @@ class TestOpGradients:
             np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
 
 
+def method_oracle_cases(test):
+    """Parametrize over both precisions, four shapes, and standard normals or
+    inputs scaled by 1e4 and offset by 1e3."""
+    for mark in (pytest.mark.parametrize("dtype", [np.float32, np.float64]),
+                 # 48 is not a power of two, so dividing by it is not exact
+                 pytest.mark.parametrize("shape", [(1, 64), (4, 64), (16, 20, 64), (5, 48)],
+                                         ids=["1x64", "4x64", "16x20x64", "5x48"]),
+                 pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e4, 1e3)],
+                                         ids=["normal", "scaled"])):
+        test = mark(test)
+    return test
+
+
 class TestKernels:
     """The shared forward kernels and the one-GEMM path of `matmul` against references."""
 
@@ -393,6 +415,41 @@ class TestKernels:
         assert graph.data.dtype == mix.dtype == dtype
         assert graph.data.tobytes() == mix.transpose(0, 2, 1, 3).reshape(2, 3, 16).tobytes()
         assert np.all(weights[1, ..., 3] == 0.0)
+
+    @staticmethod
+    def oracle_inputs(dtype, shape, scale, offset, count):
+        rng = np.random.default_rng([len(shape), shape[0], int(scale)])
+        return [(rng.standard_normal(shape) * scale + offset).astype(dtype)
+                for _ in range(count)]
+
+    @method_oracle_cases
+    def test_layer_norm_kernel_equals_method_oracle(self, dtype, shape, scale, offset):
+        x, gain, bias = self.oracle_inputs(dtype, shape, scale, offset, 3)
+        gain, bias = gain.reshape(-1, shape[-1])[0], bias.reshape(-1, shape[-1])[0]
+        got = ad.layer_norm_kernel(x, gain, bias)
+        for kernel, oracle in zip(got, method_layer_norm(x, gain, bias)):
+            assert kernel.dtype == oracle.dtype == dtype
+            assert kernel.tobytes() == oracle.tobytes()
+
+    @method_oracle_cases
+    def test_layer_norm_vjp_equals_method_oracle(self, dtype, shape, scale, offset):
+        x, gain, g = self.oracle_inputs(dtype, shape, scale, offset, 3)
+        gain = gain.reshape(-1, shape[-1])[0]
+        out = ad.layer_norm(parameter("x", x).leaf(), ad.constant(gain),
+                            ad.constant(np.zeros_like(gain)))
+        _, xhat, inv = method_layer_norm(x, gain, np.zeros_like(gain))
+        gx = out.vjp(g)[0]
+        assert gx.dtype == dtype
+        assert gx.tobytes() == method_layer_norm_input_grad(g, gain, xhat, inv).tobytes()
+
+    @method_oracle_cases
+    def test_softmax_kernels_equal_method_oracles(self, dtype, shape, scale, offset):
+        x, = self.oracle_inputs(dtype, shape, scale, offset, 1)
+        for kernel, oracle in ((ad.softmax_kernel, method_softmax),
+                               (ad.log_softmax_kernel, method_log_softmax)):
+            got = kernel(x)
+            assert got.dtype == dtype
+            assert got.tobytes() == oracle(x).tobytes()
 
     @pytest.mark.parametrize("case", ["3d", "transposed", "4d"])
     def test_weight_product_matches_einsum(self, case):

@@ -157,7 +157,8 @@ class TestEvaluateDomain:
         assert report.count == len(records)
         assert len(report.outcomes) == report.count
         assert set(report.outcomes[0]) == {"utterance", "gold", "pred", "em",
-                                           "f1_counts", "valid", "invalid_reason"}
+                                           "f1_counts", "valid", "invalid_reason",
+                                           "truncated"}
         matched = sum(o["f1_counts"][0] for o in report.outcomes)
         assert matched == report.matched_spans
 
@@ -209,3 +210,20 @@ class TestEvaluateDomain:
             assert (outcome["invalid_reason"] is None) == outcome["valid"]
         assert report.invalid_reasons == dict(Counter(
             o["invalid_reason"] for o in report.outcomes if not o["valid"]))
+
+    def test_truncated_counts_outputs_cut_by_the_length_cap(self):
+        records = records_from_rows(two_domain_rows(6, seed=2))
+        model = build_model(records, seed=9, **dict(TINY, max_target_len=4))
+        # a bank of begin tags only: no output can close its root, so every one is cut
+        begins = [t for t in tags_from_records(records) if t.boundary == "begin"]
+        report = evaluate_domain(model, model.encode_concepts(begins), records,
+                                 beam_width=2)
+        assert report.truncated == report.count == len(records)
+        assert all(o["truncated"] and len(o["pred"]) == 4 for o in report.outcomes)
+
+    def test_no_output_of_a_trained_model_is_cut(self, trained):
+        model, records = trained
+        domain = model.encode_concepts(tags_from_records(records))
+        report = evaluate_domain(model, domain, records[:4], beam_width=4)
+        assert report.truncated == 0
+        assert [o["truncated"] for o in report.outcomes] == [False] * 4

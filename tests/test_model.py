@@ -417,6 +417,73 @@ class TestBatchedForward:
                                           model.config.width // model.config.decoder_heads)
 
 
+class TestBoundViews:
+    """`decode_step` reads weight views bound when the model is built; they
+    must follow every later write into the arena."""
+
+    @staticmethod
+    def step_log_probs(model, corpus):
+        """Every teacher-forced decode step of one record, under the model's own bank."""
+        bank = model.encode_concepts(tags_from_records(corpus))
+        record = corpus[0]
+        return np.concatenate(forward_teacher_forced(model, record.utterance,
+                                                     record.target, bank))
+
+    def test_follow_an_adam_step(self, tmp_path, corpus):
+        model = build_model(corpus, seed=1, **TINY)
+        before = self.step_log_probs(model, corpus)
+        tags = tags_from_records(corpus)
+        ad.backward(batch_nll_tensor(model, corpus[:4], tags,
+                                     model.encode_concepts_tensor(tags)))
+        ad.adam_step(model.parameters().values(), lr=1e-2)
+        model.save(tmp_path / "model.ckpt")
+        built, _ = type(model).load(tmp_path / "model.ckpt")
+        after = self.step_log_probs(model, corpus)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == self.step_log_probs(built, corpus).tobytes()
+
+    def test_follow_a_restore_into_the_value_buffer(self, corpus):
+        model = build_model(corpus, seed=1, **TINY)
+        other = build_model(corpus, seed=2, **TINY)
+        before = self.step_log_probs(model, corpus)
+        model.value_buffer()[...] = other.value_buffer()
+        after = self.step_log_probs(model, corpus)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == self.step_log_probs(other, corpus).tobytes()
+
+    def test_decode_step_reads_no_parameter_by_name(self, model, bank, monkeypatch):
+        state = model.initial_state(model.encode_source(("how", "far", "is")), bank)
+        expected, _ = model.decode_step(state, bos(model, bank))
+        monkeypatch.setattr(model, "params", {})
+        got, _ = model.decode_step(state, bos(model, bank))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("config", [{}, TINY], ids=["default", "tiny"])
+    def test_stacked_projections_are_adjacent_in_the_layout(self, corpus, config):
+        model = build_model(corpus, seed=1, **config)
+        params = model.parameters()
+        names = list(params)
+        for i in range(model.config.decoder_layers):
+            for attn, parts in (("self", "qkv"), ("cross", "kv")):
+                for kind in "wb":
+                    group = [f"decoder.{i}.{attn}.{kind}{part}" for part in parts]
+                    start = names.index(group[0])
+                    assert names[start:start + len(group)] == group
+                    spans = [params[name].span for name in group]
+                    assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+                    stacked = model._stacked(group)
+                    for row, name in zip(stacked, group):
+                        assert np.shares_memory(row, params[name].data)
+                        assert row.tobytes() == params[name].data.tobytes()
+
+    @pytest.mark.parametrize("names", [
+        ("self.wq", "self.wv"), ("self.wk", "self.wq"), ("self.wo", "self.bq"),
+    ], ids=["gap", "reversed", "shapes_differ"])
+    def test_stacked_rejects_parameters_that_do_not_stack(self, model, names):
+        with pytest.raises(ShapeError, match="cannot stack"):
+            model._stacked([f"decoder.0.{name}" for name in names])
+
+
 class TestNoDecoderLayers:
     def test_decodes_and_teacher_forces(self, corpus):
         """With no decoder layers a state carries no self-attention keys or
@@ -634,6 +701,27 @@ class TestPersistence:
         sidecar_path.write_text(edited, encoding="utf-8")
         with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
             type(model).load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", True), ("boundary", 3), ("name", None), ("kind", "single"),
+        ("description", ""), ("description", "  "), ("kind", "slot"), ("name", "IN:A]"),
+    ], ids=["kind_true", "boundary_3", "name_null", "kind_single", "description_empty",
+            "description_blank", "kind_not_the_prefix", "name_malformed"])
+    def test_stored_tag_must_be_well_formed(self, tmp_path, model, bank, field, value):
+        path = tmp_path / "model.ckpt"
+        model.save(path, train_tags=bank.tags)
+        assert bank.tags[0].name.startswith("IN:")
+        self.edit_sidecar(path, lambda sidecar: sidecar["train_tags"][0].update(
+            {field: value}))
+        with pytest.raises(CheckpointMismatchError, match="model.ckpt.*stored tag"):
+            type(model).load(path)
+
+    def test_saved_tags_load_equal(self, tmp_path, model, bank):
+        tags = list(bank.tags) + [make_tag("IN:GET_ETA", "open-type", "begin", "arrival time"),
+                                  make_tag("city", "open-type", "end")]
+        path = tmp_path / "model.ckpt"
+        model.save(path, train_tags=tags)
+        assert type(model).load(path)[1] == tags
 
     def test_undecodable_sidecar_raises_with_path(self, tmp_path, model):
         path = tmp_path / "model.ckpt"
