@@ -35,7 +35,6 @@ from .errors import (
     SpanAlignmentError,
 )
 from .parse import (
-    Concept,
     ConceptTag,
     Pointer,
     TargetSequence,
@@ -328,9 +327,9 @@ def _tagging_record(sentence: str, mentions: Sequence[Mention]) -> PretrainRecor
         tokens.extend(Pointer(i) for i in range(cursor, first))
         begin = make_tag(mention.entity, "open-type", "begin", type_text=mention.type_name)
         end = make_tag(mention.entity, "open-type", "end", type_text=mention.type_name)
-        tokens.append(Concept(begin))
+        tokens.append(begin)
         tokens.extend(Pointer(i) for i in range(first, last + 1))
-        tokens.append(Concept(end))
+        tokens.append(end)
         cursor = last + 1
     tokens.extend(Pointer(i) for i in range(cursor, len(utterance.tokens)))
     return PretrainRecord(utterance=utterance, target=TargetSequence(tokens=tuple(tokens)))

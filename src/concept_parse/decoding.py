@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConceptBank, ConceptModel
-from .parse import Concept, Pointer, TargetSequence, TargetToken, Utterance
+from .parse import Pointer, TargetSequence, TargetToken, Utterance
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Hypothesis:
 
 def _token_at(index: int, bank: ConceptBank) -> TargetToken:
     if index < bank.m:
-        return Concept(bank.tags[index])
+        return bank.tags[index]
     return Pointer(index - bank.m)
 
 

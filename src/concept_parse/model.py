@@ -54,7 +54,7 @@ from .errors import (
     UnknownConceptError,
     UnknownTagFormatError,
 )
-from .parse import Concept, ConceptTag, Pointer, TargetToken, _name_kind
+from .parse import ConceptTag, Pointer, TargetToken, _name_kind
 
 PAD, UNK, SUMMARY = "<pad>", "<unk>", "<sum>"
 _SPECIALS = (PAD, UNK, SUMMARY)
@@ -178,7 +178,7 @@ class PaddedBatch:
     """Teacher-forcing arrays for a batch of records under one bank layout."""
 
     src_ids: np.ndarray       # (B, N) int, N the longest source in the batch
-    src_mask: np.ndarray      # (B, N) model dtype, 1 real / 0 pad
+    src_pad: np.ndarray       # (B, N) model dtype, additive: 0 at a token, _NEG at padding
     gold: np.ndarray          # (B, L_max) int, output index: concept i, pointer m + j
     tgt_mask: np.ndarray      # (B, L_max)
     inputs: np.ndarray        # (B, L_max) int, decoder-input row: BOS, then gold shifted
@@ -349,34 +349,49 @@ class ConceptModel:
         hidden = ad.gelu(ad.affine(x, self._p(f"{prefix}.w1"), self._p(f"{prefix}.b1")))
         return ad.affine(hidden, self._p(f"{prefix}.w2"), self._p(f"{prefix}.b2"))
 
-    def _encoder_stack(self, side: str, layers: int, heads: int, x: Tensor,
-                       pad_mask: Optional[np.ndarray]) -> Tensor:
-        for i in range(layers):
+    def _stack(self, side: str, x: Tensor, mask: Optional[np.ndarray],
+               enc: Optional[Tensor] = None, enc_mask: Optional[np.ndarray] = None
+               ) -> Tensor:
+        """The ``{side}`` stack's pre-norm blocks and final layer norm over ``x``;
+        with ``enc``, each block cross-attends to it between self-attention and
+        the feed-forward, as `_layout`'s ``block(prefix, cross)`` lays out."""
+        heads = getattr(self.config, f"{side}_heads")
+        for i in range(getattr(self.config, f"{side}_layers")):
             prefix = f"{side}.{i}"
             h = self._ln(f"{prefix}.ln1", x)
-            x = ad.add(x, self._mha(f"{prefix}.self", h, h, heads, pad_mask))
-            x = ad.add(x, self._ff(f"{prefix}.ff", self._ln(f"{prefix}.ln2", x)))
+            x = ad.add(x, self._mha(f"{prefix}.self", h, h, heads, mask))
+            if enc is not None:
+                h = self._ln(f"{prefix}.ln2", x)
+                x = ad.add(x, self._mha(f"{prefix}.cross", h, enc, heads, enc_mask))
+            ff_ln = "ln3" if enc is not None else "ln2"
+            x = ad.add(x, self._ff(f"{prefix}.ff", self._ln(f"{prefix}.{ff_ln}", x)))
         return self._ln(f"{side}.final_ln", x)
 
-    def _embed_source(self, src_ids: np.ndarray) -> Tensor:
-        n = src_ids.shape[1]
-        tok = ad.gather_rows(self._p("encoder.embed"), src_ids)
-        pos = ad.gather_rows(self._p("encoder.pos"), np.arange(n))
-        return ad.add(tok, pos)
+    def _embed(self, table: Tensor, side: str, ids: np.ndarray) -> Tensor:
+        """Rows ``ids`` (B, T) of ``table`` plus the first T rows of ``{side}.pos``."""
+        pos = ad.gather_rows(self._p(f"{side}.pos"), np.arange(ids.shape[1]))
+        return ad.add(ad.gather_rows(table, ids), pos)
+
+    def _pad(self, rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Id rows padded with 0 to the longest, (B, T), and their additive pad
+        mask (B, T): 0 at a token, `_NEG` at padding."""
+        ids = np.zeros((len(rows), max(len(row) for row in rows)), dtype=np.int64)
+        pad = np.full(ids.shape, _NEG, dtype=self.dtype)
+        for i, row in enumerate(rows):
+            ids[i, :len(row)] = row
+            pad[i, :len(row)] = 0.0
+        return ids, pad
 
     def encode_source_batch(self, src_ids: np.ndarray,
-                            src_mask: Optional[np.ndarray]) -> Tensor:
-        """Graph forward over a padded batch of source id arrays."""
+                            src_pad: Optional[np.ndarray]) -> Tensor:
+        """Graph forward over a padded batch of source id arrays; ``src_pad`` is
+        the additive pad mask (B, N) of `_pad`, or None without padding."""
         if src_ids.shape[1] > self.config.max_source_len:
             raise LengthExceededError(
                 f"source length {src_ids.shape[1]} exceeds maximum "
                 f"{self.config.max_source_len}")
-        attn_mask = None
-        if src_mask is not None:
-            attn_mask = ((1.0 - src_mask) * _NEG).astype(self.dtype)[:, None, None, :]
-        x = self._embed_source(src_ids)
-        return self._encoder_stack("encoder", self.config.encoder_layers,
-                                   self.config.encoder_heads, x, attn_mask)
+        x = self._embed(self._p("encoder.embed"), "encoder", src_ids)
+        return self._stack("encoder", x, None if src_pad is None else src_pad[:, None, None, :])
 
     def encode_source(self, tokens: Sequence[str]) -> np.ndarray:
         """Encoder states (n, width) of one utterance; deterministic given
@@ -403,21 +418,10 @@ class ConceptModel:
             raise LengthExceededError(
                 f"description length {longest} exceeds maximum "
                 f"{self.config.max_source_len - 1}")
-        m = len(tags)
-        ids = np.zeros((m, longest + 1), dtype=np.int64)
-        mask = np.zeros((m, longest + 1), dtype=self.dtype)
-        ids[:, 0] = self.concept_vocab.index[SUMMARY]
-        mask[:, 0] = 1.0
-        for row, words in enumerate(descriptions):
-            ids[row, 1:1 + len(words)] = self.concept_vocab.ids(words)
-            mask[row, 1:1 + len(words)] = 1.0
-        attn_mask = ((1.0 - mask) * _NEG).astype(self.dtype)[:, None, None, :]
-        tok = ad.gather_rows(self._p("concept.embed"), ids)
-        pos = ad.gather_rows(self._p("concept.pos"), np.arange(longest + 1))
-        x = ad.add(tok, pos)
-        x = self._encoder_stack("concept", self.config.concept_layers,
-                                self.config.concept_heads, x, attn_mask)
-        summary = ad.take_index(x, 0, axis=1)
+        ids, pad = self._pad([self.concept_vocab.ids([SUMMARY, *words])
+                              for words in descriptions])
+        x = self._embed(self._p("concept.embed"), "concept", ids)
+        summary = ad.take_index(self._stack("concept", x, pad[:, None, None, :]), 0, axis=1)
         return ad.affine(summary, self._p("concept.adapter.w"), self._p("concept.adapter.b"))
 
     def encode_concepts(self, tags: Sequence[ConceptTag]) -> ConceptBank:
@@ -443,10 +447,10 @@ class ConceptModel:
                     f"pointer index {token.index} outside the embedding table "
                     f"(max {self.config.max_source_len - 1})")
             return self._views["decoder.ptr_embed"][token.index]
-        rows = [i for i, tag in enumerate(bank.tags) if Concept(tag) == token]
+        rows = [i for i, tag in enumerate(bank.tags) if tag == token]
         if not rows:
             raise UnknownConceptError(
-                f"concept {token.tag.token_string!r} not present in the bank")
+                f"concept {token.token_string!r} not present in the bank")
         return bank.vectors[rows[-1]]
 
     def bos_index(self, m: int) -> int:
@@ -546,7 +550,7 @@ class ConceptModel:
     def build_batch(self, records: Sequence, bank_tags: Sequence[ConceptTag]) -> PaddedBatch:
         """Pad and index a record batch against a bank's m + n layout."""
         cfg = self.config
-        rows = {(t.name, t.boundary): i for i, t in enumerate(bank_tags)}
+        rows = {tag: i for i, tag in enumerate(bank_tags)}
         m = len(bank_tags)
         n_src = max(len(r.utterance.tokens) for r in records)
         l_max = max(len(r.target.tokens) for r in records)
@@ -556,9 +560,9 @@ class ConceptModel:
         if l_max > cfg.max_target_len:
             raise LengthExceededError(
                 f"target length {l_max} exceeds maximum {cfg.max_target_len}")
+        src_ids, src_pad = self._pad([self.source_vocab.ids(r.utterance.tokens)
+                                      for r in records])
         b = len(records)
-        src_ids = np.zeros((b, n_src), dtype=np.int64)
-        src_mask = np.zeros((b, n_src), dtype=self.dtype)
         gold = np.zeros((b, l_max), dtype=np.int64)
         tgt_mask = np.zeros((b, l_max), dtype=self.dtype)
         inputs = np.zeros((b, l_max), dtype=np.int64)
@@ -569,52 +573,38 @@ class ConceptModel:
                 if not 0 <= token.index < n:
                     raise PointerRangeError(f"pointer {token.index} outside {n} source tokens")
                 return m + token.index
-            row = rows.get((token.tag.name, token.tag.boundary))
+            row = rows.get(token)
             if row is None:
                 raise UnknownConceptError(
-                    f"concept {token.tag.token_string!r} not present in the bank")
+                    f"concept {token.token_string!r} not present in the bank")
             return row
 
         for i, record in enumerate(records):
             n = len(record.utterance.tokens)
-            src_ids[i, :n] = self.source_vocab.ids(record.utterance.tokens)
-            src_mask[i, :n] = 1.0
             length = len(record.target.tokens)
             tgt_mask[i, :length] = 1.0
             for t, token in enumerate(record.target.tokens):
                 gold[i, t] = token_row(token, n)
             inputs[i, 1:length] = gold[i, :length - 1]
-        return PaddedBatch(src_ids=src_ids, src_mask=src_mask, gold=gold,
+        return PaddedBatch(src_ids=src_ids, src_pad=src_pad, gold=gold,
                            tgt_mask=tgt_mask, inputs=inputs)
 
     def teacher_log_probs(self, batch: PaddedBatch, bank_vectors: Tensor) -> Tensor:
         """Gradient-recording log-probabilities (B, L, m + N) for a batch."""
         cfg = self.config
         l_max = batch.gold.shape[1]
-        enc = self.encode_source_batch(batch.src_ids, batch.src_mask)
-
-        pos = ad.gather_rows(self._p("decoder.pos"), np.arange(l_max))
-        x = ad.add(ad.gather_rows(self._input_table(bank_vectors), batch.inputs), pos)
-
+        enc = self.encode_source_batch(batch.src_ids, batch.src_pad)
+        x = self._embed(self._input_table(bank_vectors), "decoder", batch.inputs)
         causal = (np.triu(np.ones((l_max, l_max), dtype=self.dtype), k=1)
                   * _NEG)[None, None, :, :]
-        src_pad = ((1.0 - batch.src_mask) * _NEG).astype(self.dtype)[:, None, None, :]
-        for i in range(cfg.decoder_layers):
-            prefix = f"decoder.{i}"
-            h = self._ln(f"{prefix}.ln1", x)
-            x = ad.add(x, self._mha(f"{prefix}.self", h, h, cfg.decoder_heads, causal))
-            h = self._ln(f"{prefix}.ln2", x)
-            x = ad.add(x, self._mha(f"{prefix}.cross", h, enc, cfg.decoder_heads, src_pad))
-            x = ad.add(x, self._ff(f"{prefix}.ff", self._ln(f"{prefix}.ln3", x)))
-        d_t = self._ln("decoder.final_ln", x)
+        d_t = self._stack("decoder", x, causal, enc, batch.src_pad[:, None, None, :])
 
         concept_q = ad.affine(d_t, self._p("head.concept.w"), self._p("head.concept.b"))
         pointer_q = ad.affine(d_t, self._p("head.pointer.w"), self._p("head.pointer.b"))
         scale = 1.0 / math.sqrt(cfg.width)
         s = ad.scale(ad.matmul(concept_q, ad.transpose(bank_vectors, (1, 0))), scale)
         a = ad.scale(ad.matmul(pointer_q, ad.transpose(enc, (0, 2, 1))), scale)
-        pointer_pad = ((1.0 - batch.src_mask) * _NEG).astype(self.dtype)[:, None, :]
-        a = ad.add(a, ad.constant(pointer_pad))
+        a = ad.add(a, ad.constant(batch.src_pad[:, None, :]))
         logits = ad.concat([s, a], axis=-1)
         return ad.log_softmax(logits)
 

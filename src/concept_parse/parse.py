@@ -1,8 +1,11 @@
 """Target sequences, the seqlogical annotation reader, and tag naturalization.
 
-A parse is its target sequence: a :class:`TargetSequence` of pointer tokens
-and begin/end concept tokens in depth-first order, the sequence the decoder
-emits (Rongali et al., 2020). ``parse_seqlogical`` reads a bracketed
+A parse is its target sequence: a :class:`TargetSequence` of target tokens in
+depth-first order, the sequence the decoder emits (Rongali et al., 2020). A
+target token is a `Pointer` to a source position or a `ConceptTag`, a begin or
+end concept token. A tag's identity is its (name, boundary) symbol: equality
+and hashing ignore its kind and description, which only feed the concept
+encoder. ``parse_seqlogical`` reads a bracketed
 annotation straight into one, and a sequence is valid exactly when
 ``check_target`` accepts it. Labels, concept tags and labeled spans are read
 from the sequence by ``target_tags`` and ``labeled_spans``, one pass each.
@@ -11,7 +14,7 @@ from the sequence by ``target_tags`` and ``labeled_spans``, one pass each.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Literal, Optional, Union
 
@@ -42,13 +45,14 @@ class ConceptTag:
     """One output-vocabulary concept token: a tag name at one boundary.
 
     Begin and end boundaries of the same label are distinct concept tokens
-    with distinct descriptions.
+    with distinct descriptions. Token identity is the (name, boundary)
+    symbol; kind and description do not take part in equality or hashing.
     """
 
     name: str
-    kind: Kind
+    kind: Kind = field(compare=False)
     boundary: Boundary
-    description: str
+    description: str = field(compare=False)
 
     @property
     def token_string(self) -> str:
@@ -66,30 +70,7 @@ class Pointer:
         return f"@ptr_{self.index}"
 
 
-@dataclass(frozen=True, eq=False)
-class Concept:
-    """Target token carrying a concept tag.
-
-    Token identity is the (name, boundary) symbol; the description is bank
-    metadata and does not participate in equality.
-    """
-
-    tag: ConceptTag
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Concept)
-                and self.tag.name == other.tag.name
-                and self.tag.boundary == other.tag.boundary)
-
-    def __hash__(self) -> int:
-        return hash((self.tag.name, self.tag.boundary))
-
-    @property
-    def token_string(self) -> str:
-        return self.tag.token_string
-
-
-TargetToken = Union[Pointer, Concept]
+TargetToken = Union[Pointer, ConceptTag]
 
 
 @dataclass(frozen=True)
@@ -180,7 +161,7 @@ def parse_seqlogical(annotation: str, utterance: Utterance) -> TargetSequence:
     every utterance token, with nothing after it.
     """
     out: list[TargetToken] = []
-    ends: list[Concept] = []  # end token of each open label, innermost last
+    ends: list[ConceptTag] = []  # end token of each open label, innermost last
     cursor = 0
     for item in annotation.split():
         if item == "]":
@@ -194,8 +175,8 @@ def parse_seqlogical(annotation: str, utterance: Utterance) -> TargetSequence:
             if out and not ends:
                 raise MalformedAnnotationError("content after root closes")
             begin, end = tags_for_label(name, kind)
-            out.append(Concept(begin))
-            ends.append(Concept(end))
+            out.append(begin)
+            ends.append(end)
         else:
             if not ends:
                 raise MalformedAnnotationError(f"word {item!r} outside any tag")
@@ -218,7 +199,7 @@ def parse_seqlogical(annotation: str, utterance: Utterance) -> TargetSequence:
         raise MalformedAnnotationError(
             f"annotation covers {cursor} of {len(utterance.tokens)} utterance tokens"
         )
-    root = out[0].tag
+    root = out[0]
     if root.kind != "intent":
         raise MalformedAnnotationError(f"root tag {root.name!r} is not an intent")
     return TargetSequence(tokens=tuple(out))
@@ -244,15 +225,15 @@ def check_target(seq: TargetSequence, utterance: Utterance) -> None:
                     f"pointer @ptr_{token.index} out of range for {n} source tokens")
             if not opened:
                 raise MalformedTargetError("pointer outside any tag", pos)
-        elif token.tag.boundary == "begin":
-            opened.append(token.tag.name)
+        elif token.boundary == "begin":
+            opened.append(token.name)
         elif not opened:
             raise MalformedTargetError("end tag with no open tag", pos,
-                                       f"end tag {token.tag.name!r} with no open tag")
-        elif opened[-1] != token.tag.name:
+                                       f"end tag {token.name!r} with no open tag")
+        elif opened[-1] != token.name:
             raise MalformedTargetError(
                 "end tag does not match open tag", pos,
-                f"end tag {token.tag.name!r} does not match open tag {opened[-1]!r}")
+                f"end tag {token.name!r} does not match open tag {opened[-1]!r}")
         else:
             opened.pop()
     if opened:
@@ -278,19 +259,15 @@ def labeled_spans(seq: TargetSequence) -> Counter[Span]:
     for token in seq.tokens:
         if isinstance(token, Pointer):
             pointers.append(token.index)
-        elif token.tag.boundary == "begin":
+        elif token.boundary == "begin":
             opened.append(len(pointers))
         else:
             inside = pointers[opened.pop():]
-            spans[(token.tag.name, min(inside), max(inside)) if inside
-                  else (token.tag.name, None, None)] += 1
+            spans[(token.name, min(inside), max(inside)) if inside
+                  else (token.name, None, None)] += 1
     return spans
 
 
 def target_tags(seq: TargetSequence) -> tuple[ConceptTag, ...]:
     """Distinct concept tags of a sequence, in first-occurrence order."""
-    seen: dict[Concept, ConceptTag] = {}
-    for token in seq.tokens:
-        if isinstance(token, Concept):
-            seen.setdefault(token, token.tag)
-    return tuple(seen.values())
+    return tuple(dict.fromkeys(t for t in seq.tokens if isinstance(t, ConceptTag)))

@@ -90,11 +90,8 @@ def batch_nll_tensor(model: ConceptModel, records: Sequence,
 
 def batch_concept_union(examples: Sequence[PretrainRecord]) -> tuple[ConceptTag, ...]:
     """Deduplicated concept tokens of a batch, in first-occurrence order."""
-    seen: dict[tuple[str, str], ConceptTag] = {}
-    for example in examples:
-        for tag in target_tags(example.target):
-            seen.setdefault((tag.name, tag.boundary), tag)
-    return tuple(seen.values())
+    return tuple(dict.fromkeys(tag for example in examples
+                               for tag in target_tags(example.target)))
 
 
 def pretrain_loss(model: ConceptModel, examples: Sequence[PretrainRecord]) -> Tensor:

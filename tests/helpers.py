@@ -24,7 +24,6 @@ from concept_parse.decoding import Hypothesis, _token_at
 from concept_parse.errors import ShapeError
 from concept_parse.model import ConceptModel, ModelConfig, build_vocabularies
 from concept_parse.parse import (
-    Concept,
     Pointer,
     TargetSequence,
     make_tag,
@@ -61,7 +60,7 @@ def token_from_string(s):
     """One serialized target token; tag descriptions come from naturalization."""
     if s.startswith("@ptr_"):
         return Pointer(int(s[5:]))
-    return Concept(make_tag(*split_tag_token(s)))
+    return make_tag(*split_tag_token(s))
 
 
 def sequence_from_strings(strings):
@@ -242,10 +241,10 @@ def oracle_target(tree):
     """The target sequence of a tree by a depth-first walk: begin tag,
     children (indices as pointers), end tag."""
     def emit(node):
-        yield Concept(make_tag(node.name, node.kind, "begin"))
+        yield make_tag(node.name, node.kind, "begin")
         for child in node.children:
             yield from emit(child) if isinstance(child, Tree) else [Pointer(child)]
-        yield Concept(make_tag(node.name, node.kind, "end"))
+        yield make_tag(node.name, node.kind, "end")
 
     return TargetSequence(tokens=tuple(emit(tree)))
 
@@ -254,7 +253,7 @@ def oracle_annotation(tree, utterance):
     """The bracketed seqlogical annotation of a tree over its utterance: its
     target's tokens written as opener, word or ``]``."""
     return " ".join(utterance.tokens[t.index] if isinstance(t, Pointer)
-                    else f"[{t.tag.name}" if t.tag.boundary == "begin" else "]"
+                    else f"[{t.name}" if t.boundary == "begin" else "]"
                     for t in oracle_target(tree).tokens)
 
 
@@ -319,7 +318,7 @@ def advance(depth, token):
     """New bracket depth and whether the sequence just finished structurally."""
     if isinstance(token, Pointer):
         return depth, False
-    if token.tag.boundary == "begin":
+    if token.boundary == "begin":
         return depth + 1, False
     if depth <= 1:
         # closes the root, or an end tag with nothing open

@@ -187,7 +187,7 @@ class TestSampleSpi:
         kept = sample_spi(records, SpiConfig(k=5, seed=1))
         by_label = {"IN:A": 0, "IN:B": 0}
         for record in kept:
-            by_label[record.target.tokens[0].tag.name] += 1
+            by_label[record.target.tokens[0].name] += 1
         assert by_label == {"IN:A": 5, "IN:B": 3}
 
     def test_determinism(self):
@@ -338,11 +338,11 @@ class TestWikiToParse:
             for token in record.target.tokens:
                 if isinstance(token, Pointer):
                     assert 0 <= token.index < n
-                elif token.tag.boundary == "begin":
+                elif token.boundary == "begin":
                     assert open_name is None
-                    open_name = token.tag.name
+                    open_name = token.name
                 else:
-                    assert token.tag.name == open_name
+                    assert token.name == open_name
                     open_name = None
             assert open_name is None
 

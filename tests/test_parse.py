@@ -12,7 +12,6 @@ from concept_parse.errors import (
     UnknownTagFormatError,
 )
 from concept_parse.parse import (
-    Concept,
     Pointer,
     TargetSequence,
     check_target,
@@ -305,7 +304,7 @@ class TestRoundTrip:
             assert pointers == list(range(len(utterance.tokens)))
 
     def test_token_identity_ignores_description(self):
-        a = Concept(make_tag("Q1", "open-type", "begin", type_text="musical group"))
-        b = Concept(make_tag("Q1", "open-type", "begin", type_text="different words"))
+        a = make_tag("Q1", "open-type", "begin", type_text="musical group")
+        b = make_tag("Q1", "open-type", "begin", type_text="different words")
         assert a == b and hash(a) == hash(b)
         assert TargetSequence((a,)) == TargetSequence((b,))

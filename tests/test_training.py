@@ -2,6 +2,7 @@
 what the loops write under ``out_dir``."""
 
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ class TestInBatchNegatives:
                 break
         union = batch_concept_union(distinct)
         assert len(union) == 4
+
+    def test_union_keys_tags_by_symbol(self, tmp_path):
+        # one entity id under two type names: one begin/end pair, with the first
+        # record's descriptions, and build_batch finds the second record's tags
+        records, _ = load_wiki(tmp_path, [
+            {"context": "we visit paris .",
+             "mentions": [{"start": 9, "end": 14, "entity": "Q90", "type": "city"}]},
+            {"context": "paris is lovely .",
+             "mentions": [{"start": 0, "end": 5, "entity": "Q90", "type": "capital"}]},
+        ])
+        first, second = (target_tags(r.target) for r in records)
+        assert [t.description for t in second] != [t.description for t in first]
+        union = batch_concept_union(records)
+        assert [astuple(t) for t in union] == [astuple(t) for t in first]
+        model = build_model([], wiki_records=records, seed=2, **TINY)
+        assert np.isfinite(pretrain_loss(model, records).item())
 
     def test_union_must_cover_targets(self, tmp_path):
         records = [r for r in wiki_records(tmp_path) if target_tags(r.target)]
@@ -310,7 +327,7 @@ def assert_checkpoints(out_dir, result, model, tags):
         [f"epoch{e['epoch']:04d}-val{e['val']:07.3f}.ckpt" for e in improving]
     for path in paths:
         loaded, train_tags = ConceptModel.load(path)
-        assert train_tags == tags
+        assert [astuple(t) for t in train_tags] == [astuple(t) for t in tags]
     assert loaded.value_buffer().tobytes() == model.value_buffer().tobytes()
 
 
