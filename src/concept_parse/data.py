@@ -143,7 +143,8 @@ def record_from_row(domain: str, utterance_text: str, annotation: str) -> Datase
 
 
 def load_topv2_tsv(path: Union[str, Path]) -> tuple[list[DatasetRecord], LoadReport]:
-    """Load a TSV corpus; malformed rows are skipped and counted."""
+    """Load a TSV corpus; malformed rows, and rows the csv reader cannot split
+    (a field over its field limit), are skipped and counted."""
     report = LoadReport()
     records: list[DatasetRecord] = []
     reader = csv.reader(_read_lines(path), delimiter="\t", quoting=csv.QUOTE_NONE)
@@ -151,12 +152,22 @@ def load_topv2_tsv(path: Union[str, Path]) -> tuple[list[DatasetRecord], LoadRep
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: empty file, expected a TSV header") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable TSV header ({exc})") from exc
     try:
         col = {name: header.index(name)
                for name in ("domain", "utterance", "semantic_parse")}
     except ValueError as exc:
         raise DataError(f"{path}: missing required TSV column ({exc})") from exc
-    for line_no, row in enumerate(reader, start=2):
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # the reader has consumed the line and goes on
+            report.note(f"line {reader.line_num}: {exc}")
+            continue
+        line_no = reader.line_num
         if len(row) <= max(col.values()):
             report.note(f"line {line_no}: expected {len(header)} columns, got {len(row)}")
             continue
@@ -271,7 +282,7 @@ def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], L
                         entity=str(m["entity"]), type_name=str(m["type"]))
                 for m in payload.get("mentions", [])
             ]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             report.note(f"line {line_no}: {exc}")
             continue
         sentences = _split_sentences(context)

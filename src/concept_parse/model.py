@@ -242,6 +242,20 @@ def _layout(config: ModelConfig, source_size: int, concept_size: int
     return layout
 
 
+def _identity_digest(config: ModelConfig, source_vocab: Vocabulary,
+                     concept_vocab: Vocabulary,
+                     shapes: Iterable[tuple[str, tuple[int, ...]]]) -> str:
+    """Hash of the config, both vocabularies and every parameter's (name, shape)
+    in arena order, which fixes where each value sits in the value buffer."""
+    payload = json.dumps(
+        {"config": asdict(config),
+         "source_vocab": list(source_vocab.tokens),
+         "concept_vocab": list(concept_vocab.tokens),
+         "layout": [[name, list(shape)] for name, shape in shapes]},
+        sort_keys=True).encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()
+
+
 def _stored_tag(stored: dict) -> ConceptTag:
     """A training tag read back from a sidecar. Raises `ValueError` unless its
     name is a tag name, its kind is the name's prefix kind or ``open-type``, its
@@ -636,32 +650,25 @@ class ConceptModel:
         tmp.replace(path.with_name(path.name + ".json"))
 
     def identity_digest(self) -> str:
-        """Hash of the config, both vocabularies and the parameter layout.
-
-        The layout is every parameter's name and shape in arena order, which
-        fixes where each value sits in `value_buffer`.
-        """
-        payload = json.dumps(
-            {"config": asdict(self.config),
-             "source_vocab": list(self.source_vocab.tokens),
-             "concept_vocab": list(self.concept_vocab.tokens),
-             "layout": [[name, list(p.data.shape)]
-                        for name, p in self.params.items()]},
-            sort_keys=True).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        """Hash of the config, both vocabularies and the parameter layout
+        (`_identity_digest` over the assembled parameters)."""
+        return _identity_digest(self.config, self.source_vocab, self.concept_vocab,
+                                ((name, p.data.shape) for name, p in self.params.items()))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> tuple["ConceptModel", list[ConceptTag]]:
         """Rebuild a model (and its training-time tag list) from a checkpoint.
 
-        The model is laid out from the sidecar with zero values, not drawn
-        from a seed, so that the file's values are the only ones written. The
-        sidecar's config must name exactly the `ModelConfig` fields and its
-        digest must equal the rebuilt model's `identity_digest`. The parameter
-        file must hash to the sidecar's ``params_sha256`` and hold exactly the
-        rebuilt `value_buffer`'s bytes, which are then copied in. A missing
-        or unreadable file, a malformed sidecar or stored tag (`_stored_tag`),
-        or any mismatch raises `CheckpointMismatchError` naming the path.
+        The file is checked before anything is allocated. The sidecar's
+        config must name exactly the `ModelConfig` fields, and its digest must
+        equal `_identity_digest` over the `_layout` that the config and
+        vocabularies give. The parameter file must hash to the sidecar's
+        ``params_sha256`` and hold exactly that layout's bytes. Only then is
+        the model laid out with zero values, not drawn from a seed, its
+        `identity_digest` compared once more, and the file's values copied in.
+        A missing or unreadable file, a malformed sidecar or stored tag
+        (`_stored_tag`), or any mismatch raises `CheckpointMismatchError`
+        naming the path.
         """
         path = Path(path)
         raw = _read_checkpoint_file(path.with_name(path.name + ".json"))
@@ -676,24 +683,30 @@ class ConceptModel:
             config = ModelConfig(**sidecar["config"])
             source_vocab = Vocabulary(sidecar["source_vocab"])
             concept_vocab = Vocabulary(sidecar["concept_vocab"])
-            model = cls.__new__(cls)
-            model._assemble(config, source_vocab, concept_vocab)
             tags = [_stored_tag(t) for t in sidecar["train_tags"]]
+            shapes = [(name, shape) for name, shape, _ in
+                      _layout(config, len(source_vocab), len(concept_vocab))]
         except (ValueError, TypeError, KeyError) as err:
             raise CheckpointMismatchError(
                 f"{path}: malformed sidecar ({type(err).__name__}: {err})") from err
-        if sidecar.get("digest") != model.identity_digest():
-            raise CheckpointMismatchError(
-                f"{path}: sidecar digest does not match the rebuilt model's config, "
-                f"vocabularies or parameter layout")
+        digest = _identity_digest(config, source_vocab, concept_vocab, shapes)
+        stale = (f"{path}: sidecar digest does not match the rebuilt model's config, "
+                 f"vocabularies or parameter layout")
+        if sidecar.get("digest") != digest:
+            raise CheckpointMismatchError(stale)
         blob = _read_checkpoint_file(path)
         if sidecar.get("params_sha256") != hashlib.sha256(blob).hexdigest():
             raise CheckpointMismatchError(
                 f"{path}: parameter file bytes do not match the sidecar's params_sha256")
-        values = model.value_buffer()
-        if len(blob) != values.nbytes:
+        dtype = np.dtype(ad.DTYPES[config.precision]).newbyteorder("<")
+        nbytes = sum(math.prod(shape) for _, shape in shapes) * dtype.itemsize
+        if len(blob) != nbytes:
             raise CheckpointMismatchError(
                 f"{path}: parameter file holds {len(blob)} bytes, the model's "
-                f"{config.precision}-precision layout {values.nbytes}")
-        values[...] = np.frombuffer(blob, dtype=values.dtype.newbyteorder("<"))
+                f"{config.precision}-precision layout {nbytes}")
+        model = cls.__new__(cls)
+        model._assemble(config, source_vocab, concept_vocab)
+        if model.identity_digest() != digest:
+            raise CheckpointMismatchError(stale)
+        model.value_buffer()[...] = np.frombuffer(blob, dtype=dtype)
         return model, tags

@@ -66,6 +66,21 @@ class TestTsvLoader:
         assert len(records) == 1
         assert report.skipped == 1
 
+    def test_row_over_the_csv_field_limit_skipped(self, tmp_path):
+        long = " ".join(["x"] * 100_000)  # 199,999 characters
+        path = tmp_path / "long.tsv"
+        path.write_text(HEADER + f"d\t{long}\t[IN:A {long} ]\n" + "d\ty\t[IN:A y ]\n")
+        records, report = load_topv2_tsv(path)
+        assert [r.utterance.raw for r in records] == ["y"]
+        assert report.skipped == 1 and report.loaded == 1
+        assert report.messages[0].startswith("line 2: field larger than field limit")
+
+    def test_header_over_the_csv_field_limit_raises(self, tmp_path):
+        path = tmp_path / "long.tsv"
+        path.write_text("x" * 200_000 + "\t" + HEADER)
+        with pytest.raises(DataError, match="unreadable TSV header"):
+            load_topv2_tsv(path)
+
     def test_gzip(self, tmp_path):
         path = tmp_path / "c.tsv.gz"
         with gzip.open(path, "wt", encoding="utf-8") as handle:
@@ -276,6 +291,16 @@ class TestWikiLoader:
         path.write_text('{"context": "ok", "mentions": []}\nnot json\n')
         records, report = load_wikiwiki_jsonl(path)
         assert len(records) == 1 and report.skipped == 1
+
+    def test_infinite_offset_counted(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_text('{"context": "a b", "mentions": [{"start": 1e400, "end": 3, '
+                        '"entity": "X", "type": "x"}]}\n'
+                        '{"context": "ok", "mentions": []}\n')
+        records, report = load_wikiwiki_jsonl(path)
+        assert [r.utterance.raw for r in records] == ["ok"]
+        assert report.skipped == 1 and report.loaded == 1
+        assert report.messages[0].startswith("line 1: cannot convert float infinity")
 
     @pytest.mark.parametrize("context", ["5", "null", '["a b"]'],
                              ids=["number", "null", "list"])

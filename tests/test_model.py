@@ -642,6 +642,31 @@ class TestPersistence:
             type(model).load(path)
 
     @staticmethod
+    def forbid_allocation(monkeypatch):
+        def allocate(shapes, dtype):
+            raise AssertionError("load allocated an arena before checking the file")
+        monkeypatch.setattr(ad, "arena_parameters", allocate)
+
+    def test_huge_width_fails_before_allocating(self, tmp_path, model, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        self.edit_sidecar(path, lambda sidecar: sidecar["config"].update(width=1 << 20))
+        self.forbid_allocation(monkeypatch)
+        with pytest.raises(CheckpointMismatchError,
+                           match="model.ckpt.*digest.*parameter layout"):
+            type(model).load(path)
+
+    def test_cut_file_fails_before_allocating(self, tmp_path, model, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        blob = path.read_bytes()[:-4]
+        self.write_with_matching_hash(path, blob)
+        self.forbid_allocation(monkeypatch)
+        with pytest.raises(CheckpointMismatchError,
+                           match=f"model.ckpt: parameter file holds {len(blob)} bytes"):
+            type(model).load(path)
+
+    @staticmethod
     def double_precision_file(path, model):
         blob = model.value_buffer().astype("<f8").tobytes()
         TestPersistence.write_with_matching_hash(path, blob)
