@@ -5,10 +5,10 @@ depth-first order, the sequence the decoder emits (Rongali et al., 2020). A
 target token is a `Pointer` to a source position or a `ConceptTag`, a begin or
 end concept token. A tag's identity is its (name, boundary) symbol: equality
 and hashing ignore its kind and description, which only feed the concept
-encoder. ``parse_seqlogical`` reads a bracketed
-annotation straight into one, and a sequence is valid exactly when
-``check_target`` accepts it. Labels, concept tags and labeled spans are read
-from the sequence by ``target_tags`` and ``labeled_spans``, one pass each.
+encoder. ``parse_seqlogical`` reads a bracketed annotation straight into a
+sequence, and a sequence is valid exactly when ``check_target`` accepts it.
+Labels, concept tags and labeled spans are read from the sequence by
+``target_tags`` and ``labeled_spans``, one pass each.
 """
 
 from __future__ import annotations
