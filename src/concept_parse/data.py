@@ -282,7 +282,7 @@ def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], L
                         entity=str(m["entity"]), type_name=str(m["type"]))
                 for m in payload.get("mentions", [])
             ]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             report.note(f"line {line_no}: {exc}")
             continue
         sentences = _split_sentences(context)

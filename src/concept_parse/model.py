@@ -52,9 +52,8 @@ from .errors import (
     PointerRangeError,
     ShapeError,
     UnknownConceptError,
-    UnknownTagFormatError,
 )
-from .parse import ConceptTag, Pointer, TargetToken, _name_kind
+from .parse import ConceptTag, Pointer, TargetToken
 
 PAD, UNK, SUMMARY = "<pad>", "<unk>", "<sum>"
 _SPECIALS = (PAD, UNK, SUMMARY)
@@ -254,24 +253,6 @@ def _identity_digest(config: ModelConfig, source_vocab: Vocabulary,
          "layout": [[name, list(shape)] for name, shape in shapes]},
         sort_keys=True).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
-
-
-def _stored_tag(stored: dict) -> ConceptTag:
-    """A training tag read back from a sidecar. Raises `ValueError` unless its
-    name is a tag name, its kind is the name's prefix kind or ``open-type``, its
-    boundary is ``begin`` or ``end`` and its description has a word."""
-    name, kind, boundary, description = (
-        stored[key] for key in ("name", "kind", "boundary", "description"))
-    if not isinstance(name, str) or not isinstance(description, str) \
-            or not description.split():
-        raise ValueError(f"stored tag {stored!r} needs a string name and a description")
-    try:
-        name_kind = _name_kind(name)
-    except UnknownTagFormatError as err:
-        raise ValueError(f"stored tag {stored!r}: {err}") from err
-    if kind not in (name_kind, "open-type") or boundary not in ("begin", "end"):
-        raise ValueError(f"stored tag {stored!r} has a bad kind or boundary")
-    return ConceptTag(name=name, kind=kind, boundary=boundary, description=description)
 
 
 def _read_checkpoint_file(path: Path) -> bytes:
@@ -624,8 +605,7 @@ class ConceptModel:
 
     # persistence
 
-    def save(self, path: Union[str, Path],
-             train_tags: Sequence[ConceptTag] = ()) -> None:
+    def save(self, path: Union[str, Path]) -> None:
         """Write `value_buffer` as little-endian bytes, and the JSON sidecar."""
         path = Path(path)
         values = self.value_buffer()
@@ -637,10 +617,6 @@ class ConceptModel:
             "config": asdict(self.config),
             "source_vocab": list(self.source_vocab.tokens),
             "concept_vocab": list(self.concept_vocab.tokens),
-            "train_tags": [
-                {"name": t.name, "kind": t.kind, "boundary": t.boundary,
-                 "description": t.description}
-                for t in train_tags],
             "digest": self.identity_digest(),
             "params_sha256": hashlib.sha256(blob).hexdigest(),
         }
@@ -656,19 +632,21 @@ class ConceptModel:
                                 ((name, p.data.shape) for name, p in self.params.items()))
 
     @classmethod
-    def load(cls, path: Union[str, Path]) -> tuple["ConceptModel", list[ConceptTag]]:
-        """Rebuild a model (and its training-time tag list) from a checkpoint.
+    def load(cls, path: Union[str, Path]) -> "ConceptModel":
+        """Rebuild a model from a checkpoint.
 
-        The file is checked before anything is allocated. The sidecar's
-        config must name exactly the `ModelConfig` fields, and its digest must
-        equal `_identity_digest` over the `_layout` that the config and
-        vocabularies give. The parameter file must hash to the sidecar's
-        ``params_sha256`` and hold exactly that layout's bytes. Only then is
-        the model laid out with zero values, not drawn from a seed, its
-        `identity_digest` compared once more, and the file's values copied in.
-        A missing or unreadable file, a malformed sidecar or stored tag
-        (`_stored_tag`), or any mismatch raises `CheckpointMismatchError`
-        naming the path.
+        The file is checked before anything is allocated, in this order. The
+        sidecar must parse, and its config must name exactly the `ModelConfig`
+        fields. The parameter file must hash to the sidecar's
+        ``params_sha256``, and hold at least the bytes of every block's four
+        self-attention weights, so that `_layout` never builds more blocks than
+        the file could fill. The sidecar's digest must equal `_identity_digest`
+        over the `_layout` that the config and vocabularies give, and the file
+        must hold exactly that layout's bytes. Only then is the model laid out
+        with zero values, not drawn from a seed, its `identity_digest` compared
+        once more, and the file's values copied in. A missing or unreadable
+        file, a malformed sidecar, or any mismatch raises
+        `CheckpointMismatchError` naming the path.
         """
         path = Path(path)
         raw = _read_checkpoint_file(path.with_name(path.name + ".json"))
@@ -683,10 +661,20 @@ class ConceptModel:
             config = ModelConfig(**sidecar["config"])
             source_vocab = Vocabulary(sidecar["source_vocab"])
             concept_vocab = Vocabulary(sidecar["concept_vocab"])
-            tags = [_stored_tag(t) for t in sidecar["train_tags"]]
+            blob = _read_checkpoint_file(path)
+            if sidecar.get("params_sha256") != hashlib.sha256(blob).hexdigest():
+                raise CheckpointMismatchError(
+                    f"{path}: parameter file bytes do not match the sidecar's params_sha256")
+            dtype = np.dtype(ad.DTYPES[config.precision]).newbyteorder("<")
+            blocks = config.encoder_layers + config.concept_layers + config.decoder_layers
+            least = 4 * config.width * config.width * blocks * dtype.itemsize
+            if len(blob) < least:
+                raise CheckpointMismatchError(
+                    f"{path}: parameter file holds {len(blob)} bytes, fewer than the "
+                    f"{least} that the config's self-attention weights alone take")
             shapes = [(name, shape) for name, shape, _ in
                       _layout(config, len(source_vocab), len(concept_vocab))]
-        except (ValueError, TypeError, KeyError) as err:
+        except (ValueError, TypeError, KeyError, RecursionError) as err:
             raise CheckpointMismatchError(
                 f"{path}: malformed sidecar ({type(err).__name__}: {err})") from err
         digest = _identity_digest(config, source_vocab, concept_vocab, shapes)
@@ -694,11 +682,6 @@ class ConceptModel:
                  f"vocabularies or parameter layout")
         if sidecar.get("digest") != digest:
             raise CheckpointMismatchError(stale)
-        blob = _read_checkpoint_file(path)
-        if sidecar.get("params_sha256") != hashlib.sha256(blob).hexdigest():
-            raise CheckpointMismatchError(
-                f"{path}: parameter file bytes do not match the sidecar's params_sha256")
-        dtype = np.dtype(ad.DTYPES[config.precision]).newbyteorder("<")
         nbytes = sum(math.prod(shape) for _, shape in shapes) * dtype.itemsize
         if len(blob) != nbytes:
             raise CheckpointMismatchError(
@@ -709,4 +692,4 @@ class ConceptModel:
         if model.identity_digest() != digest:
             raise CheckpointMismatchError(stale)
         model.value_buffer()[...] = np.frombuffer(blob, dtype=dtype)
-        return model, tags
+        return model

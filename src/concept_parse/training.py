@@ -127,8 +127,7 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
                 stream: Sequence[int], step_loss: Callable[[list], dict[str, Tensor]],
                 cfg: TrainConfig, out_dir: Optional[Union[str, Path]],
                 validate: Optional[Callable[[], float]] = None, every: int = 1,
-                patience: float = math.inf,
-                tags: Sequence[ConceptTag] = ()) -> TrainResult:
+                patience: float = math.inf) -> TrainResult:
     """Run up to ``epochs`` epochs over ``records``; the model ends at its best state.
 
     Epoch e shuffles from ``[*stream, e]``. ``step_loss`` maps a batch to named
@@ -136,8 +135,7 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
     warmup/decay schedule's rate. Every ``every`` epochs, and at the last, a
     log entry holds each named loss as the record-weighted mean over the epoch
     and the ``validate`` score (None without a validator). A strictly better
-    score keeps a copy of `value_buffer` and, under ``out_dir``, a checkpoint
-    with ``tags``.
+    score keeps a copy of `value_buffer` and, under ``out_dir``, a checkpoint.
     The loop stops at a score of 100 or after ``patience`` scores in a row
     without improvement; ``stopped_early`` means it stopped before the last
     epoch. The log goes to ``<out_dir>/<name>_log.jsonl``.
@@ -171,8 +169,7 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
         if val > result.best_score:
             result.best_score, best_values, stale = val, model.value_buffer().copy(), 0
             if out_dir is not None:
-                model.save(out_dir / f"epoch{epoch:04d}-val{val:07.3f}.ckpt",
-                           train_tags=tags)
+                model.save(out_dir / f"epoch{epoch:04d}-val{val:07.3f}.ckpt")
         else:
             stale += 1
         if val >= 100.0 or stale >= patience:
@@ -207,7 +204,7 @@ def train_known_domains(model: ConceptModel, split: DomainSplit, cfg: TrainConfi
     return _epoch_loop(
         model, "train", train_records, cfg.epochs, [cfg.seed], step_loss, cfg, out_dir,
         validate=lambda: teacher_forced_accuracy(model, valid_records, tags),
-        patience=cfg.patience, tags=tags)
+        patience=cfg.patience)
 
 
 def pretrain_wikiwiki(model: ConceptModel, records: Sequence[PretrainRecord],
@@ -256,4 +253,4 @@ def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
         model, "finetune", spi_records, cfg.fewshot_epochs, [cfg.seed, 9_009],
         step_loss, cfg, out_dir,
         validate=lambda: teacher_forced_accuracy(model, spi_records, tags),
-        every=cfg.fewshot_eval_every, tags=tags)
+        every=cfg.fewshot_eval_every)

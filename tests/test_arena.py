@@ -91,7 +91,7 @@ class TestViews:
         model = build_model(corpus, seed=1, **TINY)
         path = tmp_path / "model.ckpt"
         model.save(path)
-        loaded, _ = ConceptModel.load(path)
+        loaded = ConceptModel.load(path)
         assert_views_of_one_arena(loaded)
         for name, p in model.parameters().items():
             assert p.data.tobytes() == loaded.params[name].data.tobytes(), name

@@ -302,6 +302,15 @@ class TestWikiLoader:
         assert report.skipped == 1 and report.loaded == 1
         assert report.messages[0].startswith("line 1: cannot convert float infinity")
 
+    def test_deeply_nested_mentions_counted(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_text('{"context": "a b", "mentions": ' + "[" * 200_000 + "]" * 200_000
+                        + '}\n{"context": "ok", "mentions": []}\n')
+        records, report = load_wikiwiki_jsonl(path)
+        assert [r.utterance.raw for r in records] == ["ok"]
+        assert report.skipped == 1 and report.loaded == 1
+        assert report.messages[0].startswith("line 1: maximum recursion depth")
+
     @pytest.mark.parametrize("context", ["5", "null", '["a b"]'],
                              ids=["number", "null", "list"])
     def test_non_string_context_counted(self, tmp_path, context):

@@ -4,7 +4,8 @@ compiled-domain equivalence, batched/stepwise agreement, and persistence."""
 import hashlib
 import json
 import re
-from dataclasses import astuple, fields, replace
+import tracemalloc
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +38,9 @@ from helpers import (
     two_domain_rows,
     zero_grads,
 )
+
+# JSON nested past the parser's recursion limit
+NESTED = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +441,7 @@ class TestBoundViews:
                                      model.encode_concepts_tensor(tags)))
         ad.adam_step(model.parameters().values(), lr=1e-2)
         model.save(tmp_path / "model.ckpt")
-        built, _ = type(model).load(tmp_path / "model.ckpt")
+        built = type(model).load(tmp_path / "model.ckpt")
         after = self.step_log_probs(model, corpus)
         assert not np.array_equal(after, before)
         assert after.tobytes() == self.step_log_probs(built, corpus).tobytes()
@@ -531,9 +535,8 @@ class TestPersistence:
     def test_checkpoint_roundtrip_preserves_decoding(self, tmp_path, model, bank,
                                                      corpus):
         path = tmp_path / "model.ckpt"
-        model.save(path, train_tags=bank.tags)
-        loaded, train_tags = type(model).load(path)
-        assert [t.name for t in train_tags] == [t.name for t in bank.tags]
+        model.save(path)
+        loaded = type(model).load(path)
         record = corpus[0]
         reloaded_bank = loaded.encode_concepts(bank.tags)
         assert reloaded_bank.vectors.tobytes() == bank.vectors.tobytes()
@@ -551,7 +554,7 @@ class TestPersistence:
         monkeypatch.setattr(ad, "trunc_normal",
                             lambda *args, **kwargs: draws.append(args)
                             or trunc_normal(*args, **kwargs))
-        loaded, _ = type(model).load(path)
+        loaded = type(model).load(path)
         assert len(draws) == 0
         assert loaded.value_buffer().tobytes() == model.value_buffer().tobytes()
 
@@ -560,7 +563,7 @@ class TestPersistence:
         model = build_model(corpus, seed=5, **dict(TINY, precision=precision))
         path = tmp_path / "model.ckpt"
         model.save(path)
-        loaded, _ = type(model).load(path)
+        loaded = type(model).load(path)
         assert loaded.value_buffer().dtype == model.value_buffer().dtype
         assert loaded.value_buffer().tobytes() == model.value_buffer().tobytes()
         assert path.stat().st_size == model.value_buffer().nbytes
@@ -653,8 +656,25 @@ class TestPersistence:
         self.edit_sidecar(path, lambda sidecar: sidecar["config"].update(width=1 << 20))
         self.forbid_allocation(monkeypatch)
         with pytest.raises(CheckpointMismatchError,
-                           match="model.ckpt.*digest.*parameter layout"):
+                           match="model.ckpt: parameter file holds .* bytes, fewer than"):
             type(model).load(path)
+
+    def test_many_layers_fail_before_the_layout(self, tmp_path, model):
+        """A layer count the file cannot fill fails in bounded memory, before
+        `_layout` builds a block per layer."""
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        self.edit_sidecar(path, lambda sidecar: sidecar["config"].update(
+            encoder_layers=10_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointMismatchError,
+                               match="model.ckpt: parameter file holds .* bytes, fewer than"):
+                type(model).load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_cut_file_fails_before_allocating(self, tmp_path, model, monkeypatch):
         path = tmp_path / "model.ckpt"
@@ -711,14 +731,15 @@ class TestPersistence:
         lambda text: text[:len(text) // 2],
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                  if k != "config"}),
-        lambda text: text.replace('"description": ', '"text": ', 1),
         lambda text: json.dumps([json.loads(text)]),
         lambda text: text.replace('"decoder_heads": 2', '"decoder_heads": 0'),
+        lambda text: NESTED,
+        lambda text: re.sub(r'"source_vocab": \[[^]]*\]', f'"source_vocab": {NESTED}', text),
     ], ids=["wrong_value_type", "unknown_precision", "not_json", "no_config",
-            "tag_lacks_key", "top_level_array", "zero_heads"])
-    def test_malformed_sidecar_raises_with_path(self, tmp_path, model, bank, edit):
+            "top_level_array", "zero_heads", "deeply_nested", "deeply_nested_vocab"])
+    def test_malformed_sidecar_raises_with_path(self, tmp_path, model, edit):
         path = tmp_path / "model.ckpt"
-        model.save(path, train_tags=bank.tags)
+        model.save(path)
         sidecar_path = path.with_name(path.name + ".json")
         text = sidecar_path.read_text(encoding="utf-8")
         edited = edit(text)
@@ -726,27 +747,6 @@ class TestPersistence:
         sidecar_path.write_text(edited, encoding="utf-8")
         with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
             type(model).load(path)
-
-    @pytest.mark.parametrize("field, value", [
-        ("kind", True), ("boundary", 3), ("name", None), ("kind", "single"),
-        ("description", ""), ("description", "  "), ("kind", "slot"), ("name", "IN:A]"),
-    ], ids=["kind_true", "boundary_3", "name_null", "kind_single", "description_empty",
-            "description_blank", "kind_not_the_prefix", "name_malformed"])
-    def test_stored_tag_must_be_well_formed(self, tmp_path, model, bank, field, value):
-        path = tmp_path / "model.ckpt"
-        model.save(path, train_tags=bank.tags)
-        assert bank.tags[0].name.startswith("IN:")
-        self.edit_sidecar(path, lambda sidecar: sidecar["train_tags"][0].update(
-            {field: value}))
-        with pytest.raises(CheckpointMismatchError, match="model.ckpt.*stored tag"):
-            type(model).load(path)
-
-    def test_saved_tags_load_equal(self, tmp_path, model, bank):
-        tags = list(bank.tags) + [make_tag("IN:GET_ETA", "open-type", "begin", "arrival time"),
-                                  make_tag("city", "open-type", "end")]
-        path = tmp_path / "model.ckpt"
-        model.save(path, train_tags=tags)
-        assert [astuple(t) for t in type(model).load(path)[1]] == [astuple(t) for t in tags]
 
     def test_undecodable_sidecar_raises_with_path(self, tmp_path, model):
         path = tmp_path / "model.ckpt"
