@@ -398,19 +398,22 @@ def log_softmax(z: Tensor) -> Tensor:
     return _node(out, (z,), vjp)
 
 
-def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                      eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize over the last axis, then apply gain and bias.
-
-    Returns the result, the normalized input and the inverse deviation; the
-    graph op's vjp reuses the last two.
-    """
+def normalize_kernel(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Zero mean and unit variance over the last axis: layer norm without its
+    gain and bias. Returns the normalized input and the inverse deviation."""
     n = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     centered = x - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    return centered * inv, inv
+
+
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`normalize_kernel`, then gain and bias; returns the result and the
+    normalized input and inverse deviation, which the graph op's vjp reuses."""
+    xhat, inv = normalize_kernel(x, eps)
     return xhat * gain + bias, xhat, inv
 
 

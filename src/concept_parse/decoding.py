@@ -55,10 +55,12 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     ``beam_width``, so ties break by beam order, then by output index. A pick
     that closes the root bracket, or reaches the model's ``max_target_len``
     tokens, joins the pool of finished hypotheses; the rest live on, each with
-    its parent's decoder state and its pick as the next input.
+    its parent's decoder state and its pick as the next input. Each step
+    appends the live beams' (parents, picks) to a trail, which a finished
+    hypothesis walks back for its tokens.
     """
-    if beam_width < 1:
-        raise ValueError("beam width must be at least 1")
+    if not isinstance(beam_width, int) or isinstance(beam_width, bool) or beam_width < 1:
+        raise ValueError(f"beam width must be an integer of at least 1, got {beam_width!r}")
     src = model.encode_source(utterance.tokens)
     width = bank.m + len(src)
     steps = _bracket_steps(bank, len(src))
@@ -66,26 +68,32 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     prev = np.array([model.bos_index(bank.m)])
     scores = np.zeros(1)                            # per live beam, float64
     depths = np.zeros(1, dtype=np.int64)
-    history = np.zeros((1, 0), dtype=np.int64)      # output indices so far
+    trail: list[tuple[np.ndarray, np.ndarray]] = []  # per step: live parents, picks
     pool: list[Hypothesis] = []
     while scores.size:
         log_probs, state = model.decode_step(state, prev)
         totals = (scores[:, None] + log_probs).ravel()
         picked = np.argsort(-totals, kind="stable")[:beam_width]
         parents, indices = np.divmod(picked, width)
-        depths = depths[parents] + steps[indices]
-        finished = (steps[indices] < 0) & (depths <= 0)
+        moves = steps[indices]
+        depths = depths[parents] + moves
+        finished = (moves < 0) & (depths <= 0)
         done = finished | (state.t >= model.config.max_target_len)
-        for beam in np.flatnonzero(done):
-            path = [*history[parents[beam]], indices[beam]]
-            pool.append(Hypothesis(
-                tokens=tuple(_token_at(int(i), bank) for i in path),
-                log_prob=float(totals[picked[beam]]),
-                truncated=not finished[beam]))
-        live = ~done
-        parents, indices = parents[live], indices[live]
-        scores, depths = totals[picked[live]], depths[live]
-        history = np.concatenate([history[parents], indices[:, None]], axis=1)
+        if done.any():
+            for beam in np.flatnonzero(done):
+                path, parent = [indices[beam]], parents[beam]
+                for step_parents, step_picks in reversed(trail):
+                    path.append(step_picks[parent])
+                    parent = step_parents[parent]
+                pool.append(Hypothesis(
+                    tokens=tuple(_token_at(int(i), bank) for i in reversed(path)),
+                    log_prob=float(totals[picked[beam]]),
+                    truncated=not finished[beam]))
+            live = ~done
+            parents, indices = parents[live], indices[live]
+            picked, depths = picked[live], depths[live]
+        scores = totals[picked]
+        trail.append((parents, indices))
         state = state.reorder(parents)
         prev = indices
     pool.sort(key=lambda h: -h.log_prob)

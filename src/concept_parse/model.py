@@ -18,10 +18,19 @@ beam's previous output index, and returns the step's log-probabilities over
 the m + n output indices with a new state; it never writes into the old one,
 and the search reorders states by parent between steps.
 
-`decode_step` reads weights through arena views bound once by `_assemble`, so
-a step formats no parameter names. A `Parameter`'s ``data`` view is never
-rebound (`adam_step`, a restore into `value_buffer` and `load` all write
-through it), so the bound views follow every later write. Each decoder layer
+Within one search the source states, the bank and every product made only
+from them and the weights are fixed. `initial_state` computes them once: each
+layer's ln2, query projection, keys, values and output projection, and the
+final layer norm and output head, fold into per-search maps (`DecoderState`),
+which agree with teacher forcing to rounding, not bit for bit. ln1 and ln3 are
+not folded: in a measured variant that did, the step saved what the search's
+set-up lost.
+
+`initial_state` and `decode_step` read weights through arena views bound once
+by `_assemble`, so neither formats parameter names. A `Parameter`'s ``data``
+view is never rebound (`adam_step`, a restore into `value_buffer` and `load`
+all write through it), so the bound views follow every later write; a state
+keeps the folded products of the weights it was made from. Each decoder layer
 also binds stacked views: self-attention Q, K and V are one (3, d, d) product
 and the cross-attention keys and values one (2, d, d) product. These rely on
 `_layout` placing ``wq, wk, wv`` (and ``bq, bk, bv``) next to each other, which
@@ -77,6 +86,10 @@ class ModelConfig:
     precision: str = "single"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "precision" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         for name in ("width", "ff_width", "max_source_len", "max_target_len",
                      "encoder_heads", "decoder_heads", "concept_heads"):
             if getattr(self, name) < 1:
@@ -88,7 +101,7 @@ class ModelConfig:
             if self.width % heads:
                 raise ValueError(
                     f"width {self.width} not divisible by head count {heads}")
-        if self.precision not in ad.DTYPES:
+        if self.precision not in tuple(ad.DTYPES):  # a tuple: no hash of an unhashable value
             raise ValueError(f"precision must be single or double, got {self.precision!r}")
 
 
@@ -146,28 +159,34 @@ class ConceptBank:
 class DecoderState:
     """A group of beams of one search at target position t.
 
-    The first five fields stay fixed during a search: the decoder input table
-    (`ConceptModel._input_table`), the source states (n, width), the bank
-    vectors (m, width) and each layer's cross-attention keys and values,
-    (heads, n, head_dim). The self-attention keys and values hold every beam's
-    positions below t, (beams, heads, t, head_dim) per layer. A state is a
-    value: `ConceptModel.decode_step` and `reorder` build new states and never
-    write into an existing one.
+    The first six fields stay fixed during a search: the decoder input table
+    (`ConceptModel._input_table`) and the folded products. With γ, β layer i's
+    ln2 gain and bias, K_h, V_h head h's keys and values of the source states
+    and Wo_h head h's rows of Wo, ``cross_a[i]`` is A = [(γ ⊙ Wq)_h K_hᵀ / √hd]
+    (d, heads * n), ``cross_c[i]`` is c = [(β Wq + bq)_h K_hᵀ / √hd] and
+    ``cross_o[i]`` is O = [V_h Wo_h] (heads * n, d). With γ_f, β_f the final
+    layer norm's, B the bank vectors and S the source states, ``head`` is
+    [(γ_f ⊙ Wc) Bᵀ | (γ_f ⊙ Wp) Sᵀ] / √d (d, m + n) and ``head_bias``
+    [(β_f Wc + bc) Bᵀ | (β_f Wp + bp) Sᵀ] / √d. The self-attention keys and
+    values hold every beam's positions below t, (beams, heads, t, head_dim)
+    per layer. A state is a value: `ConceptModel.decode_step` and `reorder`
+    build new states and never write into an existing one.
     """
 
     table: np.ndarray
-    src_states: np.ndarray
-    bank_vectors: np.ndarray
-    cross_keys: tuple[np.ndarray, ...]
-    cross_values: tuple[np.ndarray, ...]
+    cross_a: tuple[np.ndarray, ...]
+    cross_c: tuple[np.ndarray, ...]
+    cross_o: tuple[np.ndarray, ...]
+    head: np.ndarray
+    head_bias: np.ndarray
     self_keys: tuple[np.ndarray, ...]
     self_values: tuple[np.ndarray, ...]
     t: int
 
     def reorder(self, parents: np.ndarray) -> "DecoderState":
         """State whose beam b continues beam ``parents[b]`` of this one."""
-        return DecoderState(self.table, self.src_states, self.bank_vectors,
-                            self.cross_keys, self.cross_values,
+        return DecoderState(self.table, self.cross_a, self.cross_c, self.cross_o,
+                            self.head, self.head_bias,
                             tuple(k[parents] for k in self.self_keys),
                             tuple(v[parents] for v in self.self_values), self.t)
 
@@ -239,6 +258,16 @@ def _layout(config: ModelConfig, source_size: int, concept_size: int
     param("head.pointer.w", (d, d))
     param("head.pointer.b", (d,), "zeros")
     return layout
+
+
+def _value_count(config: ModelConfig, source_size: int, concept_size: int) -> int:
+    """The number of values in `_layout`'s parameters, in closed form."""
+    d, ff = config.width, config.ff_width
+    block = 4 * d * d + 2 * d * ff + 9 * d + ff  # ln1, ln2, self-attention, feed-forward
+    rows = source_size + concept_size + 3 * config.max_source_len + config.max_target_len + 1
+    return (d * rows + 3 * d * d + 9 * d  # tables, BOS, final norms, adapter, head
+            + block * (config.encoder_layers + config.concept_layers + config.decoder_layers)
+            + (4 * d * d + 6 * d) * config.decoder_layers)  # ln3, cross-attention
 
 
 def _identity_digest(config: ModelConfig, source_vocab: Vocabulary,
@@ -463,20 +492,35 @@ class ConceptModel:
 
     def initial_state(self, src_states: np.ndarray, bank: ConceptBank) -> DecoderState:
         """One-beam state at position 0 of a search over ``src_states`` (n,
-        width) and ``bank``, with precomputed cross-attention keys and values."""
+        width) and ``bank``, with the search's cross-attention and output head
+        folded as `DecoderState` sets out."""
         cfg = self.config
-        heads, hd = cfg.decoder_heads, cfg.width // cfg.decoder_heads
+        d = cfg.width
+        heads, hd = cfg.decoder_heads, d // cfg.decoder_heads
         n = src_states.shape[0]
         with ad.no_grad():
             table = self._input_table(ad.constant(bank.vectors)).data
-        cross_k, cross_v = [], []
+        cross_a, cross_c, cross_o = [], [], []
         for w in self._step_layers:
             k, v = src_states @ w["cross.wkv"] + w["cross.bkv"][:, None]
-            cross_k.append(k.reshape(n, heads, hd).transpose(1, 0, 2))
-            cross_v.append(v.reshape(n, heads, hd).transpose(1, 0, 2))
+            keys = k.reshape(n, heads, hd).transpose(1, 2, 0) / math.sqrt(hd)
+            wq = w["ln2.gain"][:, None] * w["cross.wq"]
+            bq = w["ln2.bias"] @ w["cross.wq"] + w["cross.bq"]
+            a = wq.reshape(d, heads, hd).transpose(1, 0, 2) @ keys
+            c = bq.reshape(heads, 1, hd) @ keys
+            o = v.reshape(n, heads, hd).transpose(1, 0, 2) @ w["cross.wo"].reshape(heads, hd, d)
+            cross_a.append(a.transpose(1, 0, 2).reshape(d, heads * n))
+            cross_c.append(c.reshape(heads * n))
+            cross_o.append(o.reshape(heads * n, d))
+        views = self._views
+        gain, bias = views["decoder.final_ln.gain"], views["decoder.final_ln.bias"]
+        parts = [(views[f"head.{kind}.w"], views[f"head.{kind}.b"], rows.T)
+                 for kind, rows in (("concept", bank.vectors), ("pointer", src_states))]
+        head = np.concatenate([(gain[:, None] * w) @ rows for w, _, rows in parts], axis=1)
+        head_bias = np.concatenate([(bias @ w + b) @ rows for w, b, rows in parts])
         empty = (np.zeros((1, heads, 0, hd), dtype=self.dtype),) * cfg.decoder_layers
-        return DecoderState(table, src_states, bank.vectors, tuple(cross_k),
-                            tuple(cross_v), empty, empty, 0)
+        return DecoderState(table, tuple(cross_a), tuple(cross_c), tuple(cross_o),
+                            head / math.sqrt(d), head_bias / math.sqrt(d), empty, empty, 0)
 
     def decode_step(self, state: DecoderState, prev: np.ndarray
                     ) -> tuple[np.ndarray, DecoderState]:
@@ -501,8 +545,7 @@ class ConceptModel:
         d = cfg.width
         heads, hd = cfg.decoder_heads, d // cfg.decoder_heads
         beams = len(prev)
-        views = self._views
-        x = state.table[prev] + views["decoder.pos"][t]
+        x = state.table[prev] + self._views["decoder.pos"][t]
         self_keys, self_values = [], []
         for i, w in enumerate(self._step_layers):
             h, _, _ = ad.layer_norm_kernel(x, w["ln1.gain"], w["ln1.bias"])
@@ -516,29 +559,20 @@ class ConceptModel:
             mix, _ = ad.attention_kernel(q.reshape(beams, heads, 1, hd), keys, values)
             x = x + mix.reshape(beams, d) @ w["self.wo"] + w["self.bo"]
 
-            h, _, _ = ad.layer_norm_kernel(x, w["ln2.gain"], w["ln2.bias"])
-            q = h @ w["cross.wq"] + w["cross.bq"]
-            mix, _ = ad.attention_kernel(q.reshape(beams, heads, 1, hd),
-                                         state.cross_keys[i], state.cross_values[i])
-            x = x + mix.reshape(beams, d) @ w["cross.wo"] + w["cross.bo"]
+            xhat, _ = ad.normalize_kernel(x)
+            logits = xhat @ state.cross_a[i] + state.cross_c[i]
+            weights = ad.softmax_kernel(logits.reshape(beams, heads, -1))
+            x = x + weights.reshape(beams, -1) @ state.cross_o[i] + w["cross.bo"]
 
             h, _, _ = ad.layer_norm_kernel(x, w["ln3.gain"], w["ln3.bias"])
             hidden, _ = ad.gelu_kernel(h @ w["ff.w1"] + w["ff.b1"])
             x = x + hidden @ w["ff.w2"] + w["ff.b2"]
 
-        d_t, _, _ = ad.layer_norm_kernel(x, views["decoder.final_ln.gain"],
-                                         views["decoder.final_ln.bias"])
-        m = state.bank_vectors.shape[0]
-        logits = np.empty((beams, m + state.src_states.shape[0]), dtype=d_t.dtype)
-        np.matmul(d_t @ views["head.concept.w"] + views["head.concept.b"],
-                  state.bank_vectors.T, out=logits[:, :m])
-        np.matmul(d_t @ views["head.pointer.w"] + views["head.pointer.b"],
-                  state.src_states.T, out=logits[:, m:])
-        logits /= math.sqrt(d)
-        log_probs = ad.log_softmax_kernel(logits)
+        xhat, _ = ad.normalize_kernel(x)
+        log_probs = ad.log_softmax_kernel(xhat @ state.head + state.head_bias)
         return log_probs, DecoderState(
-            state.table, state.src_states, state.bank_vectors, state.cross_keys,
-            state.cross_values, tuple(self_keys), tuple(self_values), t + 1)
+            state.table, state.cross_a, state.cross_c, state.cross_o, state.head,
+            state.head_bias, tuple(self_keys), tuple(self_values), t + 1)
 
     # batched teacher-forced forward (training)
 
@@ -638,15 +672,14 @@ class ConceptModel:
         The file is checked before anything is allocated, in this order. The
         sidecar must parse, and its config must name exactly the `ModelConfig`
         fields. The parameter file must hash to the sidecar's
-        ``params_sha256``, and hold at least the bytes of every block's four
-        self-attention weights, so that `_layout` never builds more blocks than
-        the file could fill. The sidecar's digest must equal `_identity_digest`
-        over the `_layout` that the config and vocabularies give, and the file
-        must hold exactly that layout's bytes. Only then is the model laid out
-        with zero values, not drawn from a seed, its `identity_digest` compared
-        once more, and the file's values copied in. A missing or unreadable
-        file, a malformed sidecar, or any mismatch raises
-        `CheckpointMismatchError` naming the path.
+        ``params_sha256`` and hold exactly the bytes of the layout that the
+        config and vocabularies give, counted in closed form by `_value_count`,
+        so that `_layout` never lists more parameters than the file fills. The
+        sidecar's digest must equal `_identity_digest` over that `_layout`.
+        Only then is the model laid out with zero values, not drawn from a
+        seed, its `identity_digest` compared once more, and the file's values
+        copied in. A missing or unreadable file, a malformed sidecar, or any
+        mismatch raises `CheckpointMismatchError` naming the path.
         """
         path = Path(path)
         raw = _read_checkpoint_file(path.with_name(path.name + ".json"))
@@ -666,12 +699,11 @@ class ConceptModel:
                 raise CheckpointMismatchError(
                     f"{path}: parameter file bytes do not match the sidecar's params_sha256")
             dtype = np.dtype(ad.DTYPES[config.precision]).newbyteorder("<")
-            blocks = config.encoder_layers + config.concept_layers + config.decoder_layers
-            least = 4 * config.width * config.width * blocks * dtype.itemsize
-            if len(blob) < least:
+            nbytes = _value_count(config, len(source_vocab), len(concept_vocab)) * dtype.itemsize
+            if len(blob) != nbytes:
                 raise CheckpointMismatchError(
-                    f"{path}: parameter file holds {len(blob)} bytes, fewer than the "
-                    f"{least} that the config's self-attention weights alone take")
+                    f"{path}: parameter file holds {len(blob)} bytes, the model's "
+                    f"{config.precision}-precision layout {nbytes}")
             shapes = [(name, shape) for name, shape, _ in
                       _layout(config, len(source_vocab), len(concept_vocab))]
         except (ValueError, TypeError, KeyError, RecursionError) as err:
@@ -682,11 +714,6 @@ class ConceptModel:
                  f"vocabularies or parameter layout")
         if sidecar.get("digest") != digest:
             raise CheckpointMismatchError(stale)
-        nbytes = sum(math.prod(shape) for _, shape in shapes) * dtype.itemsize
-        if len(blob) != nbytes:
-            raise CheckpointMismatchError(
-                f"{path}: parameter file holds {len(blob)} bytes, the model's "
-                f"{config.precision}-precision layout {nbytes}")
         model = cls.__new__(cls)
         model._assemble(config, source_vocab, concept_vocab)
         if model.identity_digest() != digest:

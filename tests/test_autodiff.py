@@ -432,6 +432,27 @@ class TestKernels:
             assert kernel.tobytes() == oracle.tobytes()
 
     @method_oracle_cases
+    def test_graph_layer_norm_equals_method_oracle(self, dtype, shape, scale, offset):
+        x, gain, bias = self.oracle_inputs(dtype, shape, scale, offset, 3)
+        gain, bias = gain.reshape(-1, shape[-1])[0], bias.reshape(-1, shape[-1])[0]
+        out = ad.layer_norm(ad.constant(x), ad.constant(gain), ad.constant(bias))
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == method_layer_norm(x, gain, bias)[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_is_normalize_then_gain_and_bias(self, dtype):
+        rng = np.random.default_rng(6)
+        x = (rng.standard_normal((4, 3, 48)) * 4 + 2).astype(dtype)
+        gain = (rng.standard_normal(48) + 1).astype(dtype)
+        bias = rng.standard_normal(48).astype(dtype)
+        xhat, inv = ad.normalize_kernel(x)
+        out, kernel_xhat, kernel_inv = ad.layer_norm_kernel(x, gain, bias)
+        assert xhat.dtype == inv.dtype == dtype
+        assert out.tobytes() == (xhat * gain + bias).tobytes()
+        assert kernel_xhat.tobytes() == xhat.tobytes()
+        assert kernel_inv.tobytes() == inv.tobytes()
+
+    @method_oracle_cases
     def test_layer_norm_vjp_equals_method_oracle(self, dtype, shape, scale, offset):
         x, gain, g = self.oracle_inputs(dtype, shape, scale, offset, 3)
         gain = gain.reshape(-1, shape[-1])[0]

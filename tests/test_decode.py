@@ -133,6 +133,13 @@ class TestBeamOracle:
             beam_decode(model, tokenize_utterance("x"), micro_bank(model),
                         beam_width=0)
 
+    @pytest.mark.parametrize("width", [2.5, 4.0, True], ids=["fraction", "whole_float", "bool"])
+    def test_width_must_be_an_integer(self, width):
+        model = micro_model(1)
+        with pytest.raises(ValueError, match="beam width must be an integer"):
+            beam_decode(model, tokenize_utterance("x"), micro_bank(model),
+                        beam_width=width)
+
 
 class TestBatchedBeamOracle:
     """The batched search against the per-beam one, in double precision."""

@@ -4,6 +4,7 @@ compiled-domain equivalence, batched/stepwise agreement, and persistence."""
 import hashlib
 import json
 import re
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -412,13 +413,20 @@ class TestBatchedForward:
             model.teacher_log_probs(model.build_batch(corpus[:2], list(bank.tags)),
                                     ad.constant(bank.vectors))
         graph_calls = len(calls)
-        state = model.initial_state(model.encode_source(corpus[0].utterance.tokens), bank)
+        tokens = corpus[0].utterance.tokens
+        state = model.initial_state(model.encode_source(tokens), bank)
+        softmaxes = []
+        softmax = ad.softmax_kernel
+        monkeypatch.setattr(ad, "softmax_kernel",
+                            lambda x: softmaxes.append(x.shape) or softmax(x))
         model.decode_step(state, np.array([model.bos_index(bank.m)]))
         # teacher forcing: encoder self, decoder self and cross; then encode_source's
-        # encoder self, and one decode step's self and cross
-        assert graph_calls == 3 and len(calls) == 3 + 1 + 2
-        assert calls[-1] == calls[-2] == (1, model.config.decoder_heads, 1,
-                                          model.config.width // model.config.decoder_heads)
+        # encoder self, and one decode step's self-attention; the step's folded
+        # cross-attention takes the softmax of its (beams, heads, n) logits
+        heads = model.config.decoder_heads
+        assert graph_calls == 3 and len(calls) == 3 + 1 + 1
+        assert calls[-1] == (1, heads, 1, model.config.width // heads)
+        assert softmaxes == [(1, heads, 1, 1), (1, heads, len(tokens))]
 
 
 class TestBoundViews:
@@ -454,6 +462,24 @@ class TestBoundViews:
         after = self.step_log_probs(model, corpus)
         assert not np.array_equal(after, before)
         assert after.tobytes() == self.step_log_probs(other, corpus).tobytes()
+
+    def test_a_state_carries_its_searchs_fixed_products(self, corpus):
+        """A state keeps the folded cross-attention and output head of the
+        weights it was made from; only a fresh `initial_state` sees new ones."""
+        model = build_model(corpus, seed=1, **TINY)
+        bank = model.encode_concepts(tags_from_records(corpus))
+        state = model.initial_state(model.encode_source(("how", "far", "is")), bank)
+        expected, _ = model.decode_step(state, bos(model, bank))
+        folded = [p for name, p in model.parameters().items()
+                  if (".cross." in name and not name.endswith(".bo")) or ".ln2." in name
+                  or name.startswith(("decoder.final_ln.", "head."))]
+        rng = np.random.default_rng(7)
+        for p in folded:
+            p.data[...] = rng.standard_normal(p.data.shape)
+        got, _ = model.decode_step(state, bos(model, bank))
+        assert got.tobytes() == expected.tobytes()
+        fresh = model.initial_state(model.encode_source(("how", "far", "is")), bank)
+        assert not np.array_equal(model.decode_step(fresh, bos(model, bank))[0], expected)
 
     def test_decode_step_reads_no_parameter_by_name(self, model, bank, monkeypatch):
         state = model.initial_state(model.encode_source(("how", "far", "is")), bank)
@@ -529,6 +555,19 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=f"{name} must be at least 0"):
             ModelConfig(**dict(TINY, **{name: -1}))
         ModelConfig(**dict(TINY, **{name: 0}))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)
+                                      if f.name != "precision"])
+    @pytest.mark.parametrize("value", [2.5, 64.0, float("nan"), float("inf"), True],
+                             ids=["fraction", "whole_float", "nan", "inf", "bool"])
+    def test_sizes_and_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ModelConfig(**dict(TINY, **{name: value}))
+
+    @pytest.mark.parametrize("value", [["single"], None, "half"], ids=["list", "none", "half"])
+    def test_precision_must_be_single_or_double(self, value):
+        with pytest.raises(ValueError, match="precision must be single or double"):
+            ModelConfig(**dict(TINY, precision=value))
 
 
 class TestPersistence:
@@ -656,7 +695,7 @@ class TestPersistence:
         self.edit_sidecar(path, lambda sidecar: sidecar["config"].update(width=1 << 20))
         self.forbid_allocation(monkeypatch)
         with pytest.raises(CheckpointMismatchError,
-                           match="model.ckpt: parameter file holds .* bytes, fewer than"):
+                           match="model.ckpt: parameter file holds .* bytes, the model's"):
             type(model).load(path)
 
     def test_many_layers_fail_before_the_layout(self, tmp_path, model):
@@ -669,12 +708,45 @@ class TestPersistence:
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointMismatchError,
-                               match="model.ckpt: parameter file holds .* bytes, fewer than"):
+                               match="model.ckpt: parameter file holds .* bytes, the model's"):
                 type(model).load(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    def test_narrow_many_layers_fail_fast(self, tmp_path, model):
+        """A config whose blocks are as small as they come, with more layers
+        than a file of this size could hold, fails at the closed-form count."""
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        self.edit_sidecar(path, lambda sidecar: sidecar["config"].update(
+            width=1, encoder_heads=1, decoder_heads=1, concept_heads=1, ff_width=1,
+            encoder_layers=9_000))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CheckpointMismatchError,
+                               match="model.ckpt: parameter file holds .* bytes, the model's"):
+                type(model).load(path)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 5 * 2**20
+
+    @pytest.mark.parametrize("config", [
+        {}, TINY, dict(TINY, width=1, encoder_heads=1, decoder_heads=1, concept_heads=1),
+        dict(TINY, encoder_heads=32, decoder_heads=32, concept_heads=32),
+        dict(TINY, encoder_layers=0, decoder_layers=0, concept_layers=0),
+    ], ids=["default", "tiny", "width_1", "heads_equal_width", "no_layers"])
+    def test_closed_form_size_is_the_layout_size(self, tmp_path, corpus, config):
+        """`load` checks the file's size against a count made from the config
+        alone; a saved model of every shape must pass it, byte for byte."""
+        model = build_model(corpus, seed=1, **config)
+        model.save(tmp_path / "model.ckpt")
+        loaded = type(model).load(tmp_path / "model.ckpt")
+        assert loaded.value_buffer().tobytes() == model.value_buffer().tobytes()
 
     def test_cut_file_fails_before_allocating(self, tmp_path, model, monkeypatch):
         path = tmp_path / "model.ckpt"
@@ -716,7 +788,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("edit", [
         lambda sidecar: sidecar.update(digest="0" * 64),
-        lambda sidecar: sidecar["source_vocab"].append("added_token"),
+        # a renamed token keeps the layout's size, so only the digest catches it
+        lambda sidecar: sidecar["source_vocab"].__setitem__(-1, "renamed_token"),
     ], ids=["tampered_digest", "changed_vocabulary"])
     def test_sidecar_digest_must_match_rebuilt_model(self, tmp_path, model, edit):
         path = tmp_path / "model.ckpt"
@@ -746,6 +819,14 @@ class TestPersistence:
         assert edited != text
         sidecar_path.write_text(edited, encoding="utf-8")
         with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
+            type(model).load(path)
+
+    def test_grown_vocabulary_fails_the_size_check(self, tmp_path, model):
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        self.edit_sidecar(path, lambda sidecar: sidecar["source_vocab"].append("added_token"))
+        with pytest.raises(CheckpointMismatchError,
+                           match="model.ckpt: parameter file holds .* bytes, the model's"):
             type(model).load(path)
 
     def test_undecodable_sidecar_raises_with_path(self, tmp_path, model):
