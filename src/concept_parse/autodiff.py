@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A forward op builds a :class:`Tensor` node holding its result and a closure
-that maps the output gradient to input gradients. ``backward`` walks the
-recorded graph in reverse topological order and adds gradients in place into
-:class:`Parameter` slots. Graph recording is on unless the current thread (or
-context) is inside ``no_grad``. An affine map and an attention are one node
-each. The forwards of layer norm, softmax, log-softmax, GELU and attention are
-plain-array ``*_kernel`` functions, which the stepwise decoder calls too. The
-kernels reduce with ``np.add.reduce`` and ``np.maximum.reduce``, not with
+that maps the output gradient to input gradients. The graph's leaves are the
+:class:`Parameter` tensors that ops read. ``backward`` walks the recorded graph
+in reverse topological order and adds gradients in place into their ``grad``.
+Graph recording is on unless the current thread (or context) is in
+``no_grad``. An affine map and an attention are one node each. The forwards of
+layer norm, softmax, log-softmax, GELU and attention are plain-array
+``*_kernel`` functions, which the stepwise decoder calls too. The kernels
+reduce with ``np.add.reduce`` and ``np.maximum.reduce``, not with
 ``ndarray.mean``, ``.sum`` or ``.max``: those methods are Python-level
 wrappers around the same ufunc reductions, and on the decoder's (beams, width)
 arrays the wrapper costs more than the reduction. The results are bit-equal.
@@ -17,7 +18,7 @@ gradients, Adam's first and second moments) and one Adam step counter for a
 group of parameters. Each parameter's ``data`` and ``grad`` are views into the
 arena's buffers, and assigning to them copies into the views, so a view is
 never rebound. ``adam_step`` updates whole arenas in place, as one flat
-multi-tensor update. Graph leaves and ``vjp`` closures hold views of the
+multi-tensor update. Parameters and ``vjp`` closures hold views of the
 values, so ``backward`` must finish before ``adam_step`` changes them.
 
 Also home to the warmup/decay learning-rate schedule. A checkpoint is an
@@ -57,20 +58,18 @@ class no_grad:
 
 
 class Tensor:
-    """A node in the computation graph wrapping an ndarray."""
+    """A node in the computation graph wrapping an ndarray. An op's node
+    requires grad when it has a ``vjp``; a leaf does only if it is a `Parameter`."""
 
-    __slots__ = ("data", "parents", "vjp", "requires_grad", "param")
+    __slots__ = ("data", "parents", "vjp", "requires_grad")
 
     def __init__(self, data: np.ndarray,
                  parents: tuple["Tensor", ...] = (),
-                 vjp: Optional[Callable] = None,
-                 requires_grad: bool = False,
-                 param: Optional["Parameter"] = None):
+                 vjp: Optional[Callable] = None):
         self.data = data
         self.parents = parents
         self.vjp = vjp
-        self.requires_grad = requires_grad
-        self.param = param
+        self.requires_grad = vjp is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,22 +102,23 @@ class Arena:
         self.count = count
 
 
-class Parameter:
-    """A trainable array whose value and gradient are views into an `Arena`.
+class Parameter(Tensor):
+    """A graph leaf whose value and gradient are views into an `Arena`.
 
-    `arena_parameters` lays parameters out in one arena. ``span`` is the
-    parameter's slice of the flat buffers. Assigning to ``data`` or ``grad``
-    copies into the view and needs the same shape, so a parameter never
-    detaches from its arena.
+    Ops record a parameter as they record any `Tensor`. `arena_parameters`
+    lays parameters out in one arena. ``span`` is the parameter's slice of the
+    flat buffers. Assigning to ``data`` or ``grad`` copies into the view and
+    needs the same shape, so a parameter never detaches from its arena.
     """
 
-    __slots__ = ("name", "arena", "span", "data", "grad")
+    __slots__ = ("name", "arena", "span", "grad")
 
     def __init__(self, name: str, shape: tuple[int, ...], arena: Arena, offset: int):
         self.name = name
         self.arena = arena
         self.span = slice(offset, offset + math.prod(shape))
-        self.data = arena.data[self.span].reshape(shape)
+        super().__init__(arena.data[self.span].reshape(shape))
+        self.requires_grad = True
         self.grad = arena.grad[self.span].reshape(shape)
 
     def __setattr__(self, attr: str, value) -> None:
@@ -132,12 +132,6 @@ class Parameter:
             np.copyto(view, value)
         else:
             object.__setattr__(self, attr, value)
-
-    def leaf(self) -> Tensor:
-        """Graph leaf view of this parameter's current value."""
-        if _grad_enabled.get():
-            return Tensor(self.data, requires_grad=True, param=self)
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -163,7 +157,7 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     if not np.isfinite(data).all():
         raise NonFiniteError("forward op produced NaN or Inf values")
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        return Tensor(data, parents=tuple(parents), vjp=vjp, requires_grad=True)
+        return Tensor(data, tuple(parents), vjp)
     return Tensor(data)
 
 
@@ -398,30 +392,33 @@ def log_softmax(z: Tensor) -> Tensor:
     return _node(out, (z,), vjp)
 
 
-def normalize_kernel(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+_LN_EPS = 1e-5
+
+
+def normalize_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero mean and unit variance over the last axis: layer norm without its
     gain and bias. Returns the normalized input and the inverse deviation."""
     n = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     centered = x - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     return centered * inv, inv
 
 
-def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                      eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`normalize_kernel`, then gain and bias; returns the result and the
     normalized input and inverse deviation, which the graph op's vjp reuses."""
-    xhat, inv = normalize_kernel(x, eps)
+    xhat, inv = normalize_kernel(x)
     return xhat * gain + bias, xhat, inv
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer norm over the last axis; the forward is `layer_norm_kernel`."""
     if x.data.shape[-1] < 2:
         raise ShapeError("layer_norm needs a last dimension of at least 2")
-    out, xhat, inv = layer_norm_kernel(x.data, gain.data, bias.data, eps)
+    out, xhat, inv = layer_norm_kernel(x.data, gain.data, bias.data)
 
     def vjp(g):
         gy = g * gain.data
@@ -464,7 +461,8 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Add d(loss)/d(parameter) in place into every reachable Parameter's grad.
+    """Add d(loss)/d(parameter) in place into every reachable Parameter's grad,
+    once each: the contributions of the ops that read a parameter are summed first.
 
     Repeated calls without zeroing keep summing.
     """
@@ -491,20 +489,14 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
+        g = grads.pop(id(node))
+        if node.vjp is None:  # a parameter, the graph's only kind of leaf
+            np.add(node.grad, g, out=node.grad)
             continue
-        if node.param is not None:
-            grad = node.param.grad
-            np.add(grad, g, out=grad)
-        if node.vjp is None:
-            continue
-        parent_grads = node.vjp(g)
-        for parent, pg in zip(node.parents, parent_grads):
-            if not parent.requires_grad or pg is None:
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if parent.requires_grad:
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
 
 
 # optimizer and schedule

@@ -92,8 +92,10 @@ class SpiConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"samples-per-label k must be >= 1, got {self.k}")
+        for name, low in (("k", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ class NotScalarError(ConceptParseError):
 
 
 class NonFiniteError(ConceptParseError):
-    """Raised when a forward op produces NaN or Inf values."""
+    """Raised when a forward op produces NaN or Inf values, or when a model
+    whose weights hold them is saved."""
 
 
 class LengthExceededError(ConceptParseError):

@@ -58,6 +58,7 @@ from .errors import (
     CheckpointMismatchError,
     EmptyDescriptionError,
     LengthExceededError,
+    NonFiniteError,
     PointerRangeError,
     ShapeError,
     UnknownConceptError,
@@ -335,8 +336,8 @@ class ConceptModel:
 
     # parameter access
 
-    def _p(self, name: str) -> Tensor:
-        return self.params[name].leaf()
+    def _p(self, name: str) -> Parameter:
+        return self.params[name]
 
     def _stacked(self, names: Sequence[str]) -> np.ndarray:
         """One (len(names), *shape) view of parameters that follow each other in
@@ -640,9 +641,14 @@ class ConceptModel:
     # persistence
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write `value_buffer` as little-endian bytes, and the JSON sidecar."""
+        """Write `value_buffer` as little-endian bytes, and the JSON sidecar.
+
+        A NaN or infinite value raises `NonFiniteError` before either file is
+        written."""
         path = Path(path)
         values = self.value_buffer()
+        if not np.isfinite(values).all():
+            raise NonFiniteError(f"{path}: the model holds NaN or Inf values")
         blob = values.astype(values.dtype.newbyteorder("<"), copy=False).tobytes()
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_bytes(blob)
@@ -674,8 +680,9 @@ class ConceptModel:
         fields. The parameter file must hash to the sidecar's
         ``params_sha256`` and hold exactly the bytes of the layout that the
         config and vocabularies give, counted in closed form by `_value_count`,
-        so that `_layout` never lists more parameters than the file fills. The
-        sidecar's digest must equal `_identity_digest` over that `_layout`.
+        so that `_layout` never lists more parameters than the file fills, and
+        every value must be finite. The sidecar's digest must equal
+        `_identity_digest` over that `_layout`.
         Only then is the model laid out with zero values, not drawn from a
         seed, its `identity_digest` compared once more, and the file's values
         copied in. A missing or unreadable file, a malformed sidecar, or any
@@ -704,6 +711,9 @@ class ConceptModel:
                 raise CheckpointMismatchError(
                     f"{path}: parameter file holds {len(blob)} bytes, the model's "
                     f"{config.precision}-precision layout {nbytes}")
+            values = np.frombuffer(blob, dtype=dtype)
+            if not np.isfinite(values).all():
+                raise CheckpointMismatchError(f"{path}: parameter file holds NaN or Inf values")
             shapes = [(name, shape) for name, shape, _ in
                       _layout(config, len(source_vocab), len(concept_vocab))]
         except (ValueError, TypeError, KeyError, RecursionError) as err:
@@ -718,5 +728,5 @@ class ConceptModel:
         model._assemble(config, source_vocab, concept_vocab)
         if model.identity_digest() != digest:
             raise CheckpointMismatchError(stale)
-        model.value_buffer()[...] = np.frombuffer(blob, dtype=dtype)
+        model.value_buffer()[...] = values
         return model

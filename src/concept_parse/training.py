@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -53,13 +54,26 @@ class TrainConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "rehearsal_multiplier"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("patience", "batch_size", "fewshot_eval_every", "epochs",
-                     "pretrain_epochs", "fewshot_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+                     "pretrain_epochs", "fewshot_epochs", "seed"):
+            value, low = getattr(self, name), 0 if name == "seed" else 1
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        if not isinstance(self.adam_betas, tuple) or len(self.adam_betas) != 2:
+            raise ValueError(f"adam_betas must be a pair, got {self.adam_betas!r}")
+        for name, value, bound, within in (
+                ("learning_rate", self.learning_rate, "at least 0", lambda v: v >= 0),
+                ("weight_decay", self.weight_decay, "at least 0", lambda v: v >= 0),
+                ("rehearsal_multiplier", self.rehearsal_multiplier, "at least 0",
+                 lambda v: v >= 0),
+                ("adam_eps", self.adam_eps, "above 0", lambda v: v > 0),
+                ("warmup_proportion", self.warmup_proportion, "in [0, 1]",
+                 lambda v: 0 <= v <= 1),
+                *((f"adam_betas[{i}]", beta, "in [0, 1)", lambda v: 0 <= v < 1)
+                  for i, beta in enumerate(self.adam_betas))):
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value) or not within(value)):
+                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass

@@ -83,7 +83,7 @@ class TestAffine:
         x = make_param(rng, (3, 4), "x")
         w = make_param(rng, (4, 2), "w")
         b = make_param(rng, (2,), "b")
-        check_op(lambda: ad.sum_all(ad.affine(x.leaf(), w.leaf(), b.leaf())),
+        check_op(lambda: ad.sum_all(ad.affine(x, w, b)),
                  [x, w, b], tolerance=1e-5)
 
     def test_shape_mismatch(self):
@@ -164,31 +164,66 @@ class TestLayerNorm:
 class TestBackward:
     def test_sum_gives_ones(self):
         p = parameter("p", np.arange(6.0).reshape(2, 3))
-        ad.backward(ad.sum_all(p.leaf()))
+        ad.backward(ad.sum_all(p))
         assert np.allclose(p.grad, 1.0)
 
     def test_sum_of_squares(self):
         p = parameter("p", np.array([1.0, -2.0, 3.0]))
-        leaf = p.leaf()
-        ad.backward(ad.sum_all(ad.mul(leaf, leaf)))
+        ad.backward(ad.sum_all(ad.mul(p, p)))
         assert np.allclose(p.grad, 2 * p.data)
 
     def test_repeated_backward_accumulates(self):
         p = parameter("p", np.ones(3))
-        ad.backward(ad.sum_all(p.leaf()))
-        ad.backward(ad.sum_all(p.leaf()))
+        ad.backward(ad.sum_all(p))
+        ad.backward(ad.sum_all(p))
         assert np.allclose(p.grad, 2.0)
 
     def test_non_scalar_rejected(self):
         p = parameter("p", np.ones(3))
         with pytest.raises(NotScalarError):
-            ad.backward(p.leaf())
+            ad.backward(p)
 
     def test_no_grad_suppresses_graph(self):
         p = parameter("p", np.ones(3))
+        w, b = parameter("w", np.ones((3, 2))), parameter("b", np.zeros(2))
         with ad.no_grad():
-            out = ad.sum_all(p.leaf())
+            out = ad.sum_all(p)
+            mapped = ad.affine(ad.constant(np.ones((4, 3))), w, b)
         assert not out.requires_grad
+        assert not mapped.requires_grad and mapped.parents == ()
+
+    def test_parameter_is_its_own_graph_leaf(self):
+        rng = np.random.default_rng(0)
+        x = ad.constant(rng.standard_normal((4, 3)))
+        w, b = make_param(rng, (3, 2), "w"), make_param(rng, (2,), "b")
+        assert isinstance(w, Tensor)
+        out = ad.affine(x, w, b)
+        assert len(out.parents) == 3
+        assert all(got is want for got, want in zip(out.parents, (x, w, b)))
+
+    def test_parameter_read_twice_adds_its_summed_gradient_once(self):
+        rng = np.random.default_rng(1)
+        values = rng.standard_normal((3, 2)).astype(np.float32)
+        c = ad.constant(rng.standard_normal((3, 2)).astype(np.float32))
+        x = ad.constant(rng.standard_normal((5, 3)).astype(np.float32))
+        reads = (lambda p: ad.sum_all(ad.mul(p, c)), lambda p: ad.sum_all(ad.matmul(x, p)))
+        alone = []
+        for read in reads:
+            p = parameter("p", values)
+            ad.backward(read(p))
+            alone.append(p.grad.copy())
+        p = parameter("p", values)
+        first, second = (read(p) for read in reads)
+        loss = ad.add(first, second)
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+        assert [n for n in nodes.values() if isinstance(n, ad.Parameter)] == [p]
+        ad.backward(loss)
+        assert p.grad.dtype == np.float32
+        assert p.grad.tobytes() == (alone[0] + alone[1]).tobytes()
 
     def test_no_grad_is_per_thread(self):
         entered, release = threading.Event(), threading.Event()
@@ -203,7 +238,7 @@ class TestBackward:
         try:
             assert entered.wait(timeout=10)
             p = parameter("p", np.ones(3))
-            assert ad.sum_all(p.leaf()).requires_grad
+            assert ad.sum_all(p).requires_grad
         finally:
             release.set()
             thread.join(timeout=10)
@@ -220,26 +255,26 @@ class TestOpGradients:
         a = make_param(self.rng, (3, 4), "a")
         b = make_param(self.rng, (4,), "b")
         w = self.rng.standard_normal((3, 4))
-        check_op(lambda: weighted_sum(ad.add(a.leaf(), b.leaf()), w), [a, b])
+        check_op(lambda: weighted_sum(ad.add(a, b), w), [a, b])
 
     def test_mul_broadcast(self):
         a = make_param(self.rng, (2, 3, 4), "a")
         b = make_param(self.rng, (3, 1), "b")
         w = self.rng.standard_normal((2, 3, 4))
-        check_op(lambda: weighted_sum(ad.mul(a.leaf(), b.leaf()), w), [a, b])
+        check_op(lambda: weighted_sum(ad.mul(a, b), w), [a, b])
 
     def test_matmul_batched(self):
         a = make_param(self.rng, (2, 3, 4), "a")
         b = make_param(self.rng, (4, 5), "b")
         w = self.rng.standard_normal((2, 3, 5))
-        check_op(lambda: weighted_sum(ad.matmul(a.leaf(), b.leaf()), w), [a, b],
+        check_op(lambda: weighted_sum(ad.matmul(a, b), w), [a, b],
                  tolerance=1e-6)
 
     def test_matmul_4d(self):
         a = make_param(self.rng, (2, 2, 3, 4), "a")
         b = make_param(self.rng, (2, 2, 4, 3), "b")
         w = self.rng.standard_normal((2, 2, 3, 3))
-        check_op(lambda: weighted_sum(ad.matmul(a.leaf(), b.leaf()), w), [a, b],
+        check_op(lambda: weighted_sum(ad.matmul(a, b), w), [a, b],
                  tolerance=1e-6)
 
     def test_reshape_transpose(self):
@@ -247,7 +282,7 @@ class TestOpGradients:
         w = self.rng.standard_normal((3, 2, 2))
 
         def loss():
-            t = ad.reshape(a.leaf(), (2, 3, 2))
+            t = ad.reshape(a, (2, 3, 2))
             return weighted_sum(ad.transpose(t, (1, 0, 2)), w)
         check_op(loss, [a])
 
@@ -255,35 +290,35 @@ class TestOpGradients:
         a = make_param(self.rng, (2, 3), "a")
         b = make_param(self.rng, (2, 2), "b")
         w = self.rng.standard_normal((2, 5))
-        check_op(lambda: weighted_sum(ad.concat([a.leaf(), b.leaf()], axis=-1), w),
+        check_op(lambda: weighted_sum(ad.concat([a, b], axis=-1), w),
                  [a, b])
 
     def test_gather_rows_with_repeats(self):
         table = make_param(self.rng, (5, 3), "table")
         ids = np.array([[0, 2, 2], [4, 0, 0]])
         w = self.rng.standard_normal((2, 3, 3))
-        check_op(lambda: weighted_sum(ad.gather_rows(table.leaf(), ids), w), [table])
+        check_op(lambda: weighted_sum(ad.gather_rows(table, ids), w), [table])
 
     def test_take_index(self):
         a = make_param(self.rng, (3, 4, 2), "a")
         w = self.rng.standard_normal((3, 2))
-        check_op(lambda: weighted_sum(ad.take_index(a.leaf(), 0, axis=1), w), [a])
+        check_op(lambda: weighted_sum(ad.take_index(a, 0, axis=1), w), [a])
 
     def test_take_along_last(self):
         a = make_param(self.rng, (3, 4), "a")
         ids = np.array([1, 0, 3])
         w = self.rng.standard_normal(3)
-        check_op(lambda: weighted_sum(ad.take_along_last(a.leaf(), ids), w), [a])
+        check_op(lambda: weighted_sum(ad.take_along_last(a, ids), w), [a])
 
     def test_softmax(self):
         a = make_param(self.rng, (3, 5), "a")
         w = self.rng.standard_normal((3, 5))
-        check_op(lambda: weighted_sum(ad.softmax(a.leaf()), w), [a], tolerance=1e-6)
+        check_op(lambda: weighted_sum(ad.softmax(a), w), [a], tolerance=1e-6)
 
     def test_log_softmax(self):
         a = make_param(self.rng, (3, 5), "a")
         w = self.rng.standard_normal((3, 5))
-        check_op(lambda: weighted_sum(ad.log_softmax(a.leaf()), w), [a],
+        check_op(lambda: weighted_sum(ad.log_softmax(a), w), [a],
                  tolerance=1e-6)
 
     def test_layer_norm(self):
@@ -292,13 +327,13 @@ class TestOpGradients:
         bias = make_param(self.rng, (6,), "bias")
         w = self.rng.standard_normal((3, 6))
         check_op(lambda: weighted_sum(
-            ad.layer_norm(x.leaf(), gain.leaf(), bias.leaf()), w),
+            ad.layer_norm(x, gain, bias), w),
             [x, gain, bias], tolerance=1e-5)
 
     def test_gelu(self):
         a = make_param(self.rng, (4, 4), "a")
         w = self.rng.standard_normal((4, 4))
-        check_op(lambda: weighted_sum(ad.gelu(a.leaf()), w), [a], tolerance=1e-6)
+        check_op(lambda: weighted_sum(ad.gelu(a), w), [a], tolerance=1e-6)
 
     def test_attention_composite(self):
         q = make_param(self.rng, (6,), "q")
@@ -307,7 +342,7 @@ class TestOpGradients:
         w = self.rng.standard_normal(6)
 
         def loss():
-            _, mix = scaled_dot_attention(q.leaf(), k.leaf(), v.leaf())
+            _, mix = scaled_dot_attention(q, k, v)
             return weighted_sum(mix, w)
         check_op(loss, [q, k, v], tolerance=1e-6)
 
@@ -316,7 +351,7 @@ class TestOpGradients:
         w = make_param(self.rng, (4, 5), "w")
         b = make_param(self.rng, (5,), "b")
         g = self.rng.standard_normal((2, 3, 5))
-        check_op(lambda: weighted_sum(ad.affine(x.leaf(), w.leaf(), b.leaf()), g),
+        check_op(lambda: weighted_sum(ad.affine(x, w, b), g),
                  [x, w, b], tolerance=1e-6)
 
     def test_affine_shape_mismatch(self):
@@ -332,7 +367,7 @@ class TestOpGradients:
         v = make_param(self.rng, (2, 4, 8), "v")
         w = self.rng.standard_normal((2, 3, 8))
         mask = pad_mask() if masked else None
-        check_op(lambda: weighted_sum(ad.attention(q.leaf(), k.leaf(), v.leaf(), heads,
+        check_op(lambda: weighted_sum(ad.attention(q, k, v, heads,
                                                    mask), w),
                  [q, k, v], tolerance=1e-6)
 
@@ -347,7 +382,7 @@ class TestOpGradients:
         results = []
         for op in (ad.attention, composed_attention):
             zero_grads([q, k, v])
-            out = op(q.leaf(), k.leaf(), v.leaf(), heads, mask)
+            out = op(q, k, v, heads, mask)
             ad.backward(weighted_sum(out, w))
             results.append([out.data] + [p.grad.copy() for p in (q, k, v)])
         for fused, composed in zip(*results):
@@ -456,7 +491,7 @@ class TestKernels:
     def test_layer_norm_vjp_equals_method_oracle(self, dtype, shape, scale, offset):
         x, gain, g = self.oracle_inputs(dtype, shape, scale, offset, 3)
         gain = gain.reshape(-1, shape[-1])[0]
-        out = ad.layer_norm(parameter("x", x).leaf(), ad.constant(gain),
+        out = ad.layer_norm(parameter("x", x), ad.constant(gain),
                             ad.constant(np.zeros_like(gain)))
         _, xhat, inv = method_layer_norm(x, gain, np.zeros_like(gain))
         gx = out.vjp(g)[0]
@@ -482,11 +517,11 @@ class TestKernels:
         w = parameter("w", rng.integers(-8, 9, size=(8, 5)) / 4.0)
 
         def operand():
-            return ad.transpose(x.leaf(), (1, 0, 2)) if case == "transposed" else x.leaf()
+            return ad.transpose(x, (1, 0, 2)) if case == "transposed" else x
 
         a = operand().data
         assert a.flags.c_contiguous == (case != "transposed")
-        out = ad.matmul(operand(), w.leaf())
+        out = ad.matmul(operand(), w)
         np.testing.assert_array_equal(out.data, np.einsum("...d,de->...e", a, w.data))
 
         g = rng.standard_normal(out.shape)

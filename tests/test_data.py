@@ -231,6 +231,13 @@ class TestSampleSpi:
         with pytest.raises(ValueError):
             SpiConfig(k=0, seed=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("k", 2.5), ("k", True), ("seed", -1), ("seed", 1.5), ("seed", True),
+    ])
+    def test_fields_must_be_integers_in_range(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SpiConfig(**{"k": 1, "seed": 0, name: value})
+
 
 class TestWikiLoader:
     def test_single_mention(self, tmp_path):

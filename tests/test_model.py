@@ -18,6 +18,7 @@ from concept_parse.errors import (
     CheckpointMismatchError,
     EmptyDescriptionError,
     LengthExceededError,
+    NonFiniteError,
     PointerRangeError,
     ShapeError,
     UnknownConceptError,
@@ -642,6 +643,29 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointMismatchError, match="model.ckpt.*sha256"):
             type(model).load(path)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_value_fails_to_load(self, tmp_path, corpus, precision, bad):
+        """A value that the sidecar's hash vouches for must still be finite."""
+        model = build_model(corpus, seed=5, **dict(TINY, precision=precision))
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        values = model.value_buffer().astype(model.value_buffer().dtype.newbyteorder("<"))
+        values[model.params["decoder.0.ff.w1"].span.start] = bad
+        self.write_with_matching_hash(path, values.tobytes())
+        with pytest.raises(CheckpointMismatchError,
+                           match="model.ckpt: parameter file holds NaN or Inf"):
+            type(model).load(path)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_model_writes_no_file(self, tmp_path, corpus, precision, bad):
+        model = build_model(corpus, seed=5, **dict(TINY, precision=precision))
+        model.params["decoder.0.ff.w1"].data[0, 0] = bad
+        with pytest.raises(NonFiniteError, match="model.ckpt"):
+            model.save(tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_checkpoint_names_path(self, tmp_path, model):
         path = tmp_path / "model.ckpt"

@@ -7,11 +7,13 @@ the saved config and the values its sidecar's hash names, a TSV record passes
 `check_target`, and a wiki record's pointers index its utterance. Byte mutants flip, insert or delete one to
 three bytes, drawn from `np.random.default_rng` with a fixed seed. Field
 mutants replace one value of the JSON, in turn every value, with each entry
-of `FIELD_POOL`. The 1,349 cases: a TINY checkpoint's sidecar with each of
+of `FIELD_POOL`. The 1,409 cases: a TINY checkpoint's sidecar with each of
 its 49 fields replaced by each pool entry (441) and 300 byte mutants; 100
 parameter files, cut, extended or flipped, half with a sidecar rehashed to
-match; 200 TSV corpora; a wiki JSON line with each of its 12 fields replaced
-by each pool entry (108) and 200 JSON-lines byte mutants.
+match; 60 parameter files with one value made NaN or infinite and the sidecar
+rehashed, none of which may load; 200 TSV corpora; a wiki JSON line with each
+of its 12 fields replaced by each pool entry (108) and 200 JSON-lines byte
+mutants.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from concept_parse.data import load_topv2_tsv, load_wikiwiki_jsonl
-from concept_parse.errors import ConceptParseError
+from concept_parse.errors import CheckpointMismatchError, ConceptParseError
 from concept_parse.model import ConceptModel
 from concept_parse.parse import Pointer, check_target
 from concept_parse.synthetic import transfer_pair_rows
@@ -129,6 +131,24 @@ def test_parameter_file_mutants(checkpoint):
         sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
         loaded += assert_loads_saved(path, model, named)
     assert loaded > 0  # a rehashed flip of a value byte loads that value
+
+
+def test_non_finite_parameter_file_mutants(checkpoint):
+    model, path, sidecar_path = checkpoint
+    values, sidecar = model.value_buffer().astype("<f4"), json.loads(sidecar_path.read_bytes())
+    rng = np.random.default_rng(1991)
+    for _ in range(60):
+        # all-ones exponent, random sign and mantissa: infinite when the mantissa is 0
+        bits = np.uint32(0x7F800000 | int(rng.integers(0, 2)) << 31
+                         | int(rng.integers(0, 1 << 23)) * int(rng.integers(0, 2)))
+        mutant = values.copy()
+        mutant.view("<u4")[int(rng.integers(0, mutant.size))] = bits
+        blob = mutant.tobytes()
+        path.write_bytes(blob)
+        sidecar["params_sha256"] = hashlib.sha256(blob).hexdigest()
+        sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+        with pytest.raises(CheckpointMismatchError, match="NaN or Inf"):
+            ConceptModel.load(path)
 
 
 def test_tsv_mutants(tmp_path):

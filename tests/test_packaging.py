@@ -52,7 +52,7 @@ def _tree(path) -> ast.Module:
 
 # Definitions in src/ that nothing in src/ or perfbench/ reads yet. Each is a
 # piece of the leave-one-domain-out and SPIS protocol (Chen et al., 2020) that
-# the `concept-parse run` command of ROADMAP item 3 will read; that command
+# the `concept-parse run` command of ROADMAP item 5 will read; that command
 # empties this list.
 PROTOCOL_PIECES = {
     "load_corpus": "reads the TOPv2 train and test pools a run splits",

@@ -2,6 +2,7 @@
 what the loops write under ``out_dir``."""
 
 import json
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -199,6 +200,23 @@ class TestTrainConfig:
     def test_negative_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=-1e-3)
+
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 2.5), ("epochs", 2.5), ("batch_size", True), ("epochs", True),
+        ("seed", 1.5), ("seed", -1), ("seed", True), ("patience", "5"),
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", True),
+        ("adam_eps", 0.0), ("weight_decay", -1.0), ("warmup_proportion", math.nan),
+        ("warmup_proportion", 1.5), ("rehearsal_multiplier", math.inf),
+        ("adam_betas", (1.0, 0.999)), ("adam_betas", (0.9, 1.5)),
+        ("adam_betas", (-0.1, 0.999)), ("adam_betas", (0.9, math.nan)), ("adam_betas", (0.9,)),
+    ])
+    def test_bad_field_rejected_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_range_ends_accepted(self):
+        TrainConfig(seed=0, learning_rate=0, weight_decay=0.0, rehearsal_multiplier=0.0,
+                    warmup_proportion=1.0, adam_betas=(0.0, np.float64(0.5)))
 
 
 class TestTrainKnownDomains:
