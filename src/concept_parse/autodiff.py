@@ -557,10 +557,15 @@ def adam_step(params: Iterable[Parameter], lr: float,
     is a separate multiplicative shrink before the gradient-driven update
     (Loshchilov & Hutter, 2019); gradients are zeroed afterwards. Each
     expression keeps the operand order of the per-parameter update, so the
-    result is bit-equal to it.
+    result is bit-equal to it. A NaN or infinite gradient in any arena raises
+    `NonFiniteError`, naming that arena's next step, before anything is written.
     """
     b1, b2 = betas
-    for arena in _whole_arenas(params):
+    arenas = _whole_arenas(params)
+    for arena in arenas:
+        if not np.isfinite(arena.grad).all():
+            raise NonFiniteError(f"Adam step {arena.step + 1}: a gradient holds NaN or Inf")
+    for arena in arenas:
         arena.step += 1
         c1 = 1.0 - b1 ** arena.step
         c2 = 1.0 - b2 ** arena.step

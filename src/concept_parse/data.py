@@ -33,6 +33,7 @@ from .errors import (
     DomainNotFoundError,
     NeedTwoDomainsError,
     SpanAlignmentError,
+    require_count,
 )
 from .parse import (
     ConceptTag,
@@ -92,10 +93,8 @@ class SpiConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        for name, low in (("k", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        require_count("k", self.k, 1)
+        require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,8 @@ def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], L
     Contexts are split into sentences, and each mention goes to the one
     sentence that wholly contains it. A mention that no sentence contains, or
     an empty one, is dropped and counted once; overlapping mentions are
-    resolved in favor of the longest. A malformed line, or a sentence whose
+    resolved in favor of the longest. A malformed line (one whose mention
+    offsets are not JSON integers of at least 0, for one), or a sentence whose
     mentions do not align to its token boundaries, is skipped and noted with
     its line number.
     """
@@ -280,11 +280,12 @@ def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], L
             if not isinstance(context, str):
                 raise TypeError(f"context is {type(context).__name__}, not a string")
             raw_mentions = [
-                Mention(start=int(m["start"]), end=int(m["end"]),
+                Mention(start=require_count("mention start", m["start"], 0),
+                        end=require_count("mention end", m["end"], 0),
                         entity=str(m["entity"]), type_name=str(m["type"]))
                 for m in payload.get("mentions", [])
             ]
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             report.note(f"line {line_no}: {exc}")
             continue
         sentences = _split_sentences(context)
@@ -356,16 +357,14 @@ def tags_from_records(records: Sequence[DatasetRecord]) -> list[ConceptTag]:
 
 # content fingerprints: record identities that show splits are disjoint
 
-def record_canonical_json(record: DatasetRecord) -> str:
-    """Stable one-line JSON identity of a record."""
-    return json.dumps(
+def record_fingerprint(record: DatasetRecord) -> str:
+    """SHA-256 of a record's canonical one-line JSON: domain, utterance and
+    target token strings, with sorted keys and no spaces."""
+    canonical = json.dumps(
         {"domain": record.domain, "utterance": record.utterance.raw,
          "target": record.target.token_strings()},
         sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
-def record_fingerprint(record: DatasetRecord) -> str:
-    return hashlib.sha256(record_canonical_json(record).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def corpus_fingerprint(records: Iterable[DatasetRecord]) -> dict:

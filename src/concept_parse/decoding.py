@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_count
 from .model import ConceptBank, ConceptModel
 from .parse import Pointer, TargetSequence, TargetToken, Utterance
 
@@ -59,8 +60,7 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     appends the live beams' (parents, picks) to a trail, which a finished
     hypothesis walks back for its tokens.
     """
-    if not isinstance(beam_width, int) or isinstance(beam_width, bool) or beam_width < 1:
-        raise ValueError(f"beam width must be an integer of at least 1, got {beam_width!r}")
+    require_count("beam width", beam_width, 1)
     src = model.encode_source(utterance.tokens)
     width = bank.m + len(src)
     steps = _bracket_steps(bank, len(src))

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and `require_count`, the one check
+of a size, count, seed or offset."""
 
 
 class ConceptParseError(Exception):
@@ -97,3 +98,10 @@ class NeedTwoDomainsError(ConceptParseError):
 
 class CheckpointMismatchError(ConceptParseError):
     """Raised when a checkpoint is used with an incompatible config or vocabulary."""
+
+
+def require_count(name: str, value, low: int) -> int:
+    """``value`` if it is an ``int``, not a ``bool``, of at least ``low``; else `ValueError`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return value

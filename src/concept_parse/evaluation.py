@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -100,55 +101,41 @@ class EvalReport:
 def evaluate_domain(model: ConceptModel, bank: ConceptBank,
                     records: Sequence[DatasetRecord], beam_width: int = 4
                     ) -> EvalReport:
-    """Beam-decode every record and aggregate EM, micro-F1, and validity."""
+    """Beam-decode each record into one outcome; the report's metrics are sums over them."""
     if not records:
         raise EmptyEvalSetError("evaluation needs at least one record")
-    em_total = 0
-    valid_total = 0
-    truncated = 0
-    matched = predicted = gold = 0
     outcomes: list[dict] = []
-    invalid_reasons: dict[str, int] = {}
     for record in records:
-        hypotheses = beam_decode(model, record.utterance, bank,
-                                 beam_width=beam_width)
-        pred = hypotheses[0].sequence
-        em = exact_match(pred, record.target)
+        best = beam_decode(model, record.utterance, bank, beam_width=beam_width)[0]
+        pred = best.sequence
         reason = None
         try:
             check_target(pred, record.utterance)
         except MalformedTargetError as err:
             reason = err.reason
-            invalid_reasons[reason] = invalid_reasons.get(reason, 0) + 1
-        valid = reason is None
-        counts = span_counts(pred if valid else None, record.target)
-        em_total += em
-        valid_total += int(valid)
-        truncated += hypotheses[0].truncated
-        matched += counts.matched
-        predicted += counts.predicted
-        gold += counts.gold
+        counts = span_counts(pred if reason is None else None, record.target)
         outcomes.append({
             "utterance": record.utterance.raw,
             "gold": record.target.token_strings(),
             "pred": pred.token_strings(),
-            "em": em,
+            "em": exact_match(pred, record.target),
             "f1_counts": [counts.matched, counts.predicted, counts.gold],
-            "valid": valid,
+            "valid": reason is None,
             "invalid_reason": reason,
-            "truncated": hypotheses[0].truncated,
+            "truncated": best.truncated,
         })
-    _, _, f1 = _precision_recall_f1(matched, predicted, gold)
+    matched, predicted, gold = map(sum, zip(*(o["f1_counts"] for o in outcomes)))
     report = EvalReport(
-        em=100.0 * em_total / len(records),
-        f1=f1,
-        validity=100.0 * valid_total / len(records),
+        em=100.0 * sum(o["em"] for o in outcomes) / len(records),
+        f1=_precision_recall_f1(matched, predicted, gold)[2],
+        validity=100.0 * sum(o["valid"] for o in outcomes) / len(records),
         count=len(records),
         matched_spans=matched,
         predicted_spans=predicted,
         gold_spans=gold,
-        invalid_reasons=invalid_reasons,
-        truncated=truncated,
+        invalid_reasons=dict(Counter(o["invalid_reason"] for o in outcomes
+                                     if not o["valid"])),
+        truncated=sum(o["truncated"] for o in outcomes),
         outcomes=outcomes,
     )
     log.info("evaluated %d records: EM %.2f F1 %.2f validity %.2f",

@@ -26,14 +26,15 @@ which agree with teacher forcing to rounding, not bit for bit. ln1 and ln3 are
 not folded: in a measured variant that did, the step saved what the search's
 set-up lost.
 
-`initial_state` and `decode_step` read weights through arena views bound once
-by `_assemble`, so neither formats parameter names. A `Parameter`'s ``data``
-view is never rebound (`adam_step`, a restore into `value_buffer` and `load`
-all write through it), so the bound views follow every later write; a state
-keeps the folded products of the weights it was made from. Each decoder layer
-also binds stacked views: self-attention Q, K and V are one (3, d, d) product
-and the cross-attention keys and values one (2, d, d) product. These rely on
-`_layout` placing ``wq, wk, wv`` (and ``bq, bk, bv``) next to each other, which
+Weights are read by name from ``self.params``; only `decode_step` reads the
+position table and each decoder layer's weights (which `initial_state` folds)
+through views bound once by `_assemble`. A `Parameter`'s ``data`` view is never
+rebound (`adam_step`, a restore into `value_buffer` and `load` all write
+through it), so the bound views follow every later write; a state keeps the
+folded products of the weights it was made from. Each decoder layer also binds
+stacked views: self-attention Q, K and V are one (3, d, d) product and the
+cross-attention keys and values one (2, d, d) product. These rely on `_layout`
+placing ``wq, wk, wv`` (and ``bq, bk, bv``) next to each other, which
 `_stacked` checks.
 
 `_layout` fixes every parameter's name, shape and initialisation once: a new
@@ -62,6 +63,7 @@ from .errors import (
     PointerRangeError,
     ShapeError,
     UnknownConceptError,
+    require_count,
 )
 from .parse import ConceptTag, Pointer, TargetToken
 
@@ -88,16 +90,9 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "precision" and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        for name in ("width", "ff_width", "max_source_len", "max_target_len",
-                     "encoder_heads", "decoder_heads", "concept_heads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("encoder_layers", "decoder_layers", "concept_layers"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+            if f.name != "precision":
+                require_count(f.name, getattr(self, f.name),
+                              0 if f.name.endswith("_layers") else 1)
         for heads in (self.encoder_heads, self.decoder_heads, self.concept_heads):
             if self.width % heads:
                 raise ValueError(
@@ -320,12 +315,12 @@ class ConceptModel:
         layout = _layout(config, len(source_vocab), len(concept_vocab))
         self.params: dict[str, Parameter] = ad.arena_parameters(
             {name: shape for name, shape, _ in layout}, self.dtype)
-        self._views = {name: p.data for name, p in self.params.items()}
-        # decode_step's views of each decoder layer, by name below the layer, and
-        # the stacked self.wqkv, self.bqkv, cross.wkv and cross.bkv
+        # decode_step's views: the position table, each decoder layer's by name
+        # below the layer, and the stacked self.wqkv, self.bqkv, cross.wkv and cross.bkv
+        self._step_pos = self.params["decoder.pos"].data
         self._step_layers = []
         for prefix in (f"decoder.{i}." for i in range(config.decoder_layers)):
-            views = {name[len(prefix):]: view for name, view in self._views.items()
+            views = {name[len(prefix):]: p.data for name, p in self.params.items()
                      if name.startswith(prefix)}
             for attn, parts in (("self", "qkv"), ("cross", "kv")):
                 for kind in "wb":
@@ -333,11 +328,6 @@ class ConceptModel:
                         [f"{prefix}{attn}.{kind}{part}" for part in parts])
             self._step_layers.append(views)
         return layout
-
-    # parameter access
-
-    def _p(self, name: str) -> Parameter:
-        return self.params[name]
 
     def _stacked(self, names: Sequence[str]) -> np.ndarray:
         """One (len(names), *shape) view of parameters that follow each other in
@@ -361,18 +351,18 @@ class ConceptModel:
 
     def _mha(self, prefix: str, x: Tensor, kv: Tensor, heads: int,
              mask: Optional[np.ndarray]) -> Tensor:
-        q = ad.affine(x, self._p(f"{prefix}.wq"), self._p(f"{prefix}.bq"))
-        k = ad.affine(kv, self._p(f"{prefix}.wk"), self._p(f"{prefix}.bk"))
-        v = ad.affine(kv, self._p(f"{prefix}.wv"), self._p(f"{prefix}.bv"))
+        q = ad.affine(x, self.params[f"{prefix}.wq"], self.params[f"{prefix}.bq"])
+        k = ad.affine(kv, self.params[f"{prefix}.wk"], self.params[f"{prefix}.bk"])
+        v = ad.affine(kv, self.params[f"{prefix}.wv"], self.params[f"{prefix}.bv"])
         mix = ad.attention(q, k, v, heads, mask)
-        return ad.affine(mix, self._p(f"{prefix}.wo"), self._p(f"{prefix}.bo"))
+        return ad.affine(mix, self.params[f"{prefix}.wo"], self.params[f"{prefix}.bo"])
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self._p(f"{prefix}.gain"), self._p(f"{prefix}.bias"))
+        return ad.layer_norm(x, self.params[f"{prefix}.gain"], self.params[f"{prefix}.bias"])
 
     def _ff(self, prefix: str, x: Tensor) -> Tensor:
-        hidden = ad.gelu(ad.affine(x, self._p(f"{prefix}.w1"), self._p(f"{prefix}.b1")))
-        return ad.affine(hidden, self._p(f"{prefix}.w2"), self._p(f"{prefix}.b2"))
+        hidden = ad.gelu(ad.affine(x, self.params[f"{prefix}.w1"], self.params[f"{prefix}.b1"]))
+        return ad.affine(hidden, self.params[f"{prefix}.w2"], self.params[f"{prefix}.b2"])
 
     def _stack(self, side: str, x: Tensor, mask: Optional[np.ndarray],
                enc: Optional[Tensor] = None, enc_mask: Optional[np.ndarray] = None
@@ -394,7 +384,7 @@ class ConceptModel:
 
     def _embed(self, table: Tensor, side: str, ids: np.ndarray) -> Tensor:
         """Rows ``ids`` (B, T) of ``table`` plus the first T rows of ``{side}.pos``."""
-        pos = ad.gather_rows(self._p(f"{side}.pos"), np.arange(ids.shape[1]))
+        pos = ad.gather_rows(self.params[f"{side}.pos"], np.arange(ids.shape[1]))
         return ad.add(ad.gather_rows(table, ids), pos)
 
     def _pad(self, rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -415,7 +405,7 @@ class ConceptModel:
             raise LengthExceededError(
                 f"source length {src_ids.shape[1]} exceeds maximum "
                 f"{self.config.max_source_len}")
-        x = self._embed(self._p("encoder.embed"), "encoder", src_ids)
+        x = self._embed(self.params["encoder.embed"], "encoder", src_ids)
         return self._stack("encoder", x, None if src_pad is None else src_pad[:, None, None, :])
 
     def encode_source(self, tokens: Sequence[str]) -> np.ndarray:
@@ -445,9 +435,10 @@ class ConceptModel:
                 f"{self.config.max_source_len - 1}")
         ids, pad = self._pad([self.concept_vocab.ids([SUMMARY, *words])
                               for words in descriptions])
-        x = self._embed(self._p("concept.embed"), "concept", ids)
+        x = self._embed(self.params["concept.embed"], "concept", ids)
         summary = ad.take_index(self._stack("concept", x, pad[:, None, None, :]), 0, axis=1)
-        return ad.affine(summary, self._p("concept.adapter.w"), self._p("concept.adapter.b"))
+        return ad.affine(summary, self.params["concept.adapter.w"],
+                         self.params["concept.adapter.b"])
 
     def encode_concepts(self, tags: Sequence[ConceptTag]) -> ConceptBank:
         """Encode tag descriptions into the bank used for decoding."""
@@ -471,7 +462,7 @@ class ConceptModel:
                 raise PointerRangeError(
                     f"pointer index {token.index} outside the embedding table "
                     f"(max {self.config.max_source_len - 1})")
-            return self._views["decoder.ptr_embed"][token.index]
+            return self.params["decoder.ptr_embed"].data[token.index]
         rows = [i for i, tag in enumerate(bank.tags) if tag == token]
         if not rows:
             raise UnknownConceptError(
@@ -488,8 +479,8 @@ class ConceptModel:
         Row i < m is concept vector i of the bank, row m + j the embedding of
         pointer j, and the last row, `bos_index`, the BOS embedding.
         """
-        bos = ad.reshape(self._p("decoder.bos"), (1, self.config.width))
-        return ad.concat([bank_vectors, self._p("decoder.ptr_embed"), bos], axis=0)
+        bos = ad.reshape(self.params["decoder.bos"], (1, self.config.width))
+        return ad.concat([bank_vectors, self.params["decoder.ptr_embed"], bos], axis=0)
 
     def initial_state(self, src_states: np.ndarray, bank: ConceptBank) -> DecoderState:
         """One-beam state at position 0 of a search over ``src_states`` (n,
@@ -513,9 +504,9 @@ class ConceptModel:
             cross_a.append(a.transpose(1, 0, 2).reshape(d, heads * n))
             cross_c.append(c.reshape(heads * n))
             cross_o.append(o.reshape(heads * n, d))
-        views = self._views
-        gain, bias = views["decoder.final_ln.gain"], views["decoder.final_ln.bias"]
-        parts = [(views[f"head.{kind}.w"], views[f"head.{kind}.b"], rows.T)
+        params = self.params
+        gain, bias = params["decoder.final_ln.gain"].data, params["decoder.final_ln.bias"].data
+        parts = [(params[f"head.{kind}.w"].data, params[f"head.{kind}.b"].data, rows.T)
                  for kind, rows in (("concept", bank.vectors), ("pointer", src_states))]
         head = np.concatenate([(gain[:, None] * w) @ rows for w, _, rows in parts], axis=1)
         head_bias = np.concatenate([(bias @ w + b) @ rows for w, b, rows in parts])
@@ -533,6 +524,11 @@ class ConceptModel:
         whose first m entries follow the bank's tag order and last n are
         pointers in source order, and the state at t + 1, whose self-attention
         keys and values append each beam's new ones. ``state`` is unchanged.
+
+        A ``prev`` of another shape, or holding anything but rows of the
+        table, raises `ShapeError`. A decode leaves the model here, so a NaN or
+        Inf weight or folded product, which the final log-softmax spreads over
+        its row, raises `NonFiniteError` here.
         """
         cfg = self.config
         t = state.t
@@ -540,13 +536,20 @@ class ConceptModel:
             raise LengthExceededError(
                 f"decoding step {t} exceeds maximum target length "
                 f"{cfg.max_target_len}")
-        if np.ndim(prev) != 1 or any(len(k) != len(prev) for k in state.self_keys[:1]):
+        prev = np.asarray(prev)
+        if prev.ndim != 1 or any(len(k) != len(prev) for k in state.self_keys[:1]):
             raise ShapeError(f"need one previous output index per beam of the state, "
-                             f"got shape {np.shape(prev)}")
+                             f"got shape {prev.shape}")
+        try:  # a negative index would wrap round to the table's last rows
+            if prev.dtype.kind not in "iu" or np.minimum.reduce(prev, initial=0) < 0:
+                raise IndexError
+            x = state.table[prev] + self._step_pos[t]
+        except IndexError:
+            raise ShapeError(f"previous output indices {prev.tolist()} must be integers in "
+                             f"[0, {len(state.table)}), the decoder input table's rows") from None
         d = cfg.width
         heads, hd = cfg.decoder_heads, d // cfg.decoder_heads
         beams = len(prev)
-        x = state.table[prev] + self._views["decoder.pos"][t]
         self_keys, self_values = [], []
         for i, w in enumerate(self._step_layers):
             h, _, _ = ad.layer_norm_kernel(x, w["ln1.gain"], w["ln1.bias"])
@@ -571,6 +574,8 @@ class ConceptModel:
 
         xhat, _ = ad.normalize_kernel(x)
         log_probs = ad.log_softmax_kernel(xhat @ state.head + state.head_bias)
+        if not np.isfinite(log_probs).all():
+            raise NonFiniteError(f"decoding step {t} produced NaN or Inf log-probabilities")
         return log_probs, DecoderState(
             state.table, state.cross_a, state.cross_c, state.cross_o, state.head,
             state.head_bias, tuple(self_keys), tuple(self_values), t + 1)
@@ -629,8 +634,8 @@ class ConceptModel:
                   * _NEG)[None, None, :, :]
         d_t = self._stack("decoder", x, causal, enc, batch.src_pad[:, None, None, :])
 
-        concept_q = ad.affine(d_t, self._p("head.concept.w"), self._p("head.concept.b"))
-        pointer_q = ad.affine(d_t, self._p("head.pointer.w"), self._p("head.pointer.b"))
+        concept_q = ad.affine(d_t, self.params["head.concept.w"], self.params["head.concept.b"])
+        pointer_q = ad.affine(d_t, self.params["head.pointer.w"], self.params["head.pointer.b"])
         scale = 1.0 / math.sqrt(cfg.width)
         s = ad.scale(ad.matmul(concept_q, ad.transpose(bank_vectors, (1, 0))), scale)
         a = ad.scale(ad.matmul(pointer_q, ad.transpose(enc, (0, 2, 1))), scale)

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Schedule, Tensor, lr_at
 from .data import DatasetRecord, DomainSplit, PretrainRecord, tags_from_records
-from .errors import EmptyEvalSetError, EmptyFewShotError
+from .errors import EmptyEvalSetError, EmptyFewShotError, require_count
 from .evaluation import teacher_forced_accuracy
 from .model import ConceptModel
 from .parse import ConceptTag, target_tags
@@ -56,9 +56,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("patience", "batch_size", "fewshot_eval_every", "epochs",
                      "pretrain_epochs", "fewshot_epochs", "seed"):
-            value, low = getattr(self, name), 0 if name == "seed" else 1
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+            require_count(name, getattr(self, name), 0 if name == "seed" else 1)
         if not isinstance(self.adam_betas, tuple) or len(self.adam_betas) != 2:
             raise ValueError(f"adam_betas must be a pair, got {self.adam_betas!r}")
         for name, value, bound, within in (

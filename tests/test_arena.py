@@ -9,7 +9,7 @@ import pytest
 
 import concept_parse.autodiff as ad
 from concept_parse.data import tags_from_records
-from concept_parse.errors import ShapeError
+from concept_parse.errors import NonFiniteError, ShapeError
 from concept_parse.model import ConceptModel
 from concept_parse.training import batch_nll_tensor
 
@@ -66,6 +66,21 @@ class TestFlatAdam:
         with pytest.raises(ValueError, match="whole arenas"):
             ad.adam_step(params[1:], lr=1e-3)
         assert np.array_equal(before, model.value_buffer())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_gradient_is_refused_before_any_write(self, corpus, value):
+        model = build_model(corpus, seed=1, **TINY)
+        backward_on(model, corpus[:4])
+        ad.adam_step(model.parameters().values(), lr=1e-3, weight_decay=0.01)
+        backward_on(model, corpus[4:8])
+        arena = model.params["decoder.bos"].arena
+        arena.grad[7] = value
+        before = [buffer.tobytes() for buffer in (arena.data, arena.grad, arena.m, arena.v)]
+        with pytest.raises(NonFiniteError, match="Adam step 2"):
+            ad.adam_step(model.parameters().values(), lr=1e-3, weight_decay=0.01)
+        assert arena.step == 1
+        assert [buffer.tobytes() for buffer in (arena.data, arena.grad, arena.m, arena.v)] \
+            == before
 
 
 class TestViews:

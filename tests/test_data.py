@@ -307,7 +307,19 @@ class TestWikiLoader:
         records, report = load_wikiwiki_jsonl(path)
         assert [r.utterance.raw for r in records] == ["ok"]
         assert report.skipped == 1 and report.loaded == 1
-        assert report.messages[0].startswith("line 1: cannot convert float infinity")
+        assert report.messages[0].startswith(
+            "line 1: mention start must be an integer of at least 0, got inf")
+
+    @pytest.mark.parametrize("start, end", [(8.9, 14.2), (False, True), ("3", "7"), (-1, 2)],
+                             ids=["float", "bool", "string", "negative"])
+    def test_offsets_must_be_json_integers_of_at_least_0(self, tmp_path, start, end):
+        records, report = load_wiki(tmp_path, [
+            {"context": "we like coffee",
+             "mentions": [{"start": start, "end": end, "entity": "X", "type": "x"}]},
+            {"context": "ok", "mentions": []}])
+        assert [r.utterance.raw for r in records] == ["ok"]
+        assert report.skipped == 1 and report.loaded == 1
+        assert "must be an integer of at least 0" in report.messages[0]
 
     def test_deeply_nested_mentions_counted(self, tmp_path):
         path = tmp_path / "w.jsonl"

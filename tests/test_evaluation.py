@@ -210,6 +210,17 @@ class TestEvaluateDomain:
             assert (outcome["invalid_reason"] is None) == outcome["valid"]
         assert report.invalid_reasons == dict(Counter(
             o["invalid_reason"] for o in report.outcomes if not o["valid"]))
+        # every other total is its sum over the outcomes too
+        assert report.em == 100.0 * sum(o["em"] for o in report.outcomes) / report.count
+        assert report.validity == 100.0 * valid / report.count
+        assert report.truncated == sum(o["truncated"] for o in report.outcomes)
+        matched, predicted, gold = (sum(o["f1_counts"][i] for o in report.outcomes)
+                                    for i in range(3))
+        assert (report.matched_spans, report.predicted_spans, report.gold_spans) == \
+            (matched, predicted, gold)
+        precision, recall = matched / max(predicted, 1), matched / max(gold, 1)
+        assert report.f1 == pytest.approx(
+            200.0 * precision * recall / (precision + recall) if matched else 0.0)
 
     def test_truncated_counts_outputs_cut_by_the_length_cap(self):
         records = records_from_rows(two_domain_rows(6, seed=2))

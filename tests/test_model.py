@@ -22,6 +22,7 @@ from concept_parse.errors import (
     PointerRangeError,
     ShapeError,
     UnknownConceptError,
+    require_count,
 )
 from concept_parse.decoding import beam_decode
 from concept_parse.model import ConceptBank, ModelConfig
@@ -221,6 +222,21 @@ class TestDecodeStep:
         for wrong in (inputs, bank.m):
             with pytest.raises(ShapeError, match="one previous output index per beam"):
                 model.decode_step(first, wrong)
+
+    @pytest.mark.parametrize("prev", [-1, 10**6, 1.0], ids=["negative", "past_table", "float"])
+    def test_previous_index_must_be_a_row_of_the_input_table(self, model, bank, prev):
+        state = model.initial_state(model.encode_source(("how", "far", "is")), bank)
+        with pytest.raises(ShapeError, match=re.escape(f"in [0, {len(state.table)})")):
+            model.decode_step(state, np.array([prev]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_fails_the_decode(self, corpus, value):
+        model = build_model(corpus, seed=1, **TINY)
+        bank = model.encode_concepts(tags_from_records(corpus))
+        model.params["decoder.0.ff.w1"].data[0, 0] = value
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(NonFiniteError, match="decoding step 0"):
+            beam_decode(model, corpus[0].utterance, bank)
 
     def test_a_state_is_a_value(self, model, bank):
         """Stepping or reordering a state leaves every array of it as it was,
@@ -547,13 +563,13 @@ class TestModelConfig:
                                       "decoder_heads", "concept_heads"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_sizes_below_one_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
             ModelConfig(**dict(TINY, **{name: value}))
 
     @pytest.mark.parametrize("name", ["encoder_layers", "decoder_layers",
                                       "concept_layers"])
     def test_negative_layer_counts_rejected(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be at least 0"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 0"):
             ModelConfig(**dict(TINY, **{name: -1}))
         ModelConfig(**dict(TINY, **{name: 0}))
 
@@ -564,6 +580,14 @@ class TestModelConfig:
     def test_sizes_and_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ModelConfig(**dict(TINY, **{name: value}))
+
+    @pytest.mark.parametrize("value, low", [(True, 0), (1.0, 1), (0, 1), (-1, 0), ("3", 0)],
+                             ids=["bool", "float", "below_one", "below_zero", "string"])
+    def test_require_count_rejects_all_but_integers_from_the_bound(self, value, low):
+        with pytest.raises(ValueError, match=f"n must be an integer of at least {low}"):
+            require_count("n", value, low)
+        assert require_count("n", low, low) == low
+        assert require_count("n", low + 5, low) == low + 5
 
     @pytest.mark.parametrize("value", [["single"], None, "half"], ids=["list", "none", "half"])
     def test_precision_must_be_single_or_double(self, value):

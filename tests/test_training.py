@@ -13,7 +13,8 @@ from concept_parse.data import (
     build_leave_one_out,
     sample_spi,
 )
-from concept_parse.errors import EmptyEvalSetError, EmptyFewShotError, UnknownConceptError
+from concept_parse.errors import (EmptyEvalSetError, EmptyFewShotError, NonFiniteError,
+                                  UnknownConceptError)
 from concept_parse.model import ConceptModel
 from concept_parse.parse import target_tags
 from concept_parse.synthetic import transfer_pair_rows
@@ -289,6 +290,23 @@ class TestPretrainLoop:
         result = pretrain_wikiwiki(model, records,
                                    quick_cfg(pretrain_epochs=6, learning_rate=2e-3))
         assert result.log[-1]["loss"] < result.log[0]["loss"]
+
+    def test_non_finite_gradient_stops_the_run_before_a_weight_is_written(
+            self, tmp_path, monkeypatch):
+        records = wiki_records(tmp_path, count=10)
+        model = build_model([], wiki_records=records, seed=0, **TINY)
+        backward, steps = training.ad.backward, []
+
+        def backward_then_poison(loss):
+            backward(loss)
+            steps.append(None)
+            if len(steps) == 2:
+                model.params["decoder.bos"].grad[0] = np.inf
+
+        monkeypatch.setattr(training.ad, "backward", backward_then_poison)
+        with pytest.raises(NonFiniteError, match="Adam step 2"):
+            pretrain_wikiwiki(model, records, quick_cfg())
+        assert np.isfinite(model.value_buffer()).all()
 
 
 class TestFewshotFinetune:
