@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, NotScalarError, ShapeError
+from .errors import NonFiniteError, NotScalarError, ShapeError, require_real
 
 DTYPES = {"single": np.float32, "double": np.float64}
 
@@ -558,9 +558,18 @@ def adam_step(params: Iterable[Parameter], lr: float,
     (Loshchilov & Hutter, 2019); gradients are zeroed afterwards. Each
     expression keeps the operand order of the per-parameter update, so the
     result is bit-equal to it. A NaN or infinite gradient in any arena raises
-    `NonFiniteError`, naming that arena's next step, before anything is written.
+    `NonFiniteError`, naming that arena's next step, and a hyper-parameter
+    outside its range (``lr`` and ``weight_decay`` at least 0, ``eps`` above
+    0, each beta in [0, 1)) raises `ValueError`, both before anything is written.
     """
     b1, b2 = betas
+    for name, value, bound, within in (
+            ("lr", lr, "at least 0", lambda v: v >= 0),
+            ("weight_decay", weight_decay, "at least 0", lambda v: v >= 0),
+            ("eps", eps, "above 0", lambda v: v > 0),
+            ("betas[0]", b1, "in [0, 1)", lambda v: 0 <= v < 1),
+            ("betas[1]", b2, "in [0, 1)", lambda v: 0 <= v < 1)):
+        require_real(name, value, bound, within)
     arenas = _whole_arenas(params)
     for arena in arenas:
         if not np.isfinite(arena.grad).all():

@@ -34,6 +34,7 @@ from .errors import (
     NeedTwoDomainsError,
     SpanAlignmentError,
     require_count,
+    require_real,
 )
 from .parse import (
     ConceptTag,
@@ -193,8 +194,10 @@ def build_leave_one_out(train_records: Sequence[DatasetRecord],
     Known-domain training data comes from every other domain, with a seeded
     per-domain fraction held back for validation. The held-out domain's train
     and test records are passed through untouched. A corpus with no domain
-    besides ``held_out`` raises `NeedTwoDomainsError`.
+    besides ``held_out`` raises `NeedTwoDomainsError`, and a ``valid_fraction``
+    outside [0, 1] `ValueError`.
     """
+    require_real("valid_fraction", valid_fraction, "in [0, 1]", lambda v: 0 <= v <= 1)
     domains = sorted({r.domain for r in train_records})
     if held_out not in domains:
         raise DomainNotFoundError(
@@ -258,6 +261,13 @@ def _resolve_overlaps(mentions: list[Mention], report: LoadReport) -> list[Menti
     return sorted(kept, key=lambda m: m.start)
 
 
+def _require_string(name: str, value) -> str:
+    """``value`` if it is a JSON string; else `TypeError`."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} is {type(value).__name__}, not a string")
+    return value
+
+
 def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], LoadReport]:
     """Load wiki contexts as flat-tagging pretraining records, one per sentence.
 
@@ -265,7 +275,8 @@ def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], L
     sentence that wholly contains it. A mention that no sentence contains, or
     an empty one, is dropped and counted once; overlapping mentions are
     resolved in favor of the longest. A malformed line (one whose mention
-    offsets are not JSON integers of at least 0, for one), or a sentence whose
+    offsets are not JSON integers of at least 0, or whose mention entity or
+    type is not a JSON string, for two), or a sentence whose
     mentions do not align to its token boundaries, is skipped and noted with
     its line number.
     """
@@ -276,13 +287,12 @@ def load_wikiwiki_jsonl(path: Union[str, Path]) -> tuple[list[PretrainRecord], L
             continue
         try:
             payload = json.loads(line)
-            context = payload["context"]
-            if not isinstance(context, str):
-                raise TypeError(f"context is {type(context).__name__}, not a string")
+            context = _require_string("context", payload["context"])
             raw_mentions = [
                 Mention(start=require_count("mention start", m["start"], 0),
                         end=require_count("mention end", m["end"], 0),
-                        entity=str(m["entity"]), type_name=str(m["type"]))
+                        entity=_require_string("mention entity", m["entity"]),
+                        type_name=_require_string("mention type", m["type"]))
                 for m in payload.get("mentions", [])
             ]
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
@@ -402,7 +412,9 @@ def _first_existing(directory: Path, *names: str) -> Path:
 
 def carve_test_split(records: Sequence[DatasetRecord], fraction: float = 0.2,
                      seed: int = 9_173) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
-    """Deterministic per-domain train/test carve for single-file corpora."""
+    """Deterministic per-domain train/test carve for single-file corpora; a
+    ``fraction`` outside [0, 1] raises `ValueError`."""
+    require_real("fraction", fraction, "in [0, 1]", lambda v: 0 <= v <= 1)
     return _hold_back(records, fraction, seed)
 
 

@@ -1,5 +1,10 @@
-"""Exception types shared across the toolkit, and `require_count`, the one check
-of a size, count, seed or offset."""
+"""Exception types shared across the toolkit; `require_count`, the one check of
+a size, count, seed or offset; and `require_real`, the one check of a real
+hyper-parameter or fraction."""
+
+import math
+import numbers
+from typing import Callable
 
 
 class ConceptParseError(Exception):
@@ -104,4 +109,13 @@ def require_count(name: str, value, low: int) -> int:
     """``value`` if it is an ``int``, not a ``bool``, of at least ``low``; else `ValueError`."""
     if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return value
+
+
+def require_real(name: str, value, bound: str, within: Callable[[float], bool]) -> float:
+    """``value`` if it is a finite real, not a ``bool``, that ``within`` accepts;
+    else `ValueError` naming ``bound``."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value) or not within(value)):
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
     return value

@@ -1,11 +1,12 @@
-"""Metrics: exact match, labeled-span F1, teacher-forced accuracy, and domain evaluation."""
+"""Metrics: teacher-forced accuracy, and per-domain exact match and evalb-style
+labeled-span F1 over the span multisets that `check_target` reads."""
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -14,38 +15,9 @@ from .data import DatasetRecord
 from .decoding import beam_decode
 from .errors import EmptyEvalSetError, MalformedTargetError
 from .model import ConceptBank, ConceptModel
-from .parse import ConceptTag, TargetSequence, check_target, labeled_spans
+from .parse import ConceptTag, check_target
 
 log = logging.getLogger(__name__)
-
-
-def exact_match(pred: TargetSequence, gold: TargetSequence) -> int:
-    """1 iff the token sequences are identical; anything else scores 0."""
-    return int(pred == gold)
-
-
-@dataclass(frozen=True)
-class SpanCounts:
-    """Micro-F1 accumulator entries for one prediction/gold pair."""
-
-    matched: int
-    predicted: int
-    gold: int
-
-
-def span_counts(pred: Optional[TargetSequence], gold: TargetSequence) -> SpanCounts:
-    """Matched/predicted/gold labeled-span counts of two target sequences.
-
-    Spans are multisets, as in evalb-style bracket scoring: a span repeated in
-    both sequences matches as often as the fewer of them holds it. ``pred``
-    is None for an invalid prediction, which predicts nothing.
-    """
-    gold_spans = labeled_spans(gold)
-    if pred is None:
-        return SpanCounts(matched=0, predicted=0, gold=gold_spans.total())
-    pred_spans = labeled_spans(pred)
-    return SpanCounts(matched=(pred_spans & gold_spans).total(),
-                      predicted=pred_spans.total(), gold=gold_spans.total())
 
 
 def _precision_recall_f1(matched: int, predicted: int, gold: int
@@ -101,25 +73,31 @@ class EvalReport:
 def evaluate_domain(model: ConceptModel, bank: ConceptBank,
                     records: Sequence[DatasetRecord], beam_width: int = 4
                     ) -> EvalReport:
-    """Beam-decode each record into one outcome; the report's metrics are sums over them."""
+    """Beam-decode each record into one outcome; the report's metrics are sums over them.
+
+    Every gold target is checked first, so a malformed one raises
+    `MalformedTargetError` before anything is decoded. An invalid prediction
+    predicts no span; a span in both matches as often as the fewer holds it.
+    """
     if not records:
         raise EmptyEvalSetError("evaluation needs at least one record")
+    golds = [check_target(record.target, record.utterance) for record in records]
     outcomes: list[dict] = []
-    for record in records:
+    for record, gold_spans in zip(records, golds):
         best = beam_decode(model, record.utterance, bank, beam_width=beam_width)[0]
         pred = best.sequence
         reason = None
         try:
-            check_target(pred, record.utterance)
+            pred_spans = check_target(pred, record.utterance)
         except MalformedTargetError as err:
-            reason = err.reason
-        counts = span_counts(pred if reason is None else None, record.target)
+            reason, pred_spans = err.reason, Counter()
         outcomes.append({
             "utterance": record.utterance.raw,
             "gold": record.target.token_strings(),
             "pred": pred.token_strings(),
-            "em": exact_match(pred, record.target),
-            "f1_counts": [counts.matched, counts.predicted, counts.gold],
+            "em": int(pred == record.target),
+            "f1_counts": [(pred_spans & gold_spans).total(), pred_spans.total(),
+                          gold_spans.total()],
             "valid": reason is None,
             "invalid_reason": reason,
             "truncated": best.truncated,

@@ -6,9 +6,9 @@ target token is a `Pointer` to a source position or a `ConceptTag`, a begin or
 end concept token. A tag's identity is its (name, boundary) symbol: equality
 and hashing ignore its kind and description, which only feed the concept
 encoder. ``parse_seqlogical`` reads a bracketed annotation straight into a
-sequence, and a sequence is valid exactly when ``check_target`` accepts it.
-Labels, concept tags and labeled spans are read from the sequence by
-``target_tags`` and ``labeled_spans``, one pass each.
+sequence, and a sequence is valid exactly when ``check_target`` accepts it;
+``check_target`` reads the labeled spans in the same pass as it validates.
+Labels and concept tags are read from the sequence by ``target_tags``.
 """
 
 from __future__ import annotations
@@ -205,16 +205,24 @@ def parse_seqlogical(annotation: str, utterance: Utterance) -> TargetSequence:
     return TargetSequence(tokens=tuple(out))
 
 
-def check_target(seq: TargetSequence, utterance: Utterance) -> None:
-    """Raise `MalformedTargetError` unless ``seq`` is a valid parse of the utterance.
+Span = tuple[str, Optional[int], Optional[int]]
+
+
+def check_target(seq: TargetSequence, utterance: Utterance) -> Counter[Span]:
+    """The labeled spans of ``seq`` if it is a valid parse of the utterance;
+    else `MalformedTargetError` with the first offending position and the reason.
 
     This is the one rule for a valid target: brackets close in order with
     matching names, every pointer is in range and inside a tag, and the tags
-    form a single root with nothing after it. The error carries the first
-    offending position and the reason.
+    form a single root with nothing after it. A tag pair spans (label, min,
+    max) of the pointers between the pair, nested pairs included, or (label,
+    None, None) with none; each pair counts once, so a repeated span counts
+    as often as it occurs.
     """
     n = len(utterance.tokens)
-    opened: list[str] = []  # names of the open tags, innermost last
+    spans: Counter[Span] = Counter()
+    pointers: list[int] = []
+    opened: list[tuple[str, int]] = []  # (name, len(pointers)) per open tag, innermost last
     for pos, token in enumerate(seq.tokens):
         if pos and not opened:  # only a closed root leaves nothing open
             raise MalformedTargetError("tokens after the root closes", pos)
@@ -225,46 +233,24 @@ def check_target(seq: TargetSequence, utterance: Utterance) -> None:
                     f"pointer @ptr_{token.index} out of range for {n} source tokens")
             if not opened:
                 raise MalformedTargetError("pointer outside any tag", pos)
+            pointers.append(token.index)
         elif token.boundary == "begin":
-            opened.append(token.name)
+            opened.append((token.name, len(pointers)))
         elif not opened:
             raise MalformedTargetError("end tag with no open tag", pos,
                                        f"end tag {token.name!r} with no open tag")
-        elif opened[-1] != token.name:
+        elif opened[-1][0] != token.name:
             raise MalformedTargetError(
                 "end tag does not match open tag", pos,
-                f"end tag {token.name!r} does not match open tag {opened[-1]!r}")
+                f"end tag {token.name!r} does not match open tag {opened[-1][0]!r}")
         else:
-            opened.pop()
+            inside = pointers[opened.pop()[1]:]
+            spans[(token.name, min(inside), max(inside)) if inside
+                  else (token.name, None, None)] += 1
     if opened:
         raise MalformedTargetError("sequence ends with unclosed tags", len(seq.tokens))
     if not seq.tokens:
         raise MalformedTargetError("sequence contains no tags", 0)
-
-
-Span = tuple[str, Optional[int], Optional[int]]
-
-
-def labeled_spans(seq: TargetSequence) -> Counter[Span]:
-    """The (label, start, end) triples of a valid sequence's tag pairs, with
-    their counts.
-
-    The span covers the min/max pointer between the pair, nested pairs
-    included; a pair with no pointer inside yields (label, None, None). Each
-    pair counts once, so repeated spans are counted as often as they occur.
-    """
-    spans: Counter[Span] = Counter()
-    pointers: list[int] = []
-    opened: list[int] = []  # len(pointers) at each open begin tag
-    for token in seq.tokens:
-        if isinstance(token, Pointer):
-            pointers.append(token.index)
-        elif token.boundary == "begin":
-            opened.append(len(pointers))
-        else:
-            inside = pointers[opened.pop():]
-            spans[(token.name, min(inside), max(inside)) if inside
-                  else (token.name, None, None)] += 1
     return spans
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -27,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Schedule, Tensor, lr_at
 from .data import DatasetRecord, DomainSplit, PretrainRecord, tags_from_records
-from .errors import EmptyEvalSetError, EmptyFewShotError, require_count
+from .errors import EmptyEvalSetError, EmptyFewShotError, require_count, require_real
 from .evaluation import teacher_forced_accuracy
 from .model import ConceptModel
 from .parse import ConceptTag, target_tags
@@ -69,9 +68,7 @@ class TrainConfig:
                  lambda v: 0 <= v <= 1),
                 *((f"adam_betas[{i}]", beta, "in [0, 1)", lambda v: 0 <= v < 1)
                   for i, beta in enumerate(self.adam_betas))):
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not math.isfinite(value) or not within(value)):
-                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+            require_real(name, value, bound, within)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared fixtures for the tests, and the oracles they compare against.
 
-Fixtures: model builders, a parser for target token strings, a random
+Fixtures: model builders, a parser for target token strings, the labeled
+spans of a target over an utterance long enough for it, a random
 parse-tree generator for round-trip property tests, a navigation/weather
 corpus, wiki-style pretraining payloads, writers for the TSV and JSON-lines
 formats the loaders read, and a parameter alone in its own arena. Oracles: the
@@ -26,6 +27,7 @@ from concept_parse.model import ConceptModel, ModelConfig, build_vocabularies
 from concept_parse.parse import (
     Pointer,
     TargetSequence,
+    check_target,
     make_tag,
     split_tag_token,
     target_tags,
@@ -66,6 +68,13 @@ def token_from_string(s):
 def sequence_from_strings(strings):
     """A TargetSequence from serialized tokens such as ``["[IN:A", "@ptr_0", "IN:A]"]``."""
     return TargetSequence(tokens=tuple(token_from_string(s) for s in strings))
+
+
+def target_spans(seq):
+    """`check_target`'s labeled spans of a sequence, over an utterance just long
+    enough for its pointers."""
+    n = 1 + max((t.index for t in seq.tokens if isinstance(t, Pointer)), default=0)
+    return check_target(seq, tokenize_utterance(" w" * n))
 
 
 FOODS = ["coffee", "pizza", "sushi", "bagel", "soup"]

@@ -1,6 +1,7 @@
 """Gradient, optimizer and schedule tests for the tensor substrate."""
 
 import math
+import re
 import threading
 
 import numpy as np
@@ -580,6 +581,31 @@ class TestAdam:
                 ad.adam_step([p], lr=0.01, weight_decay=0.01)
             return p.data.tobytes()
         assert run() == run()
+
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(lr=float("nan")), "lr must be a finite number at least 0, got nan"),
+        (dict(lr=-1e-3), "lr must be a finite number at least 0"),
+        (dict(lr="0.1"), "lr must be a finite number at least 0"),
+        (dict(lr=True), "lr must be a finite number at least 0"),
+        (dict(betas=(1.0, 0.999)), "betas[0] must be a finite number in [0, 1), got 1.0"),
+        (dict(betas=(0.9, -0.5)), "betas[1] must be a finite number in [0, 1)"),
+        (dict(eps=0.0), "eps must be a finite number above 0, got 0.0"),
+        (dict(weight_decay=float("inf")), "weight_decay must be a finite number at least 0"),
+    ], ids=["lr_nan", "lr_negative", "lr_string", "lr_bool", "beta1_one", "beta2_negative",
+            "eps_zero", "decay_inf"])
+    def test_bad_hyper_parameter_is_refused_before_any_write(self, kwargs, message):
+        p = parameter("p", np.array([1.0, -2.0, 3.0]))
+        p.grad[...] = [0.1, 0.0, 0.0]
+        ad.adam_step([p], lr=0.01)
+        p.grad[...] = [0.1, 0.0, 0.0]
+        arena = p.arena
+        before = [buffer.tobytes() for buffer in (arena.data, arena.grad, arena.m, arena.v)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ad.adam_step([p], **dict(dict(lr=0.01), **kwargs))
+        assert arena.step == 1
+        assert [buffer.tobytes() for buffer in (arena.data, arena.grad, arena.m, arena.v)] \
+            == before
 
 
 class TestSchedule:

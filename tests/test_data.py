@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,6 +39,21 @@ from helpers import (
 )
 
 HEADER = "domain\tutterance\tsemantic_parse\n"
+
+
+def annotation_spans(annotation):
+    """Labeled spans of a full-coverage seqlogical annotation, read off its words
+    and brackets: a label spans the words between its opener and its ``]``."""
+    spans, opened, words = Counter(), [], 0
+    for item in annotation.split():
+        if item.startswith("["):
+            opened.append((item[1:], words))
+        elif item == "]":
+            name, start = opened.pop()
+            spans[(name, start, words - 1) if words > start else (name, None, None)] += 1
+        else:
+            words += 1
+    return spans
 
 
 class TestTsvLoader:
@@ -100,11 +116,11 @@ class TestTsvLoader:
             load_topv2_tsv(path)
 
     def test_every_record_satisfies_target_invariant(self, tmp_path):
-        path = write_topv2_tsv(tmp_path / "two.tsv", two_domain_rows(20, seed=1))
-        records, _ = load_topv2_tsv(path)
+        rows = two_domain_rows(20, seed=1)
+        records, _ = load_topv2_tsv(write_topv2_tsv(tmp_path / "two.tsv", rows))
         assert len(records) == 40
-        for record in records:
-            assert check_target(record.target, record.utterance) is None
+        for record, (_, _, annotation) in zip(records, rows):
+            assert check_target(record.target, record.utterance) == annotation_spans(annotation)
 
 
 class TestTransferPairRows:
@@ -172,6 +188,17 @@ class TestLeaveOneOut:
     def test_single_domain_corpus_rejected(self):
         with pytest.raises(NeedTwoDomainsError, match="'a'"):
             build_leave_one_out(self.make_records(["a"]), [], "a")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.1", True, 2.0, -0.5],
+                             ids=["nan", "inf", "string", "bool", "above_1", "negative"])
+    def test_fractions_must_be_finite_numbers_in_0_1(self, value):
+        records = self.make_records(["a", "b"])
+        for name, split in (("fraction", lambda: carve_test_split(records, fraction=value)),
+                            ("valid_fraction", lambda: build_leave_one_out(
+                                records, [], "a", valid_fraction=value))):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"{name} must be a finite number in [0, 1], got {value!r}")):
+                split()
 
     def test_partition_is_disjoint_and_complete(self):
         records = self.make_records(["a", "b", "c"], per_domain=20)
@@ -320,6 +347,20 @@ class TestWikiLoader:
         assert [r.utterance.raw for r in records] == ["ok"]
         assert report.skipped == 1 and report.loaded == 1
         assert "must be an integer of at least 0" in report.messages[0]
+
+    @pytest.mark.parametrize("field, value", [
+        ("entity", None), ("entity", True), ("entity", 7),
+        ("type", None), ("type", 3.5), ("type", ["x"]),
+    ], ids=["entity_null", "entity_bool", "entity_int", "type_null", "type_float",
+            "type_list"])
+    def test_entity_and_type_must_be_json_strings(self, tmp_path, field, value):
+        mention = {"start": 8, "end": 14, "entity": "X", "type": "x", field: value}
+        records, report = load_wiki(tmp_path, [
+            {"context": "we like coffee", "mentions": [mention]},
+            {"context": "ok", "mentions": []}])
+        assert [r.utterance.raw for r in records] == ["ok"]
+        assert report.skipped == 1 and report.loaded == 1
+        assert report.messages[0].startswith(f"line 1: mention {field} is ")
 
     def test_deeply_nested_mentions_counted(self, tmp_path):
         path = tmp_path / "w.jsonl"

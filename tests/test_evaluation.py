@@ -5,50 +5,72 @@ from collections import Counter
 import pytest
 
 import concept_parse.evaluation as evaluation
-from concept_parse.data import build_leave_one_out, record_from_row, tags_from_records
+from concept_parse.data import (DatasetRecord, build_leave_one_out, record_from_row,
+                                tags_from_records)
 from concept_parse.decoding import Hypothesis
-from concept_parse.errors import EmptyEvalSetError
+from concept_parse.errors import EmptyEvalSetError, MalformedTargetError
 from concept_parse.evaluation import (
-    SpanCounts,
     _precision_recall_f1,
     evaluate_domain,
-    exact_match,
-    span_counts,
     teacher_forced_accuracy,
 )
 from concept_parse.training import TrainConfig, train_known_domains
 
-from helpers import (TINY, Tree, build_model, oracle_target, records_from_rows,
-                     sequence_from_strings, two_domain_rows)
+from helpers import (TINY, Tree, build_model, oracle_target, random_roundtrip_corpus,
+                     records_from_rows, sequence_from_strings, target_spans,
+                     two_domain_rows, walk_spans_and_labels)
 
 
 def tree(name, kind, *children):
     return Tree(name=name, kind=kind, children=children)
 
 
+def decode_as(monkeypatch, targets):
+    """Make `evaluate_domain`'s search return, for each utterance, the target
+    ``targets`` maps its identity to."""
+    monkeypatch.setattr(evaluation, "beam_decode", lambda model, utterance, *args, **kwargs:
+                        [Hypothesis(tokens=targets[id(utterance)].tokens, log_prob=0.0)])
+
+
+def em_outcome(monkeypatch, pred, annotation):
+    """The ``em`` outcome `evaluate_domain` gives prediction ``pred`` against gold
+    ``annotation`` over the utterance "x"."""
+    record = record_from_row("d", "x", annotation)
+    decode_as(monkeypatch, {id(record.utterance): pred})
+    return evaluate_domain(None, None, [record]).outcomes[0]["em"]
+
+
 class TestExactMatch:
-    def test_identical(self):
+    def test_identical(self, monkeypatch):
         a = sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])
         b = sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])
-        assert exact_match(a, b) == 1
+        assert a == b
+        assert em_outcome(monkeypatch, a, "[IN:A x ]") == 1
 
-    def test_one_label_differs(self):
+    def test_one_label_differs(self, monkeypatch):
         a = sequence_from_strings(["[IN:A", "[SL:B", "@ptr_0", "SL:B]", "IN:A]"])
         b = sequence_from_strings(["[IN:A", "[SL:C", "@ptr_0", "SL:C]", "IN:A]"])
-        assert exact_match(a, b) == 0
+        assert a != b
+        assert em_outcome(monkeypatch, a, "[IN:A [SL:C x ] ]") == 0
 
     def test_accuracy_aggregation(self):
         outcomes = [1, 1, 0]
         assert round(100.0 * sum(outcomes) / len(outcomes), 2) == 66.67
 
 
+def f1_counts(pred, gold):
+    """(matched, predicted, gold) span counts of a (pred, gold) target pair from
+    `check_target`'s Counters; ``pred`` None is an invalid prediction, which
+    predicts no span."""
+    predicted = Counter() if pred is None else target_spans(pred)
+    gold_spans = target_spans(gold)
+    return (predicted & gold_spans).total(), predicted.total(), gold_spans.total()
+
+
 def span_f1(pairs):
     """Micro precision, recall and F1 over (pred, gold) target pairs, summed as
     `evaluate_domain` sums them."""
-    counts = [span_counts(pred, gold) for pred, gold in pairs]
-    return _precision_recall_f1(sum(c.matched for c in counts),
-                                sum(c.predicted for c in counts),
-                                sum(c.gold for c in counts))
+    return _precision_recall_f1(*map(sum, zip(*(f1_counts(p, g) for p, g in pairs))))
 
 
 class TestSpanF1:
@@ -71,32 +93,29 @@ class TestSpanF1:
 
     def test_invalid_prediction_counts_gold_only(self):
         gold = oracle_target(tree("IN:A", "intent", 0, tree("SL:B", "slot", 1)))
-        counts = span_counts(None, gold)
-        assert (counts.matched, counts.predicted, counts.gold) == (0, 0, 2)
+        assert f1_counts(None, gold) == (0, 0, 2)
         precision, recall, f1 = span_f1([(None, gold)])
         assert (precision, recall, f1) == (0.0, 0.0, 0.0)
 
     def test_repeated_spans_count_as_often_as_they_occur(self):
         gold = sequence_from_strings(["[IN:A", "[IN:A", "@ptr_0", "IN:A]", "IN:A]"])
         pred = sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])
-        assert span_counts(pred, gold) == SpanCounts(matched=1, predicted=1, gold=2)
+        assert f1_counts(pred, gold) == (1, 1, 2)
         assert span_f1([(pred, gold)]) == (100.0, 50.0, pytest.approx(200.0 / 3))
         three = sequence_from_strings(["[IN:A", "[SL:B", "SL:B]", "[SL:B", "SL:B]",
                                        "@ptr_0", "IN:A]"])
-        assert span_counts(three, three) == SpanCounts(matched=3, predicted=3, gold=3)
+        assert f1_counts(three, three) == (3, 3, 3)
 
     def test_micro_aggregation_sums_counts(self):
         gold1 = oracle_target(tree("IN:A", "intent", 0, 1))
         pred1 = oracle_target(tree("IN:A", "intent", 0, 1))
         gold2 = oracle_target(tree("IN:B", "intent", 0, tree("SL:C", "slot", 1)))
         pred2 = oracle_target(tree("IN:B", "intent", 0, 1))
-        c1 = span_counts(pred1, gold1)
-        c2 = span_counts(pred2, gold2)
+        m1, p1, g1 = f1_counts(pred1, gold1)
+        m2, p2, g2 = f1_counts(pred2, gold2)
         precision, recall, _ = span_f1([(pred1, gold1), (pred2, gold2)])
-        assert precision == pytest.approx(
-            100.0 * (c1.matched + c2.matched) / (c1.predicted + c2.predicted))
-        assert recall == pytest.approx(
-            100.0 * (c1.matched + c2.matched) / (c1.gold + c2.gold))
+        assert precision == pytest.approx(100.0 * (m1 + m2) / (p1 + p2))
+        assert recall == pytest.approx(100.0 * (m1 + m2) / (g1 + g2))
 
 
 @pytest.fixture(scope="module")
@@ -184,9 +203,34 @@ class TestEvaluateDomain:
                             lambda seq, utterance: checked.append(seq.token_strings())
                             or check_target(seq, utterance))
         report = evaluate_domain(None, None, [record])
-        assert checked == [pred]
+        assert checked == [record.target.token_strings(), pred]
         assert report.validity == validity
         assert report.outcomes[0]["f1_counts"] == counts
+
+    @pytest.mark.parametrize("gold", [
+        ["[IN:A", "[SL:B", "@ptr_0", "SL:B]", "[SL:C", "@ptr_1", "SL:C]", "[IN:A"],
+        ["IN:A]", "[IN:A", "[SL:B", "@ptr_0", "SL:B]", "[SL:C", "@ptr_1", "SL:C]", "IN:A]"],
+    ], ids=["unclosed_root", "leading_end_tag"])
+    def test_invalid_gold_is_refused_before_decoding(self, monkeypatch, gold):
+        good = record_from_row("d", "x y", "[IN:A [SL:B x ] [SL:C y ] ]")
+        bad = DatasetRecord("d", good.utterance, sequence_from_strings(gold))
+        calls = []
+        monkeypatch.setattr(evaluation, "beam_decode",
+                            lambda *args, **kwargs: calls.append(args) or [
+                                Hypothesis(tokens=good.target.tokens, log_prob=0.0)])
+        with pytest.raises(MalformedTargetError):
+            evaluate_domain(None, None, [good, bad])
+        assert calls == []
+
+    def test_gold_predictions_score_every_gold_span(self, monkeypatch):
+        corpus = random_roundtrip_corpus(count=200, seed=11)
+        records = [DatasetRecord("d", utterance, oracle_target(tree))
+                   for utterance, tree in corpus]
+        decode_as(monkeypatch, {id(r.utterance): r.target for r in records})
+        report = evaluate_domain(None, None, records)
+        for outcome, (_, tree) in zip(report.outcomes, corpus):
+            assert outcome["f1_counts"][2] == walk_spans_and_labels(tree)[0].total()
+        assert (report.em, report.f1, report.validity) == (100.0, 100.0, 100.0)
 
     def test_em_le_validity_on_untrained_model(self):
         records = records_from_rows(two_domain_rows(6, seed=2))

@@ -15,7 +15,6 @@ from concept_parse.parse import (
     Pointer,
     TargetSequence,
     check_target,
-    labeled_spans,
     make_tag,
     parse_seqlogical,
     split_tag_token,
@@ -25,7 +24,7 @@ from concept_parse.parse import (
 
 from helpers import (COMPOSITIONAL_ANNOTATION, COMPOSITIONAL_UTTERANCE, Tree,
                      oracle_annotation, oracle_target, random_roundtrip_corpus,
-                     sequence_from_strings, walk_spans_and_labels)
+                     sequence_from_strings, target_spans, walk_spans_and_labels)
 
 COMPOSITIONAL_TARGET = [
     "[IN:GET_DISTANCE", "@ptr_0", "@ptr_1", "@ptr_2",
@@ -33,6 +32,12 @@ COMPOSITIONAL_TARGET = [
     "[SL:TYPE_FOOD", "@ptr_4", "SL:TYPE_FOOD]", "@ptr_5",
     "IN:GET_RESTAURANT_LOCATION]", "SL:DESTINATION]", "IN:GET_DISTANCE]",
 ]
+COMPOSITIONAL_SPANS = Counter({
+    ("IN:GET_DISTANCE", 0, 5): 1,
+    ("SL:DESTINATION", 3, 5): 1,
+    ("IN:GET_RESTAURANT_LOCATION", 3, 5): 1,
+    ("SL:TYPE_FOOD", 4, 4): 1,
+})
 
 
 def compositional_example():
@@ -141,12 +146,12 @@ class TestDelinearize:
 
     def test_compositional_inverse(self):
         utterance, seq = compositional_example()
-        assert check_target(seq, utterance) is None
+        assert check_target(seq, utterance) == COMPOSITIONAL_SPANS
 
     def test_minimal_inverse(self):
         utterance = tokenize_utterance("x")
         seq = sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])
-        assert check_target(seq, utterance) is None
+        assert check_target(seq, utterance) == Counter({("IN:A", 0, 0): 1})
 
     def test_mismatched_close(self):
         utterance = tokenize_utterance("x")
@@ -248,37 +253,33 @@ class TestNaturalize:
 
 class TestSpans:
     def test_compositional_spans(self):
-        assert labeled_spans(sequence_from_strings(COMPOSITIONAL_TARGET)) == Counter({
-            ("IN:GET_DISTANCE", 0, 5): 1,
-            ("SL:DESTINATION", 3, 5): 1,
-            ("IN:GET_RESTAURANT_LOCATION", 3, 5): 1,
-            ("SL:TYPE_FOOD", 4, 4): 1,
-        })
+        assert target_spans(sequence_from_strings(COMPOSITIONAL_TARGET)) == \
+            COMPOSITIONAL_SPANS
 
     def test_single_node(self):
-        assert labeled_spans(sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])) == Counter({
+        assert target_spans(sequence_from_strings(["[IN:A", "@ptr_0", "IN:A]"])) == Counter({
             ("IN:A", 0, 0): 1})
 
     def test_two_level(self):
         seq = sequence_from_strings(["[IN:A", "[SL:B", "@ptr_0", "SL:B]", "@ptr_1", "IN:A]"])
-        assert labeled_spans(seq) == Counter({("IN:A", 0, 1): 1, ("SL:B", 0, 0): 1})
+        assert target_spans(seq) == Counter({("IN:A", 0, 1): 1, ("SL:B", 0, 0): 1})
 
     def test_empty_node_sentinel(self):
         seq = sequence_from_strings(["[IN:A", "[SL:B", "SL:B]", "@ptr_0", "IN:A]"])
-        assert labeled_spans(seq) == Counter({("IN:A", 0, 0): 1, ("SL:B", None, None): 1})
+        assert target_spans(seq) == Counter({("IN:A", 0, 0): 1, ("SL:B", None, None): 1})
 
     def test_repeated_spans_count_once_per_pair(self):
         nested = sequence_from_strings(["[IN:A", "[IN:A", "@ptr_0", "IN:A]", "IN:A]"])
-        assert labeled_spans(nested) == Counter({("IN:A", 0, 0): 2})
+        assert target_spans(nested) == Counter({("IN:A", 0, 0): 2})
         empty_twice = sequence_from_strings(["[IN:A", "[SL:B", "SL:B]", "[SL:B", "SL:B]",
                                              "@ptr_0", "IN:A]"])
-        assert labeled_spans(empty_twice).total() == 3
+        assert target_spans(empty_twice).total() == 3
 
     def test_random_corpus_matches_tree_walk(self):
         for utterance, tree in random_roundtrip_corpus(count=500, seed=3):
             seq = oracle_target(tree)
             spans, labels = walk_spans_and_labels(tree)
-            assert labeled_spans(seq) == spans
+            assert check_target(seq, utterance) == spans
             assert {(t.name, t.kind) for t in target_tags(seq)} == labels
             assert parse_seqlogical(oracle_annotation(tree, utterance), utterance) == seq
 
@@ -294,7 +295,7 @@ class TestRoundTrip:
         for utterance, tree in random_roundtrip_corpus(count=200, seed=7):
             seq = parse_seqlogical(oracle_annotation(tree, utterance), utterance)
             assert seq == oracle_target(tree)
-            assert check_target(seq, utterance) is None
+            assert check_target(seq, utterance) == walk_spans_and_labels(tree)[0]
 
     def test_pointer_completeness_on_corpus(self):
         # full-coverage corpora mention each source position exactly once
