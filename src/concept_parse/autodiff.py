@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, NotScalarError, ShapeError, require_real
+from .errors import NonFiniteError, NotScalarError, ShapeError, require_count, require_real
 
 DTYPES = {"single": np.float32, "double": np.float64}
 
@@ -265,7 +265,11 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        shapes = [t.data.shape for t in tensors]
+        raise ShapeError(f"cannot concatenate shapes {shapes} on axis {axis}") from None
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
 
@@ -511,9 +515,10 @@ class Schedule:
     total_steps: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.warmup_proportion <= 1.0:
-            raise ValueError(
-                f"warmup proportion must lie in [0, 1], got {self.warmup_proportion}")
+        require_real("base_lr", self.base_lr, "at least 0", lambda v: v >= 0)
+        require_real("warmup_proportion", self.warmup_proportion, "in [0, 1]",
+                     lambda v: 0 <= v <= 1)
+        require_count("total_steps", self.total_steps, 0)
 
 
 def lr_at(schedule: Schedule, step: int) -> float:

@@ -74,15 +74,12 @@ _NEG = -1e9
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Structural hyper-parameters; the vocabularies are passed to the model."""
+    """Structural hyper-parameters; the vocabularies are passed to the model. The
+    source encoder, concept encoder and decoder share width, layers and heads."""
 
     width: int = 64
-    encoder_layers: int = 2
-    encoder_heads: int = 4
-    decoder_layers: int = 2
-    decoder_heads: int = 4
-    concept_layers: int = 2
-    concept_heads: int = 4
+    layers: int = 2
+    heads: int = 4
     max_source_len: int = 64
     max_target_len: int = 96
     ff_width: int = 256
@@ -91,12 +88,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             if f.name != "precision":
-                require_count(f.name, getattr(self, f.name),
-                              0 if f.name.endswith("_layers") else 1)
-        for heads in (self.encoder_heads, self.decoder_heads, self.concept_heads):
-            if self.width % heads:
-                raise ValueError(
-                    f"width {self.width} not divisible by head count {heads}")
+                require_count(f.name, getattr(self, f.name), 0 if f.name == "layers" else 1)
+        if self.width % self.heads:
+            raise ValueError(f"width {self.width} not divisible by head count {self.heads}")
         if self.precision not in tuple(ad.DTYPES):  # a tuple: no hash of an unhashable value
             raise ValueError(f"precision must be single or double, got {self.precision!r}")
 
@@ -226,26 +220,20 @@ def _layout(config: ModelConfig, source_size: int, concept_size: int
         param(f"{prefix}.ff.w2", (ff, d))
         param(f"{prefix}.ff.b2", (d,), "zeros")
 
-    param("encoder.embed", (source_size, d))
-    param("encoder.pos", (config.max_source_len, d))
-    for i in range(config.encoder_layers):
-        block(f"encoder.{i}", cross=False)
-    param("encoder.final_ln.gain", (d,), "ones")
-    param("encoder.final_ln.bias", (d,), "zeros")
-
-    param("concept.embed", (concept_size, d))
-    param("concept.pos", (config.max_source_len, d))
-    for i in range(config.concept_layers):
-        block(f"concept.{i}", cross=False)
-    param("concept.final_ln.gain", (d,), "ones")
-    param("concept.final_ln.bias", (d,), "zeros")
+    for side, size in (("encoder", source_size), ("concept", concept_size)):
+        param(f"{side}.embed", (size, d))
+        param(f"{side}.pos", (config.max_source_len, d))
+        for i in range(config.layers):
+            block(f"{side}.{i}", cross=False)
+        param(f"{side}.final_ln.gain", (d,), "ones")
+        param(f"{side}.final_ln.bias", (d,), "zeros")
     param("concept.adapter.w", (d, d), "eye")
     param("concept.adapter.b", (d,), "zeros")
 
     param("decoder.ptr_embed", (config.max_source_len, d))
     param("decoder.pos", (config.max_target_len, d))
     param("decoder.bos", (d,))
-    for i in range(config.decoder_layers):
+    for i in range(config.layers):
         block(f"decoder.{i}", cross=True)
     param("decoder.final_ln.gain", (d,), "ones")
     param("decoder.final_ln.bias", (d,), "zeros")
@@ -262,8 +250,7 @@ def _value_count(config: ModelConfig, source_size: int, concept_size: int) -> in
     block = 4 * d * d + 2 * d * ff + 9 * d + ff  # ln1, ln2, self-attention, feed-forward
     rows = source_size + concept_size + 3 * config.max_source_len + config.max_target_len + 1
     return (d * rows + 3 * d * d + 9 * d  # tables, BOS, final norms, adapter, head
-            + block * (config.encoder_layers + config.concept_layers + config.decoder_layers)
-            + (4 * d * d + 6 * d) * config.decoder_layers)  # ln3, cross-attention
+            + (3 * block + 4 * d * d + 6 * d) * config.layers)  # 3 stacks; decoder ln3, cross
 
 
 def _identity_digest(config: ModelConfig, source_vocab: Vocabulary,
@@ -319,7 +306,7 @@ class ConceptModel:
         # below the layer, and the stacked self.wqkv, self.bqkv, cross.wkv and cross.bkv
         self._step_pos = self.params["decoder.pos"].data
         self._step_layers = []
-        for prefix in (f"decoder.{i}." for i in range(config.decoder_layers)):
+        for prefix in (f"decoder.{i}." for i in range(config.layers)):
             views = {name[len(prefix):]: p.data for name, p in self.params.items()
                      if name.startswith(prefix)}
             for attn, parts in (("self", "qkv"), ("cross", "kv")):
@@ -349,12 +336,11 @@ class ConceptModel:
 
     # graph building blocks (gradient-recording)
 
-    def _mha(self, prefix: str, x: Tensor, kv: Tensor, heads: int,
-             mask: Optional[np.ndarray]) -> Tensor:
+    def _mha(self, prefix: str, x: Tensor, kv: Tensor, mask: Optional[np.ndarray]) -> Tensor:
         q = ad.affine(x, self.params[f"{prefix}.wq"], self.params[f"{prefix}.bq"])
         k = ad.affine(kv, self.params[f"{prefix}.wk"], self.params[f"{prefix}.bk"])
         v = ad.affine(kv, self.params[f"{prefix}.wv"], self.params[f"{prefix}.bv"])
-        mix = ad.attention(q, k, v, heads, mask)
+        mix = ad.attention(q, k, v, self.config.heads, mask)
         return ad.affine(mix, self.params[f"{prefix}.wo"], self.params[f"{prefix}.bo"])
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
@@ -370,14 +356,13 @@ class ConceptModel:
         """The ``{side}`` stack's pre-norm blocks and final layer norm over ``x``;
         with ``enc``, each block cross-attends to it between self-attention and
         the feed-forward, as `_layout`'s ``block(prefix, cross)`` lays out."""
-        heads = getattr(self.config, f"{side}_heads")
-        for i in range(getattr(self.config, f"{side}_layers")):
+        for i in range(self.config.layers):
             prefix = f"{side}.{i}"
             h = self._ln(f"{prefix}.ln1", x)
-            x = ad.add(x, self._mha(f"{prefix}.self", h, h, heads, mask))
+            x = ad.add(x, self._mha(f"{prefix}.self", h, h, mask))
             if enc is not None:
                 h = self._ln(f"{prefix}.ln2", x)
-                x = ad.add(x, self._mha(f"{prefix}.cross", h, enc, heads, enc_mask))
+                x = ad.add(x, self._mha(f"{prefix}.cross", h, enc, enc_mask))
             ff_ln = "ln3" if enc is not None else "ln2"
             x = ad.add(x, self._ff(f"{prefix}.ff", self._ln(f"{prefix}.{ff_ln}", x)))
         return self._ln(f"{side}.final_ln", x)
@@ -397,25 +382,23 @@ class ConceptModel:
             pad[i, :len(row)] = 0.0
         return ids, pad
 
-    def encode_source_batch(self, src_ids: np.ndarray,
-                            src_pad: Optional[np.ndarray]) -> Tensor:
+    def encode_source_batch(self, src_ids: np.ndarray, src_pad: np.ndarray) -> Tensor:
         """Graph forward over a padded batch of source id arrays; ``src_pad`` is
-        the additive pad mask (B, N) of `_pad`, or None without padding."""
+        the additive pad mask (B, N) of `_pad`."""
         if src_ids.shape[1] > self.config.max_source_len:
             raise LengthExceededError(
                 f"source length {src_ids.shape[1]} exceeds maximum "
                 f"{self.config.max_source_len}")
         x = self._embed(self.params["encoder.embed"], "encoder", src_ids)
-        return self._stack("encoder", x, None if src_pad is None else src_pad[:, None, None, :])
+        return self._stack("encoder", x, src_pad[:, None, None, :])
 
     def encode_source(self, tokens: Sequence[str]) -> np.ndarray:
         """Encoder states (n, width) of one utterance; deterministic given
         parameters and input."""
         if len(tokens) == 0:
             raise ShapeError("cannot encode an empty token sequence")
-        ids = self.source_vocab.ids(tokens)[None, :]
         with ad.no_grad():
-            states = self.encode_source_batch(ids, None)
+            states = self.encode_source_batch(*self._pad([self.source_vocab.ids(tokens)]))
         return states.data[0]
 
     def encode_concepts_tensor(self, tags: Sequence[ConceptTag]) -> Tensor:
@@ -488,7 +471,7 @@ class ConceptModel:
         folded as `DecoderState` sets out."""
         cfg = self.config
         d = cfg.width
-        heads, hd = cfg.decoder_heads, d // cfg.decoder_heads
+        heads, hd = cfg.heads, d // cfg.heads
         n = src_states.shape[0]
         with ad.no_grad():
             table = self._input_table(ad.constant(bank.vectors)).data
@@ -510,7 +493,7 @@ class ConceptModel:
                  for kind, rows in (("concept", bank.vectors), ("pointer", src_states))]
         head = np.concatenate([(gain[:, None] * w) @ rows for w, _, rows in parts], axis=1)
         head_bias = np.concatenate([(bias @ w + b) @ rows for w, b, rows in parts])
-        empty = (np.zeros((1, heads, 0, hd), dtype=self.dtype),) * cfg.decoder_layers
+        empty = (np.zeros((1, heads, 0, hd), dtype=self.dtype),) * cfg.layers
         return DecoderState(table, tuple(cross_a), tuple(cross_c), tuple(cross_o),
                             head / math.sqrt(d), head_bias / math.sqrt(d), empty, empty, 0)
 
@@ -548,7 +531,7 @@ class ConceptModel:
             raise ShapeError(f"previous output indices {prev.tolist()} must be integers in "
                              f"[0, {len(state.table)}), the decoder input table's rows") from None
         d = cfg.width
-        heads, hd = cfg.decoder_heads, d // cfg.decoder_heads
+        heads, hd = cfg.heads, d // cfg.heads
         beams = len(prev)
         self_keys, self_values = [], []
         for i, w in enumerate(self._step_layers):

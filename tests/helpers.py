@@ -53,9 +53,7 @@ def build_model(records, tags=None, wiki_records=(), seed=0, **config_kwargs):
     return ConceptModel(config, source_vocab, concept_vocab, seed=seed)
 
 
-TINY = dict(width=32, encoder_layers=1, encoder_heads=2, decoder_layers=1,
-            decoder_heads=2, concept_layers=1, concept_heads=2,
-            max_source_len=32, max_target_len=48, ff_width=64)
+TINY = dict(width=32, layers=1, heads=2, max_source_len=32, max_target_len=48, ff_width=64)
 
 
 def token_from_string(s):

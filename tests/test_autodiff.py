@@ -627,6 +627,23 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(1e-3, 1.5, 10)
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 0.1, 10), "base_lr"),
+        ((-1.0, 0.1, 10), "base_lr"),
+        ((1e-3, True, 10), "warmup_proportion"),
+        ((1e-3, "0.5", 10), "warmup_proportion"),
+        ((1e-3, 0.1, -5), "total_steps"),
+        ((1e-3, 0.1, 2.5), "total_steps"),
+    ], ids=["nan_rate", "negative_rate", "bool_warmup", "string_warmup",
+            "negative_steps", "fractional_steps"])
+    def test_every_field_validated(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Schedule(*args)
+
+    def test_no_steps_is_a_schedule(self):
+        """A regime with no records schedules 0 steps."""
+        assert ad.lr_at(Schedule(1e-3, 0.1, 0), 0) == 0.0
+
 
 class TestFiniteGuard:
     def test_no_nan_from_finite_inputs(self):

@@ -14,9 +14,7 @@ from helpers import (TINY, advance, build_model, records_from_rows,
                      reference_beam_decode, teacher_forcing_indices,
                      two_domain_rows)
 
-MICRO = dict(width=16, encoder_layers=1, encoder_heads=2, decoder_layers=1,
-             decoder_heads=2, concept_layers=1, concept_heads=2,
-             max_source_len=16, max_target_len=24, ff_width=32)
+MICRO = dict(width=16, layers=1, heads=2, max_source_len=16, max_target_len=24, ff_width=32)
 
 
 def micro_model(seed, max_target_len=MICRO["max_target_len"]):

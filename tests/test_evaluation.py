@@ -123,9 +123,7 @@ def trained():
     records = records_from_rows(two_domain_rows(12, seed=0))
     split = build_leave_one_out(records, [], "weather", valid_fraction=0.3)
     model = build_model(records, seed=1, width=48, ff_width=96,
-                        encoder_layers=1, encoder_heads=2, decoder_layers=1,
-                        decoder_heads=2, concept_layers=1, concept_heads=2,
-                        max_source_len=32, max_target_len=48)
+                        layers=1, heads=2, max_source_len=32, max_target_len=48)
     cfg = TrainConfig(batch_size=8, epochs=220, patience=220,
                       learning_rate=3e-3, seed=1)
     train_known_domains(model, split, cfg)
@@ -142,9 +140,7 @@ class TestTeacherForcedAccuracy:
     def test_random_model_near_zero(self):
         records = records_from_rows(two_domain_rows(10, seed=0))
         model = build_model(records, seed=5, width=32, ff_width=64,
-                            encoder_layers=1, encoder_heads=2, decoder_layers=1,
-                            decoder_heads=2, concept_layers=1, concept_heads=2,
-                            max_source_len=32, max_target_len=48)
+                            layers=1, heads=2, max_source_len=32, max_target_len=48)
         accuracy = teacher_forced_accuracy(model, records,
                                            tags_from_records(records))
         assert accuracy <= 5.0
@@ -235,9 +231,7 @@ class TestEvaluateDomain:
     def test_em_le_validity_on_untrained_model(self):
         records = records_from_rows(two_domain_rows(6, seed=2))
         model = build_model(records, seed=9, width=32, ff_width=64,
-                            encoder_layers=1, encoder_heads=2, decoder_layers=1,
-                            decoder_heads=2, concept_layers=1, concept_heads=2,
-                            max_source_len=32, max_target_len=24)
+                            layers=1, heads=2, max_source_len=32, max_target_len=24)
         domain = model.compile_domain(tags_from_records(records))
         report = evaluate_domain(model, domain, records, beam_width=2)
         assert 0.0 <= report.em <= report.validity <= 100.0

@@ -25,7 +25,8 @@ from concept_parse.errors import (
     require_count,
 )
 from concept_parse.decoding import beam_decode
-from concept_parse.model import ConceptBank, ModelConfig
+from concept_parse.evaluation import evaluate_domain
+from concept_parse.model import ConceptBank, ConceptModel, ModelConfig, Vocabulary
 from concept_parse.parse import (Pointer, TargetSequence, make_tag, tags_for_label,
                                  tokenize_utterance)
 from concept_parse.training import batch_nll_tensor
@@ -275,6 +276,22 @@ class TestDecodeStep:
         assert abs(probabilities.sum() - 1.0) < 1e-5
 
 
+class TestBankWidth:
+    @pytest.mark.parametrize("entry", ["beam_decode", "evaluate_domain", "teacher_log_probs"])
+    def test_bank_of_another_width_raises_shape_error(self, corpus, bank, entry):
+        """A bank from a width-32 model, used by a width-64 one, fails typed
+        where the decoder input table stacks it, not as a raw numpy error."""
+        wide = build_model(corpus, seed=1, **dict(TINY, width=64))
+        calls = {
+            "beam_decode": lambda: beam_decode(wide, corpus[0].utterance, bank, beam_width=2),
+            "evaluate_domain": lambda: evaluate_domain(wide, bank, corpus[:2], beam_width=2),
+            "teacher_log_probs": lambda: wide.teacher_log_probs(
+                wide.build_batch(corpus[:2], bank.tags), ad.constant(bank.vectors)),
+        }
+        with pytest.raises(ShapeError, match=r"cannot concatenate shapes .*\(\d+, 32\)"):
+            calls[entry]()
+
+
 class TestTeacherForced:
     def test_length_and_loop_equality(self, model, bank, corpus):
         record = corpus[0]
@@ -440,7 +457,7 @@ class TestBatchedForward:
         # teacher forcing: encoder self, decoder self and cross; then encode_source's
         # encoder self, and one decode step's self-attention; the step's folded
         # cross-attention takes the softmax of its (beams, heads, n) logits
-        heads = model.config.decoder_heads
+        heads = model.config.heads
         assert graph_calls == 3 and len(calls) == 3 + 1 + 1
         assert calls[-1] == (1, heads, 1, model.config.width // heads)
         assert softmaxes == [(1, heads, 1, 1), (1, heads, len(tokens))]
@@ -510,7 +527,7 @@ class TestBoundViews:
         model = build_model(corpus, seed=1, **config)
         params = model.parameters()
         names = list(params)
-        for i in range(model.config.decoder_layers):
+        for i in range(model.config.layers):
             for attn, parts in (("self", "qkv"), ("cross", "kv")):
                 for kind in "wb":
                     group = [f"decoder.{i}.{attn}.{kind}{part}" for part in parts]
@@ -533,10 +550,9 @@ class TestBoundViews:
 
 class TestNoDecoderLayers:
     def test_decodes_and_teacher_forces(self, corpus):
-        """With no decoder layers a state carries no self-attention keys or
-        values; teacher forcing, stepping and both searches still agree."""
-        model = build_model(corpus, seed=3, precision="double",
-                            **dict(TINY, decoder_layers=0))
+        """With no layers a state carries no self-attention keys or values;
+        teacher forcing, stepping and both searches still agree."""
+        model = build_model(corpus, seed=3, precision="double", **dict(TINY, layers=0))
         tags = tags_from_records(corpus)
         bank = model.encode_concepts(tags)
         records = corpus[:3]
@@ -558,20 +574,30 @@ class TestNoDecoderLayers:
 
 
 class TestModelConfig:
+    def test_the_default_layout_is_pinned(self):
+        """Every parameter's name and shape in arena order, which fixes the
+        seeded draws and the checkpoint layout, for the default config."""
+        model = ConceptModel(ModelConfig(), Vocabulary(["a", "b"]), Vocabulary(["c"]))
+        layout = json.dumps([[name, list(p.data.shape)]
+                             for name, p in model.parameters().items()])
+        assert hashlib.sha256(layout.encode("utf-8")).hexdigest() == (
+            "14c006f00daa8a37730dd5e9026cff91ee92b8e8495228801379adbc3549a896")
+
     @pytest.mark.parametrize("name", ["width", "ff_width", "max_source_len",
-                                      "max_target_len", "encoder_heads",
-                                      "decoder_heads", "concept_heads"])
+                                      "max_target_len", "heads"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_sizes_below_one_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
             ModelConfig(**dict(TINY, **{name: value}))
 
-    @pytest.mark.parametrize("name", ["encoder_layers", "decoder_layers",
-                                      "concept_layers"])
-    def test_negative_layer_counts_rejected(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 0"):
-            ModelConfig(**dict(TINY, **{name: -1}))
-        ModelConfig(**dict(TINY, **{name: 0}))
+    def test_width_must_split_into_the_heads(self):
+        with pytest.raises(ValueError, match="width 32 not divisible by head count 3"):
+            ModelConfig(**dict(TINY, heads=3))
+
+    def test_negative_layer_counts_rejected(self):
+        with pytest.raises(ValueError, match="layers must be an integer of at least 0"):
+            ModelConfig(**dict(TINY, layers=-1))
+        ModelConfig(**dict(TINY, layers=0))
 
     @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)
                                       if f.name != "precision"])
@@ -751,8 +777,7 @@ class TestPersistence:
         `_layout` builds a block per layer."""
         path = tmp_path / "model.ckpt"
         model.save(path)
-        self.edit_sidecar(path, lambda sidecar: sidecar["config"].update(
-            encoder_layers=10_000))
+        self.edit_sidecar(path, lambda sidecar: sidecar["config"].update(layers=10_000))
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointMismatchError,
@@ -769,8 +794,7 @@ class TestPersistence:
         path = tmp_path / "model.ckpt"
         model.save(path)
         self.edit_sidecar(path, lambda sidecar: sidecar["config"].update(
-            width=1, encoder_heads=1, decoder_heads=1, concept_heads=1, ff_width=1,
-            encoder_layers=9_000))
+            width=1, heads=1, ff_width=1, layers=9_000))
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -784,9 +808,7 @@ class TestPersistence:
         assert elapsed < 0.1 and peak < 5 * 2**20
 
     @pytest.mark.parametrize("config", [
-        {}, TINY, dict(TINY, width=1, encoder_heads=1, decoder_heads=1, concept_heads=1),
-        dict(TINY, encoder_heads=32, decoder_heads=32, concept_heads=32),
-        dict(TINY, encoder_layers=0, decoder_layers=0, concept_layers=0),
+        {}, TINY, dict(TINY, width=1, heads=1), dict(TINY, heads=32), dict(TINY, layers=0),
     ], ids=["default", "tiny", "width_1", "heads_equal_width", "no_layers"])
     def test_closed_form_size_is_the_layout_size(self, tmp_path, corpus, config):
         """`load` checks the file's size against a count made from the config
@@ -834,6 +856,22 @@ class TestPersistence:
         with pytest.raises(CheckpointMismatchError, match="model.ckpt"):
             type(model).load(path)
 
+    def test_per_stack_config_keys_are_refused(self, tmp_path, model):
+        """A sidecar written when each stack had its own depth and head count."""
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        old = [f"{side}_{kind}" for side in ("encoder", "decoder", "concept")
+               for kind in ("layers", "heads")]
+
+        def per_stack(sidecar):
+            config = sidecar["config"]
+            config.update({name: config[name.split("_")[1]] for name in old})
+            del config["layers"], config["heads"]
+        self.edit_sidecar(path, per_stack)
+        with pytest.raises(CheckpointMismatchError, match=re.escape(
+                f"unknown keys {sorted(old)} and lacks ['heads', 'layers']")):
+            type(model).load(path)
+
     @pytest.mark.parametrize("edit", [
         lambda sidecar: sidecar.update(digest="0" * 64),
         # a renamed token keeps the layout's size, so only the digest catches it
@@ -853,7 +891,7 @@ class TestPersistence:
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                  if k != "config"}),
         lambda text: json.dumps([json.loads(text)]),
-        lambda text: text.replace('"decoder_heads": 2', '"decoder_heads": 0'),
+        lambda text: text.replace('"heads": 2', '"heads": 0'),
         lambda text: NESTED,
         lambda text: re.sub(r'"source_vocab": \[[^]]*\]', f'"source_vocab": {NESTED}', text),
     ], ids=["wrong_value_type", "unknown_precision", "not_json", "no_config",

@@ -7,8 +7,8 @@ the saved config and the values its sidecar's hash names, a TSV record passes
 `check_target`, and a wiki record's pointers index its utterance. Byte mutants flip, insert or delete one to
 three bytes, drawn from `np.random.default_rng` with a fixed seed. Field
 mutants replace one value of the JSON, in turn every value, with each entry
-of `FIELD_POOL`. The 1,409 cases: a TINY checkpoint's sidecar with each of
-its 49 fields replaced by each pool entry (441) and 300 byte mutants; 100
+of `FIELD_POOL`. The 1,373 cases: a TINY checkpoint's sidecar with each of
+its 45 fields replaced by each pool entry (405) and 300 byte mutants; 100
 parameter files, cut, extended or flipped, half with a sidecar rehashed to
 match; 60 parameter files with one value made NaN or infinite and the sidecar
 rehashed, none of which may load; 200 TSV corpora; a wiki JSON line with each

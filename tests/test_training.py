@@ -225,9 +225,7 @@ class TestTrainKnownDomains:
         records = records_from_rows(two_domain_rows(12, seed=0))
         split = build_leave_one_out(records, [], "weather", valid_fraction=0.3)
         model = build_model(records, seed=1, width=48, ff_width=96,
-                            encoder_layers=1, encoder_heads=2, decoder_layers=1,
-                            decoder_heads=2, concept_layers=1, concept_heads=2,
-                            max_source_len=32, max_target_len=48)
+                            layers=1, heads=2, max_source_len=32, max_target_len=48)
         result = train_known_domains(model, split,
                                      quick_cfg(epochs=220, learning_rate=3e-3,
                                                patience=220))
