@@ -573,6 +573,17 @@ class TestNoDecoderLayers:
             assert [h.tokens for h in found] == [h.tokens for h in expected]
 
 
+# each stack's depth and head count, by stack: the three stacks read the shared
+# ``layers`` and ``heads``, and every count that a stack reads is checked
+STACK_COUNTS = {kind: [f"{side}_{kind}" for side in ("encoder", "decoder", "concept")]
+                for kind in ("layers", "heads")}
+
+
+def shared_field(name):
+    """The ModelConfig field that sets ``name``, a field or a stack's count."""
+    return name.split("_")[1] if name in sum(STACK_COUNTS.values(), []) else name
+
+
 class TestModelConfig:
     def test_the_default_layout_is_pinned(self):
         """Every parameter's name and shape in arena order, which fixes the
@@ -584,28 +595,41 @@ class TestModelConfig:
             "14c006f00daa8a37730dd5e9026cff91ee92b8e8495228801379adbc3549a896")
 
     @pytest.mark.parametrize("name", ["width", "ff_width", "max_source_len",
-                                      "max_target_len", "heads"])
+                                      "max_target_len", *STACK_COUNTS["heads"]])
     @pytest.mark.parametrize("value", [0, -1])
     def test_sizes_below_one_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
-            ModelConfig(**dict(TINY, **{name: value}))
+        field = shared_field(name)
+        with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
+            ModelConfig(**dict(TINY, **{field: value}))
 
     def test_width_must_split_into_the_heads(self):
         with pytest.raises(ValueError, match="width 32 not divisible by head count 3"):
             ModelConfig(**dict(TINY, heads=3))
 
-    def test_negative_layer_counts_rejected(self):
+    @pytest.mark.parametrize("name", STACK_COUNTS["layers"])
+    def test_negative_layer_counts_rejected(self, name):
+        """The stack's depth is the shared ``layers``: -1 is refused, and 0
+        builds the stack with no blocks between its embedding and final norm."""
+        side = name.split("_")[0]
         with pytest.raises(ValueError, match="layers must be an integer of at least 0"):
             ModelConfig(**dict(TINY, layers=-1))
-        ModelConfig(**dict(TINY, layers=0))
+        for layers in (0, 1):
+            model = ConceptModel(ModelConfig(**dict(TINY, layers=layers)),
+                                 Vocabulary(["a"]), Vocabulary(["c"]))
+            blocks = {param.split(".")[1] for param in model.parameters()
+                      if re.fullmatch(rf"{side}\.\d+\..*", param)}
+            assert blocks == {str(i) for i in range(layers)}
+            assert f"{side}.final_ln.gain" in model.parameters()
 
     @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)
-                                      if f.name != "precision"])
+                                      if f.name not in ("precision", "layers", "heads")]
+                             + STACK_COUNTS["layers"] + STACK_COUNTS["heads"])
     @pytest.mark.parametrize("value", [2.5, 64.0, float("nan"), float("inf"), True],
                              ids=["fraction", "whole_float", "nan", "inf", "bool"])
     def test_sizes_and_counts_must_be_integers(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            ModelConfig(**dict(TINY, **{name: value}))
+        field = shared_field(name)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModelConfig(**dict(TINY, **{field: value}))
 
     @pytest.mark.parametrize("value, low", [(True, 0), (1.0, 1), (0, 1), (-1, 0), ("3", 0)],
                              ids=["bool", "float", "below_one", "below_zero", "string"])
