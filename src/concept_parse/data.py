@@ -42,7 +42,6 @@ from .parse import (
     TargetSequence,
     TargetToken,
     Utterance,
-    build_concept_tags,
     make_tag,
     parse_seqlogical,
     target_tags,
@@ -360,9 +359,9 @@ def _tagging_record(sentence: str, mentions: Sequence[Mention]) -> PretrainRecor
 
 
 def tags_from_records(records: Sequence[DatasetRecord]) -> list[ConceptTag]:
-    """Begin/end concept tokens for every label in a record set, sorted."""
-    return build_concept_tags((tag.name, tag.kind) for record in records
-                              for tag in target_tags(record.target))
+    """The distinct concept tags of a record set's targets, sorted by (name, boundary)."""
+    return sorted(dict.fromkeys(tag for record in records for tag in target_tags(record.target)),
+                  key=lambda tag: (tag.name, tag.boundary))
 
 
 # content fingerprints: record identities that show splits are disjoint

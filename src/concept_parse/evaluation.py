@@ -76,8 +76,10 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
     """Beam-decode each record into one outcome; the report's metrics are sums over them.
 
     Every gold target is checked first, so a malformed one raises
-    `MalformedTargetError` before anything is decoded. An invalid prediction
-    predicts no span; a span in both matches as often as the fewer holds it.
+    `MalformedTargetError` before anything is decoded. A record is an exact
+    match when its predicted target sequence equals the gold one token for
+    token; equal span multisets are not enough. An invalid prediction predicts
+    no span; a span in both matches as often as the fewer holds it.
     """
     if not records:
         raise EmptyEvalSetError("evaluation needs at least one record")

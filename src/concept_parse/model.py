@@ -12,11 +12,13 @@ attention, log-softmax and GELU with the same ``autodiff.*_kernel`` functions.
 
 Both paths feed the decoder by output index. `_input_table` stacks the bank's
 concept vectors, the pointer embeddings and a BOS row, so row i is the input
-for output index i and `bos_index` names the BOS row. Teacher forcing gathers
-`PaddedBatch.inputs` from it. `decode_step` takes a `DecoderState` and each
-beam's previous output index, and returns the step's log-probabilities over
-the m + n output indices with a new state; it never writes into the old one,
-and the search reorders states by parent between steps.
+for output index i and `bos_index` names the BOS row. `_output_index` is the one
+rule from a target token to its output index: `build_batch` indexes gold with
+it, and `target_embed` returns that row of `_input_table`. Teacher forcing
+gathers `PaddedBatch.inputs` from the table. `decode_step` takes a
+`DecoderState` and each beam's previous output index, and returns the step's
+log-probabilities over the m + n output indices with a new state; it never
+writes into the old one, and the search reorders states by parent between steps.
 
 Within one search the source states, the bank and every product made only
 from them and the weights are fixed. `initial_state` computes them once: each
@@ -187,9 +189,10 @@ class PaddedBatch:
 
     src_ids: np.ndarray       # (B, N) int, N the longest source in the batch
     src_pad: np.ndarray       # (B, N) model dtype, additive: 0 at a token, _NEG at padding
-    gold: np.ndarray          # (B, L_max) int, output index: concept i, pointer m + j
-    tgt_mask: np.ndarray      # (B, L_max)
-    inputs: np.ndarray        # (B, L_max) int, decoder-input row: BOS, then gold shifted
+    gold: np.ndarray          # (B, L_max) int, output index: concept i, pointer m + j; pad 0
+    tgt_mask: np.ndarray      # (B, L_max) model dtype: 1 at a target token, 0 at padding
+    inputs: np.ndarray        # (B, L_max) int, decoder-input row: BOS, then gold shifted,
+    #                           so padding holds the last gold index, then 0
 
 
 def _layout(config: ModelConfig, source_size: int, concept_size: int
@@ -253,18 +256,18 @@ def _value_count(config: ModelConfig, source_size: int, concept_size: int) -> in
             + (3 * block + 4 * d * d + 6 * d) * config.layers)  # 3 stacks; decoder ln3, cross
 
 
-def _identity_digest(config: ModelConfig, source_vocab: Vocabulary,
-                     concept_vocab: Vocabulary,
-                     shapes: Iterable[tuple[str, tuple[int, ...]]]) -> str:
-    """Hash of the config, both vocabularies and every parameter's (name, shape)
-    in arena order, which fixes where each value sits in the value buffer."""
-    payload = json.dumps(
-        {"config": asdict(config),
-         "source_vocab": list(source_vocab.tokens),
-         "concept_vocab": list(concept_vocab.tokens),
-         "layout": [[name, list(shape)] for name, shape in shapes]},
-        sort_keys=True).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+def _output_index(token: TargetToken, rows: dict[ConceptTag, int], m: int, n: int) -> int:
+    """The one token-to-index rule: tag ``token`` is output index ``rows[token]``
+    and pointer j, of n source tokens, m + j; that index is also the token's row
+    of the decoder input table."""
+    if isinstance(token, Pointer):
+        if not 0 <= token.index < n:
+            raise PointerRangeError(f"pointer {token.index} outside {n} source tokens")
+        return m + token.index
+    row = rows.get(token)
+    if row is None:
+        raise UnknownConceptError(f"concept {token.token_string!r} not present in the bank")
+    return row
 
 
 def _read_checkpoint_file(path: Path) -> bytes:
@@ -436,21 +439,12 @@ class ConceptModel:
     # stepwise decoding (inference only)
 
     def target_embed(self, token: TargetToken, bank: ConceptBank) -> np.ndarray:
-        """Decoder input embedding of one target token under a bank.
-
-        A tag listed twice takes its last row, as in `build_batch`.
-        """
-        if isinstance(token, Pointer):
-            if not 0 <= token.index < self.config.max_source_len:
-                raise PointerRangeError(
-                    f"pointer index {token.index} outside the embedding table "
-                    f"(max {self.config.max_source_len - 1})")
-            return self.params["decoder.ptr_embed"].data[token.index]
-        rows = [i for i, tag in enumerate(bank.tags) if tag == token]
-        if not rows:
-            raise UnknownConceptError(
-                f"concept {token.token_string!r} not present in the bank")
-        return bank.vectors[rows[-1]]
+        """Decoder input of one target token under a bank: its row of `_input_table`,
+        found by `_output_index` as `build_batch` finds it."""
+        index = _output_index(token, {tag: i for i, tag in enumerate(bank.tags)}, bank.m,
+                              self.config.max_source_len)
+        with ad.no_grad():
+            return self._input_table(ad.constant(bank.vectors)).data[index]
 
     def bos_index(self, m: int) -> int:
         """Row of the BOS input in the decoder input table of an m-tag bank."""
@@ -580,32 +574,12 @@ class ConceptModel:
                 f"target length {l_max} exceeds maximum {cfg.max_target_len}")
         src_ids, src_pad = self._pad([self.source_vocab.ids(r.utterance.tokens)
                                       for r in records])
-        b = len(records)
-        gold = np.zeros((b, l_max), dtype=np.int64)
-        tgt_mask = np.zeros((b, l_max), dtype=self.dtype)
-        inputs = np.zeros((b, l_max), dtype=np.int64)
-        inputs[:, 0] = self.bos_index(m)
-
-        def token_row(token: TargetToken, n: int) -> int:
-            if isinstance(token, Pointer):
-                if not 0 <= token.index < n:
-                    raise PointerRangeError(f"pointer {token.index} outside {n} source tokens")
-                return m + token.index
-            row = rows.get(token)
-            if row is None:
-                raise UnknownConceptError(
-                    f"concept {token.token_string!r} not present in the bank")
-            return row
-
-        for i, record in enumerate(records):
-            n = len(record.utterance.tokens)
-            length = len(record.target.tokens)
-            tgt_mask[i, :length] = 1.0
-            for t, token in enumerate(record.target.tokens):
-                gold[i, t] = token_row(token, n)
-            inputs[i, 1:length] = gold[i, :length - 1]
+        gold, tgt_pad = self._pad([[_output_index(token, rows, m, len(r.utterance.tokens))
+                                    for token in r.target.tokens] for r in records])
+        bos = np.full((len(records), 1), self.bos_index(m), dtype=np.int64)
         return PaddedBatch(src_ids=src_ids, src_pad=src_pad, gold=gold,
-                           tgt_mask=tgt_mask, inputs=inputs)
+                           tgt_mask=(tgt_pad == 0.0).astype(self.dtype),
+                           inputs=np.concatenate([bos, gold[:, :-1]], axis=1))
 
     def teacher_log_probs(self, batch: PaddedBatch, bank_vectors: Tensor) -> Tensor:
         """Gradient-recording log-probabilities (B, L, m + N) for a batch."""
@@ -654,10 +628,15 @@ class ConceptModel:
         tmp.replace(path.with_name(path.name + ".json"))
 
     def identity_digest(self) -> str:
-        """Hash of the config, both vocabularies and the parameter layout
-        (`_identity_digest` over the assembled parameters)."""
-        return _identity_digest(self.config, self.source_vocab, self.concept_vocab,
-                                ((name, p.data.shape) for name, p in self.params.items()))
+        """Hash of the config, both vocabularies and every parameter's (name,
+        shape) in arena order, which fixes where each value sits in the value buffer."""
+        payload = json.dumps(
+            {"config": asdict(self.config),
+             "source_vocab": list(self.source_vocab.tokens),
+             "concept_vocab": list(self.concept_vocab.tokens),
+             "layout": [[name, list(p.data.shape)] for name, p in self.params.items()]},
+            sort_keys=True).encode("utf-8")
+        return hashlib.sha256(payload).hexdigest()
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ConceptModel":
@@ -668,13 +647,12 @@ class ConceptModel:
         fields. The parameter file must hash to the sidecar's
         ``params_sha256`` and hold exactly the bytes of the layout that the
         config and vocabularies give, counted in closed form by `_value_count`,
-        so that `_layout` never lists more parameters than the file fills, and
-        every value must be finite. The sidecar's digest must equal
-        `_identity_digest` over that `_layout`.
-        Only then is the model laid out with zero values, not drawn from a
-        seed, its `identity_digest` compared once more, and the file's values
-        copied in. A missing or unreadable file, a malformed sidecar, or any
-        mismatch raises `CheckpointMismatchError` naming the path.
+        so that the layout never allocates more than the file holds, and every
+        value must be finite. Only then is the model laid out with zero values,
+        not drawn from a seed; the sidecar's digest must equal its
+        `identity_digest`, and the file's values are copied in. A missing or
+        unreadable file, a malformed sidecar, or any mismatch raises
+        `CheckpointMismatchError` naming the path.
         """
         path = Path(path)
         raw = _read_checkpoint_file(path.with_name(path.name + ".json"))
@@ -702,19 +680,14 @@ class ConceptModel:
             values = np.frombuffer(blob, dtype=dtype)
             if not np.isfinite(values).all():
                 raise CheckpointMismatchError(f"{path}: parameter file holds NaN or Inf values")
-            shapes = [(name, shape) for name, shape, _ in
-                      _layout(config, len(source_vocab), len(concept_vocab))]
         except (ValueError, TypeError, KeyError, RecursionError) as err:
             raise CheckpointMismatchError(
                 f"{path}: malformed sidecar ({type(err).__name__}: {err})") from err
-        digest = _identity_digest(config, source_vocab, concept_vocab, shapes)
-        stale = (f"{path}: sidecar digest does not match the rebuilt model's config, "
-                 f"vocabularies or parameter layout")
-        if sidecar.get("digest") != digest:
-            raise CheckpointMismatchError(stale)
         model = cls.__new__(cls)
         model._assemble(config, source_vocab, concept_vocab)
-        if model.identity_digest() != digest:
-            raise CheckpointMismatchError(stale)
+        if sidecar.get("digest") != model.identity_digest():
+            raise CheckpointMismatchError(
+                f"{path}: sidecar digest does not match the rebuilt model's config, "
+                f"vocabularies or parameter layout")
         model.value_buffer()[...] = values
         return model

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Literal, Optional, Union
+from typing import Literal, Optional, Union
 
 from .errors import (
     EmptyUtteranceError,
@@ -141,14 +141,6 @@ def make_tag(name: str, kind: Kind, boundary: Boundary,
 def tags_for_label(name: str, kind: Kind) -> tuple[ConceptTag, ConceptTag]:
     """Begin and end concept tokens for one boundary-free label; frozen, so shared."""
     return make_tag(name, kind, "begin"), make_tag(name, kind, "end")
-
-
-def build_concept_tags(labels: Iterable[tuple[str, Kind]]) -> list[ConceptTag]:
-    """Begin/end tags for a set of labels, in deterministic (name, begin, end) order."""
-    tags: list[ConceptTag] = []
-    for name, kind in sorted(set(labels)):
-        tags.extend(tags_for_label(name, kind))
-    return tags
 
 
 def parse_seqlogical(annotation: str, utterance: Utterance) -> TargetSequence:

@@ -1,0 +1,164 @@
+"""Single-line mutants of the protocol rules, and the test that kills each.
+
+Each `Mutant` names a module of ``src/concept_parse``, one of its source
+lines (without indentation; it occurs exactly once in the module), the line
+that replaces it, and the id of a test that fails under the mutant, or
+``"equivalent: <reason>"`` where no test can tell the mutant from the rule.
+The runner applies each mutant to a temporary copy of the repository, never
+to the working tree, and runs its killing test there:
+
+    python tests/mutants.py [module ...]
+
+With no module it runs every mutant. It first checks that every killing test
+passes on the unmutated copy, then prints one line per mutant, and exits 1 if
+a mutant that is not equivalent survives (or its test run errs).
+`tests/test_packaging.py` checks, in tier-1, that each table line occurs
+exactly once in its module and that each killing test is defined.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+EQUIVALENT = "equivalent: "
+
+
+class Mutant(NamedTuple):
+    module: str
+    line: str
+    replacement: str
+    killed_by: str
+
+
+MUTANTS = (
+    # the seven rules that no test pinned at the last re-anchor
+    Mutant("data", "if any(counts.get(label, 0) < cfg.k for label in labels):",
+           "if all(counts.get(label, 0) < cfg.k for label in labels):",
+           "tests/test_data.py::TestSampleSpi::test_multi_label_records_cover_every_label"),
+    Mutant("data", "n_held = max(1, round(fraction * len(domain_records))) \\",
+           "n_held = max(0, round(fraction * len(domain_records))) \\",
+           "tests/test_data.py::TestLeaveOneOut::test_a_small_domain_holds_back_one_record"),
+    Mutant("training", "result.stopped_early = epoch < epochs - 1",
+           "result.stopped_early = True",
+           "tests/test_training.py::TestTrainKnownDomains::"
+           "test_a_loop_that_runs_every_epoch_did_not_stop_early"),
+    Mutant("training", "size=min(cfg.batch_size, len(known_records)))", "size=1)",
+           "tests/test_training.py::TestFewshotFinetune::"
+           "test_each_step_rehearses_a_full_known_batch"),
+    Mutant("training", "[cfg.seed, 7_001],", "[cfg.seed],",
+           "tests/test_training.py::TestPretrainLoop::test_shuffles_from_its_own_stream"),
+    Mutant("parse", "spans[(token.name, min(inside), max(inside)) if inside",
+           "spans[(token.name, inside[0], inside[-1]) if inside",
+           "tests/test_parse.py::TestSpans::test_out_of_order_pointers_span_min_to_max"),
+    Mutant("evaluation", '"em": int(pred == record.target),',
+           '"em": int(pred_spans == gold_spans),',
+           "tests/test_evaluation.py::TestExactMatch::"
+           "test_equal_spans_in_another_order_are_no_match"),
+    # equivalent, or equivalent up to float rounding
+    Mutant("parse", "if pos and not opened:  # only a closed root leaves nothing open",
+           "if pos > 1 and not opened:  # only a closed root leaves nothing open",
+           EQUIVALENT + "the token at position 0 opens a tag or raises, so a tag is "
+           "open at position 1"),
+    Mutant("evaluation", "_TF_CHUNK = 64", "_TF_CHUNK = 1",
+           EQUIVALENT + "a record's teacher-forced argmax does not depend on the records "
+           "beside it; only the padded shapes, and so float rounding, change"),
+    Mutant("evaluation", '"valid": reason is None,',
+           '"valid": reason is None and not best.truncated,',
+           EQUIVALENT + "a truncated output never closes its root, so check_target "
+           "already rejects it"),
+    Mutant("training", "union = list(batch_concept_union(examples))",
+           "union = sorted(batch_concept_union(examples), "
+           "key=lambda tag: (tag.name, tag.boundary))",
+           EQUIVALENT + "reordering the union permutes the bank rows and the gold "
+           "indices together, so only the order of float sums changes"),
+    # the bank's tag order, the token-to-index rule, the pad rule and the digest check
+    Mutant("data", "key=lambda tag: (tag.name, tag.boundary))",
+           "key=lambda tag: (tag.boundary, tag.name))",
+           "tests/test_data.py::TestTagsFromRecords::test_tags_sort_by_name_then_boundary"),
+    Mutant("model", "self.config.max_source_len)", "self.config.max_source_len + 1)",
+           "tests/test_model.py::TestTargetEmbed::test_last_pointer_row_and_the_bound"),
+    Mutant("model", "if not 0 <= token.index < n:", "if not 0 <= token.index <= n:",
+           "tests/test_model.py::TestBatchedForward::test_pointer_outside_utterance_rejected"),
+    Mutant("model", "return m + token.index", "return token.index",
+           "tests/test_model.py::TestTargetEmbed::test_last_pointer_row_and_the_bound"),
+    Mutant("model", "inputs=np.concatenate([bos, gold[:, :-1]], axis=1))",
+           "inputs=np.concatenate([bos, gold[:, 1:]], axis=1))",
+           "tests/test_model.py::TestBatchedForward::"
+           "test_inputs_index_the_decoder_input_table"),
+    Mutant("model", "tgt_mask=(tgt_pad == 0.0).astype(self.dtype),",
+           "tgt_mask=np.ones(gold.shape, dtype=self.dtype),",
+           "tests/test_model.py::TestPadPositions::"
+           "test_loss_and_gradients_ignore_inputs_at_padding[single]"),
+    Mutant("model", 'if sidecar.get("digest") != model.identity_digest():', "if False:",
+           "tests/test_model.py::TestPersistence::"
+           "test_sidecar_digest_must_match_rebuilt_model[tampered_digest]"),
+)
+
+
+def source_path(root: Path, module: str) -> Path:
+    return root / "src" / "concept_parse" / f"{module}.py"
+
+
+def mutate(source: str, mutant: Mutant) -> str:
+    """``source`` with the one line whose text is ``mutant.line`` replaced,
+    keeping its indentation; `ValueError` unless exactly one line matches."""
+    lines = source.splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.strip() == mutant.line]
+    if len(at) != 1:
+        raise ValueError(f"{mutant.module}: {mutant.line!r} occurs {len(at)} times, not once")
+    line = lines[at[0]]
+    lines[at[0]] = line[:len(line) - len(line.lstrip())] + mutant.replacement + "\n"
+    return "".join(lines)
+
+
+def run_tests(copy: Path, ids: list[str]) -> int:
+    """Exit code of pytest over ``ids`` in the copy, stopping at the first failure."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *ids], cwd=copy, env=env, capture_output=True).returncode
+
+
+def main(argv: list[str]) -> int:
+    known = sorted({m.module for m in MUTANTS})
+    unknown = set(argv) - set(known)
+    if unknown:
+        print(f"unknown modules {sorted(unknown)}; the table has {known}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.module in argv]
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".perfbench_out"))
+        ids = sorted({m.killed_by for m in chosen if not m.killed_by.startswith(EQUIVALENT)})
+        if ids and run_tests(copy, ids) != 0:
+            print("a killing test fails on the unmutated copy", file=sys.stderr)
+            return 2
+        counts = {"killed": 0, "survived": 0, "error": 0, "equivalent": 0}
+        for mutant in chosen:
+            if mutant.killed_by.startswith(EQUIVALENT):
+                outcome = "equivalent"
+            else:
+                path = source_path(copy, mutant.module)
+                original = path.read_text(encoding="utf-8")
+                path.write_text(mutate(original, mutant), encoding="utf-8")
+                try:
+                    code = run_tests(copy, [mutant.killed_by])
+                finally:
+                    path.write_text(original, encoding="utf-8")
+                # pytest exits 1 when tests ran and one failed; other codes are errors
+                outcome = {0: "survived", 1: "killed"}.get(code, "error")
+            counts[outcome] += 1
+            print(f"{outcome:10} {mutant.module}: {mutant.line} -> {mutant.replacement}")
+    print(", ".join(f"{n} {outcome}" for outcome, n in counts.items()))
+    return 1 if counts["survived"] or counts["error"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -20,6 +20,7 @@ from concept_parse.data import (
     record_fingerprint,
     record_from_row,
     sample_spi,
+    tags_from_records,
 )
 from concept_parse.errors import (
     DataError,
@@ -211,6 +212,12 @@ class TestLeaveOneOut:
         assert len(split.known_valid) > 0
         assert all(r.domain == "b" for r in split.heldout_test)
 
+    def test_a_small_domain_holds_back_one_record(self):
+        # round(0.05 * 5) is 0, but a domain of more than one record holds back one
+        records = self.make_records(["a", "b"], per_domain=5)
+        split = build_leave_one_out(records, [], "a", valid_fraction=0.05)
+        assert len(split.known_valid) == 1 and len(split.known_train) == 4
+
     def test_seed_determinism(self):
         records = self.make_records(["a", "b", "c"], per_domain=20)
         one = build_leave_one_out(records, [], "a", seed=5)
@@ -254,6 +261,19 @@ class TestSampleSpi:
                     cover = sum(1 for r in kept if label in r.labels())
                     assert cover >= min(k, frequency)
 
+    def test_multi_label_records_cover_every_label(self):
+        """A record is kept while any of its labels is below k, so a slot whose
+        records all share the intent with kept ones still reaches min(k, frequency)."""
+        records = [record_from_row("d", f"w{i}", f"[IN:A [SL:S{i % 3} w{i} ] ]")
+                   for i in range(9)]
+        labels = {"IN:A", "SL:S0", "SL:S1", "SL:S2"}
+        for seed in range(4):
+            for k in (1, 2, 4):
+                kept = sample_spi(records, SpiConfig(k=k, seed=seed))
+                for label in labels:
+                    frequency = sum(label in r.labels() for r in records)
+                    assert sum(label in r.labels() for r in kept) >= min(k, frequency)
+
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             SpiConfig(k=0, seed=0)
@@ -264,6 +284,15 @@ class TestSampleSpi:
     def test_fields_must_be_integers_in_range(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SpiConfig(**{"k": 1, "seed": 0, name: value})
+
+
+class TestTagsFromRecords:
+    def test_tags_sort_by_name_then_boundary(self):
+        # the first target names SL:A's tags between IN:B's; each tag comes once
+        records = [record_from_row("d", "x y", "[IN:B [SL:A x ] y ]"),
+                   record_from_row("d", "y", "[IN:B y ]")]
+        assert [t.token_string for t in tags_from_records(records)] == [
+            "[IN:B", "IN:B]", "[SL:A", "SL:A]"]
 
 
 class TestWikiLoader:

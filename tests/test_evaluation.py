@@ -53,6 +53,13 @@ class TestExactMatch:
         assert a != b
         assert em_outcome(monkeypatch, a, "[IN:A [SL:C x ] ]") == 0
 
+    def test_equal_spans_in_another_order_are_no_match(self, monkeypatch):
+        # EM compares sequences: the same span multiset in another order is not one
+        pred = sequence_from_strings(["[IN:A", "[SL:B", "SL:B]", "@ptr_0", "IN:A]"])
+        gold = sequence_from_strings(["[IN:A", "@ptr_0", "[SL:B", "SL:B]", "IN:A]"])
+        assert target_spans(pred) == target_spans(gold)
+        assert em_outcome(monkeypatch, pred, "[IN:A x [SL:B ] ]") == 0
+
     def test_accuracy_aggregation(self):
         outcomes = [1, 1, 0]
         assert round(100.0 * sum(outcomes) / len(outcomes), 2) == 66.67

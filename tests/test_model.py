@@ -138,6 +138,13 @@ class TestTargetEmbed:
         with pytest.raises(UnknownConceptError):
             model.target_embed(stranger, bank)
 
+    def test_last_pointer_row_and_the_bound(self, model, bank):
+        last = model.config.max_source_len - 1
+        assert model.target_embed(Pointer(last), bank).tobytes() == \
+            model.parameters()["decoder.ptr_embed"].data[last].tobytes()
+        with pytest.raises(PointerRangeError):
+            model.target_embed(Pointer(last + 1), bank)
+
     def test_pointer_beyond_table(self, model, bank):
         from concept_parse.errors import PointerRangeError
         with pytest.raises(PointerRangeError):
@@ -277,7 +284,8 @@ class TestDecodeStep:
 
 
 class TestBankWidth:
-    @pytest.mark.parametrize("entry", ["beam_decode", "evaluate_domain", "teacher_log_probs"])
+    @pytest.mark.parametrize("entry", ["beam_decode", "evaluate_domain", "teacher_log_probs",
+                                       "target_embed"])
     def test_bank_of_another_width_raises_shape_error(self, corpus, bank, entry):
         """A bank from a width-32 model, used by a width-64 one, fails typed
         where the decoder input table stacks it, not as a raw numpy error."""
@@ -287,6 +295,7 @@ class TestBankWidth:
             "evaluate_domain": lambda: evaluate_domain(wide, bank, corpus[:2], beam_width=2),
             "teacher_log_probs": lambda: wide.teacher_log_probs(
                 wide.build_batch(corpus[:2], bank.tags), ad.constant(bank.vectors)),
+            "target_embed": lambda: wide.target_embed(bank.tags[0], bank),
         }
         with pytest.raises(ShapeError, match=r"cannot concatenate shapes .*\(\d+, 32\)"):
             calls[entry]()
@@ -461,6 +470,35 @@ class TestBatchedForward:
         assert graph_calls == 3 and len(calls) == 3 + 1 + 1
         assert calls[-1] == (1, heads, 1, model.config.width // heads)
         assert softmaxes == [(1, heads, 1, 1), (1, heads, len(tokens))]
+
+
+class TestPadPositions:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_loss_and_gradients_ignore_inputs_at_padding(self, corpus, precision):
+        """Whatever `PaddedBatch.inputs` holds at a pad position (0, the BOS row,
+        a pointer row), a length-mixed batch's loss and every gradient stay bit-equal:
+        the causal mask hides the position from those before it, and the loss
+        weights it 0."""
+        model = build_model(corpus, seed=2, precision=precision, **TINY)
+        tags = tags_from_records(corpus)
+        by_length = sorted(corpus, key=lambda r: len(r.target.tokens))
+        batch = model.build_batch([by_length[0], by_length[-1], by_length[6]], tags)
+        pad = batch.tgt_mask == 0.0
+        assert pad.any()
+        params = list(model.parameters().values())
+        runs = []
+        for fill in (None, 0, model.bos_index(len(tags)), len(tags) + 1):
+            filled = batch if fill is None else \
+                replace(batch, inputs=np.where(pad, fill, batch.inputs))
+            zero_grads(params)
+            log_probs = model.teacher_log_probs(filled, model.encode_concepts_tensor(tags))
+            picked = ad.mul(ad.take_along_last(log_probs, batch.gold),
+                            ad.constant(batch.tgt_mask))
+            loss = ad.scale(ad.sum_all(picked), -1.0 / float(batch.tgt_mask.sum()))
+            ad.backward(loss)
+            runs.append([loss.data.tobytes()] + [p.grad.tobytes() for p in params])
+        zero_grads(params)
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestBoundViews:

@@ -1,6 +1,7 @@
 """Packaging metadata points at code that exists, every error class is raised,
 no import goes unread, src/ holds only what src/ or perfbench/ reads, every
-test helper is read, and tests read private names only from an allow-list."""
+test helper is read, tests read private names only from an allow-list, and the
+mutant table names lines and tests that exist."""
 
 import ast
 import importlib
@@ -9,6 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from mutants import EQUIVALENT, MUTANTS, mutate, source_path
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -212,3 +215,18 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert sorted(unused) == []
+
+
+def test_each_mutant_line_occurs_once_and_names_a_defined_test():
+    """Each line of the mutant table (`tests/mutants.py`) occurs exactly once
+    in its module, and each killing test id names a test that is defined; the
+    runner, outside tier-1, checks that the test kills the mutant."""
+    defined: dict[str, set[str]] = {}
+    for mutant in MUTANTS:
+        mutate(source_path(ROOT, mutant.module).read_text(encoding="utf-8"), mutant)
+        if mutant.killed_by.startswith(EQUIVALENT):
+            continue
+        path, *names = mutant.killed_by.split("::")
+        if path not in defined:
+            defined[path] = {qualified for qualified, _, _ in _definitions(_tree(ROOT / path))}
+        assert ".".join(names).partition("[")[0] in defined[path], mutant.killed_by

@@ -268,6 +268,11 @@ class TestSpans:
         seq = sequence_from_strings(["[IN:A", "[SL:B", "SL:B]", "@ptr_0", "IN:A]"])
         assert target_spans(seq) == Counter({("IN:A", 0, 0): 1, ("SL:B", None, None): 1})
 
+    def test_out_of_order_pointers_span_min_to_max(self):
+        seq = sequence_from_strings(["[IN:A", "[SL:B", "@ptr_2", "@ptr_0", "SL:B]",
+                                     "@ptr_1", "IN:A]"])
+        assert target_spans(seq) == Counter({("IN:A", 0, 2): 1, ("SL:B", 0, 2): 1})
+
     def test_repeated_spans_count_once_per_pair(self):
         nested = sequence_from_strings(["[IN:A", "[IN:A", "@ptr_0", "IN:A]", "IN:A]"])
         assert target_spans(nested) == Counter({("IN:A", 0, 0): 2})

@@ -257,6 +257,16 @@ class TestTrainKnownDomains:
         assert result.stopped_early
         assert len(result.log) == 2  # first epoch improves over -inf, second stops
 
+    def test_a_loop_that_runs_every_epoch_did_not_stop_early(self, monkeypatch):
+        # patience 1 runs out at the second score: the last epoch of a 2-epoch loop
+        records = records_from_rows(two_domain_rows(8, seed=0))
+        split = build_leave_one_out(records, [], "weather", valid_fraction=0.3)
+        monkeypatch.setattr(training, "teacher_forced_accuracy", lambda *args: 0.0)
+        for epochs, early in ((2, False), (3, True)):
+            model = build_model(records, seed=1, **TINY)
+            result = train_known_domains(model, split, quick_cfg(epochs=epochs, patience=1))
+            assert len(result.log) == 2 and result.stopped_early is early
+
     def test_empty_valid_split_rejected(self):
         # one record per domain: the known domains hold nothing back
         records = records_from_rows(two_domain_rows(1, seed=0))
@@ -288,6 +298,18 @@ class TestPretrainLoop:
         result = pretrain_wikiwiki(model, records,
                                    quick_cfg(pretrain_epochs=6, learning_rate=2e-3))
         assert result.log[-1]["loss"] < result.log[0]["loss"]
+
+    def test_shuffles_from_its_own_stream(self, tmp_path, monkeypatch):
+        # epoch e draws from [seed, 7001, e]; known-domain training uses [seed, e]
+        records = wiki_records(tmp_path, count=10)
+        model = build_model([], wiki_records=records, seed=0, **TINY)
+        states, make = [], training.make_batches
+        monkeypatch.setattr(training, "make_batches", lambda records, size, rng: (
+            states.append(rng.bit_generator.state) or make(records, size, rng)))
+        cfg = quick_cfg(seed=3, pretrain_epochs=2)
+        pretrain_wikiwiki(model, records, cfg)
+        assert states == [np.random.default_rng([3, 7_001, epoch]).bit_generator.state
+                          for epoch in range(2)]
 
     def test_non_finite_gradient_stops_the_run_before_a_weight_is_written(
             self, tmp_path, monkeypatch):
@@ -328,6 +350,24 @@ class TestFewshotFinetune:
         result = fewshot_finetune(model, spi, alpha, cfg)
         assert result.best_score > 0.0
         assert not np.array_equal(before, model.value_buffer())
+
+    def test_each_step_rehearses_a_full_known_batch(self, monkeypatch):
+        """Each step scores its few-shot batch, then min(batch_size, known)
+        rehearsal records."""
+        records = records_from_rows(two_domain_rows(6, seed=0))
+        navigation = [r for r in records if r.domain == "navigation"]
+        spi, known = navigation[:3], navigation[3:]
+        sizes, nll = [], training.batch_nll_tensor
+        monkeypatch.setattr(training, "batch_nll_tensor", lambda model, batch, *args: (
+            sizes.append(len(batch)) or nll(model, batch, *args)))
+        for batch_size in (2, 4):
+            sizes.clear()
+            model = build_model(records, seed=1, **TINY)
+            fewshot_finetune(model, spi, known, quick_cfg(
+                batch_size=batch_size, fewshot_epochs=2, fewshot_eval_every=2))
+            steps = 2 * math.ceil(len(spi) / batch_size)
+            assert len(sizes) == 2 * steps
+            assert sizes[1::2] == [min(batch_size, len(known))] * steps
 
     def test_multiplier_zero_is_plain_finetuning(self):
         records = records_from_rows(two_domain_rows(6, seed=0))
