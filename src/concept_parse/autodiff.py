@@ -5,13 +5,20 @@ that maps the output gradient to input gradients. The graph's leaves are the
 :class:`Parameter` tensors that ops read. ``backward`` walks the recorded graph
 in reverse topological order and adds gradients in place into their ``grad``.
 Graph recording is on unless the current thread (or context) is in
-``no_grad``. An affine map and an attention are one node each. The forwards of
-layer norm, softmax, log-softmax, GELU and attention are plain-array
-``*_kernel`` functions, which the stepwise decoder calls too. The kernels
-reduce with ``np.add.reduce`` and ``np.maximum.reduce``, not with
-``ndarray.mean``, ``.sum`` or ``.max``: those methods are Python-level
-wrappers around the same ufunc reductions, and on the decoder's (beams, width)
-arrays the wrapper costs more than the reduction. The results are bit-equal.
+``no_grad``. An affine map is one node, and so is each transformer sublayer:
+`mha` (four projections, attention and the merge of the heads) and
+`feed_forward` (affine, GELU, affine), each with one hand-written vjp. Their
+forwards take the products and sums of the composed ops in the same order, so
+they are bit-equal to them. The forwards of layer norm, softmax, log-softmax,
+GELU and attention are plain-array ``*_kernel`` functions, which the stepwise
+decoder calls too. The kernels reduce with ``np.add.reduce`` and
+``np.maximum.reduce`` (through `row_max`), not with ``ndarray.mean``, ``.sum``
+or ``.max``: those methods are Python-level wrappers around the same ufunc
+reductions, and on the decoder's (beams, width) arrays the wrapper costs more
+than the reduction. The results are bit-equal. Kernels and vjps write their
+temporaries into arrays they allocated themselves (``out=``, ``+=``), never into
+an input: the decoder passes views of its state, and `add` hands one gradient
+array to both of its inputs.
 
 Parameters live in an :class:`Arena`: one contiguous buffer per role (values,
 gradients, Adam's first and second moments) and one Adam step counter for a
@@ -114,12 +121,14 @@ class Parameter(Tensor):
     __slots__ = ("name", "arena", "span", "grad")
 
     def __init__(self, name: str, shape: tuple[int, ...], arena: Arena, offset: int):
-        self.name = name
-        self.arena = arena
-        self.span = slice(offset, offset + math.prod(shape))
-        super().__init__(arena.data[self.span].reshape(shape))
-        self.requires_grad = True
-        self.grad = arena.grad[self.span].reshape(shape)
+        # the first write of each slot skips the guard in __setattr__, which a
+        # model build would otherwise run in Python for every slot of every parameter
+        span = slice(offset, offset + math.prod(shape))
+        for attr, value in (("name", name), ("arena", arena), ("span", span),
+                            ("data", arena.data[span].reshape(shape)), ("parents", ()),
+                            ("vjp", None), ("requires_grad", True),
+                            ("grad", arena.grad[span].reshape(shape))):
+            object.__setattr__(self, attr, value)
 
     def __setattr__(self, attr: str, value) -> None:
         # data and grad are bound once, then written through; plain slots keep
@@ -236,7 +245,9 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if weight.data.ndim != 2 or x.data.shape[-1] != weight.data.shape[0]:
         raise ShapeError(f"affine shapes disagree: {x.data.shape} @ {weight.data.shape}")
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    out = (x2 @ weight.data + bias.data).reshape(x.data.shape[:-1] + weight.data.shape[1:])
+    out = x2 @ weight.data
+    out += bias.data
+    out = out.reshape(x.data.shape[:-1] + weight.data.shape[1:])
 
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -326,11 +337,31 @@ def sum_all(a: Tensor) -> Tensor:
     return _node(out, (a,), vjp)
 
 
+# rows from which `row_max` reduces a transposed copy; the decoder's (beams,
+# heads, n) and (beams, m + n) arrays have fewer, and there the copy costs more
+_ROW_MAX_COPY_ROWS = 64
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``np.maximum.reduce(x, axis=-1, keepdims=True)``, bit for bit.
+
+    A reduce along the last axis runs one short inner loop per row. From 64
+    rows on, the max is taken down the columns of a (last axis, rows) copy,
+    one vectorised pass per position in a row; a max does not round, so the
+    result is the same.
+    """
+    n = x.shape[-1]
+    if x.size < _ROW_MAX_COPY_ROWS * n:
+        return np.maximum.reduce(x, axis=-1, keepdims=True)
+    return np.maximum.reduce(x.reshape(-1, n).T.copy(), axis=0).reshape(x.shape[:-1] + (1,))
+
+
 def softmax_kernel(x: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax over the last axis (max-subtraction form)."""
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = x - row_max(x)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def softmax(z: Tensor) -> Tensor:
@@ -347,51 +378,97 @@ def softmax(z: Tensor) -> Tensor:
 def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                      mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Attention of ``q`` (..., tq, hd) over ``k`` and ``v`` (..., tk, hd), ``mask``
-    added to the scaled logits; returns the mix and the softmax weights. `attention`
+    added to the scaled logits; returns the mix and the softmax weights. `mha`
     and the stepwise decoder both call it."""
-    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    logits = q @ k.swapaxes(-1, -2)
+    logits *= 1.0 / math.sqrt(q.shape[-1])
     if mask is not None:
-        logits = logits + mask
+        logits += mask
     weights = softmax_kernel(logits)
     return weights @ v, weights
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              mask: Optional[np.ndarray] = None) -> Tensor:
-    """Multi-head attention over (B, T, d) projections as one node: split into
-    heads, `attention_kernel` with the constant ``mask``, heads merged back."""
-    if q.data.ndim != 3 or k.data.shape != v.data.shape or q.data.shape[2] % heads \
-            or k.data.shape[::2] != q.data.shape[::2]:
-        raise ShapeError(f"attention inputs {q.data.shape}, {k.data.shape} need {heads} heads")
-    b, _, d = q.data.shape
-    hd = d // heads
-    qh, kh, vh = (t.data.reshape(b, -1, heads, hd).transpose(0, 2, 1, 3) for t in (q, k, v))
-    mix, weights = attention_kernel(qh, kh, vh, mask)
+def mha(x: Tensor, weights: Sequence[Tensor], heads: int,
+        mask: Optional[np.ndarray] = None, kv: Optional[Tensor] = None) -> Tensor:
+    """A multi-head attention sublayer over (B, T, d) inputs as one node.
+
+    ``weights`` are wq, bq, wk, bk, wv, bv, wo and bo. Queries are projected
+    from ``x``, keys and values from ``kv``, or from ``x`` when ``kv`` is None
+    (self-attention, where ``x`` is one parent). The projections are split into
+    ``heads``, `attention_kernel` runs with the constant ``mask``, and the
+    merged heads go through the output projection. Each product and sum is the
+    one `affine` and `attention_kernel` compute, so the forward equals that
+    composed sublayer bit for bit. The backward sums a self-attention input's
+    gradient as ((query + key) + value), the order the composed graph adds it in.
+    """
+    d = x.data.shape[-1]
+    source = x if kv is None else kv
+    if x.data.ndim != 3 or source.data.ndim != 3 or d % heads \
+            or source.data.shape[::2] != x.data.shape[::2] \
+            or [w.data.shape for w in weights] != [(d, d), (d,)] * 4:
+        raise ShapeError(f"attention over {x.data.shape} and {source.data.shape} needs "
+                         f"{heads} heads that divide d and (d, d), (d,) weights")
+    wq, bq, wk, bk, wv, bv, wo, bo = (w.data for w in weights)
+    b, hd = x.data.shape[0], d // heads
+    x2, s2 = x.data.reshape(-1, d), source.data.reshape(-1, d)
+
+    def heads_of(rows, w, bias):
+        out = rows @ w
+        out += bias
+        return out.reshape(b, -1, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(per_head):
+        return per_head.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    qh, kh, vh = heads_of(x2, wq, bq), heads_of(s2, wk, bk), heads_of(s2, wv, bv)
+    mix, probs = attention_kernel(qh, kh, vh, mask)
+    merged = merge(mix)
+    out = merged @ wo
+    out += bo
 
     def vjp(g):
-        gm = g.reshape(b, -1, heads, hd).transpose(0, 2, 1, 3)
-        gw = gm @ np.swapaxes(vh, -1, -2)
-        # softmax Jacobian, times the logits' scale
-        gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) / math.sqrt(hd)
-        per_head = (gl @ kh, np.swapaxes(gl, -1, -2) @ qh, np.swapaxes(weights, -1, -2) @ gm)
-        return tuple(x.transpose(0, 2, 1, 3).reshape(b, -1, d) for x in per_head)
+        g2 = g.reshape(-1, d)
+        gm = (g2 @ wo.T).reshape(b, -1, heads, hd).transpose(0, 2, 1, 3)
+        gl = gm @ vh.swapaxes(-1, -2)
+        # the softmax Jacobian, then the logits' scale
+        gl -= np.add.reduce(gl * probs, axis=-1, keepdims=True)
+        gl *= probs
+        gl /= math.sqrt(hd)
+        gq = merge(gl @ kh)
+        gk = merge(gl.swapaxes(-1, -2) @ qh)
+        del gl
+        gv = merge(probs.swapaxes(-1, -2) @ gm)
+        del gm
+        gx = gq @ wq.T
+        gs = gk @ wk.T
+        if kv is None:
+            gx += gs
+            gs = gx
+        gs += gv @ wv.T
+        inputs = (gx.reshape(x.data.shape),) if kv is None else \
+            (gx.reshape(x.data.shape), gs.reshape(kv.data.shape))
+        return inputs + (x2.T @ gq, gq.sum(axis=0), s2.T @ gk, gk.sum(axis=0),
+                         s2.T @ gv, gv.sum(axis=0), merged.T @ g2, g2.sum(axis=0))
 
-    return _node(mix.transpose(0, 2, 1, 3).reshape(b, -1, d), (q, k, v), vjp)
+    parents = (x,) + (() if kv is None else (kv,)) + tuple(weights)
+    return _node(out.reshape(x.data.shape), parents, vjp)
 
 
 def log_softmax_kernel(x: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis: shifted logits minus their log-sum-exp."""
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = x - row_max(x)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
 
 
 def log_softmax(z: Tensor) -> Tensor:
     """Log-softmax over the last axis; the forward is `log_softmax_kernel`."""
     out = log_softmax_kernel(z.data)
-    y = np.exp(out)
 
     def vjp(g):
-        return (g - y * g.sum(axis=-1, keepdims=True),)
+        gz = np.exp(out)
+        gz *= g.sum(axis=-1, keepdims=True)
+        return (np.subtract(g, gz, out=gz),)
 
     return _node(out, (z,), vjp)
 
@@ -403,11 +480,16 @@ def normalize_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero mean and unit variance over the last axis: layer norm without its
     gain and bias. Returns the normalized input and the inverse deviation."""
     n = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
-    centered = x - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    return centered * inv, inv
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
+    xhat = x - mu
+    inv = np.add.reduce(np.multiply(xhat, xhat), axis=-1, keepdims=True)
+    inv /= n
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    return xhat, inv
 
 
 def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
@@ -415,7 +497,9 @@ def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
     """`normalize_kernel`, then gain and bias; returns the result and the
     normalized input and inverse deviation, which the graph op's vjp reuses."""
     xhat, inv = normalize_kernel(x)
-    return xhat * gain + bias, xhat, inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -425,14 +509,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out, xhat, inv = layer_norm_kernel(x.data, gain.data, bias.data)
 
     def vjp(g):
+        n = g.shape[-1]
         gy = g * gain.data
-        n = gy.shape[-1]
-        mean_gy = np.add.reduce(gy, axis=-1, keepdims=True) / n
-        mean_gy_xhat = np.add.reduce(gy * xhat, axis=-1, keepdims=True) / n
-        gx = inv * (gy - mean_gy - xhat * mean_gy_xhat)
+        scratch = gy * xhat
+        mean_gy_xhat = np.add.reduce(scratch, axis=-1, keepdims=True)
+        mean_gy_xhat /= n
+        mean_gy = np.add.reduce(gy, axis=-1, keepdims=True)
+        mean_gy /= n
+        # the input gradient inv * (gy - mean_gy - xhat * mean_gy_xhat), in gy's buffer
+        gy -= mean_gy
+        gy -= np.multiply(xhat, mean_gy_xhat, out=scratch)
+        gy *= inv
         axes = tuple(range(g.ndim - 1))
-        return (gx,
-                (g * xhat).sum(axis=axes),
+        return (gy,
+                np.multiply(g, xhat, out=scratch).sum(axis=axes),
                 g.sum(axis=axes))
 
     return _node(out, (x, gain, bias), vjp)
@@ -444,12 +534,37 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-approximate GELU of an array; returns the result and the tanh term.
 
-    The one GELU forward: the graph op and the stepwise decoder both call it,
-    so the two paths agree bit for bit. The cube is ``x * x * x`` because
+    The one GELU forward: the graph ops and the stepwise decoder all call it,
+    so the paths agree bit for bit. The cube is ``x * x * x`` because
     float32 ``x ** 3`` takes numpy's slow power loop, about 100x slower.
     """
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = x * 0.5
+    out *= t + 1.0
+    return out, t
+
+
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The derivative of `gelu_kernel` at ``x``, given its tanh term ``t``:
+    0.5 (1 + t) + 0.5 x (1 - t²) du/dx, with u the tanh's argument."""
+    du = x * x
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    dx = t * t
+    np.subtract(1.0, dx, out=dx)
+    slope = x * 0.5
+    slope *= dx
+    slope *= du
+    np.add(t, 1.0, out=dx)
+    dx *= 0.5
+    dx += slope
+    return dx
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -457,11 +572,36 @@ def gelu(x: Tensor) -> Tensor:
     out, t = gelu_kernel(x.data)
 
     def vjp(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
-        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        return (g * dx,)
+        dx = gelu_grad(x.data, t)
+        dx *= g
+        return (dx,)
 
     return _node(out, (x,), vjp)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The feed-forward sublayer, affine, GELU, affine, over x's last axis as
+    one node; its output and gradients equal those of `affine`, `gelu` and
+    `affine` bit for bit."""
+    if w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.shape[-1] != w1.data.shape[0] \
+            or w1.data.shape[1] != w2.data.shape[0]:
+        raise ShapeError(f"feed-forward shapes disagree: {x.data.shape} through "
+                         f"{w1.data.shape} and {w2.data.shape}")
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    pre = x2 @ w1.data
+    pre += b1.data
+    hidden, t = gelu_kernel(pre)
+    out = hidden @ w2.data
+    out += b2.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gpre = gelu_grad(pre, t)
+        gpre *= g2 @ w2.data.T
+        return ((gpre @ w1.data.T).reshape(x.data.shape), x2.T @ gpre, gpre.sum(axis=0),
+                hidden.T @ g2, g2.sum(axis=0))
+
+    return _node(out.reshape(x.data.shape[:-1] + w2.data.shape[1:]), (x, w1, b1, w2, b2), vjp)
 
 
 def backward(loss: Tensor) -> None:

@@ -9,6 +9,8 @@ The batched teacher-forced forward used for training records gradients; the
 stepwise decoding path (`decode_step` and everything built on it) is
 inference-only and does not record a graph. Both paths compute layer norm,
 attention, log-softmax and GELU with the same ``autodiff.*_kernel`` functions.
+In the graph each attention sublayer is one `ad.mha` node and each
+feed-forward sublayer one `ad.feed_forward` node.
 
 Both paths feed the decoder by output index. `_input_table` stacks the bank's
 concept vectors, the pointer embeddings and a BOS row, so row i is the input
@@ -339,19 +341,18 @@ class ConceptModel:
 
     # graph building blocks (gradient-recording)
 
-    def _mha(self, prefix: str, x: Tensor, kv: Tensor, mask: Optional[np.ndarray]) -> Tensor:
-        q = ad.affine(x, self.params[f"{prefix}.wq"], self.params[f"{prefix}.bq"])
-        k = ad.affine(kv, self.params[f"{prefix}.wk"], self.params[f"{prefix}.bk"])
-        v = ad.affine(kv, self.params[f"{prefix}.wv"], self.params[f"{prefix}.bv"])
-        mix = ad.attention(q, k, v, self.config.heads, mask)
-        return ad.affine(mix, self.params[f"{prefix}.wo"], self.params[f"{prefix}.bo"])
+    def _mha(self, prefix: str, x: Tensor, mask: Optional[np.ndarray],
+             kv: Optional[Tensor] = None) -> Tensor:
+        weights = [self.params[f"{prefix}.{name}"]
+                   for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+        return ad.mha(x, weights, self.config.heads, mask, kv)
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.params[f"{prefix}.gain"], self.params[f"{prefix}.bias"])
 
     def _ff(self, prefix: str, x: Tensor) -> Tensor:
-        hidden = ad.gelu(ad.affine(x, self.params[f"{prefix}.w1"], self.params[f"{prefix}.b1"]))
-        return ad.affine(hidden, self.params[f"{prefix}.w2"], self.params[f"{prefix}.b2"])
+        return ad.feed_forward(x, *(self.params[f"{prefix}.{name}"]
+                                    for name in ("w1", "b1", "w2", "b2")))
 
     def _stack(self, side: str, x: Tensor, mask: Optional[np.ndarray],
                enc: Optional[Tensor] = None, enc_mask: Optional[np.ndarray] = None
@@ -362,10 +363,10 @@ class ConceptModel:
         for i in range(self.config.layers):
             prefix = f"{side}.{i}"
             h = self._ln(f"{prefix}.ln1", x)
-            x = ad.add(x, self._mha(f"{prefix}.self", h, h, mask))
+            x = ad.add(x, self._mha(f"{prefix}.self", h, mask))
             if enc is not None:
                 h = self._ln(f"{prefix}.ln2", x)
-                x = ad.add(x, self._mha(f"{prefix}.cross", h, enc, enc_mask))
+                x = ad.add(x, self._mha(f"{prefix}.cross", h, enc_mask, enc))
             ff_ln = "ln3" if enc is not None else "ln2"
             x = ad.add(x, self._ff(f"{prefix}.ff", self._ln(f"{prefix}.{ff_ln}", x)))
         return self._ln(f"{side}.final_ln", x)

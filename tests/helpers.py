@@ -7,9 +7,10 @@ corpus, wiki-style pretraining payloads, writers for the TSV and JSON-lines
 formats the loaders read, and a parameter alone in its own arena. Oracles: the
 tree walks that write a tree's target sequence and annotation and that count
 its labeled spans and labels, the per-beam search, the stepwise teacher-forced
-forward, single-query and multi-head attention through single graph ops, a
-no-grad batch cross-entropy, per-parameter Adam, and the shared kernels'
-reductions written with the ndarray methods."""
+forward, single-query and multi-head attention through single graph ops, the
+attention and feed-forward sublayers composed of single graph ops, a no-grad
+batch cross-entropy, per-parameter Adam, and the shared kernels' reductions
+written with the ndarray methods."""
 
 import json
 import math
@@ -420,7 +421,7 @@ def scaled_dot_attention(query, keys, values):
 def composed_attention(q, k, v, heads, mask=None):
     """Multi-head attention of (B, T, d) projections built from single graph
     ops (reshape, transpose, matmul, scale, add, softmax): the oracle for the
-    one-node `ad.attention`."""
+    attention inside the one-node `ad.mha`."""
     b, tq, d = q.data.shape
     tk, hd = k.data.shape[1], d // heads
 
@@ -433,6 +434,21 @@ def composed_attention(q, k, v, heads, mask=None):
         logits = ad.add(logits, ad.constant(mask))
     mix = ad.matmul(ad.softmax(logits), split(v, tk))
     return ad.reshape(ad.transpose(mix, (0, 2, 1, 3)), (b, tq, d))
+
+
+def composed_mha(x, weights, heads, mask=None, kv=None):
+    """`ad.mha`'s sublayer as `ad.affine` projections around `composed_attention`;
+    ``weights`` are wq, bq, wk, bk, wv, bv, wo and bo."""
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    source = x if kv is None else kv
+    mix = composed_attention(ad.affine(x, wq, bq), ad.affine(source, wk, bk),
+                             ad.affine(source, wv, bv), heads, mask)
+    return ad.affine(mix, wo, bo)
+
+
+def composed_feed_forward(x, w1, b1, w2, b2):
+    """`ad.feed_forward`'s sublayer as `ad.affine`, `ad.gelu` and `ad.affine`."""
+    return ad.affine(ad.gelu(ad.affine(x, w1, b1)), w2, b2)
 
 
 # The method-call forms (ndarray.mean, .max, .sum) that the autodiff kernels

@@ -99,6 +99,30 @@ MUTANTS = (
     Mutant("model", 'if sidecar.get("digest") != model.identity_digest():', "if False:",
            "tests/test_model.py::TestPersistence::"
            "test_sidecar_digest_must_match_rebuilt_model[tampered_digest]"),
+    # the schedule, Adam, and the backward of the attention and feed-forward sublayers
+    Mutant("autodiff", "return schedule.base_lr * step / warmup",
+           "return schedule.base_lr * (step + 1) / warmup",
+           "tests/test_autodiff.py::TestSchedule::test_zero_at_start"),
+    Mutant("autodiff", "return schedule.base_lr * (total - step) / (total - warmup)",
+           "return schedule.base_lr * (total - step) / total",
+           "tests/test_autodiff.py::TestSchedule::test_linear_decay_value"),
+    Mutant("autodiff", "c1 = 1.0 - b1 ** arena.step", "c1 = 1.0",
+           "tests/test_autodiff.py::TestAdam::test_first_step_close_to_signed_lr"),
+    Mutant("autodiff", "c2 = 1.0 - b2 ** arena.step", "c2 = 1.0",
+           "tests/test_autodiff.py::TestAdam::test_matches_scalar_reference"),
+    Mutant("autodiff", "np.multiply(data, lr * weight_decay, out=s)",
+           "np.multiply(data, weight_decay, out=s)",
+           "tests/test_autodiff.py::TestAdam::test_decay_only_step"),
+    Mutant("autodiff", "if len(ids) != arena.count:", "if len(ids) > arena.count:",
+           "tests/test_arena.py::TestFlatAdam::test_part_of_an_arena_is_refused"),
+    Mutant("autodiff", "gl /= math.sqrt(hd)", "gl /= 1.0",
+           "tests/test_autodiff.py::TestOpGradients::test_attention[4-pad_mask]"),
+    Mutant("autodiff", "gl -= np.add.reduce(gl * probs, axis=-1, keepdims=True)", "gl -= 0.0",
+           "tests/test_autodiff.py::TestOpGradients::test_attention[4-pad_mask]"),
+    Mutant("autodiff", "gpre = gelu_grad(pre, t)", "gpre = np.ones_like(pre)",
+           "tests/test_autodiff.py::TestOpGradients::test_feed_forward"),
+    Mutant("autodiff", "dx += slope", "dx += 0.0",
+           "tests/test_autodiff.py::TestOpGradients::test_feed_forward"),
 )
 
 

@@ -12,7 +12,8 @@ from concept_parse.autodiff import Schedule, Tensor
 from concept_parse.errors import NonFiniteError, NotScalarError, ShapeError
 
 from helpers import (
-    composed_attention,
+    composed_feed_forward,
+    composed_mha,
     method_layer_norm,
     method_layer_norm_input_grad,
     method_log_softmax,
@@ -59,11 +60,52 @@ def weighted_sum(t: Tensor, weights: np.ndarray) -> Tensor:
     return ad.sum_all(ad.mul(t, ad.constant(weights)))
 
 
-def pad_mask(dtype=np.float64) -> np.ndarray:
-    """Additive (2, 1, 1, 4) key mask: the second row's last key is padding."""
-    mask = np.zeros((2, 1, 1, 4), dtype=dtype)
-    mask[1, ..., 3] = -1e9
+def pad_mask(dtype=np.float64, keys=4) -> np.ndarray:
+    """Additive (2, 1, 1, keys) key mask: the second row's last key is padding."""
+    mask = np.zeros((2, 1, 1, keys), dtype=dtype)
+    mask[1, ..., keys - 1] = -1e9
     return mask
+
+
+def mha_weights(rng, d=8, dtype=np.float64):
+    """wq, bq, wk, bk, wv, bv, wo and bo of a width-d attention sublayer, each
+    in its own arena."""
+    return [parameter(name, rng.standard_normal((d, d) if name[0] == "w" else (d,))
+                      .astype(dtype)) for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+
+
+def ff_weights(rng, d=8, ff=12, dtype=np.float64):
+    """w1, b1, w2 and b2 of a width-d feed-forward sublayer."""
+    shapes = {"w1": (d, ff), "b1": (ff,), "w2": (ff, d), "b2": (d,)}
+    return [parameter(name, rng.standard_normal(shape).astype(dtype))
+            for name, shape in shapes.items()]
+
+
+def attention_inputs(rng, kind, masked, dtype=np.float64):
+    """Queries' input x (2, 3, 8), keys' and values' input (None for
+    self-attention, else (2, 4, 8)) and the pad mask over the keys, or None."""
+    x = parameter("x", rng.standard_normal((2, 3, 8)).astype(dtype))
+    kv = None if kind == "self" else parameter("kv", rng.standard_normal((2, 4, 8)).astype(dtype))
+    mask = pad_mask(dtype, 3 if kv is None else 4) if masked else None
+    return x, kv, mask
+
+
+def sublayer_results(op, inputs, params, g):
+    """The output of ``op(*inputs)`` and every parameter's gradient of its
+    inner product with ``g``."""
+    zero_grads(params)
+    out = op(*inputs)
+    ad.backward(weighted_sum(out, g))
+    return [out.data] + [p.grad.copy() for p in params]
+
+
+def assert_gradients_agree(fused, composed, dtype):
+    """Within 1e-12 in double; in single, within 1e-6 of the largest gradient,
+    since a gradient that is 0 in exact arithmetic (a key bias's) is rounding."""
+    atol = 1e-12 if dtype == np.float64 else 1e-6 * max(np.abs(b).max() for b in composed)
+    for a, b in zip(fused, composed):
+        assert a.dtype == dtype
+        np.testing.assert_allclose(a, b, rtol=0, atol=atol)
 
 
 class TestAffine:
@@ -363,31 +405,82 @@ class TestOpGradients:
     @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "pad_mask"])
     @pytest.mark.parametrize("heads", [1, 4])
     def test_attention(self, heads, masked):
-        q = make_param(self.rng, (2, 3, 8), "q")
-        k = make_param(self.rng, (2, 4, 8), "k")
-        v = make_param(self.rng, (2, 4, 8), "v")
-        w = self.rng.standard_normal((2, 3, 8))
-        mask = pad_mask() if masked else None
-        check_op(lambda: weighted_sum(ad.attention(q, k, v, heads,
-                                                   mask), w),
-                 [q, k, v], tolerance=1e-6)
+        """`ad.mha`'s gradients, as self- and as cross-attention."""
+        weights = mha_weights(self.rng)
+        g = self.rng.standard_normal((2, 3, 8))
+        for kind in ("self", "cross"):
+            x, kv, mask = attention_inputs(self.rng, kind, masked)
+            params = [x, *weights] if kv is None else [x, kv, *weights]
+            check_op(lambda: weighted_sum(ad.mha(x, weights, heads, mask, kv), g), params,
+                     tolerance=1e-6)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "pad_mask"])
     @pytest.mark.parametrize("heads", [1, 4])
     def test_attention_equals_composed_ops(self, heads, masked):
-        q = make_param(self.rng, (2, 3, 8), "q")
-        k = make_param(self.rng, (2, 4, 8), "k")
-        v = make_param(self.rng, (2, 4, 8), "v")
-        w = self.rng.standard_normal((2, 3, 8))
-        mask = pad_mask() if masked else None
-        results = []
-        for op in (ad.attention, composed_attention):
-            zero_grads([q, k, v])
-            out = op(q, k, v, heads, mask)
-            ad.backward(weighted_sum(out, w))
-            results.append([out.data] + [p.grad.copy() for p in (q, k, v)])
-        for fused, composed in zip(*results):
-            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+        """`ad.mha` against `composed_mha`, as self- and as cross-attention, in
+        double and single precision: the output bit for bit, and the gradients
+        as `assert_gradients_agree` bounds them."""
+        for dtype in (np.float64, np.float32):
+            weights = mha_weights(self.rng, dtype=dtype)
+            g = self.rng.standard_normal((2, 3, 8)).astype(dtype)
+            for kind in ("self", "cross"):
+                x, kv, mask = attention_inputs(self.rng, kind, masked, dtype)
+                params = [x, *weights] if kv is None else [x, kv, *weights]
+                fused, composed = (sublayer_results(op, (x, weights, heads, mask, kv), params, g)
+                                   for op in (ad.mha, composed_mha))
+                assert fused[0].dtype == dtype
+                assert fused[0].tobytes() == composed[0].tobytes()
+                assert_gradients_agree(fused[1:], composed[1:], dtype)
+
+    def test_feed_forward(self):
+        x = make_param(self.rng, (2, 3, 8), "x")
+        weights = ff_weights(self.rng)
+        g = self.rng.standard_normal((2, 3, 8))
+        check_op(lambda: weighted_sum(ad.feed_forward(x, *weights), g), [x, *weights],
+                 tolerance=1e-6)
+
+
+class TestFusedSublayers:
+    """`ad.mha` and `ad.feed_forward` beyond their gradients (`TestOpGradients`)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_feed_forward_equals_composed_ops(self, dtype):
+        """The output and every gradient bit for bit."""
+        rng = np.random.default_rng(13)
+        weights = ff_weights(rng, dtype=dtype)
+        x = parameter("x", (rng.standard_normal((2, 3, 8)) * 2).astype(dtype))
+        g = rng.standard_normal((2, 3, 8)).astype(dtype)
+        fused, composed = (sublayer_results(op, (x, *weights), [x, *weights], g)
+                           for op in (ad.feed_forward, composed_feed_forward))
+        # the vjp takes each product and sum of the composed graph's, in its order
+        for a, b in zip(fused, composed):
+            assert a.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_each_input_is_one_parent(self):
+        rng = np.random.default_rng(14)
+        weights = mha_weights(rng)
+        for kind, count in (("self", 9), ("cross", 10)):
+            x, kv, _ = attention_inputs(rng, kind, False)
+            node = ad.mha(x, weights, 2, None, kv)
+            assert len(node.parents) == count == len(node.vjp(np.ones((2, 3, 8))))
+            assert [id(p) for p in node.parents].count(id(x)) == 1
+        node = ad.feed_forward(x, *ff_weights(rng))
+        assert len(node.parents) == 5 == len(node.vjp(np.ones((2, 3, 8))))
+
+    def test_shapes_are_checked(self):
+        rng = np.random.default_rng(15)
+        weights = mha_weights(rng)
+        x, kv, _ = attention_inputs(rng, "cross", False)
+        for bad in (lambda: ad.mha(x, weights, 3),                        # 3 does not divide 8
+                    lambda: ad.mha(x, weights[:6], 2),                    # no output projection
+                    lambda: ad.mha(x, mha_weights(rng, d=4), 2),          # weights of width 4
+                    lambda: ad.mha(x, weights, 2, kv=ad.constant(np.ones((3, 4, 8)))),
+                    lambda: ad.mha(ad.constant(np.ones((3, 8))), weights, 2),
+                    lambda: ad.feed_forward(x, *ff_weights(rng, d=4)),
+                    lambda: ad.feed_forward(x, *ff_weights(rng)[:2], *ff_weights(rng, ff=5)[2:])):
+            with pytest.raises(ShapeError):
+                bad()
 
 
 def method_oracle_cases(test):
@@ -439,18 +532,24 @@ class TestKernels:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_graph_attention_equals_kernel(self, dtype):
+        """`ad.mha` is its projections, `attention_kernel` and the merge."""
         rng = np.random.default_rng(5)
-        q, k, v = (rng.standard_normal((2, t, 16)).astype(dtype) for t in (3, 4, 4))
+        x, kv = (rng.standard_normal((2, t, 16)).astype(dtype) for t in (3, 4))
+        weights = [w.data for w in mha_weights(rng, 16, dtype)]
         mask = pad_mask(dtype)
-        graph = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), 4, mask)
+        graph = ad.mha(ad.constant(x), [ad.constant(w) for w in weights], 4, mask,
+                       ad.constant(kv))
 
-        def split(x):
-            return x.reshape(2, -1, 4, 4).transpose(0, 2, 1, 3)
+        def split(rows, w, b):
+            return (rows.reshape(-1, 16) @ w + b).reshape(2, -1, 4, 4).transpose(0, 2, 1, 3)
 
-        mix, weights = ad.attention_kernel(split(q), split(k), split(v), mask)
+        wq, bq, wk, bk, wv, bv, wo, bo = weights
+        mix, probs = ad.attention_kernel(split(x, wq, bq), split(kv, wk, bk), split(kv, wv, bv),
+                                         mask)
+        expected = mix.transpose(0, 2, 1, 3).reshape(6, 16) @ wo + bo
         assert graph.data.dtype == mix.dtype == dtype
-        assert graph.data.tobytes() == mix.transpose(0, 2, 1, 3).reshape(2, 3, 16).tobytes()
-        assert np.all(weights[1, ..., 3] == 0.0)
+        assert graph.data.tobytes() == expected.tobytes()
+        assert np.all(probs[1, ..., 3] == 0.0)
 
     @staticmethod
     def oracle_inputs(dtype, shape, scale, offset, count):
@@ -507,6 +606,70 @@ class TestKernels:
             got = kernel(x)
             assert got.dtype == dtype
             assert got.tobytes() == oracle(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(63, 11), (64, 11), (16, 4, 11, 11), (4, 4, 30)],
+                             ids=["63x11", "64x11", "16x4x11x11", "4x4x30"])
+    def test_row_max_is_the_plain_reduce(self, dtype, shape):
+        """Below and from 64 rows, with NaN, ±Inf and signed zeros, and on a
+        transposed view: the bytes of ``np.maximum.reduce``."""
+        x = np.random.default_rng(list(shape)).standard_normal(shape).astype(dtype)
+        rows = x.reshape(-1, shape[-1])
+        rows[0, 3] = np.nan
+        rows[1] = np.inf
+        rows[2, 0] = np.inf
+        rows[3] = -np.inf
+        rows[4, 1] = -np.inf
+        rows[5] = 0.0
+        rows[5, ::2] = -0.0
+        rows[6] = -0.0
+        rows[6, 1] = 0.0
+        for operand in (x, np.swapaxes(x, 0, -1)):
+            got = ad.row_max(operand)
+            expected = np.maximum.reduce(operand, axis=-1, keepdims=True)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernels_leave_their_inputs_unchanged(self, dtype):
+        """`decode_step` passes views of a state's arrays into the kernels, so a
+        kernel writes only into arrays it allocated: each input's bytes are the
+        same after the call, for contiguous, strided and transposed inputs on
+        both sides of `row_max`'s 64 rows."""
+        rng = np.random.default_rng(16)
+        base = (rng.standard_normal((2, 70, 16)) * 3).astype(dtype)
+        gain, bias = (rng.standard_normal(16).astype(dtype) for _ in range(2))
+        qkv = rng.standard_normal((2, 4, 6, 8)).astype(dtype)
+        calls = []
+        for x in (base, base[:, ::3], base.transpose(1, 0, 2), base[0, :4]):
+            calls += [(ad.row_max, [x]), (ad.softmax_kernel, [x]), (ad.log_softmax_kernel, [x]),
+                      (ad.normalize_kernel, [x]), (ad.layer_norm_kernel, [x, gain, bias]),
+                      (ad.gelu_kernel, [x]), (ad.gelu_grad, [x, np.tanh(x)])]
+        keys_transposed_in_memory = qkv.swapaxes(-1, -2).copy().swapaxes(-1, -2)
+        calls += [(ad.attention_kernel, [qkv[:, :, :3], qkv[:, :, 1:5], qkv[:, :, ::-1][:, :, :4],
+                                         pad_mask(dtype)]),
+                  (ad.attention_kernel, [qkv[:, :, :1], keys_transposed_in_memory, qkv[:, ::-1]])]
+        for kernel, args in calls:
+            before = [a.tobytes() for a in args]
+            kernel(*args)
+            assert [a.tobytes() for a in args] == before, kernel.__name__
+
+    def test_vjps_leave_the_gradient_unchanged(self):
+        """`add` hands one gradient array to both of its inputs, so no vjp
+        writes into the gradient it is given."""
+        rng = np.random.default_rng(17)
+        x = parameter("x", rng.standard_normal((2, 3, 8)))
+        ones, zeros = parameter("gain", np.ones(8)), parameter("bias", np.zeros(8))
+        _, kv, mask = attention_inputs(rng, "cross", True)
+        nodes = [ad.mha(x, mha_weights(rng), 2), ad.mha(x, mha_weights(rng), 4, mask, kv),
+                 ad.feed_forward(x, *ff_weights(rng)), ad.layer_norm(x, ones, zeros),
+                 ad.affine(x, *ff_weights(rng)[:2]), ad.gelu(x), ad.softmax(x),
+                 ad.log_softmax(x)]
+        for node in nodes:
+            g = rng.standard_normal(node.shape)
+            before = g.tobytes()
+            node.vjp(g)
+            assert g.tobytes() == before
 
     @pytest.mark.parametrize("case", ["3d", "transposed", "4d"])
     def test_weight_product_matches_einsum(self, case):
@@ -668,4 +831,9 @@ class TestFiniteGuard:
                 ad.affine(big, ad.constant(np.full((4, 4), 1e300)),
                           ad.constant(np.zeros(4)))
             with pytest.raises(NonFiniteError):
-                ad.attention(big, big, big, 2)
+                ad.mha(big, [ad.constant(np.full((4, 4) if i % 2 == 0 else (4,), 1e300))
+                             for i in range(8)], 2)
+            with pytest.raises(NonFiniteError):
+                ad.feed_forward(big, ad.constant(np.full((4, 6), 1e300)),
+                                ad.constant(np.zeros(6)), ad.constant(np.ones((6, 4))),
+                                ad.constant(np.zeros(4)))

@@ -430,11 +430,11 @@ class TestBatchedForward:
         assert any(".self.wq" in name for name in touched)
         zero_grads(model.parameters().values())
 
-    @pytest.mark.parametrize("config, nodes", [({}, 117), (TINY, 74)],
+    @pytest.mark.parametrize("config, nodes", [({}, 73), (TINY, 52)],
                              ids=["default", "tiny"])
     def test_graph_size_of_a_train_step(self, corpus, config, nodes):
-        """Each attention is five nodes (four affines and one attention) and
-        each affine one, so a step's loss reaches this many op nodes."""
+        """Each attention and each feed-forward sublayer is one node, and so is
+        each affine, so a step's loss reaches this many op nodes."""
         model = build_model(corpus, seed=1, **config)
         tags = tags_from_records(corpus)
         loss = batch_nll_tensor(model, corpus[:4], tags, model.encode_concepts_tensor(tags))
