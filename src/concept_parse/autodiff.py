@@ -38,7 +38,7 @@ from __future__ import annotations
 import contextvars
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -290,13 +290,16 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _node(out, tuple(tensors), vjp)
 
 
-def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: rows of ``table`` selected by an integer array."""
+def gather_rows(table: Tensor, ids: Union[np.ndarray, slice]) -> Tensor:
+    """Embedding lookup: rows of ``table`` selected by an integer array or a slice."""
     out = table.data[ids]
 
     def vjp(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        if isinstance(ids, slice):  # distinct rows: one write, no accumulation
+            gt[ids] = g
+        else:
+            np.add.at(gt, ids, g)
         return (gt,)
 
     return _node(out, (table,), vjp)
@@ -762,11 +765,12 @@ def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
                  std: float = 0.02, dtype=np.float32) -> np.ndarray:
     """Normal(0, std) resampled until all draws fall within two deviations."""
     values = rng.normal(0.0, std, size=shape)
-    limit = 2.0 * std
+    flat, limit = values.reshape(-1), 2.0 * std
+    out = np.flatnonzero(np.abs(flat) > limit)  # ascending: the order of a mask's draws
     for _ in range(16):
-        mask = np.abs(values) > limit
-        if not mask.any():
+        if not out.size:
             break
-        values[mask] = rng.normal(0.0, std, size=int(mask.sum()))
+        flat[out] = rng.normal(0.0, std, size=out.size)
+        out = out[np.abs(flat[out]) > limit]
     return np.clip(values, -limit, limit).astype(dtype)
 

@@ -358,7 +358,7 @@ def _tagging_record(sentence: str, mentions: Sequence[Mention]) -> PretrainRecor
     return PretrainRecord(utterance=utterance, target=TargetSequence(tokens=tuple(tokens)))
 
 
-def tags_from_records(records: Sequence[DatasetRecord]) -> list[ConceptTag]:
+def tags_from_records(records: Sequence[Union[DatasetRecord, PretrainRecord]]) -> list[ConceptTag]:
     """The distinct concept tags of a record set's targets, sorted by (name, boundary)."""
     return sorted(dict.fromkeys(tag for record in records for tag in target_tags(record.target)),
                   key=lambda tag: (tag.name, tag.boundary))

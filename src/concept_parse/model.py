@@ -3,7 +3,10 @@
 Three transformer stacks share one autodiff substrate: a source encoder, a
 concept encoder that turns tag descriptions into vectors, and an
 autoregressive decoder whose per-step output distribution spans the m encoded
-concept tokens plus the n source-pointer positions.
+concept tokens plus the n source-pointer positions. A sequence may be as long
+as its position table has rows, a description counting its summary token:
+`_embed` checks this in every graph forward, before any weight changes, and
+`decode_step` at each step, and both raise `LengthExceededError`.
 
 The batched teacher-forced forward used for training records gradients; the
 stepwise decoding path (`decode_step` and everything built on it) is
@@ -161,10 +164,10 @@ class DecoderState:
     ``cross_o[i]`` is O = [V_h Wo_h] (heads * n, d). With γ_f, β_f the final
     layer norm's, B the bank vectors and S the source states, ``head`` is
     [(γ_f ⊙ Wc) Bᵀ | (γ_f ⊙ Wp) Sᵀ] / √d (d, m + n) and ``head_bias``
-    [(β_f Wc + bc) Bᵀ | (β_f Wp + bp) Sᵀ] / √d. The self-attention keys and
-    values hold every beam's positions below t, (beams, heads, t, head_dim)
-    per layer. A state is a value: `ConceptModel.decode_step` and `reorder`
-    build new states and never write into an existing one.
+    [(β_f Wc + bc) Bᵀ | (β_f Wp + bp) Sᵀ] / √d. ``cache[i]`` is layer i's one
+    self-attention cache, keys then values of every beam's positions below t,
+    (2, beams, heads, t, head_dim). A state is a value: `decode_step` and
+    `reorder` build new states and never write into an existing one.
     """
 
     table: np.ndarray
@@ -173,16 +176,14 @@ class DecoderState:
     cross_o: tuple[np.ndarray, ...]
     head: np.ndarray
     head_bias: np.ndarray
-    self_keys: tuple[np.ndarray, ...]
-    self_values: tuple[np.ndarray, ...]
+    cache: tuple[np.ndarray, ...]
     t: int
 
     def reorder(self, parents: np.ndarray) -> "DecoderState":
         """State whose beam b continues beam ``parents[b]`` of this one."""
         return DecoderState(self.table, self.cross_a, self.cross_c, self.cross_o,
                             self.head, self.head_bias,
-                            tuple(k[parents] for k in self.self_keys),
-                            tuple(v[parents] for v in self.self_values), self.t)
+                            tuple(kv[:, parents] for kv in self.cache), self.t)
 
 
 @dataclass(frozen=True)
@@ -372,9 +373,13 @@ class ConceptModel:
         return self._ln(f"{side}.final_ln", x)
 
     def _embed(self, table: Tensor, side: str, ids: np.ndarray) -> Tensor:
-        """Rows ``ids`` (B, T) of ``table`` plus the first T rows of ``{side}.pos``."""
-        pos = ad.gather_rows(self.params[f"{side}.pos"], np.arange(ids.shape[1]))
-        return ad.add(ad.gather_rows(table, ids), pos)
+        """Rows ``ids`` (B, T) of ``table`` plus the first T rows of ``{side}.pos``;
+        raises `LengthExceededError` when that table has fewer than T rows."""
+        pos, length = self.params[f"{side}.pos"], ids.shape[1]
+        if length > len(pos.data):
+            raise LengthExceededError(
+                f"{side} input of {length} positions exceeds {side}.pos's {len(pos.data)} rows")
+        return ad.add(ad.gather_rows(table, ids), ad.gather_rows(pos, slice(0, length)))
 
     def _pad(self, rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Id rows padded with 0 to the longest, (B, T), and their additive pad
@@ -389,10 +394,6 @@ class ConceptModel:
     def encode_source_batch(self, src_ids: np.ndarray, src_pad: np.ndarray) -> Tensor:
         """Graph forward over a padded batch of source id arrays; ``src_pad`` is
         the additive pad mask (B, N) of `_pad`."""
-        if src_ids.shape[1] > self.config.max_source_len:
-            raise LengthExceededError(
-                f"source length {src_ids.shape[1]} exceeds maximum "
-                f"{self.config.max_source_len}")
         x = self._embed(self.params["encoder.embed"], "encoder", src_ids)
         return self._stack("encoder", x, src_pad[:, None, None, :])
 
@@ -415,11 +416,6 @@ class ConceptModel:
             if not words:
                 raise EmptyDescriptionError(f"tag {tag.name!r} has an empty description")
             descriptions.append(words)
-        longest = max(len(w) for w in descriptions)
-        if longest + 1 > self.config.max_source_len:
-            raise LengthExceededError(
-                f"description length {longest} exceeds maximum "
-                f"{self.config.max_source_len - 1}")
         ids, pad = self._pad([self.concept_vocab.ids([SUMMARY, *words])
                               for words in descriptions])
         x = self._embed(self.params["concept.embed"], "concept", ids)
@@ -488,9 +484,9 @@ class ConceptModel:
                  for kind, rows in (("concept", bank.vectors), ("pointer", src_states))]
         head = np.concatenate([(gain[:, None] * w) @ rows for w, _, rows in parts], axis=1)
         head_bias = np.concatenate([(bias @ w + b) @ rows for w, b, rows in parts])
-        empty = (np.zeros((1, heads, 0, hd), dtype=self.dtype),) * cfg.layers
+        empty = (np.zeros((2, 1, heads, 0, hd), dtype=self.dtype),) * cfg.layers
         return DecoderState(table, tuple(cross_a), tuple(cross_c), tuple(cross_o),
-                            head / math.sqrt(d), head_bias / math.sqrt(d), empty, empty, 0)
+                            head / math.sqrt(d), head_bias / math.sqrt(d), empty, 0)
 
     def decode_step(self, state: DecoderState, prev: np.ndarray
                     ) -> tuple[np.ndarray, DecoderState]:
@@ -500,8 +496,8 @@ class ConceptModel:
         `bos_index` at the first step; it picks the beam's row of the decoder
         input table. Returns the step's log-probabilities, (beams, m + n),
         whose first m entries follow the bank's tag order and last n are
-        pointers in source order, and the state at t + 1, whose self-attention
-        keys and values append each beam's new ones. ``state`` is unchanged.
+        pointers in source order, and the state at t + 1, whose key/value
+        caches append each beam's new keys and values. ``state`` is unchanged.
 
         A ``prev`` of another shape, or holding anything but rows of the
         table, raises `ShapeError`. A decode leaves the model here, so a NaN or
@@ -515,7 +511,7 @@ class ConceptModel:
                 f"decoding step {t} exceeds maximum target length "
                 f"{cfg.max_target_len}")
         prev = np.asarray(prev)
-        if prev.ndim != 1 or any(len(k) != len(prev) for k in state.self_keys[:1]):
+        if prev.ndim != 1 or any(kv.shape[1] != len(prev) for kv in state.cache[:1]):
             raise ShapeError(f"need one previous output index per beam of the state, "
                              f"got shape {prev.shape}")
         try:  # a negative index would wrap round to the table's last rows
@@ -528,17 +524,14 @@ class ConceptModel:
         d = cfg.width
         heads, hd = cfg.heads, d // cfg.heads
         beams = len(prev)
-        self_keys, self_values = [], []
+        cache = []
         for i, w in enumerate(self._step_layers):
             h, _, _ = ad.layer_norm_kernel(x, w["ln1.gain"], w["ln1.bias"])
-            q, k, v = h @ w["self.wqkv"] + w["self.bqkv"][:, None]
-            keys = np.concatenate(
-                [state.self_keys[i], k.reshape(beams, heads, 1, hd)], axis=2)
-            values = np.concatenate(
-                [state.self_values[i], v.reshape(beams, heads, 1, hd)], axis=2)
-            self_keys.append(keys)
-            self_values.append(values)
-            mix, _ = ad.attention_kernel(q.reshape(beams, heads, 1, hd), keys, values)
+            qkv = h @ w["self.wqkv"] + w["self.bqkv"][:, None]
+            kv = np.concatenate(
+                [state.cache[i], qkv[1:].reshape(2, beams, heads, 1, hd)], axis=3)
+            cache.append(kv)
+            mix, _ = ad.attention_kernel(qkv[0].reshape(beams, heads, 1, hd), kv[0], kv[1])
             x = x + mix.reshape(beams, d) @ w["self.wo"] + w["self.bo"]
 
             xhat, _ = ad.normalize_kernel(x)
@@ -556,23 +549,14 @@ class ConceptModel:
             raise NonFiniteError(f"decoding step {t} produced NaN or Inf log-probabilities")
         return log_probs, DecoderState(
             state.table, state.cross_a, state.cross_c, state.cross_o, state.head,
-            state.head_bias, tuple(self_keys), tuple(self_values), t + 1)
+            state.head_bias, tuple(cache), t + 1)
 
     # batched teacher-forced forward (training)
 
     def build_batch(self, records: Sequence, bank_tags: Sequence[ConceptTag]) -> PaddedBatch:
         """Pad and index a record batch against a bank's m + n layout."""
-        cfg = self.config
         rows = {tag: i for i, tag in enumerate(bank_tags)}
         m = len(bank_tags)
-        n_src = max(len(r.utterance.tokens) for r in records)
-        l_max = max(len(r.target.tokens) for r in records)
-        if n_src > cfg.max_source_len:
-            raise LengthExceededError(
-                f"source length {n_src} exceeds maximum {cfg.max_source_len}")
-        if l_max > cfg.max_target_len:
-            raise LengthExceededError(
-                f"target length {l_max} exceeds maximum {cfg.max_target_len}")
         src_ids, src_pad = self._pad([self.source_vocab.ids(r.utterance.tokens)
                                       for r in records])
         gold, tgt_pad = self._pad([[_output_index(token, rows, m, len(r.utterance.tokens))

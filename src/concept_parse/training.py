@@ -1,12 +1,13 @@
 """Losses and the one epoch loop behind the three training regimes.
 
 Pretraining on wiki-style tagging batches (each batch scored against its own
-concept union, so the other batch concepts are in-batch negatives),
-known-domain training validated every epoch, and few-shot fine-tuning with a
-rehearsal term from the known domains validated on a fixed cadence all run
-`_epoch_loop`. A regime supplies its records, epoch count, shuffle stream, step
-loss and, optionally, a validator; the loop owns the schedule, the optimizer
-call, the log, best-state tracking, early stopping and checkpoints.
+tags, `tags_from_records` of the batch, so the other batch concepts are
+in-batch negatives), known-domain training validated every epoch, and few-shot
+fine-tuning with a rehearsal term from the known domains validated on a fixed
+cadence all run `_epoch_loop`. A regime supplies its records, epoch count,
+shuffle stream, step loss and, optionally, a validator; the loop owns the
+schedule, the optimizer call, the log, best-state tracking, early stopping and
+checkpoints.
 
 A training loop owns its model exclusively; everything is deterministic in
 (data, config, seed).
@@ -29,7 +30,7 @@ from .data import DatasetRecord, DomainSplit, PretrainRecord, tags_from_records
 from .errors import EmptyEvalSetError, EmptyFewShotError, require_count, require_real
 from .evaluation import teacher_forced_accuracy
 from .model import ConceptModel
-from .parse import ConceptTag, target_tags
+from .parse import ConceptTag
 
 log = logging.getLogger(__name__)
 
@@ -97,16 +98,10 @@ def batch_nll_tensor(model: ConceptModel, records: Sequence,
     return ad.scale(ad.sum_all(masked), -1.0 / float(batch.tgt_mask.sum()))
 
 
-def batch_concept_union(examples: Sequence[PretrainRecord]) -> tuple[ConceptTag, ...]:
-    """Deduplicated concept tokens of a batch, in first-occurrence order."""
-    return tuple(dict.fromkeys(tag for example in examples
-                               for tag in target_tags(example.target)))
-
-
 def pretrain_loss(model: ConceptModel, examples: Sequence[PretrainRecord]) -> Tensor:
-    """Graph scalar: mean CE of a pretraining batch over its concept union only."""
-    union = list(batch_concept_union(examples))
-    return batch_nll_tensor(model, examples, union, model.encode_concepts_tensor(union))
+    """Graph scalar: mean CE of a pretraining batch over its own tags only."""
+    tags = tags_from_records(examples)
+    return batch_nll_tensor(model, examples, tags, model.encode_concepts_tensor(tags))
 
 
 # batch assembly

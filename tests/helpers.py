@@ -9,8 +9,9 @@ tree walks that write a tree's target sequence and annotation and that count
 its labeled spans and labels, the per-beam search, the stepwise teacher-forced
 forward, single-query and multi-head attention through single graph ops, the
 attention and feed-forward sublayers composed of single graph ops, a no-grad
-batch cross-entropy, per-parameter Adam, and the shared kernels' reductions
-written with the ndarray methods."""
+batch cross-entropy, per-parameter Adam, the shared kernels' reductions
+written with the ndarray methods, and the truncated-normal draw that re-scans
+the whole array."""
 
 import json
 import math
@@ -482,3 +483,15 @@ def method_softmax(x):
 def method_log_softmax(x):
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def reference_trunc_normal(rng, shape, std=0.02, dtype=np.float32):
+    """`ad.trunc_normal` as a loop that re-scans the whole array each round."""
+    values = rng.normal(0.0, std, size=shape)
+    limit = 2.0 * std
+    for _ in range(16):
+        mask = np.abs(values) > limit
+        if not mask.any():
+            break
+        values[mask] = rng.normal(0.0, std, size=int(mask.sum()))
+    return np.clip(values, -limit, limit).astype(dtype)

@@ -73,12 +73,8 @@ MUTANTS = (
            '"valid": reason is None and not best.truncated,',
            EQUIVALENT + "a truncated output never closes its root, so check_target "
            "already rejects it"),
-    Mutant("training", "union = list(batch_concept_union(examples))",
-           "union = sorted(batch_concept_union(examples), "
-           "key=lambda tag: (tag.name, tag.boundary))",
-           EQUIVALENT + "reordering the union permutes the bank rows and the gold "
-           "indices together, so only the order of float sums changes"),
-    # the bank's tag order, the token-to-index rule, the pad rule and the digest check
+    # the bank's tag order, the token-to-index rule, the pad rule, the digest check
+    # and the position limit
     Mutant("data", "key=lambda tag: (tag.name, tag.boundary))",
            "key=lambda tag: (tag.boundary, tag.name))",
            "tests/test_data.py::TestTagsFromRecords::test_tags_sort_by_name_then_boundary"),
@@ -99,6 +95,31 @@ MUTANTS = (
     Mutant("model", 'if sidecar.get("digest") != model.identity_digest():', "if False:",
            "tests/test_model.py::TestPersistence::"
            "test_sidecar_digest_must_match_rebuilt_model[tampered_digest]"),
+    Mutant("model", "if length > len(pos.data):", "if length >= len(pos.data):",
+           "tests/test_model.py::TestPositionLimits::"
+           "test_a_sequence_may_fill_its_position_table[target]"),
+    # the beam search: its tie order, stopping rules, pool order and float64 scores
+    Mutant("decoding", 'picked = np.argsort(-totals, kind="stable")[:beam_width]',
+           "picked = np.argsort(-totals)[:beam_width]",
+           "tests/test_model.py::TestNoDecoderLayers::test_decodes_and_teacher_forces"),
+    Mutant("decoding", "finished = (moves < 0) & (depths <= 0)", "finished = depths <= 0",
+           "tests/test_decode.py::TestBeamOracle::test_matches_exhaustive_enumeration"),
+    Mutant("decoding", "finished = (moves < 0) & (depths <= 0)",
+           "finished = (moves < 0) & (depths == 0)",
+           "tests/test_decode.py::TestBeamOracle::test_matches_exhaustive_enumeration"),
+    Mutant("decoding", "done = finished | (state.t >= model.config.max_target_len)",
+           "done = finished",
+           "tests/test_decode.py::TestBeamOracle::test_matches_exhaustive_enumeration"),
+    Mutant("decoding", "depths = depths[parents] + moves", "depths = depths + moves",
+           "tests/test_decode.py::TestBeamOracle::test_matches_exhaustive_enumeration"),
+    Mutant("decoding", "pool.sort(key=lambda h: -h.log_prob)",
+           "pool.sort(key=lambda h: h.log_prob)",
+           "tests/test_decode.py::TestBeamOracle::test_matches_exhaustive_enumeration"),
+    Mutant("decoding", "totals = (scores[:, None] + log_probs).ravel()",
+           "totals = (scores[:, None] + log_probs.astype(np.float32)).ravel()",
+           "tests/test_decode.py::TestBatchedBeamOracle::test_matches_per_beam_search"),
+    Mutant("decoding", "truncated=not finished[beam]))", "truncated=False))",
+           "tests/test_decode.py::TestBatchedBeamOracle::test_matches_per_beam_search"),
     # the schedule, Adam, and the backward of the attention and feed-forward sublayers
     Mutant("autodiff", "return schedule.base_lr * step / warmup",
            "return schedule.base_lr * (step + 1) / warmup",

@@ -19,6 +19,7 @@ from helpers import (
     method_log_softmax,
     method_softmax,
     parameter,
+    reference_trunc_normal,
     scaled_dot_attention,
     zero_grads,
 )
@@ -341,6 +342,16 @@ class TestOpGradients:
         ids = np.array([[0, 2, 2], [4, 0, 0]])
         w = self.rng.standard_normal((2, 3, 3))
         check_op(lambda: weighted_sum(ad.gather_rows(table, ids), w), [table])
+
+    def test_gather_rows_by_slice_equals_by_ids(self):
+        table = make_param(self.rng, (5, 3), "table")
+        g = self.rng.standard_normal((3, 3))
+        results = []
+        for rows in (slice(1, 4), np.arange(1, 4)):
+            out = ad.gather_rows(table, rows)
+            results.append((out.data, out.vjp(g)[0]))
+        for by_slice, by_ids in zip(*results):
+            assert by_slice.tobytes() == by_ids.tobytes()
 
     def test_take_index(self):
         a = make_param(self.rng, (3, 4, 2), "a")
@@ -697,6 +708,33 @@ class TestKernels:
         lead = "abc"[:a.ndim - 1]
         np.testing.assert_allclose(w.grad, np.einsum(f"{lead}d,{lead}e->de", a, g),
                                    rtol=0, atol=1e-12)
+
+
+class RecordingRng:
+    """Normal draws ``widen`` times wider than asked, each draw's size logged."""
+
+    def __init__(self, seed, widen):
+        self.rng, self.widen, self.sizes = np.random.default_rng(seed), widen, []
+
+    def normal(self, loc, scale, size):
+        self.sizes.append(size)
+        return self.rng.normal(loc, scale * self.widen, size=size)
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("widen", [1.0, 8.0], ids=["as_asked", "past_the_round_cap"])
+    @pytest.mark.parametrize("shape", [(64, 64), (7,), (3, 4, 5), (256,)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_whole_array_loop(self, shape, dtype, widen):
+        """The same draws, of the same sizes, land in the same places; eight
+        times wider draws leave values out of range after the 16th round."""
+        fast, slow = RecordingRng(3, widen), RecordingRng(3, widen)
+        got = ad.trunc_normal(fast, shape, std=0.5, dtype=dtype)
+        expected = reference_trunc_normal(slow, shape, std=0.5, dtype=dtype)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert fast.sizes == slow.sizes
+        assert np.abs(got).max() <= 1.0
 
 
 class TestAdam:

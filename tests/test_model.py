@@ -115,6 +115,32 @@ class TestEncodeConcepts:
             model.encode_concepts([bad])
 
 
+def teacher_force(model, bank, sources, targets):
+    """No-grad teacher-forced forward of one record with ``sources`` source
+    tokens and ``targets`` target tokens."""
+    record = SimpleNamespace(utterance=tokenize_utterance(" ".join(["how"] * sources)),
+                             target=TargetSequence(tokens=(Pointer(0),) * targets))
+    with ad.no_grad():
+        return model.teacher_log_probs(model.build_batch([record], list(bank.tags)),
+                                       ad.constant(bank.vectors))
+
+
+class TestPositionLimits:
+    @pytest.mark.parametrize("table, forward", [
+        ("encoder.pos", lambda model, bank, n: teacher_force(model, bank, n, 1)),
+        ("encoder.pos", lambda model, bank, n: model.encode_source(("how",) * n)),
+        ("concept.pos", lambda model, bank, n: model.encode_concepts(
+            [replace(bank.tags[0], description=" ".join(["the"] * (n - 1)))])),
+        ("decoder.pos", lambda model, bank, n: teacher_force(model, bank, 1, n)),
+    ], ids=["source_batch", "utterance", "description", "target"])
+    def test_a_sequence_may_fill_its_position_table(self, model, bank, table, forward):
+        """A description's positions count its summary token."""
+        rows = len(model.parameters()[table].data)
+        forward(model, bank, rows)
+        with pytest.raises(LengthExceededError, match=re.escape(f"{table}'s {rows} rows")):
+            forward(model, bank, rows + 1)
+
+
 class TestTargetEmbed:
     def test_pointer_rows_distinct(self, model, bank):
         a = model.target_embed(Pointer(0), bank)
@@ -222,7 +248,7 @@ class TestDecodeStep:
         _, first = model.decode_step(model.initial_state(src, bank), bos(model, bank))
         inputs = bank.m + np.array([0, 2])  # pointers 0 and 2
         batched, state = model.decode_step(first.reorder(np.array([0, 0])), inputs)
-        assert state.self_keys[0].shape[0] == 2 and state.t == 2
+        assert state.cache[0].shape[1] == 2 and state.t == 2
         for row, prev in enumerate(inputs):
             alone, _ = model.decode_step(first, np.array([prev]))
             np.testing.assert_allclose(batched[row],
@@ -600,7 +626,7 @@ class TestNoDecoderLayers:
         for i, record in enumerate(records):
             state = model.initial_state(model.encode_source(record.utterance.tokens),
                                         bank)
-            assert state.self_keys == state.self_values == ()
+            assert state.cache == ()
             n = len(record.utterance.tokens)
             dists = forward_teacher_forced(model, record.utterance, record.target, bank)
             for t, dist in enumerate(dists):

@@ -12,6 +12,7 @@ from concept_parse.data import (
     SpiConfig,
     build_leave_one_out,
     sample_spi,
+    tags_from_records,
 )
 from concept_parse.errors import (EmptyEvalSetError, EmptyFewShotError, NonFiniteError,
                                   UnknownConceptError)
@@ -21,7 +22,6 @@ from concept_parse.synthetic import transfer_pair_rows
 import concept_parse.training as training
 from concept_parse.training import (
     TrainConfig,
-    batch_concept_union,
     fewshot_finetune,
     make_batches,
     pretrain_loss,
@@ -41,7 +41,7 @@ class TestInBatchNegatives:
     def test_union_counts(self, tmp_path):
         records = wiki_records(tmp_path)
         two_tags = [r for r in records if len(target_tags(r.target)) == 2]
-        assert len(batch_concept_union(two_tags[:1])) == 2
+        assert len(tags_from_records(two_tags[:1])) == 2
         distinct = []
         seen = set()
         for record in records:
@@ -51,7 +51,7 @@ class TestInBatchNegatives:
                 seen |= names
             if len(distinct) == 2:
                 break
-        union = batch_concept_union(distinct)
+        union = tags_from_records(distinct)
         assert len(union) == 4
 
     def test_union_keys_tags_by_symbol(self, tmp_path):
@@ -65,7 +65,7 @@ class TestInBatchNegatives:
         ])
         first, second = (target_tags(r.target) for r in records)
         assert [t.description for t in second] != [t.description for t in first]
-        union = batch_concept_union(records)
+        union = tags_from_records(records)
         assert [astuple(t) for t in union] == [astuple(t) for t in first]
         model = build_model([], wiki_records=records, seed=2, **TINY)
         assert np.isfinite(pretrain_loss(model, records).item())
@@ -73,7 +73,7 @@ class TestInBatchNegatives:
     def test_union_must_cover_targets(self, tmp_path):
         records = [r for r in wiki_records(tmp_path) if target_tags(r.target)]
         model = build_model([], wiki_records=records, seed=2, **TINY)
-        union = list(batch_concept_union(records[:1]))[1:]
+        union = tags_from_records(records[:1])[1:]
         with pytest.raises(UnknownConceptError):
             training.batch_nll_tensor(model, records[:1], union,
                                       model.encode_concepts_tensor(union))
@@ -85,18 +85,18 @@ class TestInBatchNegatives:
         for trial in range(6):
             picks = rng.choice(len(records), size=4, replace=False)
             batch = [records[int(i)] for i in picks]
-            expected = batch_cross_entropy(model, batch, list(batch_concept_union(batch)))
+            expected = batch_cross_entropy(model, batch, tags_from_records(batch))
             assert pretrain_loss(model, batch).item() == expected  # same floating-point path
 
     def test_restriction_differs_from_full_bank(self, tmp_path):
         records = [r for r in wiki_records(tmp_path) if target_tags(r.target)]
         model = build_model([], wiki_records=records, seed=3, **TINY)
-        all_tags = batch_concept_union(records)
-        union = batch_concept_union(records[:2])
+        all_tags = tags_from_records(records)
+        union = tags_from_records(records[:2])
         if len(union) == len(all_tags):
             pytest.skip("fixture batch covered every tag")
-        restricted = batch_cross_entropy(model, records[:2], list(union))
-        full = batch_cross_entropy(model, records[:2], list(all_tags))
+        restricted = batch_cross_entropy(model, records[:2], union)
+        full = batch_cross_entropy(model, records[:2], all_tags)
         assert restricted != full
 
 
