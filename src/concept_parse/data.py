@@ -6,10 +6,11 @@ Parse corpora arrive as TSV with header columns ``domain``, ``utterance``,
 Entity-tagging pretraining data arrives as JSON lines
 ``{"context": str, "mentions": [{"start", "end", "entity", "type"}]}`` and
 loads as one flat-tagging `PretrainRecord` (utterance, target) per sentence;
-it has no domain, which the splits read. A record's labels and concept tags
-are read from its target. Either format may be gzip-compressed (``.gz``
-suffix). A file that cannot be read, gunzipped or decoded as UTF-8 raises
-`DataError`.
+it has no domain, which the splits read. A mention's entity names its tags and
+its type text, through `make_tag`, describes them. A record's target is the
+tuple of its target tokens, and its labels and concept tags are read from it
+by `target_tags`. Either format may be gzip-compressed (``.gz`` suffix). A
+file that cannot be read, gunzipped or decoded as UTF-8 raises `DataError`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .parse import (
     make_tag,
     parse_seqlogical,
     target_tags,
+    token_strings,
     tokenize_utterance,
 )
 
@@ -57,10 +59,6 @@ class DatasetRecord:
     domain: str
     utterance: Utterance
     target: TargetSequence
-
-    def labels(self) -> set[str]:
-        """Distinct intent/slot names appearing in the target."""
-        return {tag.name for tag in target_tags(self.target)}
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,7 @@ def sample_spi(records: Sequence[DatasetRecord], cfg: SpiConfig) -> list[Dataset
     kept: list[DatasetRecord] = []
     for pos in order:
         record = records[int(pos)]
-        labels = sorted(record.labels())
+        labels = sorted({tag.name for tag in target_tags(record.target)})
         if any(counts.get(label, 0) < cfg.k for label in labels):
             kept.append(record)
             for label in labels:
@@ -348,14 +346,12 @@ def _tagging_record(sentence: str, mentions: Sequence[Mention]) -> PretrainRecor
         first = starts.index(mention.start)
         last = ends.index(mention.end)
         tokens.extend(Pointer(i) for i in range(cursor, first))
-        begin = make_tag(mention.entity, "open-type", "begin", type_text=mention.type_name)
-        end = make_tag(mention.entity, "open-type", "end", type_text=mention.type_name)
-        tokens.append(begin)
+        tokens.append(make_tag(mention.entity, "begin", type_text=mention.type_name))
         tokens.extend(Pointer(i) for i in range(first, last + 1))
-        tokens.append(end)
+        tokens.append(make_tag(mention.entity, "end", type_text=mention.type_name))
         cursor = last + 1
     tokens.extend(Pointer(i) for i in range(cursor, len(utterance.tokens)))
-    return PretrainRecord(utterance=utterance, target=TargetSequence(tokens=tuple(tokens)))
+    return PretrainRecord(utterance=utterance, target=tuple(tokens))
 
 
 def tags_from_records(records: Sequence[Union[DatasetRecord, PretrainRecord]]) -> list[ConceptTag]:
@@ -371,7 +367,7 @@ def record_fingerprint(record: DatasetRecord) -> str:
     target token strings, with sorted keys and no spaces."""
     canonical = json.dumps(
         {"domain": record.domain, "utterance": record.utterance.raw,
-         "target": record.target.token_strings()},
+         "target": token_strings(record.target)},
         sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -16,27 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_count
-from .model import ConceptBank, ConceptModel
-from .parse import Pointer, TargetSequence, TargetToken, Utterance
+from .model import ConceptBank, ConceptModel, _token_at
+from .parse import TargetSequence, Utterance
 
 
 @dataclass(frozen=True)
 class Hypothesis:
     """A decoded sequence with its cumulative log-probability."""
 
-    tokens: tuple[TargetToken, ...]
+    tokens: TargetSequence
     log_prob: float
     truncated: bool = False  # cut by the length cap before the root bracket closed
-
-    @property
-    def sequence(self) -> TargetSequence:
-        return TargetSequence(tokens=self.tokens)
-
-
-def _token_at(index: int, bank: ConceptBank) -> TargetToken:
-    if index < bank.m:
-        return bank.tags[index]
-    return Pointer(index - bank.m)
 
 
 def _bracket_steps(bank: ConceptBank, n: int) -> np.ndarray:

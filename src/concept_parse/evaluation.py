@@ -15,7 +15,7 @@ from .data import DatasetRecord
 from .decoding import beam_decode
 from .errors import EmptyEvalSetError, MalformedTargetError
 from .model import ConceptBank, ConceptModel
-from .parse import ConceptTag, check_target
+from .parse import ConceptTag, check_target, token_strings
 
 log = logging.getLogger(__name__)
 
@@ -87,7 +87,7 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
     outcomes: list[dict] = []
     for record, gold_spans in zip(records, golds):
         best = beam_decode(model, record.utterance, bank, beam_width=beam_width)[0]
-        pred = best.sequence
+        pred = best.tokens
         reason = None
         try:
             pred_spans = check_target(pred, record.utterance)
@@ -95,8 +95,8 @@ def evaluate_domain(model: ConceptModel, bank: ConceptBank,
             reason, pred_spans = err.reason, Counter()
         outcomes.append({
             "utterance": record.utterance.raw,
-            "gold": record.target.token_strings(),
-            "pred": pred.token_strings(),
+            "gold": token_strings(record.target),
+            "pred": token_strings(pred),
             "em": int(pred == record.target),
             "f1_counts": [(pred_spans & gold_spans).total(), pred_spans.total(),
                           gold_spans.total()],

@@ -19,7 +19,8 @@ Both paths feed the decoder by output index. `_input_table` stacks the bank's
 concept vectors, the pointer embeddings and a BOS row, so row i is the input
 for output index i and `bos_index` names the BOS row. `_output_index` is the one
 rule from a target token to its output index: `build_batch` indexes gold with
-it, and `target_embed` returns that row of `_input_table`. Teacher forcing
+it, and `target_embed` returns that row of `_input_table`. `_token_at`, its
+inverse, turns the search's picks back into tokens. Teacher forcing
 gathers `PaddedBatch.inputs` from the table. `decode_step` takes a
 `DecoderState` and each beam's previous output index, and returns the step's
 log-probabilities over the m + n output indices with a new state; it never
@@ -271,6 +272,11 @@ def _output_index(token: TargetToken, rows: dict[ConceptTag, int], m: int, n: in
     if row is None:
         raise UnknownConceptError(f"concept {token.token_string!r} not present in the bank")
     return row
+
+
+def _token_at(index: int, bank: ConceptBank) -> TargetToken:
+    """The inverse of `_output_index`: the token output ``index`` stands for under ``bank``."""
+    return bank.tags[index] if index < bank.m else Pointer(index - bank.m)
 
 
 def _read_checkpoint_file(path: Path) -> bytes:
@@ -560,7 +566,7 @@ class ConceptModel:
         src_ids, src_pad = self._pad([self.source_vocab.ids(r.utterance.tokens)
                                       for r in records])
         gold, tgt_pad = self._pad([[_output_index(token, rows, m, len(r.utterance.tokens))
-                                    for token in r.target.tokens] for r in records])
+                                    for token in r.target] for r in records])
         bos = np.full((len(records), 1), self.bos_index(m), dtype=np.int64)
         return PaddedBatch(src_ids=src_ids, src_pad=src_pad, gold=gold,
                            tgt_mask=(tgt_pad == 0.0).astype(self.dtype),

@@ -1,14 +1,17 @@
 """Target sequences, the seqlogical annotation reader, and tag naturalization.
 
-A parse is its target sequence: a :class:`TargetSequence` of target tokens in
-depth-first order, the sequence the decoder emits (Rongali et al., 2020). A
-target token is a `Pointer` to a source position or a `ConceptTag`, a begin or
-end concept token. A tag's identity is its (name, boundary) symbol: equality
-and hashing ignore its kind and description, which only feed the concept
-encoder. ``parse_seqlogical`` reads a bracketed annotation straight into a
-sequence, and a sequence is valid exactly when ``check_target`` accepts it;
-``check_target`` reads the labeled spans in the same pass as it validates.
-Labels and concept tags are read from the sequence by ``target_tags``.
+A parse is its target sequence: a tuple of target tokens in depth-first
+order (`TargetSequence`), the sequence the decoder emits (Rongali et al.,
+2020). A target token is a `Pointer` to a source position or a `ConceptTag`,
+a begin or end concept token. A tag is its (name, boundary) symbol and its
+description: equality and hashing cover the symbol, and the description only
+feeds the concept encoder. `make_tag` works a tag's kind (intent, slot or
+open-type) out of its name's prefix or its type text and writes it into the
+description; no tag stores it. ``parse_seqlogical`` reads a bracketed
+annotation straight into a sequence, and a sequence is valid exactly when
+``check_target`` accepts it; ``check_target`` reads the labeled spans in the
+same pass as it validates. Labels and concept tags are read from the
+sequence by ``target_tags``.
 """
 
 from __future__ import annotations
@@ -46,11 +49,10 @@ class ConceptTag:
 
     Begin and end boundaries of the same label are distinct concept tokens
     with distinct descriptions. Token identity is the (name, boundary)
-    symbol; kind and description do not take part in equality or hashing.
+    symbol; the description does not take part in equality or hashing.
     """
 
     name: str
-    kind: Kind = field(compare=False)
     boundary: Boundary
     description: str = field(compare=False)
 
@@ -71,19 +73,11 @@ class Pointer:
 
 
 TargetToken = Union[Pointer, ConceptTag]
+TargetSequence = tuple[TargetToken, ...]  # a parse as the decoder emits it
 
 
-@dataclass(frozen=True)
-class TargetSequence:
-    """A parse as the decoder emits it: pointers plus begin/end concept tokens."""
-
-    tokens: tuple[TargetToken, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def token_strings(self) -> list[str]:
-        return [t.token_string for t in self.tokens]
+def token_strings(seq: TargetSequence) -> list[str]:
+    return [t.token_string for t in seq]
 
 
 def tokenize_utterance(raw: str) -> Utterance:
@@ -103,44 +97,31 @@ def _name_kind(name: str) -> Kind:
     return "slot" if name.startswith("SL:") else "open-type"
 
 
-def split_tag_token(token: str) -> tuple[str, Kind, Boundary]:
-    """Decompose a tag token string into (name, kind, boundary)."""
-    if token.startswith("[") and len(token) > 1:
-        name, boundary = token[1:], "begin"
-    elif token.endswith("]") and len(token) > 1:
-        name, boundary = token[:-1], "end"
-    else:
-        raise UnknownTagFormatError(f"not a tag token: {token!r}")
-    return name, _name_kind(name), boundary
-
-
-def make_tag(name: str, kind: Kind, boundary: Boundary,
+def make_tag(name: str, boundary: Boundary,
              type_text: Optional[str] = None) -> ConceptTag:
     """Build a ConceptTag with its lowercase natural-language description.
 
-    An intent or slot becomes "<boundary> <name words> <kind>", and its name
-    must carry the kind's ``IN:``/``SL:`` prefix. An open-type tag becomes
-    "<boundary> <type text>", falling back to the name's words without type
-    text; blank type text raises `UnknownTagFormatError`.
+    A tag with type text is open-type; otherwise its kind is the one its
+    name's prefix gives. An intent or slot becomes "<boundary> <name words>
+    <kind>". An open-type tag becomes "<boundary> <type text>", falling back
+    to the name's words without type text; blank type text raises
+    `UnknownTagFormatError`.
     """
-    prefix_kind = _name_kind(name)
-    if kind == "open-type":
+    kind = _name_kind(name)  # refuses a malformed name, with type text too
+    if type_text is not None or kind == "open-type":
         text = name.replace("_", " ") if type_text is None else type_text
         body = " ".join(text.lower().split())
         if not body:
             raise UnknownTagFormatError(f"open-type tag {name!r} has blank type text")
-    elif kind == prefix_kind:
-        body = f"{name[3:].lower().replace('_', ' ')} {kind}"
     else:
-        raise UnknownTagFormatError(f"tag name {name!r} is not a {kind} name")
-    return ConceptTag(name=name, kind=kind, boundary=boundary,
-                      description=f"{boundary} {body}")
+        body = f"{name[3:].lower().replace('_', ' ')} {kind}"
+    return ConceptTag(name=name, boundary=boundary, description=f"{boundary} {body}")
 
 
 @lru_cache(maxsize=4096)  # `parse_seqlogical` asks again for every opener of every row
-def tags_for_label(name: str, kind: Kind) -> tuple[ConceptTag, ConceptTag]:
+def tags_for_label(name: str) -> tuple[ConceptTag, ConceptTag]:
     """Begin and end concept tokens for one boundary-free label; frozen, so shared."""
-    return make_tag(name, kind, "begin"), make_tag(name, kind, "end")
+    return make_tag(name, "begin"), make_tag(name, "end")
 
 
 def parse_seqlogical(annotation: str, utterance: Utterance) -> TargetSequence:
@@ -161,12 +142,11 @@ def parse_seqlogical(annotation: str, utterance: Utterance) -> TargetSequence:
                 raise MalformedAnnotationError("unbalanced ']' in annotation")
             out.append(ends.pop())
         elif item.startswith("["):
-            name, kind, _ = split_tag_token(item)
-            if kind == "open-type":
+            if _name_kind(item[1:]) == "open-type":
                 raise MalformedAnnotationError(f"unrecognized tag opener: {item!r}")
             if out and not ends:
                 raise MalformedAnnotationError("content after root closes")
-            begin, end = tags_for_label(name, kind)
+            begin, end = tags_for_label(item[1:])
             out.append(begin)
             ends.append(end)
         else:
@@ -191,10 +171,10 @@ def parse_seqlogical(annotation: str, utterance: Utterance) -> TargetSequence:
         raise MalformedAnnotationError(
             f"annotation covers {cursor} of {len(utterance.tokens)} utterance tokens"
         )
-    root = out[0]
-    if root.kind != "intent":
-        raise MalformedAnnotationError(f"root tag {root.name!r} is not an intent")
-    return TargetSequence(tokens=tuple(out))
+    root = out[0].name  # a word outside any tag raised above, so out[0] is an opener
+    if _name_kind(root) != "intent":
+        raise MalformedAnnotationError(f"root tag {root!r} is not an intent")
+    return tuple(out)
 
 
 Span = tuple[str, Optional[int], Optional[int]]
@@ -215,7 +195,7 @@ def check_target(seq: TargetSequence, utterance: Utterance) -> Counter[Span]:
     spans: Counter[Span] = Counter()
     pointers: list[int] = []
     opened: list[tuple[str, int]] = []  # (name, len(pointers)) per open tag, innermost last
-    for pos, token in enumerate(seq.tokens):
+    for pos, token in enumerate(seq):
         if pos and not opened:  # only a closed root leaves nothing open
             raise MalformedTargetError("tokens after the root closes", pos)
         if isinstance(token, Pointer):
@@ -240,12 +220,12 @@ def check_target(seq: TargetSequence, utterance: Utterance) -> Counter[Span]:
             spans[(token.name, min(inside), max(inside)) if inside
                   else (token.name, None, None)] += 1
     if opened:
-        raise MalformedTargetError("sequence ends with unclosed tags", len(seq.tokens))
-    if not seq.tokens:
+        raise MalformedTargetError("sequence ends with unclosed tags", len(seq))
+    if not seq:
         raise MalformedTargetError("sequence contains no tags", 0)
     return spans
 
 
 def target_tags(seq: TargetSequence) -> tuple[ConceptTag, ...]:
     """Distinct concept tags of a sequence, in first-occurrence order."""
-    return tuple(dict.fromkeys(t for t in seq.tokens if isinstance(t, ConceptTag)))
+    return tuple(dict.fromkeys(t for t in seq if isinstance(t, ConceptTag)))

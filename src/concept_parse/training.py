@@ -111,7 +111,7 @@ def make_batches(records: Sequence, batch_size: int,
     """Length-bucketed batches in a seeded random order."""
     order = rng.permutation(len(records))
     shuffled = [records[int(i)] for i in order]
-    shuffled.sort(key=lambda r: len(r.target.tokens))  # stable, keeps shuffle inside buckets
+    shuffled.sort(key=lambda r: len(r.target))  # stable, keeps shuffle inside buckets
     batches = [shuffled[i:i + batch_size]
                for i in range(0, len(shuffled), batch_size)]
     return [batches[int(i)] for i in rng.permutation(len(batches))]

@@ -23,18 +23,10 @@ import numpy as np
 
 import concept_parse.autodiff as ad
 from concept_parse.data import load_wikiwiki_jsonl, record_from_row, tags_from_records
-from concept_parse.decoding import Hypothesis, _token_at
-from concept_parse.errors import ShapeError
-from concept_parse.model import ConceptModel, ModelConfig, build_vocabularies
-from concept_parse.parse import (
-    Pointer,
-    TargetSequence,
-    check_target,
-    make_tag,
-    split_tag_token,
-    target_tags,
-    tokenize_utterance,
-)
+from concept_parse.decoding import Hypothesis
+from concept_parse.errors import ShapeError, UnknownTagFormatError
+from concept_parse.model import ConceptModel, ModelConfig, _token_at, build_vocabularies
+from concept_parse.parse import Pointer, check_target, make_tag, target_tags, tokenize_utterance
 from concept_parse.synthetic import PLACES
 from concept_parse.training import batch_nll_tensor
 
@@ -58,6 +50,15 @@ def build_model(records, tags=None, wiki_records=(), seed=0, **config_kwargs):
 TINY = dict(width=32, layers=1, heads=2, max_source_len=32, max_target_len=48, ff_width=64)
 
 
+def split_tag_token(token):
+    """The (name, boundary) of a tag token string: ``[NAME`` begins, ``NAME]`` ends."""
+    if token.startswith("[") and len(token) > 1:
+        return token[1:], "begin"
+    if token.endswith("]") and len(token) > 1:
+        return token[:-1], "end"
+    raise UnknownTagFormatError(f"not a tag token: {token!r}")
+
+
 def token_from_string(s):
     """One serialized target token; tag descriptions come from naturalization."""
     if s.startswith("@ptr_"):
@@ -66,14 +67,14 @@ def token_from_string(s):
 
 
 def sequence_from_strings(strings):
-    """A TargetSequence from serialized tokens such as ``["[IN:A", "@ptr_0", "IN:A]"]``."""
-    return TargetSequence(tokens=tuple(token_from_string(s) for s in strings))
+    """A target sequence from serialized tokens such as ``["[IN:A", "@ptr_0", "IN:A]"]``."""
+    return tuple(token_from_string(s) for s in strings)
 
 
 def target_spans(seq):
     """`check_target`'s labeled spans of a sequence, over an utterance just long
     enough for its pointers."""
-    n = 1 + max((t.index for t in seq.tokens if isinstance(t, Pointer)), default=0)
+    n = 1 + max((t.index for t in seq if isinstance(t, Pointer)), default=0)
     return check_target(seq, tokenize_utterance(" w" * n))
 
 
@@ -250,12 +251,12 @@ def oracle_target(tree):
     """The target sequence of a tree by a depth-first walk: begin tag,
     children (indices as pointers), end tag."""
     def emit(node):
-        yield make_tag(node.name, node.kind, "begin")
+        yield make_tag(node.name, "begin")
         for child in node.children:
             yield from emit(child) if isinstance(child, Tree) else [Pointer(child)]
-        yield make_tag(node.name, node.kind, "end")
+        yield make_tag(node.name, "end")
 
-    return TargetSequence(tokens=tuple(emit(tree)))
+    return tuple(emit(tree))
 
 
 def oracle_annotation(tree, utterance):
@@ -263,7 +264,7 @@ def oracle_annotation(tree, utterance):
     target's tokens written as opener, word or ``]``."""
     return " ".join(utterance.tokens[t.index] if isinstance(t, Pointer)
                     else f"[{t.name}" if t.boundary == "begin" else "]"
-                    for t in oracle_target(tree).tokens)
+                    for t in oracle_target(tree))
 
 
 def walk_spans_and_labels(tree):

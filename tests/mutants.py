@@ -61,6 +61,16 @@ MUTANTS = (
            '"em": int(pred_spans == gold_spans),',
            "tests/test_evaluation.py::TestExactMatch::"
            "test_equal_spans_in_another_order_are_no_match"),
+    # a tag's kind: the root must be an intent, an opener an intent or a slot,
+    # and type text makes a tag open-type
+    Mutant("parse", 'if _name_kind(root) != "intent":', "if False:",
+           "tests/test_parse.py::TestSeqlogical::test_malformed[[SL:B x ]]"),
+    Mutant("parse", 'if _name_kind(item[1:]) == "open-type":', "if False:",
+           "tests/test_parse.py::TestSeqlogical::"
+           "test_tag_opener_must_name_an_intent_or_slot[[IN:A [B x ] ]-MalformedAnnotationError]"),
+    Mutant("parse", 'if type_text is not None or kind == "open-type":',
+           'if kind == "open-type":',
+           "tests/test_parse.py::TestNaturalize::test_open_type_is_described_by_its_type_text"),
     # equivalent, or equivalent up to float rounding
     Mutant("parse", "if pos and not opened:  # only a closed root leaves nothing open",
            "if pos > 1 and not opened:  # only a closed root leaves nothing open",

@@ -27,7 +27,8 @@ from concept_parse.errors import (
     DomainNotFoundError,
     NeedTwoDomainsError,
 )
-from concept_parse.parse import Pointer, check_target, parse_seqlogical, target_tags
+from concept_parse.parse import (Pointer, check_target, parse_seqlogical, target_tags,
+                                 token_strings)
 from concept_parse.synthetic import transfer_pair_rows
 
 from helpers import (
@@ -40,6 +41,11 @@ from helpers import (
 )
 
 HEADER = "domain\tutterance\tsemantic_parse\n"
+
+
+def label_names(record):
+    """The distinct tag names of a record's target."""
+    return {tag.name for tag in target_tags(record.target)}
 
 
 def annotation_spans(annotation):
@@ -66,7 +72,7 @@ class TestTsvLoader:
         record = records[0]
         assert record.domain == "navigation"
         assert record.target == parse_seqlogical(COMPOSITIONAL_ANNOTATION, record.utterance)
-        assert record.target.token_strings()[0] == "[IN:GET_DISTANCE"
+        assert token_strings(record.target)[0] == "[IN:GET_DISTANCE"
 
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -134,6 +140,23 @@ class TestTransferPairRows:
         rows = transfer_pair_rows(per_domain, seed=0)
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == sha256
         assert [record_from_row(*row).domain for row in rows] == [row[0] for row in rows]
+
+    @pytest.mark.parametrize("per_domain, digest", [
+        (120, "4e9c8a5d32b7359443e3f6ae61fe6a50d92d6ff45057721d97412d32b91370aa"),
+        (480, "528c8d0784daab3c1dbf8348a4469b69845a78be93434c964243e65386c1151c"),
+    ], ids=["per_domain_120", "per_domain_480"])
+    def test_benchmark_records_and_tags_are_pinned(self, per_domain, digest):
+        # the workloads' seed-1 records: every canonical field and token
+        # string, and every tag description the concept encoder reads
+        records = [record_from_row(*row) for row in transfer_pair_rows(per_domain, seed=1)]
+        assert corpus_fingerprint(records) == {"count": 2 * per_domain, "digest": digest}
+        words = {"IN:GET_DISTANCE": "get distance intent", "IN:GET_TIME": "get time intent",
+                 "IN:SHOW_DISTANCE": "show distance intent", "IN:SHOW_TIME": "show time intent",
+                 "SL:CLOCK_PLACE": "clock place slot", "SL:CLOCK_ZONE": "clock zone slot",
+                 "SL:NEAR_PLACE": "near place slot", "SL:NEAR_ZONE": "near zone slot"}
+        assert [(t.name, t.boundary, t.description) for t in tags_from_records(records)] == [
+            (name, boundary, f"{boundary} {text}")
+            for name, text in words.items() for boundary in ("begin", "end")]
 
 
 def garbled_gzip(data):
@@ -236,7 +259,7 @@ class TestSampleSpi:
         kept = sample_spi(records, SpiConfig(k=5, seed=1))
         by_label = {"IN:A": 0, "IN:B": 0}
         for record in kept:
-            by_label[record.target.tokens[0].name] += 1
+            by_label[record.target[0].name] += 1
         assert by_label == {"IN:A": 5, "IN:B": 3}
 
     def test_determinism(self):
@@ -257,8 +280,8 @@ class TestSampleSpi:
             for k in (1, 5, 25):
                 kept = sample_spi(records, SpiConfig(k=k, seed=trial))
                 for label in labels:
-                    frequency = sum(1 for r in records if label in r.labels())
-                    cover = sum(1 for r in kept if label in r.labels())
+                    frequency = sum(1 for r in records if label in label_names(r))
+                    cover = sum(1 for r in kept if label in label_names(r))
                     assert cover >= min(k, frequency)
 
     def test_multi_label_records_cover_every_label(self):
@@ -271,8 +294,8 @@ class TestSampleSpi:
             for k in (1, 2, 4):
                 kept = sample_spi(records, SpiConfig(k=k, seed=seed))
                 for label in labels:
-                    frequency = sum(label in r.labels() for r in records)
-                    assert sum(label in r.labels() for r in kept) >= min(k, frequency)
+                    frequency = sum(label in label_names(r) for r in records)
+                    assert sum(label in label_names(r) for r in kept) >= min(k, frequency)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -318,7 +341,7 @@ class TestWikiLoader:
                 {"start": 4, "end": 10, "entity": "SHORT", "type": "food kind"},
             ],
         }])
-        assert records[0].target.token_strings() == [
+        assert token_strings(records[0].target) == [
             "[LONG", "@ptr_0", "@ptr_1", "@ptr_2", "LONG]", "@ptr_3", "@ptr_4"]
         assert report.dropped_mentions == 1
 
@@ -421,7 +444,7 @@ class TestWikiToParse:
         }])
         assert record.utterance.tokens == ("He", "is", "a", "member", "of",
                                            "The", "Soul", "Seekers")
-        assert record.target.token_strings() == [
+        assert token_strings(record.target) == [
             "@ptr_0", "@ptr_1", "@ptr_2", "@ptr_3", "@ptr_4",
             "[Q215380", "@ptr_5", "@ptr_6", "@ptr_7", "Q215380]"]
         assert {t.description for t in target_tags(record.target)} == {
@@ -429,7 +452,7 @@ class TestWikiToParse:
 
     def test_no_mentions_all_pointers(self, tmp_path):
         (record,), _ = load_wiki(tmp_path, [{"context": "just words here", "mentions": []}])
-        assert record.target.token_strings() == ["@ptr_0", "@ptr_1", "@ptr_2"]
+        assert token_strings(record.target) == ["@ptr_0", "@ptr_1", "@ptr_2"]
         assert target_tags(record.target) == ()
 
     def test_two_disjoint_mentions(self, tmp_path):
@@ -438,7 +461,7 @@ class TestWikiToParse:
             "mentions": [{"start": 0, "end": 6, "entity": "FOOD", "type": "food kind"},
                          {"start": 12, "end": 18, "entity": "CITY", "type": "city name"}],
         }])
-        assert record.target.token_strings() == [
+        assert token_strings(record.target) == [
             "[FOOD", "@ptr_0", "FOOD]", "@ptr_1", "[CITY", "@ptr_2", "CITY]"]
 
     def test_unaligned_span(self, tmp_path):
@@ -458,7 +481,7 @@ class TestWikiToParse:
         for record in records:
             n = len(record.utterance.tokens)
             open_name = None  # flat: at most one tag open at a time
-            for token in record.target.tokens:
+            for token in record.target:
                 if isinstance(token, Pointer):
                     assert 0 <= token.index < n
                 elif token.boundary == "begin":

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from concept_parse.data import tags_from_records
-from concept_parse.decoding import _token_at, beam_decode
+from concept_parse.decoding import beam_decode
+from concept_parse.model import _token_at
 from concept_parse.parse import tags_for_label, tokenize_utterance
 from concept_parse.synthetic import transfer_pair_rows
 
@@ -24,9 +25,7 @@ def micro_model(seed, max_target_len=MICRO["max_target_len"]):
 
 
 def micro_bank(model, labels=("IN:GO", "SL:SPOT")):
-    tags = [t for name in labels
-            for t in tags_for_label(name, "intent" if name.startswith("IN")
-                                    else "slot")]
+    tags = [t for name in labels for t in tags_for_label(name)]
     return model.encode_concepts(tags)
 
 
@@ -109,7 +108,7 @@ class TestBeamOracle:
         bank = micro_bank(model)
         utterance = tokenize_utterance("near the")
         top = beam_decode(model, utterance, bank, beam_width=4)[0]
-        inputs, gold = teacher_forcing_indices(model, utterance, top.sequence, bank)
+        inputs, gold = teacher_forcing_indices(model, utterance, top.tokens, bank)
         state = model.initial_state(model.encode_source(utterance.tokens), bank)
         total = 0.0
         for prev, index in zip(inputs, gold):

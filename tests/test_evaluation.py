@@ -14,6 +14,7 @@ from concept_parse.evaluation import (
     evaluate_domain,
     teacher_forced_accuracy,
 )
+from concept_parse.parse import token_strings
 from concept_parse.training import TrainConfig, train_known_domains
 
 from helpers import (TINY, Tree, build_model, oracle_target, random_roundtrip_corpus,
@@ -29,7 +30,7 @@ def decode_as(monkeypatch, targets):
     """Make `evaluate_domain`'s search return, for each utterance, the target
     ``targets`` maps its identity to."""
     monkeypatch.setattr(evaluation, "beam_decode", lambda model, utterance, *args, **kwargs:
-                        [Hypothesis(tokens=targets[id(utterance)].tokens, log_prob=0.0)])
+                        [Hypothesis(tokens=targets[id(utterance)], log_prob=0.0)])
 
 
 def em_outcome(monkeypatch, pred, annotation):
@@ -197,16 +198,16 @@ class TestEvaluateDomain:
     ], ids=["flat_sequence", "gold"])
     def test_validity_is_delinearize(self, monkeypatch, pred, validity, counts):
         record = record_from_row("d", "x y", "[IN:A x y ]")
-        assert record.target.token_strings() == ["[IN:A", "@ptr_0", "@ptr_1", "IN:A]"]
-        fixed = [Hypothesis(tokens=sequence_from_strings(pred).tokens, log_prob=0.0)]
+        assert token_strings(record.target) == ["[IN:A", "@ptr_0", "@ptr_1", "IN:A]"]
+        fixed = [Hypothesis(tokens=sequence_from_strings(pred), log_prob=0.0)]
         monkeypatch.setattr(evaluation, "beam_decode", lambda *args, **kwargs: fixed)
         checked = []
         check_target = evaluation.check_target
         monkeypatch.setattr(evaluation, "check_target",
-                            lambda seq, utterance: checked.append(seq.token_strings())
+                            lambda seq, utterance: checked.append(token_strings(seq))
                             or check_target(seq, utterance))
         report = evaluate_domain(None, None, [record])
-        assert checked == [record.target.token_strings(), pred]
+        assert checked == [token_strings(record.target), pred]
         assert report.validity == validity
         assert report.outcomes[0]["f1_counts"] == counts
 
@@ -220,7 +221,7 @@ class TestEvaluateDomain:
         calls = []
         monkeypatch.setattr(evaluation, "beam_decode",
                             lambda *args, **kwargs: calls.append(args) or [
-                                Hypothesis(tokens=good.target.tokens, log_prob=0.0)])
+                                Hypothesis(tokens=good.target, log_prob=0.0)])
         with pytest.raises(MalformedTargetError):
             evaluate_domain(None, None, [good, bad])
         assert calls == []

@@ -27,8 +27,7 @@ from concept_parse.errors import (
 from concept_parse.decoding import beam_decode
 from concept_parse.evaluation import evaluate_domain
 from concept_parse.model import ConceptBank, ConceptModel, ModelConfig, Vocabulary
-from concept_parse.parse import (Pointer, TargetSequence, make_tag, tags_for_label,
-                                 tokenize_utterance)
+from concept_parse.parse import Pointer, make_tag, tags_for_label, tokenize_utterance
 from concept_parse.training import batch_nll_tensor
 
 from helpers import (
@@ -99,7 +98,7 @@ class TestEncodeConcepts:
         assert np.array_equal(permuted.vectors, bank.vectors[perm])
 
     def test_deterministic(self, model):
-        tags = tags_for_label("IN:GET_DISTANCE", "intent")
+        tags = tags_for_label("IN:GET_DISTANCE")
         one = model.encode_concepts(tags)
         two = model.encode_concepts(tags)
         assert np.array_equal(one.vectors, two.vectors)
@@ -110,7 +109,7 @@ class TestEncodeConcepts:
 
     def test_empty_description_rejected(self, model):
         from concept_parse.parse import ConceptTag
-        bad = ConceptTag(name="IN:X", kind="intent", boundary="begin", description="  ")
+        bad = ConceptTag(name="IN:X", boundary="begin", description="  ")
         with pytest.raises(EmptyDescriptionError):
             model.encode_concepts([bad])
 
@@ -119,7 +118,7 @@ def teacher_force(model, bank, sources, targets):
     """No-grad teacher-forced forward of one record with ``sources`` source
     tokens and ``targets`` target tokens."""
     record = SimpleNamespace(utterance=tokenize_utterance(" ".join(["how"] * sources)),
-                             target=TargetSequence(tokens=(Pointer(0),) * targets))
+                             target=(Pointer(0),) * targets)
     with ad.no_grad():
         return model.teacher_log_probs(model.build_batch([record], list(bank.tags)),
                                        ad.constant(bank.vectors))
@@ -160,7 +159,7 @@ class TestTargetEmbed:
                               doubled.vectors[-1])
 
     def test_unknown_concept(self, model, bank):
-        stranger = make_tag("IN:NOT_IN_BANK", "intent", "begin")
+        stranger = make_tag("IN:NOT_IN_BANK", "begin")
         with pytest.raises(UnknownConceptError):
             model.target_embed(stranger, bank)
 
@@ -216,12 +215,12 @@ class TestDecodeStep:
     def test_two_way_softmax_oracle(self, model):
         """One concept and one pointer: the step's two probabilities are the
         batched forward's softmax over the same two scores."""
-        tags = [make_tag("IN:ONLY", "intent", "begin")]
+        tags = [make_tag("IN:ONLY", "begin")]
         bank = model.encode_concepts(tags)
         utterance = tokenize_utterance("how")
         log_probs, _ = self.decode_once(model, bank, utterance.tokens)
         record = SimpleNamespace(utterance=utterance,
-                                 target=TargetSequence(tokens=(tags[0],)))
+                                 target=(tags[0],))
         with ad.no_grad():
             expected = model.teacher_log_probs(model.build_batch([record], tags),
                                                ad.constant(bank.vectors)).data[0, 0]
@@ -301,7 +300,7 @@ class TestDecodeStep:
         assert continued.tobytes() == fresh.tobytes()
 
     def test_unseen_tag_still_supported(self, model, bank):
-        novel = list(bank.tags) + list(tags_for_label("IN:NEVER_TRAINED", "intent"))
+        novel = list(bank.tags) + list(tags_for_label("IN:NEVER_TRAINED"))
         wider = model.encode_concepts(novel)
         dist, _ = self.decode_once(model, wider)
         probabilities = np.exp(dist[0])
@@ -331,12 +330,12 @@ class TestTeacherForced:
     def test_length_and_loop_equality(self, model, bank, corpus):
         record = corpus[0]
         dists = forward_teacher_forced(model, record.utterance, record.target, bank)
-        assert len(dists) == len(record.target.tokens)
+        assert len(dists) == len(record.target)
         # a replay fed each token's own output index must agree bit for bit
         rows = {(t.name, t.boundary): i for i, t in enumerate(bank.tags)}
         state = model.initial_state(model.encode_source(record.utterance.tokens), bank)
         prev = model.bos_index(bank.m)
-        for token, dist in zip(record.target.tokens, dists):
+        for token, dist in zip(record.target, dists):
             manual, state = model.decode_step(state, np.array([prev]))
             assert manual.tobytes() == dist.tobytes()
             prev = (bank.m + token.index if isinstance(token, Pointer)
@@ -352,8 +351,7 @@ class TestTeacherForced:
         assert all(d[0].shape == (14,) for d in dists)
 
     def test_unknown_concept_propagates(self, model, corpus):
-        thin_bank = model.encode_concepts(
-            tags_for_label("IN:GET_DISTANCE", "intent"))
+        thin_bank = model.encode_concepts(tags_for_label("IN:GET_DISTANCE"))
         record = corpus[0]
         with pytest.raises(UnknownConceptError):
             forward_teacher_forced(model, record.utterance, record.target, thin_bank)
@@ -374,7 +372,7 @@ class TestCompiledDomain:
 
     def test_support_grows_with_new_tag(self, model, bank):
         extended = model.compile_domain(
-            list(bank.tags) + [make_tag("SL:EXTRA", "slot", "begin")])
+            list(bank.tags) + [make_tag("SL:EXTRA", "begin")])
         assert extended.m == bank.m + 1
 
     def test_empty_rejected(self, model):
@@ -413,9 +411,9 @@ class TestBatchedForward:
                                 model.parameters()["decoder.ptr_embed"].data,
                                 model.parameters()["decoder.bos"].data[None, :]])
         for i, record in enumerate(records):
-            length, n = len(record.target.tokens), len(record.utterance.tokens)
+            length, n = len(record.target), len(record.utterance.tokens)
             assert np.array_equal(batch.inputs[i, 1:length], batch.gold[i, :length - 1])
-            for t, token in enumerate(record.target.tokens[:-1]):
+            for t, token in enumerate(record.target[:-1]):
                 row = table[batch.inputs[i, t + 1]]
                 assert row.tobytes() == model.target_embed(token, bank).tobytes()
             src = model.encode_source(record.utterance.tokens)
@@ -424,8 +422,7 @@ class TestBatchedForward:
     def test_pointer_outside_utterance_rejected(self, model, corpus, bank):
         record = corpus[0]
         n = len(record.utterance.tokens)
-        bad = replace(record, target=TargetSequence(
-            tokens=record.target.tokens[:1] + (Pointer(n),) + record.target.tokens[1:]))
+        bad = replace(record, target=record.target[:1] + (Pointer(n),) + record.target[1:])
         with pytest.raises(PointerRangeError, match=f"pointer {n} outside"):
             model.build_batch([bad], list(bank.tags))
 
@@ -507,7 +504,7 @@ class TestPadPositions:
         weights it 0."""
         model = build_model(corpus, seed=2, precision=precision, **TINY)
         tags = tags_from_records(corpus)
-        by_length = sorted(corpus, key=lambda r: len(r.target.tokens))
+        by_length = sorted(corpus, key=lambda r: len(r.target))
         batch = model.build_batch([by_length[0], by_length[-1], by_length[6]], tags)
         pad = batch.tgt_mask == 0.0
         assert pad.any()

@@ -177,5 +177,5 @@ def test_wiki_jsonl_mutants(tmp_path):
         loaded = loads_or_fails_typed(load_wikiwiki_jsonl, path)
         for record in loaded[0] if loaded else ():
             n = len(record.utterance.tokens)
-            assert all(0 <= token.index < n for token in record.target.tokens
+            assert all(0 <= token.index < n for token in record.target
                        if isinstance(token, Pointer))

@@ -150,7 +150,7 @@ def test_every_helper_is_read():
 # only shrink: a new read, or one that goes, fails the test until its entry
 # is added or removed.
 PRIVATE_READS = {
-    "decoding._token_at": "the exhaustive decoding oracle maps output indices "
+    "model._token_at": "the exhaustive decoding oracle maps output indices "
                           "to tokens as beam search does",
     "evaluation._precision_recall_f1": "the oracle scores counts with the "
                                        "rule evaluation uses",

@@ -13,18 +13,18 @@ from concept_parse.errors import (
 )
 from concept_parse.parse import (
     Pointer,
-    TargetSequence,
     check_target,
     make_tag,
     parse_seqlogical,
-    split_tag_token,
     target_tags,
+    token_strings,
     tokenize_utterance,
 )
 
 from helpers import (COMPOSITIONAL_ANNOTATION, COMPOSITIONAL_UTTERANCE, Tree,
                      oracle_annotation, oracle_target, random_roundtrip_corpus,
-                     sequence_from_strings, target_spans, walk_spans_and_labels)
+                     sequence_from_strings, split_tag_token, target_spans,
+                     walk_spans_and_labels)
 
 COMPOSITIONAL_TARGET = [
     "[IN:GET_DISTANCE", "@ptr_0", "@ptr_1", "@ptr_2",
@@ -68,8 +68,8 @@ class TestTokenize:
 class TestSeqlogical:
     @staticmethod
     def full_tokens(seq):
-        """Pointers and whole concept tags, kinds and descriptions included."""
-        return [getattr(token, "tag", token) for token in seq.tokens]
+        """Each token with its description, which tag equality leaves out."""
+        return [(token, getattr(token, "description", None)) for token in seq]
 
     def test_compositional_structure(self):
         _, seq = compositional_example()
@@ -109,13 +109,16 @@ class TestSeqlogical:
         ("[IN:A x ] [IN:B", "content after root closes"),
         ("[IN:A x ] x", "word 'x' outside any tag"),
         ("[IN:A x x ]", "more words than the utterance"),
-    ], ids=["empty", "after_root", "word_after_root", "extra_word"])
+        ("[SL:B x", "ends with unclosed tags"),  # the slot root is reported later
+    ], ids=["empty", "after_root", "word_after_root", "extra_word", "unclosed_slot_root"])
     def test_malformed_message(self, annotation, message):
         with pytest.raises(MalformedAnnotationError, match=re.escape(message)):
             parse_seqlogical(annotation, tokenize_utterance("x"))
 
     @pytest.mark.parametrize("annotation, error", [
         ("[A x ]", MalformedAnnotationError),
+        ("[IN:A [B x ] ]", MalformedAnnotationError),
+        ("[ x ]", UnknownTagFormatError),
         ("[IN: x ]", UnknownTagFormatError),
         ("[SL:B[ x ]", UnknownTagFormatError),
     ])
@@ -129,16 +132,16 @@ class TestLinearize:
 
     def test_compositional_target(self):
         _, seq = compositional_example()
-        assert seq.token_strings() == COMPOSITIONAL_TARGET
+        assert token_strings(seq) == COMPOSITIONAL_TARGET
 
     def test_single_node(self):
         seq = parse_seqlogical("[IN:A x ]", tokenize_utterance("x"))
-        assert seq.token_strings() == ["[IN:A", "@ptr_0", "IN:A]"]
+        assert token_strings(seq) == ["[IN:A", "@ptr_0", "IN:A]"]
 
     def test_nested_emission(self):
         seq = parse_seqlogical("[IN:A [SL:B x ] y ]", tokenize_utterance("x y"))
-        assert seq.token_strings() == ["[IN:A", "[SL:B", "@ptr_0", "SL:B]",
-                                       "@ptr_1", "IN:A]"]
+        assert token_strings(seq) == ["[IN:A", "[SL:B", "@ptr_0", "SL:B]",
+                                      "@ptr_1", "IN:A]"]
 
 
 class TestDelinearize:
@@ -219,34 +222,27 @@ class TestNaturalize:
         assert make_tag(*split_tag_token(token)).description == expected
 
     def test_open_type_requires_text(self):
-        assert make_tag("Q215380", "open-type", "begin", type_text="musical group") \
+        assert make_tag("Q215380", "begin", type_text="musical group") \
             .description == "begin musical group"
         with pytest.raises(UnknownTagFormatError):
-            make_tag("Q215380", "open-type", "begin", type_text=" ")
+            make_tag("Q215380", "begin", type_text=" ")
 
-    @pytest.mark.parametrize("token", ["IN:A", "@ptr_0", "[", "]", "[IN:", "word"])
+    @pytest.mark.parametrize("token", ["IN:A", "@ptr_0", "[", "]", "word"])
     def test_unrecognized_shapes(self, token):
         with pytest.raises(UnknownTagFormatError):
             split_tag_token(token)
 
     def test_open_type_is_described_by_its_type_text(self):
-        tag = make_tag("SL:FOO", "open-type", "begin", type_text="city name")
-        assert (tag.kind, tag.description) == ("open-type", "begin city name")
-
-    @pytest.mark.parametrize("name,kind", [
-        ("IN:GET_X", "slot"), ("SL:FOO", "intent"), ("FOO", "intent"), ("FOO", "slot"),
-    ])
-    def test_kind_must_match_the_name_prefix(self, name, kind):
-        with pytest.raises(UnknownTagFormatError, match=re.escape(name)):
-            make_tag(name, kind, "end")
+        # type text makes a tag open-type whatever its name's prefix says
+        assert make_tag("SL:FOO", "begin", type_text="city name").description == \
+            "begin city name"
 
     def test_injective_over_tag_set(self):
-        names = [("IN:GET_DISTANCE", "intent"), ("IN:GET_ETA", "intent"),
-                 ("SL:DESTINATION", "slot"), ("SL:DATE_TIME", "slot"),
-                 ("IN:DATE_TIME", "intent")]
+        names = ["IN:GET_DISTANCE", "IN:GET_ETA", "SL:DESTINATION", "SL:DATE_TIME",
+                 "IN:DATE_TIME"]
         descriptions = [
-            make_tag(name, kind, boundary).description
-            for name, kind in names for boundary in ("begin", "end")
+            make_tag(name, boundary).description
+            for name in names for boundary in ("begin", "end")
         ]
         assert len(set(descriptions)) == len(descriptions)
 
@@ -285,7 +281,8 @@ class TestSpans:
             seq = oracle_target(tree)
             spans, labels = walk_spans_and_labels(tree)
             assert check_target(seq, utterance) == spans
-            assert {(t.name, t.kind) for t in target_tags(seq)} == labels
+            # a tag's kind is the last word of its description
+            assert {(t.name, t.description.split()[-1]) for t in target_tags(seq)} == labels
             assert parse_seqlogical(oracle_annotation(tree, utterance), utterance) == seq
 
     def test_target_tags_in_first_occurrence_order(self):
@@ -306,11 +303,11 @@ class TestRoundTrip:
         # full-coverage corpora mention each source position exactly once
         for utterance, tree in random_roundtrip_corpus(count=50, seed=3):
             seq = parse_seqlogical(oracle_annotation(tree, utterance), utterance)
-            pointers = [t.index for t in seq.tokens if isinstance(t, Pointer)]
+            pointers = [t.index for t in seq if isinstance(t, Pointer)]
             assert pointers == list(range(len(utterance.tokens)))
 
     def test_token_identity_ignores_description(self):
-        a = make_tag("Q1", "open-type", "begin", type_text="musical group")
-        b = make_tag("Q1", "open-type", "begin", type_text="different words")
+        a = make_tag("Q1", "begin", type_text="musical group")
+        b = make_tag("Q1", "begin", type_text="different words")
         assert a == b and hash(a) == hash(b)
-        assert TargetSequence((a,)) == TargetSequence((b,))
+        assert (a,) == (b,)

@@ -175,7 +175,7 @@ class TestBatches:
         two = make_batches(records, 8, np.random.default_rng(3))
         assert one == two
         for batch in one:
-            lengths = [len(r.target.tokens) for r in batch]
+            lengths = [len(r.target) for r in batch]
             assert max(lengths) - min(lengths) <= 4
 
     def test_all_records_used_once(self):
