@@ -762,8 +762,9 @@ def adam_step(params: Iterable[Parameter], lr: float,
 
 
 def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
-                 std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) resampled until all draws fall within two deviations."""
+                 dtype=np.float32) -> np.ndarray:
+    """Normal(0, 0.02) resampled until all draws fall within two deviations."""
+    std = 0.02
     values = rng.normal(0.0, std, size=shape)
     flat, limit = values.reshape(-1), 2.0 * std
     out = np.flatnonzero(np.abs(flat) > limit)  # ascending: the order of a mask's draws

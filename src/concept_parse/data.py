@@ -84,18 +84,6 @@ class PretrainRecord:
 
 
 @dataclass(frozen=True)
-class SpiConfig:
-    """Few-shot sampling budget: at least ``k`` kept records per label."""
-
-    k: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        require_count("k", self.k, 1)
-        require_count("seed", self.seed, 0)
-
-
-@dataclass(frozen=True)
 class DomainSplit:
     """Leave-one-out partition of a corpus around one held-out domain."""
 
@@ -212,21 +200,23 @@ def build_leave_one_out(train_records: Sequence[DatasetRecord],
     )
 
 
-def sample_spi(records: Sequence[DatasetRecord], cfg: SpiConfig) -> list[DatasetRecord]:
+def sample_spi(records: Sequence[DatasetRecord], k: int, seed: int) -> list[DatasetRecord]:
     """Greedy randomized covering sample for few-shot budgets.
 
-    Records are shuffled with the config seed, then kept whenever some label
-    they contain is still below ``k`` kept records. Every label ends with at
-    least min(k, corpus frequency) kept records.
+    Records are shuffled with ``seed``, then kept whenever some label they
+    contain is still below ``k`` kept records. Every label ends with at least
+    min(k, corpus frequency) kept records. A ``k`` below 1 or a ``seed`` below
+    0, or either not an integer, raises `ValueError`.
     """
-    rng = np.random.default_rng(cfg.seed)
+    require_count("k", k, 1)
+    rng = np.random.default_rng(require_count("seed", seed, 0))
     order = rng.permutation(len(records))
     counts: dict[str, int] = {}
     kept: list[DatasetRecord] = []
     for pos in order:
         record = records[int(pos)]
         labels = sorted({tag.name for tag in target_tags(record.target)})
-        if any(counts.get(label, 0) < cfg.k for label in labels):
+        if any(counts.get(label, 0) < k for label in labels):
             kept.append(record)
             for label in labels:
                 counts[label] = counts.get(label, 0) + 1
@@ -405,12 +395,11 @@ def _first_existing(directory: Path, *names: str) -> Path:
     raise DataError(f"{directory}: none of {names} found")
 
 
-def carve_test_split(records: Sequence[DatasetRecord], fraction: float = 0.2,
-                     seed: int = 9_173) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
-    """Deterministic per-domain train/test carve for single-file corpora; a
-    ``fraction`` outside [0, 1] raises `ValueError`."""
-    require_real("fraction", fraction, "in [0, 1]", lambda v: 0 <= v <= 1)
-    return _hold_back(records, fraction, seed)
+def carve_test_split(records: Sequence[DatasetRecord], seed: int = 9_173
+                     ) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
+    """Deterministic per-domain train/test carve for single-file corpora: each
+    domain holds back a fifth of its records as test, by `_hold_back`'s rule."""
+    return _hold_back(records, 0.2, seed)
 
 
 def _hold_back(records: Sequence[DatasetRecord], fraction: float, seed: int,

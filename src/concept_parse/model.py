@@ -113,12 +113,11 @@ def build_vocabularies(token_sequences: Iterable[Sequence[str]],
 
 
 class Vocabulary:
-    """Whitespace-token vocabulary with pad/unk/summary specials."""
+    """Whitespace-token vocabulary whose first three tokens are the
+    pad/unk/summary specials, wherever ``tokens`` has them."""
 
     def __init__(self, tokens: Sequence[str]):
-        if tuple(tokens[:3]) != _SPECIALS:
-            tokens = list(_SPECIALS) + [t for t in tokens if t not in _SPECIALS]
-        self.tokens: tuple[str, ...] = tuple(tokens)
+        self.tokens: tuple[str, ...] = (*_SPECIALS, *(t for t in tokens if t not in _SPECIALS))
         self.index: dict[str, int] = {t: i for i, t in enumerate(self.tokens)}
 
     @classmethod
@@ -127,7 +126,7 @@ class Vocabulary:
         seen: set[str] = set()
         for tokens in texts:
             seen.update(tokens)
-        return cls(list(_SPECIALS) + sorted(seen - set(_SPECIALS)))
+        return cls(sorted(seen))
 
     def __len__(self) -> int:
         return len(self.tokens)

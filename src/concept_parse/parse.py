@@ -39,9 +39,6 @@ class Utterance:
     tokens: tuple[str, ...]
     raw: str
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass(frozen=True)
 class ConceptTag:
@@ -101,20 +98,19 @@ def make_tag(name: str, boundary: Boundary,
              type_text: Optional[str] = None) -> ConceptTag:
     """Build a ConceptTag with its lowercase natural-language description.
 
-    A tag with type text is open-type; otherwise its kind is the one its
-    name's prefix gives. An intent or slot becomes "<boundary> <name words>
-    <kind>". An open-type tag becomes "<boundary> <type text>", falling back
-    to the name's words without type text; blank type text raises
-    `UnknownTagFormatError`.
+    A tag with type text is open-type and becomes "<boundary> <type text>";
+    otherwise its kind is the one its name's prefix gives, and an intent or
+    slot becomes "<boundary> <name words> <kind>". An open-type tag is
+    described only by its type text, so an open-type name without type text,
+    or blank type text, raises `UnknownTagFormatError`.
     """
     kind = _name_kind(name)  # refuses a malformed name, with type text too
-    if type_text is not None or kind == "open-type":
-        text = name.replace("_", " ") if type_text is None else type_text
-        body = " ".join(text.lower().split())
-        if not body:
-            raise UnknownTagFormatError(f"open-type tag {name!r} has blank type text")
-    else:
+    if type_text is None and kind != "open-type":
         body = f"{name[3:].lower().replace('_', ' ')} {kind}"
+    else:
+        body = " ".join((type_text or "").lower().split())
+        if not body:
+            raise UnknownTagFormatError(f"open-type tag {name!r} has no type text")
     return ConceptTag(name=name, boundary=boundary, description=f"{boundary} {body}")
 
 

@@ -486,8 +486,9 @@ def method_log_softmax(x):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def reference_trunc_normal(rng, shape, std=0.02, dtype=np.float32):
+def reference_trunc_normal(rng, shape, dtype=np.float32):
     """`ad.trunc_normal` as a loop that re-scans the whole array each round."""
+    std = 0.02
     values = rng.normal(0.0, std, size=shape)
     limit = 2.0 * std
     for _ in range(16):

@@ -39,8 +39,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # the seven rules that no test pinned at the last re-anchor
-    Mutant("data", "if any(counts.get(label, 0) < cfg.k for label in labels):",
-           "if all(counts.get(label, 0) < cfg.k for label in labels):",
+    Mutant("data", "if any(counts.get(label, 0) < k for label in labels):",
+           "if all(counts.get(label, 0) < k for label in labels):",
            "tests/test_data.py::TestSampleSpi::test_multi_label_records_cover_every_label"),
     Mutant("data", "n_held = max(1, round(fraction * len(domain_records))) \\",
            "n_held = max(0, round(fraction * len(domain_records))) \\",
@@ -62,15 +62,18 @@ MUTANTS = (
            "tests/test_evaluation.py::TestExactMatch::"
            "test_equal_spans_in_another_order_are_no_match"),
     # a tag's kind: the root must be an intent, an opener an intent or a slot,
-    # and type text makes a tag open-type
+    # type text makes a tag open-type, and an open-type tag needs type text
     Mutant("parse", 'if _name_kind(root) != "intent":', "if False:",
            "tests/test_parse.py::TestSeqlogical::test_malformed[[SL:B x ]]"),
     Mutant("parse", 'if _name_kind(item[1:]) == "open-type":', "if False:",
            "tests/test_parse.py::TestSeqlogical::"
            "test_tag_opener_must_name_an_intent_or_slot[[IN:A [B x ] ]-MalformedAnnotationError]"),
-    Mutant("parse", 'if type_text is not None or kind == "open-type":',
-           'if kind == "open-type":',
+    Mutant("parse", 'if type_text is None and kind != "open-type":',
+           'if kind != "open-type":',
            "tests/test_parse.py::TestNaturalize::test_open_type_is_described_by_its_type_text"),
+    Mutant("parse", 'body = " ".join((type_text or "").lower().split())',
+           'body = " ".join((type_text or name).lower().split())',
+           "tests/test_parse.py::TestNaturalize::test_open_type_requires_text"),
     # equivalent, or equivalent up to float rounding
     Mutant("parse", "if pos and not opened:  # only a closed root leaves nothing open",
            "if pos > 1 and not opened:  # only a closed root leaves nothing open",
@@ -83,8 +86,8 @@ MUTANTS = (
            '"valid": reason is None and not best.truncated,',
            EQUIVALENT + "a truncated output never closes its root, so check_target "
            "already rejects it"),
-    # the bank's tag order, the token-to-index rule, the pad rule, the digest check
-    # and the position limit
+    # the bank's tag order, the token-to-index rule, the pad rule, the digest check,
+    # the position limit and the vocabulary's specials
     Mutant("data", "key=lambda tag: (tag.name, tag.boundary))",
            "key=lambda tag: (tag.boundary, tag.name))",
            "tests/test_data.py::TestTagsFromRecords::test_tags_sort_by_name_then_boundary"),
@@ -108,6 +111,10 @@ MUTANTS = (
     Mutant("model", "if length > len(pos.data):", "if length >= len(pos.data):",
            "tests/test_model.py::TestPositionLimits::"
            "test_a_sequence_may_fill_its_position_table[target]"),
+    Mutant("model",
+           "self.tokens: tuple[str, ...] = (*_SPECIALS, *(t for t in tokens if t not in _SPECIALS))",
+           "self.tokens: tuple[str, ...] = tuple(tokens)",
+           "tests/test_model.py::TestVocabulary::test_specials_come_first"),
     # the beam search: its tie order, stopping rules, pool order and float64 scores
     Mutant("decoding", 'picked = np.argsort(-totals, kind="stable")[:beam_width]',
            "picked = np.argsort(-totals)[:beam_width]",

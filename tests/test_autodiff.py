@@ -134,6 +134,11 @@ class TestAffine:
         with pytest.raises(ShapeError):
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((4, 2))))
 
+    def test_one_dimensional_operand_rejected(self):
+        for a, b in (((3,), (3, 2)), ((2, 3), (3,))):
+            with pytest.raises(ShapeError, match="at least 2 dimensions"):
+                ad.matmul(ad.constant(np.ones(a)), ad.constant(np.ones(b)))
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -197,6 +202,11 @@ class TestLayerNorm:
         out = ad.layer_norm(x, ad.constant(np.ones(2)), ad.constant(np.zeros(2)))
         assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-4)
 
+    def test_last_axis_of_one_rejected(self):
+        with pytest.raises(ShapeError, match="last dimension of at least 2"):
+            ad.layer_norm(ad.constant(np.ones((3, 1))), ad.constant(np.ones(1)),
+                          ad.constant(np.zeros(1)))
+
     def test_output_mean_is_bias(self):
         rng = np.random.default_rng(3)
         x = ad.constant(rng.standard_normal((4, 8)))
@@ -226,6 +236,13 @@ class TestBackward:
         p = parameter("p", np.ones(3))
         with pytest.raises(NotScalarError):
             ad.backward(p)
+
+    def test_loss_that_reaches_no_parameter_leaves_grads_zero(self):
+        p = parameter("p", np.ones(3))
+        loss = ad.sum_all(ad.mul(ad.constant(np.ones(3)), ad.constant(np.full(3, 2.0))))
+        assert not loss.requires_grad
+        ad.backward(loss)
+        assert not p.grad.any()
 
     def test_no_grad_suppresses_graph(self):
         p = parameter("p", np.ones(3))
@@ -729,12 +746,12 @@ class TestTruncNormal:
         """The same draws, of the same sizes, land in the same places; eight
         times wider draws leave values out of range after the 16th round."""
         fast, slow = RecordingRng(3, widen), RecordingRng(3, widen)
-        got = ad.trunc_normal(fast, shape, std=0.5, dtype=dtype)
-        expected = reference_trunc_normal(slow, shape, std=0.5, dtype=dtype)
+        got = ad.trunc_normal(fast, shape, dtype=dtype)
+        expected = reference_trunc_normal(slow, shape, dtype=dtype)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
         assert fast.sizes == slow.sizes
-        assert np.abs(got).max() <= 1.0
+        assert np.abs(got).max() <= 0.04
 
 
 class TestAdam:

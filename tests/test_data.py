@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from concept_parse.data import (
-    SpiConfig,
     build_leave_one_out,
     carve_test_split,
     corpus_fingerprint,
@@ -79,6 +78,12 @@ class TestTsvLoader:
         path.write_text(HEADER)
         records, report = load_topv2_tsv(path)
         assert records == [] and report.loaded == report.skipped == 0
+
+    def test_empty_file_raises(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file, expected a TSV header"):
+            load_topv2_tsv(path)
 
     def test_malformed_row_skipped(self, tmp_path):
         path = write_topv2_tsv(tmp_path / "bad.tsv", [
@@ -217,12 +222,9 @@ class TestLeaveOneOut:
                              ids=["nan", "inf", "string", "bool", "above_1", "negative"])
     def test_fractions_must_be_finite_numbers_in_0_1(self, value):
         records = self.make_records(["a", "b"])
-        for name, split in (("fraction", lambda: carve_test_split(records, fraction=value)),
-                            ("valid_fraction", lambda: build_leave_one_out(
-                                records, [], "a", valid_fraction=value))):
-            with pytest.raises(ValueError, match="^" + re.escape(
-                    f"{name} must be a finite number in [0, 1], got {value!r}")):
-                split()
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"valid_fraction must be a finite number in [0, 1], got {value!r}")):
+            build_leave_one_out(records, [], "a", valid_fraction=value)
 
     def test_partition_is_disjoint_and_complete(self):
         records = self.make_records(["a", "b", "c"], per_domain=20)
@@ -251,12 +253,12 @@ class TestLeaveOneOut:
 class TestSampleSpi:
     def test_single_label_takes_one(self):
         records = [record_from_row("d", f"w{i}", f"[IN:A w{i} ]") for i in range(10)]
-        assert len(sample_spi(records, SpiConfig(k=1, seed=0))) == 1
+        assert len(sample_spi(records, k=1, seed=0)) == 1
 
     def test_disjoint_label_counts(self):
         records = [record_from_row("d", f"a{i}", f"[IN:A a{i} ]") for i in range(5)]
         records += [record_from_row("d", f"b{i}", f"[IN:B b{i} ]") for i in range(3)]
-        kept = sample_spi(records, SpiConfig(k=5, seed=1))
+        kept = sample_spi(records, k=5, seed=1)
         by_label = {"IN:A": 0, "IN:B": 0}
         for record in kept:
             by_label[record.target[0].name] += 1
@@ -265,8 +267,8 @@ class TestSampleSpi:
     def test_determinism(self):
         records = [record_from_row("d", f"w{i} y", f"[IN:A w{i} [SL:S y ] ]")
                    for i in range(30)]
-        one = sample_spi(records, SpiConfig(k=2, seed=9))
-        two = sample_spi(records, SpiConfig(k=2, seed=9))
+        one = sample_spi(records, k=2, seed=9)
+        two = sample_spi(records, k=2, seed=9)
         assert one == two
 
     def test_coverage_bound_random_domains(self):
@@ -278,7 +280,7 @@ class TestSampleSpi:
                 name = labels[int(rng.integers(0, len(labels)))]
                 records.append(record_from_row("d", f"w{i}", f"[{name} w{i} ]"))
             for k in (1, 5, 25):
-                kept = sample_spi(records, SpiConfig(k=k, seed=trial))
+                kept = sample_spi(records, k=k, seed=trial)
                 for label in labels:
                     frequency = sum(1 for r in records if label in label_names(r))
                     cover = sum(1 for r in kept if label in label_names(r))
@@ -292,21 +294,21 @@ class TestSampleSpi:
         labels = {"IN:A", "SL:S0", "SL:S1", "SL:S2"}
         for seed in range(4):
             for k in (1, 2, 4):
-                kept = sample_spi(records, SpiConfig(k=k, seed=seed))
+                kept = sample_spi(records, k=k, seed=seed)
                 for label in labels:
                     frequency = sum(label in label_names(r) for r in records)
                     assert sum(label in label_names(r) for r in kept) >= min(k, frequency)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            SpiConfig(k=0, seed=0)
+            sample_spi([], k=0, seed=0)
 
     @pytest.mark.parametrize("name, value", [
         ("k", 2.5), ("k", True), ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
     def test_fields_must_be_integers_in_range(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            SpiConfig(**{"k": 1, "seed": 0, name: value})
+            sample_spi([], **{"k": 1, "seed": 0, name: value})
 
 
 class TestTagsFromRecords:
@@ -377,6 +379,13 @@ class TestWikiLoader:
         path.write_text('{"context": "ok", "mentions": []}\nnot json\n')
         records, report = load_wikiwiki_jsonl(path)
         assert len(records) == 1 and report.skipped == 1
+
+    def test_blank_lines_skipped_without_a_note(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_text('\n{"context": "ok", "mentions": []}\n  \n\n')
+        records, report = load_wikiwiki_jsonl(path)
+        assert len(records) == 1 and report.loaded == 1
+        assert report.skipped == 0 and report.messages == []
 
     def test_infinite_offset_counted(self, tmp_path):
         path = tmp_path / "w.jsonl"
@@ -514,3 +523,14 @@ class TestFingerprints:
         write_topv2_tsv(tmp_path / "test.tsv", two_domain_rows(3, seed=1))
         train, test = load_corpus(tmp_path)
         assert len(train) == 10 and len(test) == 6
+
+    def test_load_corpus_file_gives_the_carved_pools(self, tmp_path):
+        rows = two_domain_rows(10, seed=0)
+        train, test = load_corpus(write_topv2_tsv(tmp_path / "all.tsv", rows))
+        assert (train, test) == carve_test_split([record_from_row(*row) for row in rows])
+        assert len(train) == 16 and len(test) == 4  # a fifth of each domain's 10
+
+    def test_load_corpus_directory_without_train_raises(self, tmp_path):
+        write_topv2_tsv(tmp_path / "test.tsv", two_domain_rows(3, seed=1))
+        with pytest.raises(DataError, match=re.escape("none of ('train.tsv', 'train.tsv.gz')")):
+            load_corpus(tmp_path)

@@ -26,7 +26,8 @@ from concept_parse.errors import (
 )
 from concept_parse.decoding import beam_decode
 from concept_parse.evaluation import evaluate_domain
-from concept_parse.model import ConceptBank, ConceptModel, ModelConfig, Vocabulary
+from concept_parse.model import (PAD, SUMMARY, UNK, ConceptBank, ConceptModel, ModelConfig,
+                                 Vocabulary)
 from concept_parse.parse import Pointer, make_tag, tags_for_label, tokenize_utterance
 from concept_parse.training import batch_nll_tensor
 
@@ -78,6 +79,10 @@ class TestEncodeSource:
     def test_length_cap(self, model):
         with pytest.raises(LengthExceededError):
             model.encode_source(tuple("w" for _ in range(33)))
+
+    def test_empty_token_sequence_rejected(self, model):
+        with pytest.raises(ShapeError, match="cannot encode an empty token sequence"):
+            model.encode_source([])
 
     def test_unknown_token_maps_to_unk(self, model):
         a = model.encode_source(("zzz_not_in_vocab",))
@@ -378,6 +383,18 @@ class TestCompiledDomain:
     def test_empty_rejected(self, model):
         with pytest.raises(EmptyDescriptionError):
             model.compile_domain([])
+
+    def test_tag_count_must_match_vector_rows(self):
+        with pytest.raises(ShapeError, match="bank tag count does not match vector rows"):
+            ConceptBank(tags_for_label("IN:A"), np.zeros((3, 4), dtype=np.float32))
+
+
+class TestVocabulary:
+    def test_specials_come_first(self):
+        assert Vocabulary(["b", UNK, "a", PAD]).tokens == (PAD, UNK, SUMMARY, "b", "a")
+        built = Vocabulary.build([["b", SUMMARY], ["a", "b"]])
+        assert built.tokens == (PAD, UNK, SUMMARY, "a", "b")
+        assert Vocabulary(built.tokens).tokens == built.tokens  # as a sidecar reloads it
 
 
 class TestBatchedForward:

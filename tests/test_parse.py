@@ -226,6 +226,8 @@ class TestNaturalize:
             .description == "begin musical group"
         with pytest.raises(UnknownTagFormatError):
             make_tag("Q215380", "begin", type_text=" ")
+        with pytest.raises(UnknownTagFormatError):
+            make_tag("Q215380", "begin")
 
     @pytest.mark.parametrize("token", ["IN:A", "@ptr_0", "[", "]", "word"])
     def test_unrecognized_shapes(self, token):
