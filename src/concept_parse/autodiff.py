@@ -391,34 +391,37 @@ def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return weights @ v, weights
 
 
-def mha(x: Tensor, weights: Sequence[Tensor], heads: int,
+def mha(x: Tensor, w: Tensor, b: Tensor, heads: int,
         mask: Optional[np.ndarray] = None, kv: Optional[Tensor] = None) -> Tensor:
     """A multi-head attention sublayer over (B, T, d) inputs as one node.
 
-    ``weights`` are wq, bq, wk, bk, wv, bv, wo and bo. Queries are projected
-    from ``x``, keys and values from ``kv``, or from ``x`` when ``kv`` is None
-    (self-attention, where ``x`` is one parent). The projections are split into
-    ``heads``, `attention_kernel` runs with the constant ``mask``, and the
-    merged heads go through the output projection. Each product and sum is the
-    one `affine` and `attention_kernel` compute, so the forward equals that
-    composed sublayer bit for bit. The backward sums a self-attention input's
-    gradient as ((query + key) + value), the order the composed graph adds it in.
+    ``w`` (4, d, d) stacks the projections Wq, Wk, Wv and Wo, and ``b`` (4, d)
+    their biases, in that order. Queries are projected from ``x``, keys and
+    values from ``kv``, or from ``x`` when ``kv`` is None (self-attention,
+    where ``x`` is one parent). The projections are split into ``heads``,
+    `attention_kernel` runs with the constant ``mask``, and the merged heads go
+    through the output projection. Each product and sum is the one `affine`
+    and `attention_kernel` compute over that projection's slice of ``w`` and
+    ``b``, so the forward equals that composed sublayer bit for bit. The
+    backward sums a self-attention input's gradient as ((query + key) + value),
+    the order the composed graph adds it in, and writes slice i of the weight
+    and bias gradients from projection i's input rows and output gradient.
     """
     d = x.data.shape[-1]
     source = x if kv is None else kv
     if x.data.ndim != 3 or source.data.ndim != 3 or d % heads \
             or source.data.shape[::2] != x.data.shape[::2] \
-            or [w.data.shape for w in weights] != [(d, d), (d,)] * 4:
+            or w.data.shape != (4, d, d) or b.data.shape != (4, d):
         raise ShapeError(f"attention over {x.data.shape} and {source.data.shape} needs "
-                         f"{heads} heads that divide d and (d, d), (d,) weights")
-    wq, bq, wk, bk, wv, bv, wo, bo = (w.data for w in weights)
-    b, hd = x.data.shape[0], d // heads
+                         f"{heads} heads that divide d, a (4, d, d) weight and a (4, d) bias")
+    (wq, wk, wv, wo), (bq, bk, bv, bo) = w.data, b.data
+    batch, hd = x.data.shape[0], d // heads
     x2, s2 = x.data.reshape(-1, d), source.data.reshape(-1, d)
 
-    def heads_of(rows, w, bias):
-        out = rows @ w
+    def heads_of(rows, weight, bias):
+        out = rows @ weight
         out += bias
-        return out.reshape(b, -1, heads, hd).transpose(0, 2, 1, 3)
+        return out.reshape(batch, -1, heads, hd).transpose(0, 2, 1, 3)
 
     def merge(per_head):
         return per_head.transpose(0, 2, 1, 3).reshape(-1, d)
@@ -431,7 +434,7 @@ def mha(x: Tensor, weights: Sequence[Tensor], heads: int,
 
     def vjp(g):
         g2 = g.reshape(-1, d)
-        gm = (g2 @ wo.T).reshape(b, -1, heads, hd).transpose(0, 2, 1, 3)
+        gm = (g2 @ wo.T).reshape(batch, -1, heads, hd).transpose(0, 2, 1, 3)
         gl = gm @ vh.swapaxes(-1, -2)
         # the softmax Jacobian, then the logits' scale
         gl -= np.add.reduce(gl * probs, axis=-1, keepdims=True)
@@ -450,10 +453,13 @@ def mha(x: Tensor, weights: Sequence[Tensor], heads: int,
         gs += gv @ wv.T
         inputs = (gx.reshape(x.data.shape),) if kv is None else \
             (gx.reshape(x.data.shape), gs.reshape(kv.data.shape))
-        return inputs + (x2.T @ gq, gq.sum(axis=0), s2.T @ gk, gk.sum(axis=0),
-                         s2.T @ gv, gv.sum(axis=0), merged.T @ g2, g2.sum(axis=0))
+        gw, gb = np.empty_like(w.data), np.empty_like(b.data)
+        for i, (rows, grad) in enumerate(((x2, gq), (s2, gk), (s2, gv), (merged, g2))):
+            np.matmul(rows.T, grad, out=gw[i])
+            np.add.reduce(grad, axis=0, out=gb[i])
+        return inputs + (gw, gb)
 
-    parents = (x,) + (() if kv is None else (kv,)) + tuple(weights)
+    parents = (x,) + (() if kv is None else (kv,)) + (w, b)
     return _node(out.reshape(x.data.shape), parents, vjp)
 
 

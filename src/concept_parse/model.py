@@ -39,11 +39,11 @@ position table and each decoder layer's weights (which `initial_state` folds)
 through views bound once by `_assemble`. A `Parameter`'s ``data`` view is never
 rebound (`adam_step`, a restore into `value_buffer` and `load` all write
 through it), so the bound views follow every later write; a state keeps the
-folded products of the weights it was made from. Each decoder layer also binds
-stacked views: self-attention Q, K and V are one (3, d, d) product and the
-cross-attention keys and values one (2, d, d) product. These rely on `_layout`
-placing ``wq, wk, wv`` (and ``bq, bk, bv``) next to each other, which
-`_stacked` checks.
+folded products of the weights it was made from. An attention sublayer's
+weights are one (4, d, d) parameter, Wq, Wk, Wv and Wo in that order, and its
+biases one (4, d): `ad.mha` reads them whole, each decoder layer binds the
+slices a step reads, so self-attention Q, K and V are one (3, d, d) product,
+and `initial_state` slices the cross-attention's once per search.
 
 `_layout` fixes every parameter's name, shape and initialisation once: a new
 model draws its values from a seed in that order, and `ConceptModel.load`
@@ -55,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -202,8 +202,8 @@ def _layout(config: ModelConfig, source_size: int, concept_size: int
             ) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, init) of every parameter in arena order.
 
-    ``init`` is ``normal`` (a truncated-normal draw), ``zeros``, ``ones`` or
-    ``eye``; `ConceptModel` draws the normal ones in this order from its seed.
+    ``init`` is ``normal`` (a truncated-normal draw per trailing matrix), ``zeros``,
+    ``ones`` or ``eye``; `ConceptModel` draws the normal ones in this order from its seed.
     """
     d, ff = config.width, config.ff_width
     layout: list[tuple[str, tuple[int, ...], str]] = []
@@ -215,12 +215,9 @@ def _layout(config: ModelConfig, source_size: int, concept_size: int
         for ln in ("ln1", "ln2", "ln3")[: 3 if cross else 2]:
             param(f"{prefix}.{ln}.gain", (d,), "ones")
             param(f"{prefix}.{ln}.bias", (d,), "zeros")
-        attns = ("self", "cross") if cross else ("self",)
-        for attn in attns:
-            for w in ("wq", "wk", "wv", "wo"):
-                param(f"{prefix}.{attn}.{w}", (d, d))
-            for b in ("bq", "bk", "bv", "bo"):
-                param(f"{prefix}.{attn}.{b}", (d,), "zeros")
+        for attn in ("self", "cross") if cross else ("self",):
+            param(f"{prefix}.{attn}.w", (4, d, d))  # Wq, Wk, Wv, Wo
+            param(f"{prefix}.{attn}.b", (4, d), "zeros")
         param(f"{prefix}.ff.w1", (d, ff))
         param(f"{prefix}.ff.b1", (ff,), "zeros")
         param(f"{prefix}.ff.w2", (ff, d))
@@ -251,12 +248,11 @@ def _layout(config: ModelConfig, source_size: int, concept_size: int
 
 
 def _value_count(config: ModelConfig, source_size: int, concept_size: int) -> int:
-    """The number of values in `_layout`'s parameters, in closed form."""
-    d, ff = config.width, config.ff_width
-    block = 4 * d * d + 2 * d * ff + 9 * d + ff  # ln1, ln2, self-attention, feed-forward
-    rows = source_size + concept_size + 3 * config.max_source_len + config.max_target_len + 1
-    return (d * rows + 3 * d * d + 9 * d  # tables, BOS, final norms, adapter, head
-            + (3 * block + 4 * d * d + 6 * d) * config.layers)  # 3 stacks; decoder ln3, cross
+    """The number of values in `_layout`'s parameters; every layer adds the same ones."""
+    none, one = (sum(math.prod(shape) for _, shape, _ in
+                     _layout(replace(config, layers=layers), source_size, concept_size))
+                 for layers in (0, 1))
+    return none + (one - none) * config.layers
 
 
 def _output_index(token: TargetToken, rows: dict[ConceptTag, int], m: int, n: int) -> int:
@@ -296,7 +292,8 @@ class ConceptModel:
         for name, shape, init in self._assemble(config, source_vocab, concept_vocab):
             view = self.params[name].data
             if init == "normal":
-                view[...] = ad.trunc_normal(rng, shape, dtype=self.dtype)
+                for matrix in view.reshape(-1, *shape[-2:]):
+                    matrix[...] = ad.trunc_normal(rng, matrix.shape, dtype=self.dtype)
             elif init == "ones":
                 view.fill(1.0)
             elif init == "eye":
@@ -314,29 +311,17 @@ class ConceptModel:
         self.params: dict[str, Parameter] = ad.arena_parameters(
             {name: shape for name, shape, _ in layout}, self.dtype)
         # decode_step's views: the position table, each decoder layer's by name
-        # below the layer, and the stacked self.wqkv, self.bqkv, cross.wkv and cross.bkv
+        # below the layer, and the slices of its attention weights that a step reads
         self._step_pos = self.params["decoder.pos"].data
         self._step_layers = []
         for prefix in (f"decoder.{i}." for i in range(config.layers)):
             views = {name[len(prefix):]: p.data for name, p in self.params.items()
                      if name.startswith(prefix)}
-            for attn, parts in (("self", "qkv"), ("cross", "kv")):
-                for kind in "wb":
-                    views[f"{attn}.{kind}{parts}"] = self._stacked(
-                        [f"{prefix}{attn}.{kind}{part}" for part in parts])
+            w, b = views["self.w"], views["self.b"]
+            views.update({"self.wqkv": w[:3], "self.bqkv": b[:3, None], "self.wo": w[3],
+                          "self.bo": b[3], "cross.bo": views["cross.b"][3]})
             self._step_layers.append(views)
         return layout
-
-    def _stacked(self, names: Sequence[str]) -> np.ndarray:
-        """One (len(names), *shape) view of parameters that follow each other in
-        the arena in this order; raises `ShapeError` unless they do and share a shape."""
-        group = [self.params[name] for name in names]
-        for before, after in zip(group, group[1:]):
-            if after.span.start != before.span.stop or after.data.shape != group[0].data.shape:
-                raise ShapeError(f"cannot stack {after.name} after {before.name}: "
-                                 f"not next to it in the arena, or of another shape")
-        return group[0].arena.data[group[0].span.start:group[-1].span.stop].reshape(
-            len(group), *group[0].data.shape)
 
     def parameters(self) -> dict[str, Parameter]:
         return self.params
@@ -349,9 +334,8 @@ class ConceptModel:
 
     def _mha(self, prefix: str, x: Tensor, mask: Optional[np.ndarray],
              kv: Optional[Tensor] = None) -> Tensor:
-        weights = [self.params[f"{prefix}.{name}"]
-                   for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-        return ad.mha(x, weights, self.config.heads, mask, kv)
+        return ad.mha(x, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"],
+                      self.config.heads, mask, kv)
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.params[f"{prefix}.gain"], self.params[f"{prefix}.bias"])
@@ -473,13 +457,14 @@ class ConceptModel:
             table = self._input_table(ad.constant(bank.vectors)).data
         cross_a, cross_c, cross_o = [], [], []
         for w in self._step_layers:
-            k, v = src_states @ w["cross.wkv"] + w["cross.bkv"][:, None]
+            cw, cb = w["cross.w"], w["cross.b"]
+            k, v = src_states @ cw[1:3] + cb[1:3, None]
             keys = k.reshape(n, heads, hd).transpose(1, 2, 0) / math.sqrt(hd)
-            wq = w["ln2.gain"][:, None] * w["cross.wq"]
-            bq = w["ln2.bias"] @ w["cross.wq"] + w["cross.bq"]
+            wq = w["ln2.gain"][:, None] * cw[0]
+            bq = w["ln2.bias"] @ cw[0] + cb[0]
             a = wq.reshape(d, heads, hd).transpose(1, 0, 2) @ keys
             c = bq.reshape(heads, 1, hd) @ keys
-            o = v.reshape(n, heads, hd).transpose(1, 0, 2) @ w["cross.wo"].reshape(heads, hd, d)
+            o = v.reshape(n, heads, hd).transpose(1, 0, 2) @ cw[3].reshape(heads, hd, d)
             cross_a.append(a.transpose(1, 0, 2).reshape(d, heads * n))
             cross_c.append(c.reshape(heads * n))
             cross_o.append(o.reshape(heads * n, d))
@@ -532,7 +517,7 @@ class ConceptModel:
         cache = []
         for i, w in enumerate(self._step_layers):
             h, _, _ = ad.layer_norm_kernel(x, w["ln1.gain"], w["ln1.bias"])
-            qkv = h @ w["self.wqkv"] + w["self.bqkv"][:, None]
+            qkv = h @ w["self.wqkv"] + w["self.bqkv"]
             kv = np.concatenate(
                 [state.cache[i], qkv[1:].reshape(2, beams, heads, 1, hd)], axis=3)
             cache.append(kv)
@@ -636,7 +621,7 @@ class ConceptModel:
         sidecar must parse, and its config must name exactly the `ModelConfig`
         fields. The parameter file must hash to the sidecar's
         ``params_sha256`` and hold exactly the bytes of the layout that the
-        config and vocabularies give, counted in closed form by `_value_count`,
+        config and vocabularies give, which `_value_count` counts from one layer,
         so that the layout never allocates more than the file holds, and every
         value must be finite. Only then is the model laid out with zero values,
         not drawn from a seed; the sidecar's digest must equal its

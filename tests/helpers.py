@@ -438,10 +438,11 @@ def composed_attention(q, k, v, heads, mask=None):
     return ad.reshape(ad.transpose(mix, (0, 2, 1, 3)), (b, tq, d))
 
 
-def composed_mha(x, weights, heads, mask=None, kv=None):
+def composed_mha(x, w, b, heads, mask=None, kv=None):
     """`ad.mha`'s sublayer as `ad.affine` projections around `composed_attention`;
-    ``weights`` are wq, bq, wk, bk, wv, bv, wo and bo."""
-    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    projection i reads slice i of the stacked ``w`` (4, d, d) and ``b`` (4, d)."""
+    wq, wk, wv, wo = (ad.take_index(w, i, 0) for i in range(4))
+    bq, bk, bv, bo = (ad.take_index(b, i, 0) for i in range(4))
     source = x if kv is None else kv
     mix = composed_attention(ad.affine(x, wq, bq), ad.affine(source, wk, bk),
                              ad.affine(source, wv, bv), heads, mask)

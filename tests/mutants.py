@@ -161,6 +161,16 @@ MUTANTS = (
            "tests/test_autodiff.py::TestOpGradients::test_feed_forward"),
     Mutant("autodiff", "dx += slope", "dx += 0.0",
            "tests/test_autodiff.py::TestOpGradients::test_feed_forward"),
+    Mutant("autodiff",
+           "for i, (rows, grad) in enumerate(((x2, gq), (s2, gk), (s2, gv), (merged, g2))):",
+           "for i, (rows, grad) in enumerate(((x2, gq), (s2, gv), (s2, gk), (merged, g2))):",
+           "tests/test_autodiff.py::TestOpGradients::test_attention[4-pad_mask]"),
+    # the stacked parameters: one draw per trailing matrix, and the size a layout reads
+    Mutant("model", "for matrix in view.reshape(-1, *shape[-2:]):", "for matrix in (view,):",
+           "tests/test_model.py::TestModelConfig::test_the_seeded_values_are_pinned[default]"),
+    Mutant("model", "return none + (one - none) * config.layers", "return none + (one - none)",
+           "tests/test_model.py::TestPersistence::"
+           "test_closed_form_size_is_the_layout_size[default]"),
 )
 
 

@@ -69,10 +69,10 @@ def pad_mask(dtype=np.float64, keys=4) -> np.ndarray:
 
 
 def mha_weights(rng, d=8, dtype=np.float64):
-    """wq, bq, wk, bk, wv, bv, wo and bo of a width-d attention sublayer, each
-    in its own arena."""
-    return [parameter(name, rng.standard_normal((d, d) if name[0] == "w" else (d,))
-                      .astype(dtype)) for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+    """The stacked weight w (4, d, d) and bias b (4, d) of a width-d attention
+    sublayer, each in its own arena."""
+    return [parameter(name, rng.standard_normal(shape).astype(dtype))
+            for name, shape in (("w", (4, d, d)), ("b", (4, d)))]
 
 
 def ff_weights(rng, d=8, ff=12, dtype=np.float64):
@@ -439,7 +439,7 @@ class TestOpGradients:
         for kind in ("self", "cross"):
             x, kv, mask = attention_inputs(self.rng, kind, masked)
             params = [x, *weights] if kv is None else [x, kv, *weights]
-            check_op(lambda: weighted_sum(ad.mha(x, weights, heads, mask, kv), g), params,
+            check_op(lambda: weighted_sum(ad.mha(x, *weights, heads, mask, kv), g), params,
                      tolerance=1e-6)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "pad_mask"])
@@ -454,7 +454,7 @@ class TestOpGradients:
             for kind in ("self", "cross"):
                 x, kv, mask = attention_inputs(self.rng, kind, masked, dtype)
                 params = [x, *weights] if kv is None else [x, kv, *weights]
-                fused, composed = (sublayer_results(op, (x, weights, heads, mask, kv), params, g)
+                fused, composed = (sublayer_results(op, (x, *weights, heads, mask, kv), params, g)
                                    for op in (ad.mha, composed_mha))
                 assert fused[0].dtype == dtype
                 assert fused[0].tobytes() == composed[0].tobytes()
@@ -488,9 +488,9 @@ class TestFusedSublayers:
     def test_each_input_is_one_parent(self):
         rng = np.random.default_rng(14)
         weights = mha_weights(rng)
-        for kind, count in (("self", 9), ("cross", 10)):
+        for kind, count in (("self", 3), ("cross", 4)):
             x, kv, _ = attention_inputs(rng, kind, False)
-            node = ad.mha(x, weights, 2, None, kv)
+            node = ad.mha(x, *weights, 2, None, kv)
             assert len(node.parents) == count == len(node.vjp(np.ones((2, 3, 8))))
             assert [id(p) for p in node.parents].count(id(x)) == 1
         node = ad.feed_forward(x, *ff_weights(rng))
@@ -498,13 +498,14 @@ class TestFusedSublayers:
 
     def test_shapes_are_checked(self):
         rng = np.random.default_rng(15)
-        weights = mha_weights(rng)
+        w, b = mha_weights(rng)
         x, kv, _ = attention_inputs(rng, "cross", False)
-        for bad in (lambda: ad.mha(x, weights, 3),                        # 3 does not divide 8
-                    lambda: ad.mha(x, weights[:6], 2),                    # no output projection
-                    lambda: ad.mha(x, mha_weights(rng, d=4), 2),          # weights of width 4
-                    lambda: ad.mha(x, weights, 2, kv=ad.constant(np.ones((3, 4, 8)))),
-                    lambda: ad.mha(ad.constant(np.ones((3, 8))), weights, 2),
+        for bad in (lambda: ad.mha(x, w, b, 3),                           # 3 does not divide 8
+                    lambda: ad.mha(x, ad.constant(w.data[:3]), b, 2),     # no output projection
+                    lambda: ad.mha(x, w, ad.constant(b.data[0]), 2),      # one bias, not four
+                    lambda: ad.mha(x, *mha_weights(rng, d=4), 2),         # weights of width 4
+                    lambda: ad.mha(x, w, b, 2, kv=ad.constant(np.ones((3, 4, 8)))),
+                    lambda: ad.mha(ad.constant(np.ones((3, 8))), w, b, 2),
                     lambda: ad.feed_forward(x, *ff_weights(rng, d=4)),
                     lambda: ad.feed_forward(x, *ff_weights(rng)[:2], *ff_weights(rng, ff=5)[2:])):
             with pytest.raises(ShapeError):
@@ -563,15 +564,15 @@ class TestKernels:
         """`ad.mha` is its projections, `attention_kernel` and the merge."""
         rng = np.random.default_rng(5)
         x, kv = (rng.standard_normal((2, t, 16)).astype(dtype) for t in (3, 4))
-        weights = [w.data for w in mha_weights(rng, 16, dtype)]
+        w, b = (p.data for p in mha_weights(rng, 16, dtype))
         mask = pad_mask(dtype)
-        graph = ad.mha(ad.constant(x), [ad.constant(w) for w in weights], 4, mask,
-                       ad.constant(kv))
+        graph = ad.mha(ad.constant(x), ad.constant(w), ad.constant(b), 4, mask, ad.constant(kv))
 
-        def split(rows, w, b):
-            return (rows.reshape(-1, 16) @ w + b).reshape(2, -1, 4, 4).transpose(0, 2, 1, 3)
+        def split(rows, weight, bias):
+            projected = rows.reshape(-1, 16) @ weight + bias
+            return projected.reshape(2, -1, 4, 4).transpose(0, 2, 1, 3)
 
-        wq, bq, wk, bk, wv, bv, wo, bo = weights
+        (wq, wk, wv, wo), (bq, bk, bv, bo) = w, b
         mix, probs = ad.attention_kernel(split(x, wq, bq), split(kv, wk, bk), split(kv, wv, bv),
                                          mask)
         expected = mix.transpose(0, 2, 1, 3).reshape(6, 16) @ wo + bo
@@ -689,7 +690,7 @@ class TestKernels:
         x = parameter("x", rng.standard_normal((2, 3, 8)))
         ones, zeros = parameter("gain", np.ones(8)), parameter("bias", np.zeros(8))
         _, kv, mask = attention_inputs(rng, "cross", True)
-        nodes = [ad.mha(x, mha_weights(rng), 2), ad.mha(x, mha_weights(rng), 4, mask, kv),
+        nodes = [ad.mha(x, *mha_weights(rng), 2), ad.mha(x, *mha_weights(rng), 4, mask, kv),
                  ad.feed_forward(x, *ff_weights(rng)), ad.layer_norm(x, ones, zeros),
                  ad.affine(x, *ff_weights(rng)[:2]), ad.gelu(x), ad.softmax(x),
                  ad.log_softmax(x)]
@@ -886,8 +887,8 @@ class TestFiniteGuard:
                 ad.affine(big, ad.constant(np.full((4, 4), 1e300)),
                           ad.constant(np.zeros(4)))
             with pytest.raises(NonFiniteError):
-                ad.mha(big, [ad.constant(np.full((4, 4) if i % 2 == 0 else (4,), 1e300))
-                             for i in range(8)], 2)
+                ad.mha(big, ad.constant(np.full((4, 4, 4), 1e300)),
+                       ad.constant(np.full((4, 4), 1e300)), 2)
             with pytest.raises(NonFiniteError):
                 ad.feed_forward(big, ad.constant(np.full((4, 6), 1e300)),
                                 ad.constant(np.zeros(6)), ad.constant(np.ones((6, 4))),

@@ -345,12 +345,17 @@ class TestFewshotFinetune:
             fewshot_finetune(model, [], records, quick_cfg())
 
     def test_smoke_improves_on_new_domain(self):
+        """Known-domain training runs until it scores, so that fine-tuning
+        starts from a model that parses the known domain, not from one that
+        stopped by patience at a score of 0."""
         records = records_from_rows(transfer_pair_rows(16, seed=0))
         alpha = [r for r in records if r.domain == "alpha"]
         beta = [r for r in records if r.domain == "beta"]
         model = build_model(records, seed=1, **TINY)
         split = build_leave_one_out(records, [], "beta", valid_fraction=0.25)
-        train_known_domains(model, split, quick_cfg(epochs=40, learning_rate=3e-3))
+        known = train_known_domains(model, split, quick_cfg(epochs=40, learning_rate=3e-3,
+                                                            patience=40))
+        assert known.best_score > 0.0
         spi = sample_spi(beta, k=1, seed=3)
         before = model.value_buffer().copy()
         cfg = quick_cfg(fewshot_epochs=80, fewshot_eval_every=20,
