@@ -671,16 +671,15 @@ class Schedule:
 
 
 def lr_at(schedule: Schedule, step: int) -> float:
-    """Learning rate at an optimizer step; clamps to 0 past the horizon."""
+    """Learning rate at an optimizer step; clamps to 0 past the horizon. The last
+    scheduled step, ``total_steps``, gets lr 0 (open under ROADMAP item 6)."""
     total = schedule.total_steps
     if step > total:
         return 0.0
     warmup = math.ceil(schedule.warmup_proportion * total)
     if warmup > 0 and step < warmup:
         return schedule.base_lr * step / warmup
-    if total == warmup:
-        return schedule.base_lr if step < total else 0.0
-    return schedule.base_lr * (total - step) / (total - warmup)
+    return schedule.base_lr * (total - step) / max(total - warmup, 1)
 
 
 # elements per pass of the flat update: its scratch stays small next to the arena

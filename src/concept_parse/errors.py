@@ -89,10 +89,6 @@ class UnknownConceptError(ConceptParseError):
 # training and evaluation
 
 
-class EmptyFewShotError(ConceptParseError):
-    """Raised when fine-tuning is requested with no examples."""
-
-
 class EmptyEvalSetError(ConceptParseError):
     """Raised when evaluation or training is requested on an empty record set."""
 

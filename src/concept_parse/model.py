@@ -156,13 +156,13 @@ class ConceptBank:
 class DecoderState:
     """A group of beams of one search at target position t.
 
-    The first six fields stay fixed during a search: the decoder input table
-    (`ConceptModel._input_table`) and the folded products. With γ, β layer i's
-    ln2 gain and bias, K_h, V_h head h's keys and values of the source states
-    and Wo_h head h's rows of Wo, ``cross_a[i]`` is A = [(γ ⊙ Wq)_h K_hᵀ / √hd]
-    (d, heads * n), ``cross_c[i]`` is c = [(β Wq + bq)_h K_hᵀ / √hd] and
-    ``cross_o[i]`` is O = [V_h Wo_h] (heads * n, d). With γ_f, β_f the final
-    layer norm's, B the bank vectors and S the source states, ``head`` is
+    The first four fields stay fixed during a search: the decoder input table
+    (`ConceptModel._input_table`) and the folded products. ``cross[i]`` is layer
+    i's fold (A, c, O): with γ, β its ln2 gain and bias, K_h, V_h head h's keys
+    and values of the source states and Wo_h head h's rows of Wo,
+    A = [(γ ⊙ Wq)_h K_hᵀ / √hd] (d, heads * n), c = [(β Wq + bq)_h K_hᵀ / √hd]
+    and O = [V_h Wo_h] (heads * n, d). With γ_f, β_f the final layer norm's, B
+    the bank vectors and S the source states, ``head`` is
     [(γ_f ⊙ Wc) Bᵀ | (γ_f ⊙ Wp) Sᵀ] / √d (d, m + n) and ``head_bias``
     [(β_f Wc + bc) Bᵀ | (β_f Wp + bp) Sᵀ] / √d. ``cache[i]`` is layer i's one
     self-attention cache, keys then values of every beam's positions below t,
@@ -171,9 +171,7 @@ class DecoderState:
     """
 
     table: np.ndarray
-    cross_a: tuple[np.ndarray, ...]
-    cross_c: tuple[np.ndarray, ...]
-    cross_o: tuple[np.ndarray, ...]
+    cross: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     head: np.ndarray
     head_bias: np.ndarray
     cache: tuple[np.ndarray, ...]
@@ -181,8 +179,7 @@ class DecoderState:
 
     def reorder(self, parents: np.ndarray) -> "DecoderState":
         """State whose beam b continues beam ``parents[b]`` of this one."""
-        return DecoderState(self.table, self.cross_a, self.cross_c, self.cross_o,
-                            self.head, self.head_bias,
+        return DecoderState(self.table, self.cross, self.head, self.head_bias,
                             tuple(kv[:, parents] for kv in self.cache), self.t)
 
 
@@ -418,9 +415,7 @@ class ConceptModel:
             vectors = self.encode_concepts_tensor(tags)
         return ConceptBank(tags=tuple(tags), vectors=vectors.data)
 
-    def compile_domain(self, tags: Sequence[ConceptTag]) -> ConceptBank:
-        """The bank of a (new) domain's tags: `encode_concepts` under this name."""
-        return self.encode_concepts(tags)
+    compile_domain = encode_concepts  # the bank of a (new) domain's tags
 
     # stepwise decoding (inference only)
 
@@ -455,7 +450,7 @@ class ConceptModel:
         n = src_states.shape[0]
         with ad.no_grad():
             table = self._input_table(ad.constant(bank.vectors)).data
-        cross_a, cross_c, cross_o = [], [], []
+        cross = []
         for w in self._step_layers:
             cw, cb = w["cross.w"], w["cross.b"]
             k, v = src_states @ cw[1:3] + cb[1:3, None]
@@ -465,9 +460,7 @@ class ConceptModel:
             a = wq.reshape(d, heads, hd).transpose(1, 0, 2) @ keys
             c = bq.reshape(heads, 1, hd) @ keys
             o = v.reshape(n, heads, hd).transpose(1, 0, 2) @ cw[3].reshape(heads, hd, d)
-            cross_a.append(a.transpose(1, 0, 2).reshape(d, heads * n))
-            cross_c.append(c.reshape(heads * n))
-            cross_o.append(o.reshape(heads * n, d))
+            cross.append((a.transpose(1, 0, 2).reshape(d, -1), c.ravel(), o.reshape(-1, d)))
         params = self.params
         gain, bias = params["decoder.final_ln.gain"].data, params["decoder.final_ln.bias"].data
         parts = [(params[f"head.{kind}.w"].data, params[f"head.{kind}.b"].data, rows.T)
@@ -475,8 +468,8 @@ class ConceptModel:
         head = np.concatenate([(gain[:, None] * w) @ rows for w, _, rows in parts], axis=1)
         head_bias = np.concatenate([(bias @ w + b) @ rows for w, b, rows in parts])
         empty = (np.zeros((2, 1, heads, 0, hd), dtype=self.dtype),) * cfg.layers
-        return DecoderState(table, tuple(cross_a), tuple(cross_c), tuple(cross_o),
-                            head / math.sqrt(d), head_bias / math.sqrt(d), empty, 0)
+        return DecoderState(table, tuple(cross), head / math.sqrt(d),
+                            head_bias / math.sqrt(d), empty, 0)
 
     def decode_step(self, state: DecoderState, prev: np.ndarray
                     ) -> tuple[np.ndarray, DecoderState]:
@@ -515,19 +508,18 @@ class ConceptModel:
         heads, hd = cfg.heads, d // cfg.heads
         beams = len(prev)
         cache = []
-        for i, w in enumerate(self._step_layers):
+        for w, (a, c, o), past in zip(self._step_layers, state.cross, state.cache):
             h, _, _ = ad.layer_norm_kernel(x, w["ln1.gain"], w["ln1.bias"])
             qkv = h @ w["self.wqkv"] + w["self.bqkv"]
-            kv = np.concatenate(
-                [state.cache[i], qkv[1:].reshape(2, beams, heads, 1, hd)], axis=3)
+            kv = np.concatenate([past, qkv[1:].reshape(2, beams, heads, 1, hd)], axis=3)
             cache.append(kv)
             mix, _ = ad.attention_kernel(qkv[0].reshape(beams, heads, 1, hd), kv[0], kv[1])
             x = x + mix.reshape(beams, d) @ w["self.wo"] + w["self.bo"]
 
             xhat, _ = ad.normalize_kernel(x)
-            logits = xhat @ state.cross_a[i] + state.cross_c[i]
+            logits = xhat @ a + c
             weights = ad.softmax_kernel(logits.reshape(beams, heads, -1))
-            x = x + weights.reshape(beams, -1) @ state.cross_o[i] + w["cross.bo"]
+            x = x + weights.reshape(beams, -1) @ o + w["cross.bo"]
 
             h, _, _ = ad.layer_norm_kernel(x, w["ln3.gain"], w["ln3.bias"])
             hidden, _ = ad.gelu_kernel(h @ w["ff.w1"] + w["ff.b1"])
@@ -537,9 +529,8 @@ class ConceptModel:
         log_probs = ad.log_softmax_kernel(xhat @ state.head + state.head_bias)
         if not np.isfinite(log_probs).all():
             raise NonFiniteError(f"decoding step {t} produced NaN or Inf log-probabilities")
-        return log_probs, DecoderState(
-            state.table, state.cross_a, state.cross_c, state.cross_o, state.head,
-            state.head_bias, tuple(cache), t + 1)
+        return log_probs, DecoderState(state.table, state.cross, state.head,
+                                       state.head_bias, tuple(cache), t + 1)
 
     # batched teacher-forced forward (training)
 
@@ -590,25 +581,23 @@ class ConceptModel:
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_bytes(blob)
         tmp.replace(path)
-        sidecar = {
-            "config": asdict(self.config),
-            "source_vocab": list(self.source_vocab.tokens),
-            "concept_vocab": list(self.concept_vocab.tokens),
-            "digest": self.identity_digest(),
-            "params_sha256": hashlib.sha256(blob).hexdigest(),
-        }
+        sidecar = {**self._header(), "digest": self.identity_digest(),
+                   "params_sha256": hashlib.sha256(blob).hexdigest()}
         tmp = path.with_name(path.name + ".json.tmp")
         tmp.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
                        encoding="utf-8")
         tmp.replace(path.with_name(path.name + ".json"))
 
+    def _header(self) -> dict:
+        """The config and both vocabularies, which the sidecar holds and the digest hashes."""
+        return {"config": asdict(self.config), "source_vocab": list(self.source_vocab.tokens),
+                "concept_vocab": list(self.concept_vocab.tokens)}
+
     def identity_digest(self) -> str:
-        """Hash of the config, both vocabularies and every parameter's (name,
-        shape) in arena order, which fixes where each value sits in the value buffer."""
+        """Hash of `_header` and every parameter's (name, shape) in arena order,
+        which fixes where each value sits in the value buffer."""
         payload = json.dumps(
-            {"config": asdict(self.config),
-             "source_vocab": list(self.source_vocab.tokens),
-             "concept_vocab": list(self.concept_vocab.tokens),
+            {**self._header(),
              "layout": [[name, list(p.data.shape)] for name, p in self.params.items()]},
             sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()

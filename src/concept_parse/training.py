@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Schedule, Tensor, lr_at
 from .data import DatasetRecord, DomainSplit, PretrainRecord, tags_from_records
-from .errors import EmptyEvalSetError, EmptyFewShotError, require_count, require_real
+from .errors import EmptyEvalSetError, require_count, require_real
 from .evaluation import teacher_forced_accuracy
 from .model import ConceptModel
 from .parse import ConceptTag
@@ -138,8 +138,11 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
     score keeps a copy of `value_buffer` and, under ``out_dir``, a checkpoint.
     The loop stops at a score of 100 or after ``patience`` scores in a row
     without improvement; ``stopped_early`` means it stopped before the last
-    epoch. The log goes to ``<out_dir>/<name>_log.jsonl``.
+    epoch. The log goes to ``<out_dir>/<name>_log.jsonl``. Adam's moments and
+    step start at zero, as in a model just loaded, whatever ran before.
     """
+    arena = next(iter(model.parameters().values())).arena
+    arena.m[...], arena.v[...], arena.step = 0.0, 0.0, 0
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,9 +234,8 @@ def fewshot_finetune(model: ConceptModel, spi_records: Sequence[DatasetRecord],
     is restored at the end.
     """
     if not spi_records:
-        raise EmptyFewShotError("few-shot fine-tuning needs at least one record")
-    spi_records = list(spi_records)
-    known_records = list(known_records)
+        raise EmptyEvalSetError("few-shot fine-tuning needs at least one record")
+    spi_records, known_records = list(spi_records), list(known_records)
     tags = tags_from_records(spi_records + known_records)
     rehearsal_rng = np.random.default_rng([cfg.seed, 4_242])
 

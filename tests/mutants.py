@@ -141,8 +141,8 @@ MUTANTS = (
     Mutant("autodiff", "return schedule.base_lr * step / warmup",
            "return schedule.base_lr * (step + 1) / warmup",
            "tests/test_autodiff.py::TestSchedule::test_zero_at_start"),
-    Mutant("autodiff", "return schedule.base_lr * (total - step) / (total - warmup)",
-           "return schedule.base_lr * (total - step) / total",
+    Mutant("autodiff", "return schedule.base_lr * (total - step) / max(total - warmup, 1)",
+           "return schedule.base_lr * (total - step) / max(total, 1)",
            "tests/test_autodiff.py::TestSchedule::test_linear_decay_value"),
     Mutant("autodiff", "c1 = 1.0 - b1 ** arena.step", "c1 = 1.0",
            "tests/test_autodiff.py::TestAdam::test_first_step_close_to_signed_lr"),
@@ -165,6 +165,13 @@ MUTANTS = (
            "for i, (rows, grad) in enumerate(((x2, gq), (s2, gk), (s2, gv), (merged, g2))):",
            "for i, (rows, grad) in enumerate(((x2, gq), (s2, gv), (s2, gk), (merged, g2))):",
            "tests/test_autodiff.py::TestOpGradients::test_attention[4-pad_mask]"),
+    # each regime starts Adam afresh, and the decoder reads a tag through its description
+    Mutant("training", "arena.m[...], arena.v[...], arena.step = 0.0, 0.0, 0", "pass",
+           "tests/test_training.py::TestFewshotFinetune::"
+           "test_a_chained_regime_ends_as_one_resumed_from_a_checkpoint"),
+    Mutant("model", "words = tag.description.split()", "words = tags[0].description.split()",
+           "tests/test_training.py::TestDescriptionAblation::"
+           "test_rotated_descriptions_cost_known_domain_likelihood[0]"),
     # the stacked parameters: one draw per trailing matrix, and the size a layout reads
     Mutant("model", "for matrix in view.reshape(-1, *shape[-2:]):", "for matrix in (view,):",
            "tests/test_model.py::TestModelConfig::test_the_seeded_values_are_pinned[default]"),

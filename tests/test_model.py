@@ -285,13 +285,12 @@ class TestDecodeStep:
             return model.decode_step(model.initial_state(src, bank), bos(model, bank))[1]
 
         def contents(state):
-            """The bytes of every field's array, or arrays, in field order."""
-            out = []
-            for f in fields(state):
-                value = getattr(state, f.name)
-                out += [np.asarray(a).tobytes()
-                        for a in (value if isinstance(value, tuple) else (value,))]
-            return out
+            """The bytes of every field's array, or arrays, in field order, with
+            nested tuples (each layer's cross fold) flattened."""
+            def flat(value):
+                return ([b for item in value for b in flat(item)] if isinstance(value, tuple)
+                        else [np.asarray(value).tobytes()])
+            return flat(tuple(getattr(state, f.name) for f in fields(state)))
 
         state = first_step()
         before = contents(state)
