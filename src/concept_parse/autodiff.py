@@ -94,17 +94,14 @@ class Arena:
 
     ``step`` is the group's one Adam step counter, and ``count`` the number
     of parameters viewing the buffers, so that `adam_step` can check it was
-    given all of them. The arena holds no reference to its parameters:
-    dropping them frees it without waiting for the cycle collector.
+    given all of them and no other. The arena holds no reference to its
+    parameters: dropping them frees it without waiting for the cycle collector.
     """
 
     __slots__ = ("data", "grad", "m", "v", "step", "count")
 
     def __init__(self, size: int, count: int, dtype):
-        self.data = np.zeros(size, dtype=dtype)
-        self.grad = np.zeros(size, dtype=dtype)
-        self.m = np.zeros(size, dtype=dtype)
-        self.v = np.zeros(size, dtype=dtype)
+        self.data, self.grad, self.m, self.v = (np.zeros(size, dtype=dtype) for _ in range(4))
         self.step = 0
         self.count = count
 
@@ -657,7 +654,7 @@ def backward(loss: Tensor) -> None:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Linear warmup to the base rate, then linear decay to zero."""
+    """Linear warmup to the base rate, then linear decay towards zero."""
 
     base_lr: float
     warmup_proportion: float
@@ -671,31 +668,19 @@ class Schedule:
 
 
 def lr_at(schedule: Schedule, step: int) -> float:
-    """Learning rate at an optimizer step; clamps to 0 past the horizon. The last
-    scheduled step, ``total_steps``, gets lr 0 (open under ROADMAP item 6)."""
+    """Learning rate at optimizer step ``step``, counted from 1: positive (with a
+    positive base rate) on every step in 1..``total_steps`` and 0 on any other."""
     total = schedule.total_steps
-    if step > total:
+    if not 0 < step <= total:
         return 0.0
     warmup = math.ceil(schedule.warmup_proportion * total)
-    if warmup > 0 and step < warmup:
+    if step < warmup:
         return schedule.base_lr * step / warmup
-    return schedule.base_lr * (total - step) / max(total - warmup, 1)
+    return schedule.base_lr * (total - step + 1) / (total - warmup + 1)
 
 
 # elements per pass of the flat update: its scratch stays small next to the arena
 _ADAM_CHUNK = 1 << 15
-
-
-def _whole_arenas(params: Iterable[Parameter]) -> list[Arena]:
-    """The arenas of ``params`` in first-seen order; raises unless each is given whole."""
-    members: dict[int, tuple[Arena, set[int]]] = {}
-    for p in params:
-        members.setdefault(id(p.arena), (p.arena, set()))[1].add(id(p))
-    for arena, ids in members.values():
-        if len(ids) != arena.count:
-            raise ValueError(f"adam_step was given {len(ids)} of an arena's "
-                             f"{arena.count} parameters; it updates whole arenas")
-    return [arena for arena, _ in members.values()]
 
 
 def adam_step(params: Iterable[Parameter], lr: float,
@@ -703,17 +688,17 @@ def adam_step(params: Iterable[Parameter], lr: float,
               weight_decay: float = 0.0) -> None:
     """One bias-corrected Adam update with decoupled weight decay, in place.
 
-    ``params`` must hold every parameter of each arena it reaches. Each
-    arena's flat data, m and v buffers are updated with ``out=`` ufuncs, a
-    chunk at a time through two chunk-sized scratch arrays, under the arena's
-    one step counter (the multi-tensor Adam of apex and PyTorch). Weight decay
-    is a separate multiplicative shrink before the gradient-driven update
-    (Loshchilov & Hutter, 2019); gradients are zeroed afterwards. Each
-    expression keeps the operand order of the per-parameter update, so the
-    result is bit-equal to it. A NaN or infinite gradient in any arena raises
-    `NonFiniteError`, naming that arena's next step, and a hyper-parameter
-    outside its range (``lr`` and ``weight_decay`` at least 0, ``eps`` above
-    0, each beta in [0, 1)) raises `ValueError`, both before anything is written.
+    ``params`` must be every parameter of one arena, whose flat data, m and v
+    buffers are updated with ``out=`` ufuncs, a chunk at a time through two
+    chunk-sized scratch arrays, under its one step counter (the multi-tensor
+    Adam of apex and PyTorch). Weight decay is a separate multiplicative shrink
+    before the gradient-driven update (Loshchilov & Hutter, 2019); gradients
+    are zeroed afterwards. Each expression keeps the per-parameter update's
+    operand order, so the result is bit-equal to it. Before anything is
+    written, a NaN or infinite gradient raises `NonFiniteError` naming the
+    next step, and other ``params`` or a hyper-parameter out of range (``lr``
+    and ``weight_decay`` at least 0, ``eps`` above 0, each beta in [0, 1))
+    raise `ValueError`.
     """
     b1, b2 = betas
     for name, value, bound, within in (
@@ -723,44 +708,47 @@ def adam_step(params: Iterable[Parameter], lr: float,
             ("betas[0]", b1, "in [0, 1)", lambda v: 0 <= v < 1),
             ("betas[1]", b2, "in [0, 1)", lambda v: 0 <= v < 1)):
         require_real(name, value, bound, within)
-    arenas = _whole_arenas(params)
-    for arena in arenas:
-        if not np.isfinite(arena.grad).all():
-            raise NonFiniteError(f"Adam step {arena.step + 1}: a gradient holds NaN or Inf")
-    for arena in arenas:
-        arena.step += 1
-        c1 = 1.0 - b1 ** arena.step
-        c2 = 1.0 - b2 ** arena.step
-        size = arena.data.size
-        scratch_s = np.empty(min(size, _ADAM_CHUNK), dtype=arena.data.dtype)
-        scratch_t = np.empty_like(scratch_s)
-        for start in range(0, size, _ADAM_CHUNK):
-            chunk = slice(start, min(start + _ADAM_CHUNK, size))
-            data, g, m, v = (arena.data[chunk], arena.grad[chunk],
-                             arena.m[chunk], arena.v[chunk])
-            s, t = scratch_s[:data.size], scratch_t[:data.size]
-            # m = b1 * m + (1 - b1) * g
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1.0 - b1, out=s)
-            np.add(m, s, out=m)
-            # v = b2 * v + (1 - b2) * (g * g)
-            np.multiply(v, b2, out=v)
-            np.multiply(g, g, out=s)
-            np.multiply(s, 1.0 - b2, out=s)
-            np.add(v, s, out=v)
-            if weight_decay:
-                # data = data - (lr * weight_decay) * data
-                np.multiply(data, lr * weight_decay, out=s)
-                np.subtract(data, s, out=data)
-            # data = data - (lr * m_hat) / (sqrt(v_hat) + eps)
-            np.divide(m, c1, out=s)
-            np.multiply(s, lr, out=s)
-            np.divide(v, c2, out=t)
-            np.sqrt(t, out=t)
-            np.add(t, eps, out=t)
-            np.divide(s, t, out=s)
+    params = list(params)
+    arenas, ids = {p.arena for p in params}, {id(p) for p in params}
+    if len(arenas) != 1 or len(ids) != next(iter(arenas)).count:
+        raise ValueError(f"adam_step was given {len(ids)} parameters in {len(arenas)} "
+                         "arena(s), not all of one arena's; it updates whole arenas")
+    arena = arenas.pop()
+    if not np.isfinite(arena.grad).all():
+        raise NonFiniteError(f"Adam step {arena.step + 1}: a gradient holds NaN or Inf")
+    arena.step += 1
+    c1 = 1.0 - b1 ** arena.step
+    c2 = 1.0 - b2 ** arena.step
+    size = arena.data.size
+    scratch_s = np.empty(min(size, _ADAM_CHUNK), dtype=arena.data.dtype)
+    scratch_t = np.empty_like(scratch_s)
+    for start in range(0, size, _ADAM_CHUNK):
+        chunk = slice(start, min(start + _ADAM_CHUNK, size))
+        data, g, m, v = (arena.data[chunk], arena.grad[chunk],
+                         arena.m[chunk], arena.v[chunk])
+        s, t = scratch_s[:data.size], scratch_t[:data.size]
+        # m = b1 * m + (1 - b1) * g
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=s)
+        np.add(m, s, out=m)
+        # v = b2 * v + (1 - b2) * (g * g)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, g, out=s)
+        np.multiply(s, 1.0 - b2, out=s)
+        np.add(v, s, out=v)
+        if weight_decay:
+            # data = data - (lr * weight_decay) * data
+            np.multiply(data, lr * weight_decay, out=s)
             np.subtract(data, s, out=data)
-        arena.grad.fill(0)
+        # data = data - (lr * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(m, c1, out=s)
+        np.multiply(s, lr, out=s)
+        np.divide(v, c2, out=t)
+        np.sqrt(t, out=t)
+        np.add(t, eps, out=t)
+        np.divide(s, t, out=s)
+        np.subtract(data, s, out=data)
+    arena.grad.fill(0)
 
 
 # initialization

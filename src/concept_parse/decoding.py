@@ -46,9 +46,8 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     ``beam_width``, so ties break by beam order, then by output index. A pick
     that closes the root bracket, or reaches the model's ``max_target_len``
     tokens, joins the pool of finished hypotheses; the rest live on, each with
-    its parent's decoder state and its pick as the next input. Each step
-    appends the live beams' (parents, picks) to a trail, which a finished
-    hypothesis walks back for its tokens.
+    its parent's decoder state and its pick as the next input. A beam's path,
+    its parent's with its pick appended, gives a finished hypothesis its tokens.
     """
     require_count("beam width", beam_width, 1)
     src = model.encode_source(utterance.tokens)
@@ -58,7 +57,7 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     prev = np.array([model.bos_index(bank.m)])
     scores = np.zeros(1)                            # per live beam, float64
     depths = np.zeros(1, dtype=np.int64)
-    trail: list[tuple[np.ndarray, np.ndarray]] = []  # per step: live parents, picks
+    paths: list[tuple[int, ...]] = [()]             # per live beam: its picks so far
     pool: list[Hypothesis] = []
     while scores.size:
         log_probs, state = model.decode_step(state, prev)
@@ -69,21 +68,18 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
         depths = depths[parents] + moves
         finished = (moves < 0) & (depths <= 0)
         done = finished | (state.t >= model.config.max_target_len)
+        paths = [paths[p] + (i,) for p, i in zip(parents.tolist(), indices.tolist())]
         if done.any():
             for beam in np.flatnonzero(done):
-                path, parent = [indices[beam]], parents[beam]
-                for step_parents, step_picks in reversed(trail):
-                    path.append(step_picks[parent])
-                    parent = step_parents[parent]
                 pool.append(Hypothesis(
-                    tokens=tuple(_token_at(int(i), bank) for i in reversed(path)),
+                    tokens=tuple(_token_at(i, bank) for i in paths[beam]),
                     log_prob=float(totals[picked[beam]]),
                     truncated=not finished[beam]))
             live = ~done
             parents, indices = parents[live], indices[live]
             picked, depths = picked[live], depths[live]
+            paths = [path for path, keep in zip(paths, live) if keep]
         scores = totals[picked]
-        trail.append((parents, indices))
         state = state.reorder(parents)
         prev = indices
     pool.sort(key=lambda h: -h.log_prob)

@@ -199,7 +199,7 @@ def _layout(config: ModelConfig, source_size: int, concept_size: int
             ) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, init) of every parameter in arena order.
 
-    ``init`` is ``normal`` (a truncated-normal draw per trailing matrix), ``zeros``,
+    ``init`` is ``normal`` (truncated-normal, one draw per stacked matrix), ``zeros``,
     ``ones`` or ``eye``; `ConceptModel` draws the normal ones in this order from its seed.
     """
     d, ff = config.width, config.ff_width
@@ -298,8 +298,8 @@ class ConceptModel:
 
     def _assemble(self, config: ModelConfig, source_vocab: Vocabulary,
                   concept_vocab: Vocabulary) -> list[tuple[str, tuple[int, ...], str]]:
-        """Lay the parameters out, zero-valued, in one arena, and bind the views
-        `decode_step` reads; returns `_layout`."""
+        """Lay the parameters out, zero-valued, in one arena (``self.arena``), and
+        bind the views `decode_step` reads; returns `_layout`."""
         self.config = config
         self.source_vocab = source_vocab
         self.concept_vocab = concept_vocab
@@ -307,6 +307,7 @@ class ConceptModel:
         layout = _layout(config, len(source_vocab), len(concept_vocab))
         self.params: dict[str, Parameter] = ad.arena_parameters(
             {name: shape for name, shape, _ in layout}, self.dtype)
+        self.arena = next(iter(self.params.values())).arena
         # decode_step's views: the position table, each decoder layer's by name
         # below the layer, and the slices of its attention weights that a step reads
         self._step_pos = self.params["decoder.pos"].data
@@ -325,7 +326,7 @@ class ConceptModel:
 
     def value_buffer(self) -> np.ndarray:
         """The arena's flat value buffer, which every parameter's ``data`` views."""
-        return next(iter(self.params.values())).arena.data
+        return self.arena.data
 
     # graph building blocks (gradient-recording)
 

@@ -132,16 +132,17 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
 
     Epoch e shuffles from ``[*stream, e]``. ``step_loss`` maps a batch to named
     scalar tensors, and the one named ``"loss"`` is optimized at the
-    warmup/decay schedule's rate. Every ``every`` epochs, and at the last, a
-    log entry holds each named loss as the record-weighted mean over the epoch
-    and the ``validate`` score (None without a validator). A strictly better
-    score keeps a copy of `value_buffer` and, under ``out_dir``, a checkpoint.
-    The loop stops at a score of 100 or after ``patience`` scores in a row
-    without improvement; ``stopped_early`` means it stopped before the last
-    epoch. The log goes to ``<out_dir>/<name>_log.jsonl``. Adam's moments and
-    step start at zero, as in a model just loaded, whatever ran before.
+    warmup/decay schedule's rate for Adam's next step: Adam's moments and step
+    start at zero, as in a model just loaded, so Adam's step counts the loop's.
+    Every ``every`` epochs, and at the last, a log entry holds that step, its
+    rate, each named loss as the record-weighted mean over the epoch and the
+    ``validate`` score (None without a validator). A strictly better score
+    keeps a copy of `value_buffer` and, under ``out_dir``, a checkpoint. The
+    loop stops at a score of 100 or after ``patience`` scores in a row without
+    improvement; ``stopped_early`` means it stopped before the last epoch. The
+    log goes to ``<out_dir>/<name>_log.jsonl``.
     """
-    arena = next(iter(model.parameters().values())).arena
+    arena = model.arena
     arena.m[...], arena.v[...], arena.step = 0.0, 0.0, 0
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -150,21 +151,20 @@ def _epoch_loop(model: ConceptModel, name: str, records: Sequence, epochs: int,
                         epochs * math.ceil(len(records) / cfg.batch_size))
     result = TrainResult(best_score=-math.inf if validate else math.nan,
                          stopped_early=False)
-    best_values, stale, step = None, 0, 0
+    best_values, stale = None, 0
     for epoch in range(epochs):
         sums: dict[str, float] = {}
         for batch in make_batches(records, cfg.batch_size,
                                   np.random.default_rng([*stream, epoch])):
-            step += 1
             losses = step_loss(batch)
             for key, value in losses.items():
                 sums[key] = sums.get(key, 0.0) + value.item() * len(batch)
-            _optimize(model, losses["loss"], lr_at(schedule, step), cfg)
+            _optimize(model, losses["loss"], lr_at(schedule, arena.step + 1), cfg)
         if (epoch + 1) % every and epoch < epochs - 1:
             continue
         val = validate() if validate else None
-        entry = {"epoch": epoch, "step": step, "lr": lr_at(schedule, step), "val": val,
-                 **{key: total / len(records) for key, total in sums.items()}}
+        entry = {"epoch": epoch, "step": arena.step, "lr": lr_at(schedule, arena.step),
+                 "val": val, **{key: total / len(records) for key, total in sums.items()}}
         result.log.append(entry)
         log.info("%s epoch %d loss %.4f val %s", name, epoch, entry["loss"], val)
         if val is None:

@@ -137,13 +137,19 @@ MUTANTS = (
            "tests/test_decode.py::TestBatchedBeamOracle::test_matches_per_beam_search"),
     Mutant("decoding", "truncated=not finished[beam]))", "truncated=False))",
            "tests/test_decode.py::TestBatchedBeamOracle::test_matches_per_beam_search"),
+    Mutant("decoding",
+           "paths = [paths[p] + (i,) for p, i in zip(parents.tolist(), indices.tolist())]",
+           "paths = [paths[0] + (i,) for p, i in zip(parents.tolist(), indices.tolist())]",
+           "tests/test_decode.py::TestBatchedBeamOracle::test_matches_per_beam_search"),
     # the schedule, Adam, and the backward of the attention and feed-forward sublayers
     Mutant("autodiff", "return schedule.base_lr * step / warmup",
            "return schedule.base_lr * (step + 1) / warmup",
-           "tests/test_autodiff.py::TestSchedule::test_zero_at_start"),
-    Mutant("autodiff", "return schedule.base_lr * (total - step) / max(total - warmup, 1)",
-           "return schedule.base_lr * (total - step) / max(total, 1)",
+           "tests/test_autodiff.py::TestSchedule::test_linear_warmup_value"),
+    Mutant("autodiff", "return schedule.base_lr * (total - step + 1) / (total - warmup + 1)",
+           "return schedule.base_lr * (total - step + 1) / (total + 1)",
            "tests/test_autodiff.py::TestSchedule::test_linear_decay_value"),
+    Mutant("autodiff", "if not 0 < step <= total:", "if step > total:",
+           "tests/test_autodiff.py::TestSchedule::test_no_steps_is_a_schedule"),
     Mutant("autodiff", "c1 = 1.0 - b1 ** arena.step", "c1 = 1.0",
            "tests/test_autodiff.py::TestAdam::test_first_step_close_to_signed_lr"),
     Mutant("autodiff", "c2 = 1.0 - b2 ** arena.step", "c2 = 1.0",
@@ -151,7 +157,8 @@ MUTANTS = (
     Mutant("autodiff", "np.multiply(data, lr * weight_decay, out=s)",
            "np.multiply(data, weight_decay, out=s)",
            "tests/test_autodiff.py::TestAdam::test_decay_only_step"),
-    Mutant("autodiff", "if len(ids) != arena.count:", "if len(ids) > arena.count:",
+    Mutant("autodiff", "if len(arenas) != 1 or len(ids) != next(iter(arenas)).count:",
+           "if len(arenas) != 1 or len(ids) > next(iter(arenas)).count:",
            "tests/test_arena.py::TestFlatAdam::test_part_of_an_arena_is_refused"),
     Mutant("autodiff", "gl /= math.sqrt(hd)", "gl /= 1.0",
            "tests/test_autodiff.py::TestOpGradients::test_attention[4-pad_mask]"),
@@ -165,10 +172,15 @@ MUTANTS = (
            "for i, (rows, grad) in enumerate(((x2, gq), (s2, gk), (s2, gv), (merged, g2))):",
            "for i, (rows, grad) in enumerate(((x2, gq), (s2, gv), (s2, gk), (merged, g2))):",
            "tests/test_autodiff.py::TestOpGradients::test_attention[4-pad_mask]"),
-    # each regime starts Adam afresh, and the decoder reads a tag through its description
+    # each regime starts Adam afresh and reads its rate at Adam's next step, and the
+    # decoder reads a tag through its description
     Mutant("training", "arena.m[...], arena.v[...], arena.step = 0.0, 0.0, 0", "pass",
            "tests/test_training.py::TestFewshotFinetune::"
            "test_a_chained_regime_ends_as_one_resumed_from_a_checkpoint"),
+    Mutant("training", '_optimize(model, losses["loss"], lr_at(schedule, arena.step + 1), cfg)',
+           '_optimize(model, losses["loss"], lr_at(schedule, arena.step), cfg)',
+           "tests/test_training.py::TestTrainKnownDomains::"
+           "test_every_scheduled_step_runs_at_a_positive_rate"),
     Mutant("model", "words = tag.description.split()", "words = tags[0].description.split()",
            "tests/test_training.py::TestDescriptionAblation::"
            "test_rotated_descriptions_cost_known_domain_likelihood[0]"),

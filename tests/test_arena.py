@@ -67,6 +67,19 @@ class TestFlatAdam:
             ad.adam_step(params[1:], lr=1e-3)
         assert np.array_equal(before, model.value_buffer())
 
+    def test_no_parameters_are_refused(self):
+        with pytest.raises(ValueError, match="whole arenas"):
+            ad.adam_step([], lr=1e-3)
+
+    def test_two_whole_arenas_are_refused(self):
+        params = [*ad.arena_parameters({"a": (2, 3)}, np.float32).values(),
+                  *ad.arena_parameters({"b": (4,)}, np.float32).values()]
+        for p in params:
+            p.grad.fill(1)
+        with pytest.raises(ValueError, match="whole arenas"):
+            ad.adam_step(params, lr=1e-3)
+        assert not any(p.data.any() or p.arena.step for p in params)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_gradient_is_refused_before_any_write(self, corpus, value):
         model = build_model(corpus, seed=1, **TINY)

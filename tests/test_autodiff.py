@@ -831,16 +831,18 @@ class TestSchedule:
     def test_zero_at_start(self):
         assert ad.lr_at(Schedule(2e-5, 0.1, 100), 0) == 0.0
 
+    def test_linear_warmup_value(self):
+        assert ad.lr_at(Schedule(2e-5, 0.1, 100), 4) == 2e-5 * 4 / 10
+
     def test_base_at_warmup_end(self):
         assert ad.lr_at(Schedule(2e-5, 0.1, 100), 10) == 2e-5
 
     def test_linear_decay_value(self):
-        assert math.isclose(ad.lr_at(Schedule(2e-5, 0.1, 100), 55),
-                            2e-5 * (100 - 55) / 90)
+        assert math.isclose(ad.lr_at(Schedule(2e-5, 0.1, 100), 55), 2e-5 * 46 / 91)
 
     def test_clamps_past_total(self):
         assert ad.lr_at(Schedule(2e-5, 0.1, 100), 101) == 0.0
-        assert ad.lr_at(Schedule(2e-5, 0.1, 100), 100) == 0.0
+        assert math.isclose(ad.lr_at(Schedule(2e-5, 0.1, 100), 100), 2e-5 / 91)
 
     def test_warmup_proportion_validated(self):
         with pytest.raises(ValueError):

@@ -276,6 +276,32 @@ class TestTrainKnownDomains:
             result = train_known_domains(model, split, quick_cfg(epochs=epochs, patience=1))
             assert len(result.log) == 2 and result.stopped_early is early
 
+    def test_every_scheduled_step_runs_at_a_positive_rate(self, monkeypatch):
+        # step s runs at the schedule's rate for s, the last step's too, and a
+        # log entry's step is the number of steps taken before it
+        records = records_from_rows(two_domain_rows(8, seed=0))
+        split = build_leave_one_out(records, [], "weather", valid_fraction=0.3)
+        model = build_model(records, seed=1, **TINY)
+        lrs, taken = [], []
+        optimize = training._optimize
+
+        def recording_optimize(model, loss, lr, cfg):
+            lrs.append(lr)
+            optimize(model, loss, lr, cfg)
+
+        monkeypatch.setattr(training, "_optimize", recording_optimize)
+        monkeypatch.setattr(training, "teacher_forced_accuracy",
+                            lambda *args: taken.append(len(lrs)) or 0.0)
+        cfg = quick_cfg(batch_size=2, epochs=4, patience=4)
+        result = train_known_domains(model, split, cfg)
+        schedule = ad.Schedule(cfg.learning_rate, cfg.warmup_proportion,
+                               cfg.epochs * math.ceil(len(split.known_train) / 2))
+        assert schedule.total_steps == 12  # 3 steps an epoch, and 2 of warmup
+        assert lrs == [ad.lr_at(schedule, s) for s in range(1, schedule.total_steps + 1)]
+        assert all(lr > 0 for lr in lrs)
+        assert [entry["step"] for entry in result.log] == taken
+        assert [entry["lr"] for entry in result.log] == [lrs[n - 1] for n in taken]
+
     def test_empty_valid_split_rejected(self):
         # one record per domain: the known domains hold nothing back
         records = records_from_rows(two_domain_rows(1, seed=0))
