@@ -5,20 +5,27 @@ that maps the output gradient to input gradients. The graph's leaves are the
 :class:`Parameter` tensors that ops read. ``backward`` walks the recorded graph
 in reverse topological order and adds gradients in place into their ``grad``.
 Graph recording is on unless the current thread (or context) is in
-``no_grad``. An affine map is one node, and so is each transformer sublayer:
-`mha` (four projections, attention and the merge of the heads) and
-`feed_forward` (affine, GELU, affine), each with one hand-written vjp. Their
-forwards take the products and sums of the composed ops in the same order, so
-they are bit-equal to them. The forwards of layer norm, softmax, log-softmax,
-GELU and attention are plain-array ``*_kernel`` functions, which the stepwise
-decoder calls too. The kernels reduce with ``np.add.reduce`` and
-``np.maximum.reduce`` (through `row_max`), not with ``ndarray.mean``, ``.sum``
-or ``.max``: those methods are Python-level wrappers around the same ufunc
-reductions, and on the decoder's (beams, width) arrays the wrapper costs more
-than the reduction. The results are bit-equal. Kernels and vjps write their
-temporaries into arrays they allocated themselves (``out=``, ``+=``), never into
-an input: the decoder passes views of its state, and `add` hands one gradient
-array to both of its inputs.
+``no_grad``. While it is on, every op checks that its output is finite and
+raises `NonFiniteError` at the first NaN or Inf; under ``no_grad`` no op
+checks, and each inference entry checks its own output once instead, which
+IEEE 754 propagation makes sound (ROADMAP item 10). An affine map is one node,
+and so is each transformer sublayer: `mha` (four projections, attention and
+the merge of the heads) and `feed_forward` (affine, GELU, affine), each with
+one hand-written vjp. Their forwards take the products and sums of the
+composed ops in the same order, so they are bit-equal to them. The forwards of
+layer norm, softmax, log-softmax, GELU and attention are plain-array
+``*_kernel`` functions, which the stepwise decoder calls too. A layer norm's
+row statistics, the mean and the mean square, are products of the rows with a
+vector of 1/n (`normalize_kernel`, and the two row means of `layer_norm`'s
+vjp), so no row sum is divided by n; they agree with summed means within the
+tolerance `tests/test_autodiff.py` states, not bit for bit. The softmax
+kernels reduce with ``np.add.reduce`` and ``np.maximum.reduce`` (through
+`row_max`), not with ``ndarray.sum`` or ``.max``: those methods are
+Python-level wrappers around the same ufunc reductions, and on the decoder's
+(beams, width) arrays the wrapper costs more than the reduction. Kernels and
+vjps write their temporaries into arrays they allocated themselves (``out=``,
+``+=``), never into an input: the decoder passes views of its state, and `add`
+hands one gradient array to both of its inputs.
 
 Parameters live in an :class:`Arena`: one contiguous buffer per role (values,
 gradients, Adam's first and second moments) and one Adam step counter for a
@@ -36,6 +43,7 @@ the file layout.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -159,10 +167,17 @@ def constant(data: np.ndarray) -> Tensor:
     return Tensor(np.asarray(data))
 
 
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise `NonFiniteError` naming ``what`` if ``values`` holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{what} produced NaN or Inf values")
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    if not np.isfinite(data).all():
-        raise NonFiniteError("forward op produced NaN or Inf values")
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if not _grad_enabled.get():
+        return Tensor(data)
+    require_finite(data, "a forward op")
+    if any(p.requires_grad for p in parents):
         return Tensor(data, tuple(parents), vjp)
     return Tensor(data)
 
@@ -273,18 +288,18 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+    tensors = tuple(tensors)
     try:
         out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
         shapes = [t.data.shape for t in tensors]
         raise ShapeError(f"cannot concatenate shapes {shapes} on axis {axis}") from None
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
 
     def vjp(g):
+        offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _node(out, tuple(tensors), vjp)
+    return _node(out, tensors, vjp)
 
 
 def gather_rows(table: Tensor, ids: Union[np.ndarray, slice]) -> Tensor:
@@ -482,46 +497,59 @@ def log_softmax(z: Tensor) -> Tensor:
 _LN_EPS = 1e-5
 
 
+@functools.cache
+def _mean_weights(n: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only vector of n entries 1/n: ``np.vecdot(x, c)`` is each row's mean."""
+    weights = np.full(n, 1.0 / n, dtype=dtype)
+    weights.flags.writeable = False
+    return weights
+
+
 def normalize_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero mean and unit variance over the last axis: layer norm without its
-    gain and bias. Returns the normalized input and the inverse deviation."""
-    n = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True)
-    mu /= n
-    xhat = x - mu
-    inv = np.add.reduce(np.multiply(xhat, xhat), axis=-1, keepdims=True)
-    inv /= n
-    inv += _LN_EPS
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    return xhat, inv
+    """The row statistics of a layer norm over the last axis, taken by products:
+    the centred rows ``x - x @ c`` and their deviation ``sqrt(square(centred) @ c
+    + eps)``, with ``c`` the vector of 1/n, so no row sum is divided by n.
+
+    The deviation keeps a last axis of 1, and the normalized rows are
+    ``centred / deviation``; every layer norm, in the graph and in the decoder,
+    starts here. Each product is ``np.vecdot``'s dot of one row at a time, not
+    a matrix-vector product, whose BLAS kernel sums a row in an order that
+    depends on its position among the rows: a row's statistics are the same
+    wherever it sits, so a permuted bank encodes to permuted vectors bit for bit.
+    """
+    c = _mean_weights(x.shape[-1], x.dtype)
+    centred = x - np.vecdot(x, c, keepdims=True)
+    deviation = np.vecdot(np.square(centred), c, keepdims=True)
+    deviation += _LN_EPS
+    np.sqrt(deviation, out=deviation)
+    return centred, deviation
 
 
 def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`normalize_kernel`, then gain and bias; returns the result and the
     normalized input and inverse deviation, which the graph op's vjp reuses."""
-    xhat, inv = normalize_kernel(x)
+    centred, deviation = normalize_kernel(x)
+    inv = np.divide(1.0, deviation, out=deviation)
+    xhat = np.multiply(centred, inv, out=centred)
     out = xhat * gain
     out += bias
     return out, xhat, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Layer norm over the last axis; the forward is `layer_norm_kernel`."""
+    """Layer norm over the last axis; the forward is `layer_norm_kernel`, and
+    the vjp takes its two row means as products with the same vector of 1/n."""
     if x.data.shape[-1] < 2:
         raise ShapeError("layer_norm needs a last dimension of at least 2")
     out, xhat, inv = layer_norm_kernel(x.data, gain.data, bias.data)
 
     def vjp(g):
-        n = g.shape[-1]
         gy = g * gain.data
+        c = _mean_weights(g.shape[-1], gy.dtype)
         scratch = gy * xhat
-        mean_gy_xhat = np.add.reduce(scratch, axis=-1, keepdims=True)
-        mean_gy_xhat /= n
-        mean_gy = np.add.reduce(gy, axis=-1, keepdims=True)
-        mean_gy /= n
+        mean_gy_xhat = np.vecdot(scratch, c, keepdims=True)
+        mean_gy = np.vecdot(gy, c, keepdims=True)
         # the input gradient inv * (gy - mean_gy - xhat * mean_gy_xhat), in gy's buffer
         gy -= mean_gy
         gy -= np.multiply(xhat, mean_gy_xhat, out=scratch)

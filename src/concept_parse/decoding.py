@@ -46,18 +46,21 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
     ``beam_width``, so ties break by beam order, then by output index. A pick
     that closes the root bracket, or reaches the model's ``max_target_len``
     tokens, joins the pool of finished hypotheses; the rest live on, each with
-    its parent's decoder state and its pick as the next input. A beam's path,
-    its parent's with its pick appended, gives a finished hypothesis its tokens.
+    its parent's decoder state and its pick as the next input. A beam's path is
+    its parent's with its pick's token appended, from one table of the tokens
+    the search's output indices stand for, so a finished beam's path is its
+    hypothesis's tokens.
     """
     require_count("beam width", beam_width, 1)
     src = model.encode_source(utterance.tokens)
     width = bank.m + len(src)
+    tokens = tuple(_token_at(i, bank) for i in range(width))
     steps = _bracket_steps(bank, len(src))
     state = model.initial_state(src, bank)
     prev = np.array([model.bos_index(bank.m)])
     scores = np.zeros(1)                            # per live beam, float64
     depths = np.zeros(1, dtype=np.int64)
-    paths: list[tuple[int, ...]] = [()]             # per live beam: its picks so far
+    paths: list[TargetSequence] = [()]              # per live beam: its tokens so far
     pool: list[Hypothesis] = []
     while scores.size:
         log_probs, state = model.decode_step(state, prev)
@@ -67,13 +70,13 @@ def beam_decode(model: ConceptModel, utterance: Utterance,
         moves = steps[indices]
         depths = depths[parents] + moves
         finished = (moves < 0) & (depths <= 0)
-        done = finished | (state.t >= model.config.max_target_len)
-        paths = [paths[p] + (i,) for p, i in zip(parents.tolist(), indices.tolist())]
-        if done.any():
+        capped = state.t >= model.config.max_target_len
+        paths = [paths[p] + (tokens[i],) for p, i in zip(parents.tolist(), indices.tolist())]
+        if capped or finished.any():
+            done = finished | capped
             for beam in np.flatnonzero(done):
                 pool.append(Hypothesis(
-                    tokens=tuple(_token_at(i, bank) for i in paths[beam]),
-                    log_prob=float(totals[picked[beam]]),
+                    tokens=paths[beam], log_prob=float(totals[picked[beam]]),
                     truncated=not finished[beam]))
             live = ~done
             parents, indices = parents[live], indices[live]

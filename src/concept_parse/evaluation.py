@@ -37,7 +37,9 @@ def teacher_forced_accuracy(model: ConceptModel, records: Sequence[DatasetRecord
                             tags: Sequence[ConceptTag]) -> float:
     """Percent of records whose argmax equals gold at every teacher-forced step.
 
-    Runs the batched forward only; no search of any kind is involved.
+    Runs the batched forward only; no search of any kind is involved. Each
+    forward's log-probabilities are checked once, and a NaN or Inf raises
+    `NonFiniteError`.
     """
     if not records:
         raise EmptyEvalSetError("teacher-forced accuracy over an empty record set")
@@ -48,6 +50,7 @@ def teacher_forced_accuracy(model: ConceptModel, records: Sequence[DatasetRecord
             chunk = records[start:start + _TF_CHUNK]
             batch = model.build_batch(chunk, tags)
             log_probs = model.teacher_log_probs(batch, bank_tensor).data
+            ad.require_finite(log_probs, "teacher_forced_accuracy")
             hits = (np.argmax(log_probs, axis=-1) == batch.gold) | \
                 (batch.tgt_mask == 0.0)
             correct += int(hits.all(axis=1).sum())

@@ -454,8 +454,10 @@ def composed_feed_forward(x, w1, b1, w2, b2):
     return ad.affine(ad.gelu(ad.affine(x, w1, b1)), w2, b2)
 
 
-# The method-call forms (ndarray.mean, .max, .sum) that the autodiff kernels
-# replaced with direct ufunc reductions; the kernels must equal them byte for byte.
+# The method-call forms (ndarray.mean, .max, .sum) of the autodiff kernels'
+# reductions. The softmax kernels equal them byte for byte; the layer-norm
+# kernels take row means as products and are held to them, taken in double
+# precision, within a stated tolerance.
 
 
 def method_layer_norm(x, gain, bias, eps=1e-5):

@@ -124,8 +124,7 @@ MUTANTS = (
     Mutant("decoding", "finished = (moves < 0) & (depths <= 0)",
            "finished = (moves < 0) & (depths == 0)",
            "tests/test_decode.py::TestBeamOracle::test_matches_exhaustive_enumeration"),
-    Mutant("decoding", "done = finished | (state.t >= model.config.max_target_len)",
-           "done = finished",
+    Mutant("decoding", "done = finished | capped", "done = finished",
            "tests/test_decode.py::TestBeamOracle::test_matches_exhaustive_enumeration"),
     Mutant("decoding", "depths = depths[parents] + moves", "depths = depths + moves",
            "tests/test_decode.py::TestBeamOracle::test_matches_exhaustive_enumeration"),
@@ -138,8 +137,8 @@ MUTANTS = (
     Mutant("decoding", "truncated=not finished[beam]))", "truncated=False))",
            "tests/test_decode.py::TestBatchedBeamOracle::test_matches_per_beam_search"),
     Mutant("decoding",
-           "paths = [paths[p] + (i,) for p, i in zip(parents.tolist(), indices.tolist())]",
-           "paths = [paths[0] + (i,) for p, i in zip(parents.tolist(), indices.tolist())]",
+           "paths = [paths[p] + (tokens[i],) for p, i in zip(parents.tolist(), indices.tolist())]",
+           "paths = [paths[0] + (tokens[i],) for p, i in zip(parents.tolist(), indices.tolist())]",
            "tests/test_decode.py::TestBatchedBeamOracle::test_matches_per_beam_search"),
     # the schedule, Adam, and the backward of the attention and feed-forward sublayers
     Mutant("autodiff", "return schedule.base_lr * step / warmup",
@@ -184,6 +183,17 @@ MUTANTS = (
     Mutant("model", "words = tag.description.split()", "words = tags[0].description.split()",
            "tests/test_training.py::TestDescriptionAblation::"
            "test_rotated_descriptions_cost_known_domain_likelihood[0]"),
+    # each decoder layer norm folds its gain and bias into the product that reads
+    # it, and an inference entry checks its own output
+    Mutant("model", 'bqkv = (w["ln1.bias"] @ sw + sb)[:, None]', "bqkv = sb[:, None]",
+           "tests/test_model.py::TestBatchedForward::"
+           "test_matches_stepwise_with_every_gain_and_bias_drawn"),
+    Mutant("model", 'w1 = w["ln3.gain"][:, None] * w["ff.w1"]', 'w1 = w["ff.w1"]',
+           "tests/test_model.py::TestBatchedForward::"
+           "test_matches_stepwise_with_every_gain_and_bias_drawn"),
+    Mutant("model", 'ad.require_finite(states.data, "encode_source")', "pass",
+           "tests/test_model.py::TestInferenceChecksItsOutput::"
+           "test_a_nan_weight_raises[encode_source-encoder.0.ff.w1]"),
     # the stacked parameters: one draw per trailing matrix, and the size a layout reads
     Mutant("model", "for matrix in view.reshape(-1, *shape[-2:]):", "for matrix in (view,):",
            "tests/test_model.py::TestModelConfig::test_the_seeded_values_are_pinned[default]"),

@@ -525,6 +525,26 @@ def method_oracle_cases(test):
     return test
 
 
+# The layer-norm tolerance policy (ROADMAP item 18), fixed before the row
+# statistics became products. In double precision: 1e-12. In single precision:
+# 4x the largest error that the summed-reduction kernel had against the
+# double-precision oracle on `method_oracle_cases`. An error is absolute on the
+# normalized rows and relative to the oracle's largest magnitude elsewhere.
+LN_TOLERANCE = {np.float64: dict(xhat=1e-12, out=1e-12, inv=1e-12, gx=1e-12),
+                np.float32: dict(xhat=1.9e-6, out=5.4e-7, inv=4.1e-7, gx=6.2e-7)}
+
+
+def assert_near(got, expected, dtype, quantity):
+    """``got`` is within `LN_TOLERANCE` of ``expected`` for its precision."""
+    scale = 1.0 if quantity == "xhat" else float(np.abs(expected).max())
+    np.testing.assert_allclose(got, expected, rtol=0,
+                               atol=LN_TOLERANCE[dtype][quantity] * scale)
+
+
+def in_double(*arrays):
+    return [a.astype(np.float64) for a in arrays]
+
+
 class TestKernels:
     """The shared forward kernels and the one-GEMM path of `matmul` against references."""
 
@@ -591,9 +611,10 @@ class TestKernels:
         x, gain, bias = self.oracle_inputs(dtype, shape, scale, offset, 3)
         gain, bias = gain.reshape(-1, shape[-1])[0], bias.reshape(-1, shape[-1])[0]
         got = ad.layer_norm_kernel(x, gain, bias)
-        for kernel, oracle in zip(got, method_layer_norm(x, gain, bias)):
-            assert kernel.dtype == oracle.dtype == dtype
-            assert kernel.tobytes() == oracle.tobytes()
+        oracle = method_layer_norm(*in_double(x, gain, bias))
+        for kernel, expected, quantity in zip(got, oracle, ("out", "xhat", "inv")):
+            assert kernel.dtype == dtype
+            assert_near(kernel, expected, dtype, quantity)
 
     @method_oracle_cases
     def test_graph_layer_norm_equals_method_oracle(self, dtype, shape, scale, offset):
@@ -601,7 +622,7 @@ class TestKernels:
         gain, bias = gain.reshape(-1, shape[-1])[0], bias.reshape(-1, shape[-1])[0]
         out = ad.layer_norm(ad.constant(x), ad.constant(gain), ad.constant(bias))
         assert out.data.dtype == dtype
-        assert out.data.tobytes() == method_layer_norm(x, gain, bias)[0].tobytes()
+        assert_near(out.data, method_layer_norm(*in_double(x, gain, bias))[0], dtype, "out")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_norm_is_normalize_then_gain_and_bias(self, dtype):
@@ -609,12 +630,13 @@ class TestKernels:
         x = (rng.standard_normal((4, 3, 48)) * 4 + 2).astype(dtype)
         gain = (rng.standard_normal(48) + 1).astype(dtype)
         bias = rng.standard_normal(48).astype(dtype)
-        xhat, inv = ad.normalize_kernel(x)
+        centred, deviation = ad.normalize_kernel(x)
         out, kernel_xhat, kernel_inv = ad.layer_norm_kernel(x, gain, bias)
-        assert xhat.dtype == inv.dtype == dtype
-        assert out.tobytes() == (xhat * gain + bias).tobytes()
-        assert kernel_xhat.tobytes() == xhat.tobytes()
-        assert kernel_inv.tobytes() == inv.tobytes()
+        assert centred.dtype == deviation.dtype == dtype
+        xhat = centred / deviation
+        assert_near(out, xhat * gain + bias, dtype, "out")
+        assert_near(kernel_xhat, xhat, dtype, "xhat")
+        assert_near(kernel_inv, 1.0 / deviation, dtype, "inv")
 
     @method_oracle_cases
     def test_layer_norm_vjp_equals_method_oracle(self, dtype, shape, scale, offset):
@@ -622,10 +644,11 @@ class TestKernels:
         gain = gain.reshape(-1, shape[-1])[0]
         out = ad.layer_norm(parameter("x", x), ad.constant(gain),
                             ad.constant(np.zeros_like(gain)))
-        _, xhat, inv = method_layer_norm(x, gain, np.zeros_like(gain))
         gx = out.vjp(g)[0]
         assert gx.dtype == dtype
-        assert gx.tobytes() == method_layer_norm_input_grad(g, gain, xhat, inv).tobytes()
+        x, gain, g = in_double(x, gain, g)
+        _, xhat, inv = method_layer_norm(x, gain, np.zeros_like(gain))
+        assert_near(gx, method_layer_norm_input_grad(g, gain, xhat, inv), dtype, "gx")
 
     @method_oracle_cases
     def test_softmax_kernels_equal_method_oracles(self, dtype, shape, scale, offset):
@@ -635,6 +658,40 @@ class TestKernels:
             got = kernel(x)
             assert got.dtype == dtype
             assert got.tobytes() == oracle(x).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kernel", ["normalize", "layer_norm", "softmax", "log_softmax",
+                                        "attention", "gelu"])
+    def test_a_non_finite_input_row_reaches_its_output_row(self, kernel, bad):
+        """No-grad forwards check no node, only each inference entry's output
+        (ROADMAP item 10). That is sound because IEEE 754 arithmetic carries a
+        NaN or an infinity in one input row into that row of every kernel's
+        output, and into no other row. Attention's rows are its queries'.
+
+        One exception is pinned as it is: softmax maps a single -Inf to a
+        probability of exactly 0 (exp(-inf) = 0), the masked entry of a finite
+        row. Its logits are made inside `attention_kernel`, where no node ever
+        checked them."""
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((4, 3, 8)).astype(np.float32)
+        x[1, 2, 5] = bad
+        gain, bias = (rng.standard_normal(8).astype(np.float32) for _ in range(2))
+        keys = rng.standard_normal((4, 6, 8)).astype(np.float32)
+        runs = {"normalize": lambda: ad.normalize_kernel(x),
+                "layer_norm": lambda: ad.layer_norm_kernel(x, gain, bias),
+                "softmax": lambda: (ad.softmax_kernel(x),),
+                "log_softmax": lambda: (ad.log_softmax_kernel(x),),
+                "attention": lambda: ad.attention_kernel(x, keys, keys),
+                "gelu": lambda: ad.gelu_kernel(x)[:1]}
+        with np.errstate(invalid="ignore", over="ignore"):
+            outputs = runs[kernel]()
+        for out in outputs:
+            rows = out.reshape(-1, out.shape[-1])
+            assert np.isfinite(np.delete(rows, 1 * 3 + 2, axis=0)).all()
+            if kernel == "softmax" and bad == -np.inf:
+                assert np.isfinite(out[1, 2]).all() and out[1, 2, 5] == 0.0
+            else:
+                assert not np.isfinite(out[1, 2]).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(63, 11), (64, 11), (16, 4, 11, 11), (4, 4, 30)],

@@ -25,7 +25,7 @@ from concept_parse.errors import (
     require_count,
 )
 from concept_parse.decoding import beam_decode
-from concept_parse.evaluation import evaluate_domain
+from concept_parse.evaluation import evaluate_domain, teacher_forced_accuracy
 from concept_parse.model import (PAD, SUMMARY, UNK, ConceptBank, ConceptModel, ModelConfig,
                                  Vocabulary)
 from concept_parse.parse import Pointer, make_tag, tags_for_label, tokenize_utterance
@@ -127,6 +127,25 @@ def teacher_force(model, bank, sources, targets):
     with ad.no_grad():
         return model.teacher_log_probs(model.build_batch([record], list(bank.tags)),
                                        ad.constant(bank.vectors))
+
+
+class TestInferenceChecksItsOutput:
+    """No-grad forwards record no graph, so no op checks its output (ROADMAP
+    item 10); each inference entry checks its own output once, and a NaN weight
+    in the stack it reads raises `NonFiniteError` naming the entry."""
+
+    @pytest.mark.parametrize("entry, weight", [("encode_source", "encoder.0.ff.w1"),
+                                               ("encode_concepts", "concept.0.ff.w1"),
+                                               ("teacher_forced_accuracy", "decoder.0.ff.w1")])
+    def test_a_nan_weight_raises(self, corpus, entry, weight):
+        model = build_model(corpus, seed=1, **TINY)
+        tags = tags_from_records(corpus)
+        model.params[weight].data[0, 0] = np.nan
+        run = {"encode_source": lambda: model.encode_source(corpus[0].utterance.tokens),
+               "encode_concepts": lambda: model.encode_concepts(tags),
+               "teacher_forced_accuracy": lambda: teacher_forced_accuracy(model, corpus[:3], tags)}
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match=f"^{entry} "):
+            run[entry]()
 
 
 class TestPositionLimits:
@@ -417,6 +436,27 @@ class TestBatchedForward:
                                            atol=1e-9)
                 assert np.argmax(batched) == np.argmax(dist[0])
 
+    def test_matches_stepwise_with_every_gain_and_bias_drawn(self, corpus):
+        """As above, with every gain and bias moved off its initial ones or
+        zeros, so that each layer norm's fold into the product that reads it
+        (`DecoderState`) is tested on its gain and on its bias."""
+        model = build_model(corpus, seed=3, precision="double", **TINY)
+        rng = np.random.default_rng(8)
+        for name, p in model.parameters().items():
+            if name.endswith((".gain", ".bias", ".b", ".b1", ".b2")):
+                p.data[...] += rng.normal(0.0, 0.5, p.data.shape)
+        tags = tags_from_records(corpus)
+        bank = model.encode_concepts(tags)
+        with ad.no_grad():
+            log_probs = model.teacher_log_probs(model.build_batch(corpus[:6], tags),
+                                                ad.constant(bank.vectors)).data
+        for i, record in enumerate(corpus[:6]):
+            stepwise = np.concatenate(forward_teacher_forced(model, record.utterance,
+                                                             record.target, bank))
+            columns = bank.m + len(record.utterance.tokens)
+            np.testing.assert_allclose(log_probs[i, :len(stepwise), :columns], stepwise,
+                                       atol=1e-9)
+
     def test_inputs_index_the_decoder_input_table(self, model, corpus, bank):
         records = corpus[:6]
         batch = model.build_batch(records, list(bank.tags))
@@ -514,6 +554,28 @@ class TestBatchedForward:
         assert calls[-1] == (1, heads, 1, model.config.width // heads)
         assert softmaxes == [(1, heads, 1, 1), (1, heads, len(tokens))]
 
+    def test_every_layer_norm_takes_the_one_row_statistics_kernel(self, corpus, monkeypatch):
+        """A decode step takes each of a layer's three norms and the final norm
+        from `ad.normalize_kernel`, and self-attention from `ad.attention_kernel`;
+        the graph's `layer_norm` takes its statistics from the same kernel."""
+        model = build_model(corpus, seed=1, **dict(TINY, layers=2))
+        bank = model.encode_concepts(tags_from_records(corpus))
+        state = model.initial_state(model.encode_source(("how", "far", "is")), bank)
+        calls = []
+        for name in ("normalize_kernel", "attention_kernel"):
+            kernel = getattr(ad, name)
+            monkeypatch.setattr(ad, name, lambda *args, name=name, kernel=kernel:
+                                calls.append(name) or kernel(*args))
+        model.decode_step(state, bos(model, bank))
+        layers = model.config.layers
+        assert sorted(calls) == ["attention_kernel"] * layers + \
+            ["normalize_kernel"] * (3 * layers + 1)
+        calls.clear()
+        x = np.random.default_rng(9).standard_normal((2, 3, model.config.width))
+        ad.layer_norm(ad.constant(x.astype(model.dtype)), model.params["decoder.0.ln1.gain"],
+                      model.params["decoder.0.ln1.bias"])
+        assert calls == ["normalize_kernel"]
+
 
 class TestPadPositions:
     @pytest.mark.parametrize("precision", ["single", "double"])
@@ -579,16 +641,21 @@ class TestBoundViews:
         assert after.tobytes() == self.step_log_probs(other, corpus).tobytes()
 
     def test_a_state_carries_its_searchs_fixed_products(self, corpus):
-        """A state keeps the folded cross-attention and output head of the
-        weights it was made from; only a fresh `initial_state` sees new ones."""
+        """A state keeps the folded layer norms, cross-attention and output head
+        of the weights it was made from; only a fresh `initial_state` sees new ones."""
         model = build_model(corpus, seed=1, **TINY)
         bank = model.encode_concepts(tags_from_records(corpus))
         state = model.initial_state(model.encode_source(("how", "far", "is")), bank)
         expected, _ = model.decode_step(state, bos(model, bank))
-        # every folded weight: all of cross-attention's but its output bias, row 3
-        folded = [p.data[:3] if name.endswith(".cross.b") else p.data
+        # every folded weight: all of cross-attention's but its output bias, row 3,
+        # self-attention's Q, K and V (rows 0-2), every decoder layer norm, the
+        # feed-forward's first affine, and the final norm and output head
+        folded = [p.data[:3] if name.endswith((".cross.b", ".self.w", ".self.b")) else p.data
                   for name, p in model.parameters().items()
                   if ".cross." in name or ".ln2." in name
+                  or name.startswith("decoder.") and name.endswith(
+                      (".ln1.gain", ".ln1.bias", ".ln3.gain", ".ln3.bias", ".self.w",
+                       ".self.b", ".ff.w1", ".ff.b1"))
                   or name.startswith(("decoder.final_ln.", "head."))]
         rng = np.random.default_rng(7)
         for view in folded:
